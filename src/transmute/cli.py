@@ -33,7 +33,6 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from ._parallel import parallel_map
 from .coeffs import compute_beta
 from .errors import DomainError, TransmuteError
 from .kernel import kernel_K, make_kernel_series
@@ -281,7 +280,7 @@ def cmd_beta(cfg: RunConfig) -> int:
 
 
 def _kernel_column(setup, cfg, x):
-    """Rows of the kernel table at one x; runs as an independent task."""
+    """Rows of the kernel table at one x."""
     M = cfg.M if cfg.M is not None else default_fit_size(cfg.l)
     table = compute_beta(setup, x, M, freq_count=cfg.freq_count)
     integerish = abs(cfg.l - round(cfg.l)) <= 1e-9 and round(cfg.l) >= 0
@@ -309,7 +308,7 @@ def cmd_kernel(cfg: RunConfig) -> int:
     setup = _setup_from_config(cfg)
     out = _out_dir(cfg)
     xs = [cfg.b * i / cfg.nx for i in range(1, cfg.nx + 1)]
-    columns = parallel_map(lambda x: _kernel_column(setup, cfg, x), xs)
+    columns = [_kernel_column(setup, cfg, x) for x in xs]
 
     csv_path = out / "kernel.csv"
     _write_csv(csv_path, "x,t,K,flag",

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specialfn
-from ._parallel import parallel_map
 from .errors import DomainError, IllConditionedFit
 from .oracle import ProblemSetup, regular_solution_ode
 
@@ -124,11 +123,8 @@ def compute_beta(
     omegas = s / x
     x_arr = np.array([x])
 
-    def _data_point(om):
-        sol = regular_solution_ode(setup, float(om), x_arr)
-        return sol.u_values[0] - unperturbed_term(setup.l, float(om), x)
-
-    r = np.array(parallel_map(_data_point, omegas))
+    r = np.array([regular_solution_ode(setup, om, x_arr).u_values[0]
+                  - unperturbed_term(setup.l, om, x) for om in omegas.tolist()])
 
     table = specialfn.spherical_j_table(2 * M, s)
     signs = (-1.0) ** np.arange(M + 1)

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ._backend import chain_2x2
 from .errors import AccuracyWarning, DomainError, IntegrationFailure
@@ -118,6 +117,8 @@ def _table_potential(xs: np.ndarray, qs: np.ndarray, b: float):
             f"potential table must span [0, {b:.6g}]; it covers "
             f"[{xs[0]:.6g}, {xs[-1]:.6g}]"
         )
+    from scipy.interpolate import CubicSpline   # loads slowly; only tables need it
+
     return CubicSpline(xs, qs)
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -98,6 +97,33 @@ def _triangle_quadrature(l, m_max, omega, x):
     return out
 
 
+def _triangles(l: int, m_max: int, omega: np.ndarray, x: float) -> np.ndarray:
+    """integral_triangle's values at every omega of a 1-D array, stacked
+    along the first axis; the recurrence is elementwise in omega."""
+    out = np.zeros((omega.size, m_max + 1, m_max + 1))
+    small = omega * x < SMALL_PHASE
+    for i in np.flatnonzero(small):
+        out[i] = _triangle_quadrature(l, m_max, float(omega[i]), x)
+
+    om = omega[~small, None]
+    z = om * x
+    jt = specialfn.spherical_j_table(l + m_max + 1, z[:, 0]).T
+    tri = np.zeros((om.size, m_max + 1, m_max + 1))
+    ks = np.arange(l, l + m_max + 1)
+    tri[:, :, 0] = x ** (ks + 1.5) * np.sqrt(2.0 * z / math.pi) * jt[:, ks + 1] / om
+
+    wx2 = om * x * x
+    for m in range(1, m_max + 1):
+        j = np.arange(0, m_max - m + 1)
+        k = l + j
+        # C(k+m+1, m) from the exact integer, correctly rounded
+        binom = np.array([math.comb(kk + m + 1, m) for kk in k.tolist()], dtype=float)
+        tri[:, j, m] = (-1.0) ** m * binom * tri[:, j, 0] \
+            + (2.0 * m + 4.0 * k + 5.0) / wx2 * tri[:, j + 1, m - 1]
+    out[~small] = tri
+    return out
+
+
 def integral_triangle(l: int, m_max: int, omega: float, x: float) -> IntegralTriangle:
     """Build the I_{k,m} table at one (omega, x).
 
@@ -114,35 +140,8 @@ def integral_triangle(l: int, m_max: int, omega: float, x: float) -> IntegralTri
         raise DomainError("need l >= 0 and m_max >= 0")
     if omega <= 0.0 or x <= 0.0:
         raise DomainError("need omega > 0 and x > 0")
-    if omega * x < SMALL_PHASE:
-        vals = _triangle_quadrature(l, m_max, omega, x)
-        return IntegralTriangle(l=l, m_max=m_max, omega=omega, x=x, values=vals)
-
-    z = omega * x
-    jt = specialfn.spherical_j_table(l + m_max + 1, z)[:, 0]
-    amp = math.sqrt(2.0 * z / math.pi)
-    out = np.zeros((m_max + 1, m_max + 1))
-    ks = np.arange(l, l + m_max + 1)
-    out[:, 0] = x ** (ks + 1.5) * amp * jt[ks + 1] / omega
-
-    wx2 = omega * x * x
-    for m in range(1, m_max + 1):
-        j = np.arange(0, m_max - m + 1)
-        k = l + j
-        # C(k+m+1, m) stays modest for the truncations in play (< 1e15 at
-        # k+m ~ 50), so plain floats are fine
-        binom = np.exp(
-            _lgamma_arr(k + m + 2.0) - _lgamma_arr(m + 1.0) - _lgamma_arr(k + 2.0)
-        )
-        out[j, m] = (-1.0) ** m * binom * out[j, 0] \
-            + (2.0 * m + 4.0 * k + 5.0) / wx2 * out[j + 1, m - 1]
-    return IntegralTriangle(l=l, m_max=m_max, omega=omega, x=x, values=out)
-
-
-def _lgamma_arr(v):
-    from scipy.special import gammaln
-
-    return gammaln(np.asarray(v, dtype=float))
+    vals = _triangles(l, m_max, np.array([omega], dtype=float), x)[0]
+    return IntegralTriangle(l=l, m_max=m_max, omega=omega, x=x, values=vals)
 
 
 @lru_cache(maxsize=32)
@@ -215,32 +214,34 @@ def _series_coefficients(ev: SolutionEvaluator) -> np.ndarray:
         * ev.beta.beta[m + l + 1]
 
 
-def u_N(ev: SolutionEvaluator, omega: float, x: float) -> float:
+def u_N(ev: SolutionEvaluator, omega, x: float):
     """Truncated representation of the normalized regular solution.
+
+    ``omega`` is a float or a 1-D array (all > 0), and so is the result;
+    one call over an array is far cheaper than a call per frequency.
 
     The approximation error is bounded by c_l * eps_N(x) independently of
     omega — see uniform_error_bound.
     """
-    if omega <= 0.0:
-        raise DomainError(f"omega must be > 0, got {omega}")
+    om = np.asarray(omega, dtype=float)
+    if om.ndim > 1:
+        raise DomainError(f"omega must be a scalar or 1-D, got shape {om.shape}")
+    flat = np.atleast_1d(om)
+    bad = ~(flat > 0.0)
+    if np.any(bad):
+        raise DomainError(f"omega must be > 0, got {flat[bad][0]}")
     if abs(x - ev.beta.x) > 1e-9 * max(1.0, ev.beta.x):
         raise DomainError(
             f"evaluator holds coefficients at x={ev.beta.x}, got x={x}"
         )
-    tri = integral_triangle(ev.l, ev.N, omega, x)
-    coefs = _series_coefficients(ev) * math.sqrt(omega) * tri.values[0]
-    total = 0.0
-    comp = 0.0
-    for val in coefs[::-1]:
-        t = total + val
-        if abs(total) >= abs(val):
-            comp += (total - t) + val
-        else:
-            comp += (val - t) + total
-        total = t
-    z = omega * x
+    tri = _triangles(ev.l, ev.N, flat, x)
+    if not np.all(np.isfinite(tri)):
+        raise DomainError("triangle entries must be finite")
+    terms = _series_coefficients(ev) * np.sqrt(flat)[:, None] * tri[:, 0]
+    z = flat * x
     main = z * math.sqrt(2.0 / math.pi) * specialfn.spherical_j(ev.l, z)
-    return main + total + comp
+    vals = main + np.array([math.fsum(row) for row in terms])
+    return float(vals[0]) if om.ndim == 0 else vals
 
 
 def uniform_error_bound(ev: SolutionEvaluator, x: float, eps_N: float) -> float:

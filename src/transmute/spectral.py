@@ -9,12 +9,13 @@ the first.  Classical shooting degrades with omega; this representation
 does not.
 
 Roots are located the plain way -- sample F on a grid fine enough that
-no sign change can hide between nodes, then polish every bracket with a
-safeguarded bisection/secant iteration.  Eigenvalue spacing approaches
-pi/b from above (it is exactly pi/b for q = 0, l = 0), so a grid step of
-a quarter of that gap is sufficient; a spacing monitor warns if the
-computed sequence nevertheless shows a gap consistent with a skipped
-root.
+no sign change can hide between nodes, then polish all brackets together
+with a safeguarded regula falsi.  Eigenvalue gaps tend to pi/b as n
+grows (exactly pi/b for q = 0, l = 0), from above or from below
+depending on l and q: for l = 0, q = 20 they are
+sqrt(n^2+20) - sqrt((n-1)^2+20) < pi/b.  The grid step is a quarter of
+pi/b; a spacing monitor warns if the computed sequence nevertheless
+shows a gap consistent with a skipped root.
 """
 
 from __future__ import annotations
@@ -25,9 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
-from ._parallel import parallel_map
 from .coeffs import BetaTable, compute_beta
 from .errors import DomainError, MissedRootWarning, TransmuteError
 from .oracle import ProblemSetup, regular_solution_ode
@@ -44,6 +43,7 @@ __all__ = [
 
 _STALL_RATIO = 0.9   # |beta_{k+1}|/|beta_k| at or above this counts as "not decaying"
 _STALL_RUN = 3       # consecutive non-decaying ratios that define a stall
+_EPS = np.finfo(float).eps
 
 #: Dirichlet eigenvalues of -u'' + (2/x^2 + x^2) u = omega^2 u on (0, pi]
 #: (l = 1, q(x) = x^2) for selected indices n; digits verified against an
@@ -168,13 +168,16 @@ def choose_N(beta: BetaTable) -> int:
 # scanning and refinement
 
 
-def _bracket_roots(f: Callable[[float], float], count: int, h: float, block: int = 96):
+def _bracket_roots(f: Callable, count: int, h: float, block: int = 96):
     """First `count` sign-change brackets of f on the grid h, 2h, 3h, ...
 
-    Grid values are computed block-wise (blocks may be evaluated in
-    parallel); bracket collection itself is sequential so ordinals stay
-    correct.  Returns a list of (lo, hi, f_lo, f_hi).
+    ``f`` maps an array of frequencies to its values; each block of the
+    grid takes one call.  Bracket collection is sequential so ordinals stay
+    correct, and a non-finite value raises (taking it for either sign could
+    hide a root).  Returns a list of (lo, hi, f_lo, f_hi).
     """
+    if not h > 0:
+        raise DomainError(f"h_scan must be > 0, got {h}")
     brackets = []
     g_prev = f_prev = None
     j0 = 1
@@ -185,14 +188,13 @@ def _bracket_roots(f: Callable[[float], float], count: int, h: float, block: int
                 f"root scan passed omega = 1e6 with {len(brackets)} of "
                 f"{count} roots found; characteristic function looks wrong"
             )
-        vals = parallel_map(f, [float(g) for g in grid])
-        for g, v in zip(grid, vals):
-            g, v = float(g), float(v)
+        vals = _checked(f, grid)
+        for g, v in zip(grid.tolist(), vals.tolist()):
             if v == 0.0:
                 # Exact zero on a grid node: nudge the node so the root
                 # falls strictly inside a sign-change bracket.
                 g = g + 1e-9 * h
-                v = float(f(g))
+                v = float(_checked(f, np.array([g]))[0])
             if f_prev is not None and (v < 0.0) != (f_prev < 0.0):
                 brackets.append((g_prev, g, f_prev, v))
                 if len(brackets) == count:
@@ -202,9 +204,59 @@ def _bracket_roots(f: Callable[[float], float], count: int, h: float, block: int
     return brackets
 
 
-def _refine(f: Callable[[float], float], lo: float, hi: float) -> float:
-    # Brent's method: bisection-safeguarded inverse interpolation.
-    return float(brentq(f, lo, hi, xtol=1e-12, maxiter=200))
+def _checked(f: Callable, omega: np.ndarray) -> np.ndarray:
+    """f(omega); TransmuteError naming the first omega where it is not finite."""
+    vals = f(omega)
+    bad = ~np.isfinite(vals)
+    if np.any(bad):
+        raise TransmuteError(f"characteristic function is {vals[bad][0]} at "
+                             f"omega = {float(omega[bad][0])!r}")
+    return vals
+
+
+def _secant(a, b, fa, fb, margin=0.0):
+    """Secant point of each bracket, at least ``margin`` inside it but not
+    past its midpoint, which also replaces a secant point outside it."""
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    c = b - fb * (b - a) / (fb - fa)
+    c = np.where((c >= lo) & (c <= hi), c, 0.5 * (lo + hi))
+    margin = np.minimum(margin, 0.5 * (hi - lo))
+    return np.clip(c, lo + margin, hi - margin)
+
+
+def _polish(f: Callable, brackets, maxiter: int = 200) -> np.ndarray:
+    """Roots of f in every (lo, hi, f_lo, f_hi) bracket, refined together.
+
+    Anderson-Bjorck regula falsi (BIT 13, 1973): each iteration calls f
+    once, at the secant points of all open brackets.  When the new point
+    keeps the sign of the previous one, the value used for the retained
+    end is scaled by 1 - f_new/f_prev (1/2 if that is not positive), so
+    neither end stalls.  New points stay half a stopping width inside the
+    bracket, so an iterate already that close to the root is straddled
+    next.  A bracket closes on f == 0 or width <= 1e-12 + 4 eps |omega|;
+    its root is the secant point through the true end values.
+    """
+    # b: latest iterate; a: the opposite-signed end; g: f(a) as scaled
+    a, b, fa, fb = (np.array(col, dtype=float) for col in zip(*brackets))
+    g = fa.copy()
+    live = np.ones(a.size, dtype=bool)
+    for it in range(maxiter + 1):
+        tol = 1e-12 + 4.0 * _EPS * np.abs(b)
+        live &= (np.abs(b - a) > tol) & (fb != 0.0)
+        i = np.flatnonzero(live)
+        if i.size == 0:
+            return _secant(a, b, fa, fb)
+        if it == maxiter:
+            lo, hi = sorted((float(a[i[0]]), float(b[i[0]])))
+            raise TransmuteError(f"root polish did not converge in {maxiter} "
+                                 f"iterations; bracket [{lo!r}, {hi!r}] is still open")
+        c = _secant(a[i], b[i], g[i], fb[i], 0.5 * tol[i])
+        fc = _checked(f, c)
+        flip = (fc < 0.0) != (fb[i] < 0.0)
+        scale = np.where(fc / fb[i] < 1.0, 1.0 - fc / fb[i], 0.5)
+        a[i], fa[i], g[i] = (np.where(flip, b[i], a[i]), np.where(flip, fb[i], fa[i]),
+                             np.where(flip, fb[i], g[i] * scale))
+        b[i], fb[i] = c, fc
 
 
 def _check_spacing(roots: np.ndarray, b: float) -> bool:
@@ -245,8 +297,8 @@ def dirichlet_eigenvalues(
     The coefficient table is fitted at x = b (or taken from ``beta`` if
     the caller already has one), the truncation level is chosen from its
     decay profile unless ``N`` is given, and the scan/refine machinery
-    above locates the roots.  Refinement tightens each bracket until the
-    step is below 1e-12.
+    above locates the roots.  Refinement tightens each bracket until its
+    width is below 1e-12 + 4 eps omega.
 
     Parameters
     ----------
@@ -295,15 +347,13 @@ def dirichlet_eigenvalues(
     ev = solution_evaluator(beta, N)
     b = setup.b
 
-    def F(omega: float) -> float:
+    def F(omega: np.ndarray) -> np.ndarray:
         return u_N(ev, omega, b)
 
     h = math.pi / (4.0 * b) if h_scan is None else float(h_scan)
-    if not h > 0:
-        raise DomainError(f"h_scan must be > 0, got {h}")
     brackets = _bracket_roots(F, count, h)
-    roots = np.array(parallel_map(lambda br: _refine(F, br[0], br[1]), brackets))
-    residuals = np.abs(np.array(parallel_map(F, [float(r) for r in roots])))
+    roots = _polish(F, brackets)
+    residuals = np.abs(F(roots))
     spacing_ok = _check_spacing(roots, b)
 
     ref_err = None
@@ -344,8 +394,9 @@ def oracle_eigenvalues(
         raise DomainError(f"count must be >= 1, got {count}")
     b = setup.b
 
-    def F(omega: float) -> float:
-        return float(regular_solution_ode(setup, omega, [b]).u_values[0])
+    def F(omega: np.ndarray) -> np.ndarray:
+        return np.array([regular_solution_ode(setup, w, [b]).u_values[0]
+                         for w in omega.tolist()])
 
     h = math.pi / (4.0 * b) if h_scan is None else float(h_scan)
     wanted = sorted({int(n) for n in which} if which is not None else range(1, count + 1))
@@ -353,5 +404,5 @@ def oracle_eigenvalues(
         raise DomainError("requested ordinals must lie in [1, count]")
     brackets = _bracket_roots(F, count, h)
     picked = [brackets[n - 1] for n in wanted]
-    roots = parallel_map(lambda br: _refine(F, br[0], br[1]), picked)
+    roots = _polish(F, picked)
     return {n: float(r) for n, r in zip(wanted, roots)}

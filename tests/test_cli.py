@@ -5,6 +5,8 @@ failures carry tracebacks.
 """
 import csv
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +18,16 @@ from transmute.errors import DomainError
 def _read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def test_import_does_not_load_optimize_or_interpolate():
+    # both cost ~0.2 s at start-up; only a table potential needs a spline
+    code = ("import sys, transmute; "
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "('scipy.optimize', 'scipy.interpolate'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -139,11 +139,3 @@ def test_eval_R_domain(beta_harmonic):
         eval_R(np.pi, np.pi + 0.1, bt)
     with pytest.raises(DomainError):
         eval_R(2.0, 1.0, bt)  # table was fitted at x = pi
-
-
-def test_thread_count_does_not_change_results(harmonic_setups, monkeypatch):
-    monkeypatch.setenv("TRANSMUTE_THREADS", "2")
-    a = compute_beta(harmonic_setups[0], np.pi, 8)
-    monkeypatch.setenv("TRANSMUTE_THREADS", "1")
-    b = compute_beta(harmonic_setups[0], np.pi, 8)
-    assert np.array_equal(a.beta, b.beta)

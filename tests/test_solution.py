@@ -200,6 +200,34 @@ def test_uniform_error_bound_validation(beta_harmonic):
 # argument validation
 
 
+def test_array_omega_matches_scalar_calls(beta_harmonic):
+    ev = solution_evaluator(beta_harmonic[1], N=13)
+    b = np.pi
+    nmax = ev.l + ev.N + 1
+    om = np.array([
+        0.2 * SMALL_PHASE / b, 0.9 * SMALL_PHASE / b,   # quadrature
+        1.1 * SMALL_PHASE / b, 1.0, 3.7,                # Miller branch
+        (nmax + 1.5) / b, 40.0, 211.3,                  # forward recurrence
+    ])
+    assert np.any(om * b < SMALL_PHASE)
+    assert np.any((om * b >= SMALL_PHASE) & (om * b < nmax + 1))
+    assert np.any(om * b >= nmax + 1)
+    got = u_N(ev, om, b)
+    want = np.array([u_N(ev, float(w), b) for w in om])
+    assert isinstance(got, np.ndarray) and got.shape == om.shape
+    assert isinstance(u_N(ev, 2.0, b), float)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_array_omega_checks_every_element(beta_harmonic):
+    ev = solution_evaluator(beta_harmonic[1])
+    for bad in ([1.0, 0.0], [2.0, -1.0, 3.0], [1.0, np.nan]):
+        with pytest.raises(DomainError):
+            u_N(ev, np.array(bad), np.pi)
+    with pytest.raises(DomainError):
+        u_N(ev, np.ones((2, 2)), np.pi)
+
+
 def test_solution_evaluator_validation(beta_half_dense, beta_harmonic):
     with pytest.raises(DomainError):
         solution_evaluator(beta_half_dense)      # non-integer l

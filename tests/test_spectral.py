@@ -7,8 +7,9 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import jv
 
+from transmute import spectral
 from transmute.coeffs import BetaTable, compute_beta
-from transmute.errors import DomainError, MissedRootWarning
+from transmute.errors import DomainError, MissedRootWarning, TransmuteError
 from transmute.solution import solution_evaluator, u_N
 from transmute.spectral import (
     HARMONIC_L1_EIGENVALUES,
@@ -134,6 +135,84 @@ def test_missed_root_warning_on_coarse_scan(harmonic_setups, beta_harmonic):
     assert not rep.spacing_ok
 
 
+def test_harmonic_200_match_brentq_reference(harmonic_setups, beta_harmonic):
+    rep = dirichlet_eigenvalues(harmonic_setups[1], 200, beta=beta_harmonic[1])
+    ev = solution_evaluator(beta_harmonic[1], rep.N_used)
+    ref = np.array([
+        brentq(lambda w: u_N(ev, w, np.pi), lo, hi, xtol=1e-12, maxiter=200)
+        for lo, hi in rep.brackets
+    ])
+    assert np.max(np.abs(rep.eigenvalues - ref)) <= 1e-12
+
+
+def test_spectrum_evaluates_u_N_over_arrays(harmonic_setups, beta_harmonic,
+                                            monkeypatch):
+    calls = []
+
+    def counting(ev, omega, x):
+        calls.append(np.size(omega))
+        return u_N(ev, omega, x)
+
+    monkeypatch.setattr(spectral, "u_N", counting)
+    rep = dirichlet_eigenvalues(harmonic_setups[1], 200, beta=beta_harmonic[1])
+    assert rep.eigenvalues.size == 200
+    assert len(calls) < 100
+
+
+# ---------------------------------------------------------------------------
+# scan and polish on synthetic characteristic functions
+
+
+def test_scan_nudges_exact_zero_on_grid_node():
+    brackets = spectral._bracket_roots(lambda w: w - 1.0, 1, 0.25)
+    assert len(brackets) == 1
+    lo, hi, f_lo, f_hi = brackets[0]
+    assert lo == 0.75 and hi == 1.0 + 1e-9 * 0.25   # the node at 1 moved up
+    assert f_lo < 0.0 < f_hi
+    root = spectral._polish(lambda w: w - 1.0, brackets)
+    assert abs(root[0] - 1.0) <= 1e-12
+
+
+def test_scan_rejects_non_finite_values():
+    # F is NaN on (2.2, 2.6), around its root 3 pi/4; taking NaN for either
+    # sign would drop that root and shift every later ordinal
+    def F(w):
+        return np.where((w > 2.2) & (w < 2.6), np.nan, np.cos(2.0 * w))
+
+    with pytest.raises(TransmuteError, match="omega = 2.25"):
+        spectral._bracket_roots(F, 2, 0.25)
+
+
+def test_polish_rejects_non_finite_values():
+    def F(w):
+        return np.where(np.abs(w - 1.0) < 0.1, np.nan, w - 1.0)
+
+    with pytest.raises(TransmuteError, match="omega"):
+        spectral._polish(F, [(0.5, 1.6, -0.5, 0.6)])
+
+
+def test_polish_reports_unconverged_bracket():
+    # a steep step: regula falsi creeps along the flat side, so three
+    # iterations cannot close the bracket
+    def F(w):
+        return np.where(w < 1.0, -1.0, 1e-3)
+
+    with pytest.raises(TransmuteError, match=r"3 iterations; bracket \[0.5, "):
+        spectral._polish(F, [(0.5, 2.0, -1.0, 1e-3)], maxiter=3)
+    assert abs(spectral._polish(F, [(0.5, 2.0, -1.0, 1e-3)])[0] - 1.0) <= 2e-12
+
+
+def test_cli_reports_non_finite_characteristic_function(monkeypatch, tmp_path, capsys):
+    from transmute.cli import main
+
+    monkeypatch.setattr(spectral, "u_N",
+                        lambda ev, omega, x: np.full(np.shape(omega), np.nan))
+    rc = main(["spectrum", "--l", "1", "--potential", "poly:0,0,1", "--count", "3",
+               "--M", "8", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "nan at omega" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # report integrity
 
@@ -168,6 +247,13 @@ def test_report_is_write_protected(zero_setups):
 
 # ---------------------------------------------------------------------------
 # shooting cross-check
+
+
+def test_oracle_eigenvalues_rejects_non_positive_scan_step(zero_setups):
+    # a zero step would scan omega = 0 forever
+    for h in (0.0, -0.25):
+        with pytest.raises(DomainError):
+            oracle_eigenvalues(zero_setups[0], 1, h_scan=h)
 
 
 def test_oracle_eigenvalues_refines_requested_ordinals(harmonic_setups):
