@@ -10,7 +10,6 @@ uniform in omega, and solves Dirichlet spectral problems on top of that
 representation.  See the README for the pipeline and the CLI.
 """
 
-from ._backend import BACKEND
 from .coeffs import BetaTable, compute_beta, eval_R, unperturbed_term
 from .errors import (
     AccuracyWarning,
@@ -61,7 +60,6 @@ from .validation import CheckResult, run_validation
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "__version__",
     # problem data and oracle
     "ProblemSetup",

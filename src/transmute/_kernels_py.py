@@ -1,10 +1,10 @@
-"""Pure-numpy fallback for the propagation chain.
+"""The propagation chain: ordered products of 2x2 step maps in numpy.
 
 The sequential product of 2x2 step maps is associative, so instead of a
 Python-level loop over every step the segment between two checkpoints is
 collapsed by pairwise reduction: O(n) arithmetic in O(log n) vectorized
-passes.  Rounding differs from the strictly sequential compiled chain at
-the 1e-15 level, which is far below the integrator's error budget.
+passes.  Rounding differs from a strictly sequential product at the
+1e-15 level, which is far below the integrator's error budget.
 """
 from __future__ import annotations
 

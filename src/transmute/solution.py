@@ -87,11 +87,13 @@ def _triangle_quadrature(l, m_max, omega, x):
     t = 0.5 * x * (z60 + 1.0)
     w = 0.5 * x * w60
     zz = 1.0 - 2.0 * (t / x) ** 2
+    z = omega * t
+    # J_{k+1/2}(z) = sqrt(2z/pi) j_k(z); one table covers every order
+    bess = np.sqrt(2.0 * z / math.pi) * specialfn.spherical_j_table(l + m_max, z)
     out = np.zeros((m_max + 1, m_max + 1))
     for j in range(m_max + 1):
         k = l + j
-        bess = specialfn.bessel_j_half(float(k), omega * t)
-        base = w * t ** (k + 1.5) * bess
+        base = w * t ** (k + 1.5) * bess[k]
         rows = specialfn.jacobi_all(m_max - j, k + 0.5, k + 1.0, zz)
         out[j, : m_max - j + 1] = rows @ base
     return out

@@ -1,11 +1,13 @@
 """High-accuracy ODE reference solver and problem setup."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from transmute import oracle
 from transmute.coeffs import unperturbed_term
-from transmute.errors import DomainError
+from transmute.errors import AccuracyWarning, DomainError
 from transmute.oracle import (
     ProblemSetup,
     exact_solution_harmonic,
@@ -20,17 +22,60 @@ def _envelope(sample, omega):
     )
 
 
+def _constant_q_cases():
+    # q == 0 cases are named by omega alone; Q = 50 needs omega^2 > Q
+    for Q in (0.0, 50.0, -3.0):
+        for omega in (0.5, 3.0, 40.0, 249.0, 600.0, 1400.0):
+            if omega * omega > Q:
+                yield pytest.param(
+                    omega, Q, id=f"{omega}" if Q == 0 else f"{omega}-Q{Q:g}"
+                )
+
+
 @pytest.mark.parametrize("l", [0.0, 0.5, 1.0, 2.0, 5.0, 10.0])
-@pytest.mark.parametrize("omega", [0.5, 3.0, 40.0, 249.0])
-def test_free_problem_matches_closed_form(l, omega):
-    """q == 0 has the Bessel closed form; the propagator must reproduce it
-    to its advertised accuracy at every angular parameter and frequency."""
-    setup = ProblemSetup(l=l, b=np.pi, q=lambda x: np.zeros_like(np.asarray(x)))
+@pytest.mark.parametrize("omega,Q", list(_constant_q_cases()))
+def test_free_problem_matches_closed_form(l, omega, Q):
+    """q == Q is the free problem at frequency sqrt(omega^2 - Q), a Bessel
+    closed form; the propagator must reproduce it to its advertised
+    accuracy at every angular parameter and frequency."""
+    setup = ProblemSetup(
+        l=l, b=np.pi, q=lambda x: np.full_like(np.asarray(x, dtype=float), Q)
+    )
     xs = np.linspace(0.3, np.pi, 7)
     sol = regular_solution_ode(setup, omega, xs)
-    ref = unperturbed_term(l, omega, xs)
+    ref = unperturbed_term(l, math.sqrt(omega * omega - Q), xs)
     scale = max(_envelope(sol, omega), np.max(np.abs(ref)))
     assert np.max(np.abs(sol.u_values - ref)) < 5e-10 * scale
+
+
+def test_no_step_past_last_point_and_step_budget(monkeypatch):
+    """The grid ends at the last requested point, and resolving the phase
+    at _PHASE_FRAC keeps a high-frequency solve small."""
+    nodes = []
+    step_maps = oracle._step_maps
+
+    def spy(xs, *args):
+        nodes.append(xs)
+        return step_maps(xs, *args)
+
+    monkeypatch.setattr(oracle, "_step_maps", spy)
+    setup = ProblemSetup(l=0.5, b=np.pi, q=lambda x: np.asarray(x) ** 2)
+    x_eval = np.array([0.4, 1.1, 2.0])
+    regular_solution_ode(setup, 600.0, x_eval)
+    assert nodes and max(xs[-1] for xs in nodes) == x_eval[-1]
+
+    nodes.clear()
+    regular_solution_ode(setup, 600.0, np.array([np.pi]))
+    assert sum(xs.size - 1 for xs in nodes) < 60_000
+
+
+def test_warns_past_validated_range():
+    setup = ProblemSetup(l=0.0, b=np.pi, q=lambda x: np.zeros_like(np.asarray(x)))
+    with pytest.warns(AccuracyWarning, match="validated range"):
+        regular_solution_ode(setup, 2500.0, np.array([np.pi]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        regular_solution_ode(setup, 1400.0, np.array([np.pi]))
 
 
 @pytest.mark.parametrize("l", [0.0, 0.5, 1.0, 2.0])

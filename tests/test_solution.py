@@ -12,6 +12,7 @@ from transmute.kernel import apply_transmutation, epsilon_N, make_kernel_series
 from transmute.oracle import regular_solution_ode
 from transmute.solution import (
     SMALL_PHASE,
+    _triangle_quadrature,
     integral_triangle,
     solution_evaluator,
     sup_sqrt_bessel,
@@ -86,6 +87,17 @@ def test_triangle_small_phase_branch():
         tri = integral_triangle(0, 4, om, x)
         ref = _triangle_by_quadrature(0, 4, om, x)
         assert np.max(np.abs(tri.values - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+def test_small_phase_quadrature_matches_recurrence():
+    # the quadrature takes every order from one spherical Bessel table; just
+    # above the switch the recurrence is still exact for a short triangle
+    for l in (0, 1, 3):
+        for x in (0.5, np.pi):
+            om = 1.01 * SMALL_PHASE / x
+            quad = _triangle_quadrature(l, 6, om, x)
+            rec = integral_triangle(l, 6, om, x).values
+            assert np.max(np.abs(quad - rec)) <= 1e-12 * np.max(np.abs(rec)), (l, x)
 
 
 def test_triangle_accessor_bounds():
