@@ -140,10 +140,10 @@ class RunConfig:
         return cfg
 
     def _check_ranges(self):
-        if not self.b > 0:
-            raise DomainError(f"b must be > 0, got {self.b}")
-        if self.l < -0.5:
-            raise DomainError(f"l must be >= -1/2, got {self.l}")
+        if not (math.isfinite(self.b) and self.b > 0):
+            raise DomainError(f"b must be finite and > 0, got {self.b}")
+        if not (math.isfinite(self.l) and self.l >= -0.5):
+            raise DomainError(f"l must be finite and >= -1/2, got {self.l}")
         if self.count < 0:
             raise DomainError(f"count must be >= 0, got {self.count}")
         if self.M is not None and self.M < 1:
@@ -181,8 +181,8 @@ def parse_potential(text: str) -> dict:
 
 
 def _setup_from_config(cfg: RunConfig) -> ProblemSetup:
-    q, tag = make_potential(parse_potential(cfg.potential), cfg.b)
-    return ProblemSetup(l=cfg.l, b=cfg.b, q=q, smoothness_tag=tag)
+    q, _ = make_potential(parse_potential(cfg.potential), cfg.b)
+    return ProblemSetup(l=cfg.l, b=cfg.b, q=q)
 
 
 def _load_config(path: Optional[str]) -> RunConfig:
@@ -283,16 +283,11 @@ def _kernel_column(setup, cfg, x):
     """Rows of the kernel table at one x."""
     M = cfg.M if cfg.M is not None else default_fit_size(cfg.l)
     table = compute_beta(setup, x, M, freq_count=cfg.freq_count)
-    integerish = abs(cfg.l - round(cfg.l)) <= 1e-9 and round(cfg.l) >= 0
-    if integerish:
-        series = make_kernel_series(table, N=cfg.N)
-        cutoff = x
-    else:
-        series = make_kernel_series(
-            table, N=cfg.N, t_max_fraction=cfg.t_max_fraction,
-            goursat_diag=0.5 * _q_integral(setup, x),
-        )
-        cutoff = cfg.t_max_fraction * x
+    series = make_kernel_series(
+        table, N=cfg.N, t_max_fraction=cfg.t_max_fraction,
+        goursat_diag=0.5 * _q_integral(setup, x),
+    )
+    cutoff = series.t_max_fraction * x
     rows = []
     for t in np.linspace(0.0, x, cfg.nt):
         t = float(min(t, x))

@@ -45,7 +45,6 @@ __all__ = [
     "apply_transmutation",
 ]
 
-INTEGER_L_TOL = 1e-9   # |l - round(l)| below this selects integer-l mode
 _T_SLACK = 1e-12
 
 
@@ -71,11 +70,10 @@ class KernelSeries:
     def __post_init__(self):
         if self.mode not in ("integer-l", "real-l"):
             raise DomainError(f"unknown mode {self.mode!r}")
-        if self.mode == "integer-l":
-            if abs(self.l - round(self.l)) > INTEGER_L_TOL or self.l < 0:
-                raise DomainError(
-                    f"integer-l mode requires l in 0,1,2,..., got {self.l}"
-                )
+        if self.mode == "integer-l" and not specialfn.is_integer_l(self.l):
+            raise DomainError(
+                f"integer-l mode requires l in 0,1,2,..., got {self.l}"
+            )
         if not 0.0 < self.t_max_fraction <= 1.0:
             raise DomainError("t_max_fraction must lie in (0, 1]")
         w = np.asarray(self.weights, dtype=float)
@@ -117,7 +115,8 @@ def make_kernel_series(
         M - l - 1 in integer-l mode (the series consumes beta_{m+l+1}),
         M in real-l mode.
     mode : {"auto", "integer-l", "real-l"}
-        "auto" picks integer-l whenever l is a non-negative integer.
+        "auto" picks integer-l whenever specialfn.is_integer_l(l) holds,
+        that is, l lies within 1e-9 of a non-negative integer.
     t_max_fraction : float
         Near-diagonal evaluation cutoff for the real-l series.
     goursat_diag : float, optional
@@ -128,11 +127,10 @@ def make_kernel_series(
     l = beta.l
     x = beta.x
     if mode == "auto":
-        is_int = abs(l - round(l)) <= INTEGER_L_TOL and l >= 0.0
-        mode = "integer-l" if is_int else "real-l"
+        mode = "integer-l" if specialfn.is_integer_l(l) else "real-l"
 
     if mode == "integer-l":
-        if abs(l - round(l)) > INTEGER_L_TOL or l < 0.0:
+        if not specialfn.is_integer_l(l):
             raise DomainError(
                 f"integer-l mode requires l in 0,1,2,..., got {l}"
             )
@@ -180,7 +178,8 @@ def make_kernel_series(
 
 
 def _compensated_dot(weights, rows):
-    """sum_m weights[m] * rows[m], highest m first, Neumaier-compensated."""
+    """sum_m weights[m] * rows[m], highest m first, Neumaier-compensated
+    column by column (math.fsum has no column-wise form)."""
     total = np.zeros(rows.shape[1])
     comp = np.zeros_like(total)
     for m in range(weights.size - 1, -1, -1):
@@ -267,16 +266,7 @@ def goursat_series(series: KernelSeries) -> float:
     )
     endpoint = (-1.0) ** m * np.exp(binom_log)
     terms = series.weights * endpoint
-    total = 0.0
-    comp = 0.0
-    for val in (x ** (li + 1) * terms)[::-1]:
-        t = total + val
-        if abs(total) >= abs(val):
-            comp += (total - t) + val
-        else:
-            comp += (val - t) + total
-        total = t
-    return total + comp
+    return math.fsum(x ** (li + 1) * terms)
 
 
 def kernel_moment(series: KernelSeries, alpha: float) -> float:
@@ -305,16 +295,7 @@ def kernel_moment(series: KernelSeries, alpha: float) -> float:
         [specialfn.hyp3f2_terminating(int(mm), float(li), alpha) for mm in m]
     )
     terms = pref * series.weights * np.exp(adjust_log) * f32
-    total = 0.0
-    comp = 0.0
-    for val in terms[::-1]:
-        t = total + val
-        if abs(total) >= abs(val):
-            comp += (total - t) + val
-        else:
-            comp += (val - t) + total
-        total = t
-    return total + comp
+    return math.fsum(terms)
 
 
 @lru_cache(maxsize=64)

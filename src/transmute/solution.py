@@ -33,6 +33,7 @@ from scipy.special import roots_legendre
 from . import specialfn
 from .coeffs import BetaTable
 from .errors import DomainError
+from .kernel import KernelSeries, make_kernel_series
 
 __all__ = [
     "IntegralTriangle",
@@ -137,6 +138,15 @@ def integral_triangle(l: int, m_max: int, omega: float, x: float) -> IntegralTri
 
     For omega*x < 0.1 every entry is computed by direct quadrature of the
     defining integral instead.
+
+    Limit: the recurrence loses the high-m entries of long triangles for
+    omega*x between 0.1 and a few tens.  Against the 60-node quadrature at
+    x = pi (l = 1, 200 values of omega*x in [0.1, 100]) row 0 is off by up
+    to 0.6 of its largest entry at m_max = 23 (9e-2 at omega*x = 10), by
+    7e-6 at m_max = 16 and by 2.4e-9 at m_max = 11; at omega*x = 100 all
+    three agree to 7e-13.  The truncations choose_N picks for l = 1,
+    q = x^2 (11) and for l = 0, q = 20 (16), both at M = 25, sit at the
+    benign end; a long truncation at moderate omega*x is not reliable.
     """
     if l < 0 or m_max < 0:
         raise DomainError("need l >= 0 and m_max >= 0")
@@ -167,53 +177,26 @@ def sup_sqrt_bessel(l: float) -> float:
 
 @dataclass(frozen=True)
 class SolutionEvaluator:
-    """Precombined state for u_N at one x: the BetaTable, the truncation,
-    and the uniform-bound constant c_l."""
+    """Precombined state for u_N at one x: the integer-l kernel series,
+    whose weights are the u_N series coefficients, and the uniform-bound
+    constant c_l."""
 
-    beta: BetaTable
-    N: int
-    l: int
+    series: KernelSeries
     c_l_estimate: float
 
     def __post_init__(self):
-        if self.N + self.l + 1 > self.beta.M:
-            raise DomainError(
-                f"N={self.N} needs beta indices up to {self.N + self.l + 1}, "
-                f"table has M={self.beta.M}"
-            )
+        if self.series.mode != "integer-l":
+            raise DomainError("u_N needs an integer-l kernel series")
 
 
 def solution_evaluator(beta: BetaTable, N: int | None = None) -> SolutionEvaluator:
     """Bundle a BetaTable into a SolutionEvaluator (integer l only).
 
-    N defaults to the largest the table supports, M - l - 1.
+    N defaults to the largest the table supports, M - l - 1; the table
+    and N are checked by make_kernel_series.
     """
-    l = beta.l
-    if abs(l - round(l)) > 1e-9 or l < 0:
-        raise DomainError(
-            f"the recurrent representation needs integer l >= 0, got {l}"
-        )
-    li = int(round(l))
-    if N is None:
-        N = beta.M - li - 1
-    if N < 0:
-        raise DomainError(f"table with M={beta.M} too short at l={li}")
-    return SolutionEvaluator(
-        beta=beta, N=N, l=li, c_l_estimate=sup_sqrt_bessel(float(li))
-    )
-
-
-def _series_coefficients(ev: SolutionEvaluator) -> np.ndarray:
-    """(-1)^(m+l+1) Gamma-ratio beta_{m+l+1} sqrt(pi)/(x^(2l+3) Gamma(l+3/2)),
-    i.e. the kernel-series weights; multiplied by sqrt(omega) I_{l,m} they
-    are the u_N correction terms."""
-    l, x = ev.l, ev.beta.x
-    m = np.arange(ev.N + 1)
-    lpref = 0.5 * math.log(math.pi) - (2 * l + 3) * math.log(x) \
-        - math.lgamma(l + 1.5)
-    sign = (-1.0) ** (m + l + 1)
-    return sign * np.exp(lpref + specialfn.gamma_ratio_log(m, float(l))) \
-        * ev.beta.beta[m + l + 1]
+    series = make_kernel_series(beta, N, mode="integer-l")
+    return SolutionEvaluator(series=series, c_l_estimate=sup_sqrt_bessel(series.l))
 
 
 def u_N(ev: SolutionEvaluator, omega, x: float):
@@ -232,16 +215,18 @@ def u_N(ev: SolutionEvaluator, omega, x: float):
     bad = ~(flat > 0.0)
     if np.any(bad):
         raise DomainError(f"omega must be > 0, got {flat[bad][0]}")
-    if abs(x - ev.beta.x) > 1e-9 * max(1.0, ev.beta.x):
+    series = ev.series
+    if abs(x - series.x) > 1e-9 * max(1.0, series.x):
         raise DomainError(
-            f"evaluator holds coefficients at x={ev.beta.x}, got x={x}"
+            f"evaluator holds coefficients at x={series.x}, got x={x}"
         )
-    tri = _triangles(ev.l, ev.N, flat, x)
+    l = int(series.l)
+    tri = _triangles(l, series.N, flat, x)
     if not np.all(np.isfinite(tri)):
         raise DomainError("triangle entries must be finite")
-    terms = _series_coefficients(ev) * np.sqrt(flat)[:, None] * tri[:, 0]
+    terms = series.weights * np.sqrt(flat)[:, None] * tri[:, 0]
     z = flat * x
-    main = z * math.sqrt(2.0 / math.pi) * specialfn.spherical_j(ev.l, z)
+    main = z * math.sqrt(2.0 / math.pi) * specialfn.spherical_j(l, z)
     vals = main + np.array([math.fsum(row) for row in terms])
     return float(vals[0]) if om.ndim == 0 else vals
 

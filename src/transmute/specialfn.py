@@ -1,5 +1,6 @@
-"""Special-function kernel: Legendre/Jacobi recurrences, half-integer Bessel,
-spherical Bessel tables, log-gamma ratios and terminating hypergeometric sums.
+"""Special-function kernel: the Jacobi recurrence, half-integer Bessel,
+spherical Bessel tables, log-gamma ratios, terminating hypergeometric sums,
+and the rule that decides when l counts as an integer.
 
 All routines are pure functions of their arguments (no caches, no globals)
 and accept numpy arrays where it is natural to vectorize.  "Machine
@@ -8,7 +9,6 @@ precision" throughout means relative error <= 1e-12 in 64-bit floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import jv as _scipy_jv
@@ -16,51 +16,31 @@ from scipy.special import jv as _scipy_jv
 from .errors import DomainError
 
 __all__ = [
-    "PolynomialParams",
-    "GammaRatio",
-    "legendre",
-    "jacobi",
+    "INTEGER_L_TOL",
+    "is_integer_l",
     "jacobi_all",
     "spherical_j",
     "spherical_j_table",
     "bessel_j_half",
-    "gamma_ratio",
     "gamma_ratio_log",
     "hyp3f2_terminating",
 ]
 
-_Z_SLACK = 1e-12  # tolerated overshoot of |z| past 1 before raising
+INTEGER_L_TOL = 1e-9   # |l - round(l)| up to this counts as integer l
 
 
-@dataclass(frozen=True)
-class PolynomialParams:
-    """Degree and parameters of a Jacobi polynomial P_n^(alpha, beta).
+def is_integer_l(l: float) -> bool:
+    """True when l is within INTEGER_L_TOL of a non-negative integer.
 
-    beta may lie outside the classical range (beta <= -1): such polynomials
-    are not orthogonal but satisfy the same three-term recurrence.
+    The one test every module uses to choose between the integer-l forms
+    (spherical Bessel identity, integer-l kernel series, the u_N recurrence)
+    and the general real-l ones.
     """
-
-    degree: int
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if self.degree < 0:
-            raise DomainError(f"degree must be >= 0, got {self.degree}")
-        if self.alpha <= -1.0:
-            raise DomainError(f"alpha must be > -1, got {self.alpha}")
+    n = round(l)
+    return abs(l - n) <= INTEGER_L_TOL and n >= 0
 
 
-@dataclass(frozen=True)
-class GammaRatio:
-    """Gamma(m + 2l + 5/2) / Gamma(m + l + 3/2) in log form."""
-
-    value_log: float
-    sign: float = 1.0
-
-    @property
-    def value(self) -> float:
-        return self.sign * math.exp(self.value_log)
+_Z_SLACK = 1e-12  # tolerated overshoot of |z| past 1 before raising
 
 
 def _check_z(z):
@@ -70,25 +50,13 @@ def _check_z(z):
     return z
 
 
-def legendre(n: int, z):
-    """Legendre polynomial P_n(z) on [-1, 1] by the three-term recurrence."""
-    if n < 0:
-        raise DomainError(f"degree must be >= 0, got {n}")
-    z = _check_z(z)
-    p_prev = np.ones_like(z)
-    if n == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
-    p = z.copy()
-    for k in range(2, n + 1):
-        p, p_prev = ((2 * k - 1) * z * p - (k - 1) * p_prev) / k, p
-    return p if p.ndim else float(p)
-
-
 def jacobi_all(degree: int, alpha: float, beta: float, z):
     """Values of P_n^(alpha,beta)(z) for all n = 0..degree.
 
     Returns an array of shape (degree+1,) + shape(z).  Single recurrence
-    pass; the workhorse behind series evaluation.
+    pass; the workhorse behind series evaluation.  beta may lie outside
+    the classical range (beta <= -1, as in the real-l kernel): such
+    polynomials are not orthogonal but satisfy the same recurrence.
     """
     z = _check_z(z)
     out = np.empty((degree + 1,) + z.shape)
@@ -108,13 +76,6 @@ def jacobi_all(degree: int, alpha: float, beta: float, z):
         c3 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * c
         out[n] = (c2 * out[n - 1] - c3 * out[n - 2]) / c1
     return out
-
-
-def jacobi(params: PolynomialParams, z):
-    """Jacobi polynomial P_n^(alpha,beta)(z), valid also for beta <= -1."""
-    vals = jacobi_all(params.degree, params.alpha, params.beta, z)
-    res = vals[params.degree]
-    return res if np.ndim(res) else float(res)
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +184,8 @@ def bessel_j_half(l: float, z):
     z = np.asarray(z, dtype=float)
     if np.any(z < 0):
         raise DomainError("argument must be >= 0")
-    n = int(round(l))
-    if abs(l - n) < 1e-9 and n >= 0:
+    if is_integer_l(l):
+        n = int(round(l))
         zz = np.atleast_1d(z)
         res = np.sqrt(2.0 * zz / np.pi) * spherical_j_table(n, zz)[n]
         return float(res[0]) if z.ndim == 0 else res
@@ -236,24 +197,13 @@ def bessel_j_half(l: float, z):
 # gamma ratios and terminating hypergeometric sums
 
 
-def gamma_ratio(m: int, l: float) -> GammaRatio:
-    """Gamma(m + 2l + 5/2) / Gamma(m + l + 3/2), carried in log form.
+def gamma_ratio_log(m, l: float):
+    """log(Gamma(m + 2l + 5/2) / Gamma(m + l + 3/2)), vectorized over m.
 
-    Both arguments are positive for m >= 0, l >= -1/2, so the sign is
-    always +1; the log difference never overflows (m up to 1e6 and far
+    Both arguments are positive for m >= 0, l >= -1/2, so the ratio is
+    positive and its log difference never overflows (m up to 1e6 and far
     beyond).
     """
-    if m < 0:
-        raise DomainError(f"m must be >= 0, got {m}")
-    if l < -0.5:
-        raise DomainError(f"l must be >= -1/2, got {l}")
-    return GammaRatio(
-        value_log=math.lgamma(m + 2.0 * l + 2.5) - math.lgamma(m + l + 1.5)
-    )
-
-
-def gamma_ratio_log(m, l: float):
-    """Vectorized gamma_ratio(...).value_log over an array of m."""
     from scipy.special import gammaln
 
     ma = np.asarray(m, dtype=float)
@@ -264,8 +214,8 @@ def hyp3f2_terminating(m: int, l: float, alpha: float) -> float:
     """Terminating 3F2(-m, 2l+m+5/2, (alpha+l)/2+1; l+3/2, (alpha+l)/2+2; 1).
 
     The first numerator parameter -m cuts the series after m+1 terms;
-    terms are accumulated with Neumaier compensation since they alternate
-    and can cancel heavily.
+    the terms alternate and can cancel heavily, so they are summed with
+    math.fsum (correctly rounded).
     """
     if m < 0:
         raise DomainError(f"m must be >= 0, got {m}")
@@ -276,14 +226,8 @@ def hyp3f2_terminating(m: int, l: float, alpha: float) -> float:
     b1 = l + 1.5
     b2 = a3 + 1.0
     term = 1.0
-    total = term
-    comp = 0.0
+    terms = [term]
     for j in range(m):
         term *= ((j - m) * (a2 + j) * (a3 + j)) / ((b1 + j) * (b2 + j) * (j + 1.0))
-        t = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t) + term
-        else:
-            comp += (term - t) + total
-        total = t
-    return total + comp
+        terms.append(term)
+    return math.fsum(terms)

@@ -30,7 +30,8 @@ import numpy as np
 from .coeffs import BetaTable, compute_beta
 from .errors import DomainError, MissedRootWarning, TransmuteError
 from .oracle import ProblemSetup, regular_solution_ode
-from .solution import SolutionEvaluator, solution_evaluator, u_N
+from .solution import solution_evaluator, u_N
+from .specialfn import is_integer_l
 
 __all__ = [
     "SpectrumReport",
@@ -69,9 +70,8 @@ def default_fit_size(l: float) -> int:
     both sides.  Non-integer l decays only like k^-(2l+3); 60 keeps the
     truncated tail small without making the fit expensive.
     """
-    li = int(round(l))
-    if abs(l - li) <= 1e-9 and li >= 0:
-        return max(25, 2 * li + 16)
+    if is_integer_l(l):
+        return max(25, 2 * int(round(l)) + 16)
     return 60
 
 
@@ -327,8 +327,7 @@ def dirichlet_eigenvalues(
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
-    li = int(round(setup.l))
-    if abs(setup.l - li) > 1e-9 or li < 0:
+    if not is_integer_l(setup.l):
         raise DomainError(
             f"Dirichlet solver needs a nonnegative integer l, got {setup.l}; "
             "the truncated series representation exists for integer l only"
@@ -340,7 +339,7 @@ def dirichlet_eigenvalues(
             raise DomainError("beta table was fitted for a different (l, x)")
     else:
         if M is None:
-            M = default_fit_size(li)
+            M = default_fit_size(setup.l)
         beta = compute_beta(setup, setup.b, M, freq_count=freq_count)
     if N is None:
         N = choose_N(beta)

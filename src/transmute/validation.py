@@ -24,6 +24,7 @@ from .errors import TransmuteError
 from .kernel import apply_transmutation, kernel_K, make_kernel_series, goursat_series
 from .oracle import ProblemSetup, regular_solution_ode
 from .solution import integral_triangle
+from .specialfn import is_integer_l
 
 __all__ = ["CheckResult", "run_validation"]
 
@@ -107,13 +108,8 @@ def _transmutation_check(setup, beta) -> CheckResult:
     # T applied to the unperturbed solution must give the regular
     # solution of the perturbed problem, for every omega at once.
     x = beta.x
-    if abs(beta.l - round(beta.l)) <= 1e-9:
-        series = make_kernel_series(beta, mode="integer-l")
-        tol = 1e-6
-    else:
-        diag = 0.5 * _q_integral(setup, x)
-        series = make_kernel_series(beta, goursat_diag=diag)
-        tol = 1e-3
+    series = make_kernel_series(beta, goursat_diag=0.5 * _q_integral(setup, x))
+    tol = 1e-6 if series.mode == "integer-l" else 1e-3
     worst = 0.0
     for omega in (1.0, 5.0, 10.0):
         y = lambda t, om=omega: unperturbed_term(setup.l, om, t)
@@ -199,8 +195,7 @@ def run_validation(
     fraction of max|beta| before the checks run (fault injection).
     """
     rng = np.random.default_rng(seed)
-    li = int(round(setup.l)) if abs(setup.l - round(setup.l)) <= 1e-9 else 1
-    li = max(li, 0)
+    li = int(round(setup.l)) if is_integer_l(setup.l) else 1
     results: List[CheckResult] = []
 
     own = beta if beta is not None and abs(beta.l - setup.l) <= 1e-12 else compute_beta(
@@ -209,12 +204,11 @@ def run_validation(
     if beta_perturbation:
         own = _perturbed(own, beta_perturbation)
 
-    if abs(setup.l - li) <= 1e-9:
+    if is_integer_l(setup.l):
         beta_int = own
         setup_int = setup
     else:
-        setup_int = ProblemSetup(l=float(li), b=setup.b, q=setup.q,
-                                 smoothness_tag=setup.smoothness_tag)
+        setup_int = ProblemSetup(l=float(li), b=setup.b, q=setup.q)
         beta_int = compute_beta(setup_int, setup.b, M)
         if beta_perturbation:
             beta_int = _perturbed(beta_int, beta_perturbation)
@@ -230,8 +224,7 @@ def run_validation(
     if li == 1:
         beta1, setup1 = beta_int, setup_int
     else:
-        setup1 = ProblemSetup(l=1.0, b=setup.b, q=setup.q,
-                              smoothness_tag=setup.smoothness_tag)
+        setup1 = ProblemSetup(l=1.0, b=setup.b, q=setup.q)
         beta1 = compute_beta(setup1, setup.b, M)
     results.append(_reduction_check(setup1, beta1, rng))
     return results

@@ -5,12 +5,15 @@ failures carry tracebacks.
 """
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import transmute
 from transmute.cli import RunConfig, main, parse_potential
 from transmute.errors import DomainError
 
@@ -25,8 +28,10 @@ def test_import_does_not_load_optimize_or_interpolate():
     code = ("import sys, transmute; "
             "print(sorted(m for m in sys.modules if m.startswith("
             "('scipy.optimize', 'scipy.interpolate'))))")
+    # the child imports the same transmute as this process, installed or not
+    env = dict(os.environ, PYTHONPATH=str(Path(transmute.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True).stdout
+                         text=True, check=True, env=env).stdout
     assert out.strip() == "[]"
 
 
@@ -73,6 +78,8 @@ def test_config_rejects_unknown_keys():
 def test_config_range_validation():
     with pytest.raises(DomainError):
         RunConfig.from_dict({"problem": {"b": -1.0}})
+    with pytest.raises(DomainError):
+        RunConfig.from_dict({"problem": {"l": float("nan")}})
     with pytest.raises(DomainError):
         RunConfig.from_dict({"kernel": {"t_max_fraction": 1.5}})
 
@@ -164,6 +171,21 @@ def test_kernel_zero_potential_surface(tmp_path):
     assert np.max(np.abs(vals)) < 1e-10
 
 
+def test_kernel_near_integer_l_matches_integer_l(tmp_path):
+    # l = -1e-10 counts as integer l = 0 everywhere: the whole column is
+    # tabulated and every value comes from the integer-l series
+    args = ["kernel", "--potential", "poly:0,0,1", "--M", "8",
+            "--nx", "1", "--nt", "5"]
+    assert main(args + ["--l=-1e-10", "--out", str(tmp_path / "a")]) == 0
+    assert main(args + ["--l", "0", "--out", str(tmp_path / "b")]) == 0
+    rows = _read_csv(tmp_path / "a" / "kernel.csv")[1:]
+    ref = _read_csv(tmp_path / "b" / "kernel.csv")[1:]
+    assert len(rows) == 5 and all(r[3] == "ok" for r in rows)
+    got = np.array([float(r[2]) for r in rows])
+    want = np.array([float(r[2]) for r in ref])
+    assert np.max(np.abs(got - want)) <= 1e-8
+
+
 def test_kernel_real_l_flags_near_diagonal(tmp_path):
     rc = main(["kernel", "--l", "0.5", "--potential", "poly:0,0,1",
                "--M", "30", "--nx", "2", "--nt", "21",
@@ -230,3 +252,15 @@ def test_config_file_bad_json_exit_2(tmp_path, capsys):
 def test_missing_config_exit_2(tmp_path):
     rc = main(["beta", "--config", str(tmp_path / "absent.json")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["beta", "--l", "nan"],
+    ["beta", "--l", "inf"],
+    ["spectrum", "--l", "1", "--b", "inf", "--count", "2"],
+    ["spectrum", "--l", "1", "--b", "nan", "--count", "2"],
+])
+def test_non_finite_l_or_b_exit_2(tmp_path, capsys, argv):
+    rc = main(argv + ["--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")

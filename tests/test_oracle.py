@@ -143,6 +143,11 @@ def test_setup_validation():
         ProblemSetup(l=-0.6, b=np.pi, q=q)
     with pytest.raises(DomainError):
         ProblemSetup(l=1.0, b=0.0, q=q)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            ProblemSetup(l=bad, b=np.pi, q=q)
+        with pytest.raises(DomainError):
+            ProblemSetup(l=1.0, b=bad, q=q)
     setup = ProblemSetup(l=1.0, b=np.pi, q=q)
     with pytest.raises(DomainError):
         regular_solution_ode(setup, 1.0, np.array([4.0]))  # beyond b

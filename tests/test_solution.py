@@ -12,6 +12,7 @@ from transmute.kernel import apply_transmutation, epsilon_N, make_kernel_series
 from transmute.oracle import regular_solution_ode
 from transmute.solution import (
     SMALL_PHASE,
+    SolutionEvaluator,
     _triangle_quadrature,
     integral_triangle,
     solution_evaluator,
@@ -215,7 +216,7 @@ def test_uniform_error_bound_validation(beta_harmonic):
 def test_array_omega_matches_scalar_calls(beta_harmonic):
     ev = solution_evaluator(beta_harmonic[1], N=13)
     b = np.pi
-    nmax = ev.l + ev.N + 1
+    nmax = int(ev.series.l) + ev.series.N + 1
     om = np.array([
         0.2 * SMALL_PHASE / b, 0.9 * SMALL_PHASE / b,   # quadrature
         1.1 * SMALL_PHASE / b, 1.0, 3.7,                # Miller branch
@@ -245,6 +246,8 @@ def test_solution_evaluator_validation(beta_half_dense, beta_harmonic):
         solution_evaluator(beta_half_dense)      # non-integer l
     with pytest.raises(DomainError):
         solution_evaluator(beta_harmonic[1], N=24)  # table supports N <= 23
+    with pytest.raises(DomainError):
+        SolutionEvaluator(make_kernel_series(beta_harmonic[1], mode="real-l"), 1.0)
     ev = solution_evaluator(beta_harmonic[1])
     with pytest.raises(DomainError):
         u_N(ev, -1.0, np.pi)

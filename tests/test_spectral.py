@@ -10,6 +10,8 @@ from scipy.special import jv
 from transmute import spectral
 from transmute.coeffs import BetaTable, compute_beta
 from transmute.errors import DomainError, MissedRootWarning, TransmuteError
+from transmute.kernel import make_kernel_series
+from transmute.oracle import ProblemSetup
 from transmute.solution import solution_evaluator, u_N
 from transmute.spectral import (
     HARMONIC_L1_EIGENVALUES,
@@ -19,6 +21,35 @@ from transmute.spectral import (
     dirichlet_eigenvalues,
     oracle_eigenvalues,
 )
+
+
+# ---------------------------------------------------------------------------
+# the integer-l rule
+
+
+@pytest.mark.parametrize("l, integer", [
+    (0.0, True), (-1e-10, True), (1.0 + 5e-10, True),
+    (1.0 + 2e-9, False), (0.5, False),
+])
+def test_every_stage_classifies_l_alike(l, integer):
+    # q == 0 has beta == 0 exactly, so the table needs no fit
+    M = 8
+    bt = BetaTable(l=l, x=np.pi, M=M, beta=np.zeros(M + 1),
+                   fit_residual=0.0, sum_beta=0.0)
+    setup = ProblemSetup(l=l, b=np.pi, q=lambda x: np.zeros_like(np.asarray(x)))
+    seen = {"kernel": make_kernel_series(bt).mode == "integer-l",
+            "fit size": default_fit_size(l) != 60}
+    try:
+        solution_evaluator(bt)
+        seen["evaluator"] = True
+    except DomainError:
+        seen["evaluator"] = False
+    try:
+        dirichlet_eigenvalues(setup, 1, beta=bt)
+        seen["spectrum"] = True
+    except DomainError:
+        seen["spectrum"] = False
+    assert set(seen.values()) == {integer}, seen
 
 
 # ---------------------------------------------------------------------------
