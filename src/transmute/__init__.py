@@ -37,6 +37,7 @@ from .oracle import (
     exact_solution_harmonic,
     make_potential,
     regular_solution_ode,
+    regular_solutions,
 )
 from .solution import (
     IntegralTriangle,
@@ -66,6 +67,7 @@ __all__ = [
     "SolutionSample",
     "make_potential",
     "regular_solution_ode",
+    "regular_solutions",
     "exact_solution_harmonic",
     # coefficients
     "BetaTable",

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import specialfn
 from .errors import DomainError, IllConditionedFit
-from .oracle import ProblemSetup, regular_solution_ode
+from .oracle import ProblemSetup, regular_solutions
 
 __all__ = ["BetaTable", "unperturbed_term", "compute_beta", "eval_R"]
 
@@ -68,12 +68,18 @@ def unperturbed_term(l: float, omega: float, x):
     """Free term y(omega, x) = Gamma(l+3/2) 2^(l+1/2) omega^(-l-1/2) sqrt(x) J_{l+1/2}(omega x).
 
     Reduces to sin(omega x)/omega at l = 0 and behaves like x^(l+1) as
-    omega -> 0 at fixed x.  Vectorized over x.
+    omega -> 0 at fixed x.  Vectorized over omega and x (broadcast); a
+    float when both are scalars.  omega must be > 0.
     """
+    if not np.all(np.asarray(omega) > 0):
+        raise DomainError(f"omega must be > 0, got {omega}")
     xa = np.asarray(x, dtype=float)
-    amp = math.exp(math.lgamma(l + 1.5)) * 2.0 ** (l + 0.5) * omega ** (-l - 0.5)
+    # float_power is libm's pow, as for a Python float; the SIMD power
+    # ufunc differs from it in the last bit
+    amp = (math.exp(math.lgamma(l + 1.5)) * 2.0 ** (l + 0.5)
+           * np.float_power(omega, -l - 0.5))
     res = amp * np.sqrt(xa) * specialfn.bessel_j_half(l, omega * xa)
-    return float(res) if np.ndim(x) == 0 else res
+    return float(res) if np.ndim(res) == 0 else res
 
 
 def compute_beta(
@@ -84,8 +90,9 @@ def compute_beta(
     The design matrix is A[j, k] = (-1)^k j_{2k}(omega_j x) with omega_j x
     uniformly spaced on [0.5, 3(2M+3)] (well past the turning point of the
     highest column, which keeps the fit conditioned), and the data is
-    r_j = u(omega_j, x) - y(omega_j, x).  Columns are scaled to unit norm
-    before the rank-revealing least-squares solve.
+    r_j = u(omega_j, x) - y(omega_j, x), with u from one regular_solutions
+    call over the whole sweep.  Columns are scaled to unit norm before the
+    rank-revealing least-squares solve.
 
     When the exact coefficients decay slowly (non-integer l), the trailing
     ~third of the fitted range absorbs the unmodeled tail; fit with degree
@@ -121,10 +128,8 @@ def compute_beta(
 
     s = np.linspace(_FREQ_LO, _FREQ_HI * (2 * M + 3), freq_count)
     omegas = s / x
-    x_arr = np.array([x])
-
-    r = np.array([regular_solution_ode(setup, om, x_arr).u_values[0]
-                  - unperturbed_term(setup.l, om, x) for om in omegas.tolist()])
+    u, _ = regular_solutions(setup, omegas, [x])
+    r = u[:, 0] - unperturbed_term(setup.l, omegas, x)
 
     table = specialfn.spherical_j_table(2 * M, s)
     signs = (-1.0) ** np.arange(M + 1)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .coeffs import BetaTable, compute_beta
 from .errors import DomainError, MissedRootWarning, TransmuteError
-from .oracle import ProblemSetup, regular_solution_ode
+from .oracle import ProblemSetup, regular_solutions
 from .solution import solution_evaluator, u_N
 from .specialfn import is_integer_l
 
@@ -383,9 +383,11 @@ def oracle_eigenvalues(
     Scans the same grid as the series solver but evaluates the regular
     solution at x = b with the adaptive integrator, so the result is
     independent of the series representation in every ingredient.  Much
-    slower -- each sample is a full ODE solve -- hence ``which`` lets
-    the caller refine only selected ordinals (the scan still counts all
-    sign changes up to the largest one, so ordinals are exact).
+    slower -- each sample is a full ODE solve, batched into one
+    regular_solutions call per scan block or polish step -- hence
+    ``which`` lets the caller refine only selected ordinals (the scan
+    still counts all sign changes up to the largest one, so ordinals are
+    exact).
 
     Returns {n: omega_n} for the requested ordinals.
     """
@@ -394,8 +396,7 @@ def oracle_eigenvalues(
     b = setup.b
 
     def F(omega: np.ndarray) -> np.ndarray:
-        return np.array([regular_solution_ode(setup, w, [b]).u_values[0]
-                         for w in omega.tolist()])
+        return regular_solutions(setup, omega, [b])[0][:, 0]
 
     h = math.pi / (4.0 * b) if h_scan is None else float(h_scan)
     wanted = sorted({int(n) for n in which} if which is not None else range(1, count + 1))

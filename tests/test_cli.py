@@ -264,3 +264,17 @@ def test_non_finite_l_or_b_exit_2(tmp_path, capsys, argv):
     rc = main(argv + ["--out", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv,named", [
+    # NaN potential: the message names the abscissa
+    (["beta", "--l", "0", "--potential", "poly:0,nan", "--M", "6"], "x="),
+    # omega^2 underflows on b = 1e300: the message names the step count
+    (["spectrum", "--l", "0", "--potential", "zero", "--count", "2",
+      "--b", "1e300"], "steps"),
+])
+def test_unusable_oracle_grid_exit_2(tmp_path, capsys, argv, named):
+    rc = main(argv + ["--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err

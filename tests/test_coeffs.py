@@ -31,10 +31,13 @@ def test_unperturbed_term_l1_closed_form():
 
 @pytest.mark.parametrize("l", [0.0, 1.0, 2.5])
 def test_unperturbed_term_low_frequency_limit(l):
-    # y -> x^(l+1) as omega -> 0 at fixed x
+    # y -> x^(l+1) as omega -> 0 at fixed x; omega = 0 itself is outside
+    # the formula and must not come back as NaN
     x = 1.3
     got = unperturbed_term(l, 1e-6, x)
     assert abs(got - x ** (l + 1.0)) < 1e-9 * x ** (l + 1.0)
+    with pytest.raises(DomainError):
+        unperturbed_term(l, np.array([1.0, 0.0]), x)
 
 
 def test_zero_potential_coefficients_vanish(zero_setups):
