@@ -25,7 +25,6 @@ from .kernel import (
     KernelSeries,
     apply_transmutation,
     epsilon_N,
-    goursat_series,
     kernel_K,
     kernel_moment,
     make_kernel_series,
@@ -40,7 +39,6 @@ from .oracle import (
     regular_solutions,
 )
 from .solution import (
-    IntegralTriangle,
     SolutionEvaluator,
     integral_triangle,
     solution_evaluator,
@@ -78,13 +76,11 @@ __all__ = [
     "KernelSeries",
     "make_kernel_series",
     "kernel_K",
-    "goursat_series",
     "kernel_moment",
     "epsilon_N",
     "apply_transmutation",
     "poisson_transform",
     # solution
-    "IntegralTriangle",
     "integral_triangle",
     "SolutionEvaluator",
     "solution_evaluator",

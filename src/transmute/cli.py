@@ -287,14 +287,11 @@ def _kernel_column(setup, cfg, x):
         table, N=cfg.N, t_max_fraction=cfg.t_max_fraction,
         goursat_diag=0.5 * _q_integral(setup, x),
     )
-    cutoff = series.t_max_fraction * x
-    rows = []
-    for t in np.linspace(0.0, x, cfg.nt):
-        t = float(min(t, x))
-        if t <= cutoff * (1 + 1e-12):
-            rows.append([_fmt(x), _fmt(t), _fmt(kernel_K(series, t)), "ok"])
-        else:
-            rows.append([_fmt(x), _fmt(t), "", "near-diagonal"])
+    ts = np.linspace(0.0, x, cfg.nt)
+    inside = ts <= series.t_max_fraction * x * (1 + 1e-12)
+    rows = [[_fmt(x), _fmt(t), _fmt(k), "ok"]
+            for t, k in zip(ts[inside], kernel_K(series, ts[inside]))]
+    rows += [[_fmt(x), _fmt(t), "", "near-diagonal"] for t in ts[~inside]]
     return series.mode, rows
 
 

@@ -15,9 +15,13 @@ over Jacobi polynomials in z = 1 - 2 t^2/x^2.  Two forms are provided:
 
 the latter valid away from the diagonal t = x, where the division by
 (x^2 - t^2)^(l+1) amplifies truncation error; evaluation is therefore cut
-off at t_max_fraction * x.  The weights are assembled in log-magnitude +
-sign form and the series summed from the highest index down with
-compensation, because the Gamma ratios span many orders of magnitude.
+off at t_max_fraction * x < x.  One evaluator, kernel_K, serves both: the
+series' mode picks the second Jacobi parameter, the t prefactor and the
+cutoff.  The integer-l series reaches the diagonal, where K_N(x, x)
+converges to the Goursat value (1/2) int_0^x q.  The weights are assembled
+in log-magnitude + sign form and the series summed from the highest index
+down with compensation, because the Gamma ratios span many orders of
+magnitude.
 """
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gammaln, roots_jacobi, roots_legendre
+from scipy.special import gammaln, gammasgn, roots_jacobi, roots_legendre
 
 from . import specialfn
 from .coeffs import BetaTable
@@ -36,9 +40,7 @@ from .errors import DomainError, NearDiagonalError, QuadratureError
 __all__ = [
     "KernelSeries",
     "make_kernel_series",
-    "kernel_K_integer",
-    "kernel_K_real",
-    "goursat_series",
+    "kernel_K",
     "kernel_moment",
     "epsilon_N",
     "poisson_transform",
@@ -54,9 +56,11 @@ class KernelSeries:
 
     weights holds the fully combined coefficients c_0..c_N (everything
     except the t-dependent prefactor and the Jacobi polynomial), so
-    evaluation is a plain weighted polynomial sum.  goursat_diag optionally
-    carries (1/2) int_0^x q, the exact diagonal value K(x,x); the real-l
-    evaluator uses it to anchor its near-diagonal tail estimate.
+    evaluation is a plain weighted polynomial sum.  t_max_fraction is the
+    evaluation cutoff: 1 for the integer-l series, below 1 for the real-l
+    one, which is singular at t = x.  goursat_diag optionally carries
+    (1/2) int_0^x q, the exact diagonal value K(x,x); the real-l
+    transmutation integral uses it to anchor its near-diagonal tail.
     """
 
     x: float
@@ -76,6 +80,11 @@ class KernelSeries:
             )
         if not 0.0 < self.t_max_fraction <= 1.0:
             raise DomainError("t_max_fraction must lie in (0, 1]")
+        if self.mode == "real-l" and self.t_max_fraction == 1.0:
+            raise DomainError(
+                "a real-l series needs t_max_fraction < 1: its "
+                "(x^2-t^2)^(l+1) division is singular at t = x"
+            )
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (self.N + 1,):
             raise DomainError(
@@ -86,16 +95,6 @@ class KernelSeries:
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-
-
-def _recip_gamma_signed(arg: float):
-    """(log|1/Gamma(arg)|, sign); sign 0 at the poles (non-positive ints)."""
-    if arg > 0.0:
-        return -math.lgamma(arg), 1.0
-    if abs(arg - round(arg)) < 1e-12:
-        return 0.0, 0.0
-    s = math.sin(math.pi * arg)
-    return -math.lgamma(arg), (1.0 if s > 0.0 else -1.0)
 
 
 def make_kernel_series(
@@ -118,7 +117,8 @@ def make_kernel_series(
         "auto" picks integer-l whenever specialfn.is_integer_l(l) holds,
         that is, l lies within 1e-9 of a non-negative integer.
     t_max_fraction : float
-        Near-diagonal evaluation cutoff for the real-l series.
+        Near-diagonal evaluation cutoff for the real-l series, in (0, 1);
+        the integer-l series is always evaluated up to t = x.
     goursat_diag : float, optional
         Exact diagonal value (1/2) int_0^x q(s) ds when the caller has the
         potential at hand; enables the anchored tail estimate in
@@ -162,111 +162,52 @@ def make_kernel_series(
     if not 0 <= N <= beta.M:
         raise DomainError(f"N={N} outside [0, {beta.M}]")
     lpref = 0.5 * math.log(math.pi) - math.lgamma(l + 1.5) - math.log(x)
-    weights = np.empty(N + 1)
-    for k in range(N + 1):
-        lg, sg = _recip_gamma_signed(k - l)
-        if sg == 0.0:
-            weights[k] = 0.0
-            continue
-        weights[k] = (-1.0) ** k * sg * math.exp(
-            lpref + math.lgamma(k + 1.0) + lg
-        ) * beta.beta[k]
+    k = np.arange(N + 1)
+    # 1/Gamma(k - l) vanishes at the poles k - l = 0, -1, ...
+    arg = k - l
+    pole = (arg <= 0.0) & (np.abs(arg - np.round(arg)) < 1e-12)
+    terms = (-1.0) ** k * gammasgn(arg) * np.exp(
+        lpref + gammaln(k + 1.0) - gammaln(arg)
+    ) * beta.beta[: N + 1]
+    weights = np.where(pole, 0.0, terms)
     return KernelSeries(
         x=x, l=l, mode="real-l", N=N, weights=weights,
         t_max_fraction=t_max_fraction, goursat_diag=goursat_diag,
     )
 
 
-def _compensated_dot(weights, rows):
-    """sum_m weights[m] * rows[m], highest m first, Neumaier-compensated
-    column by column (math.fsum has no column-wise form)."""
-    total = np.zeros(rows.shape[1])
-    comp = np.zeros_like(total)
-    for m in range(weights.size - 1, -1, -1):
-        term = weights[m] * rows[m]
-        t = total + term
-        big = np.abs(total) >= np.abs(term)
-        comp += np.where(big, (total - t) + term, (term - t) + total)
-        total = t
-    return total + comp
-
-
-def _check_t(series: KernelSeries, t, upper_fraction: float):
+def _check_t(series: KernelSeries, t):
     ta = np.atleast_1d(np.asarray(t, dtype=float))
-    hi = series.x * upper_fraction
+    hi = series.x * series.t_max_fraction
     if np.any(ta < -_T_SLACK * series.x):
         raise DomainError("t must be >= 0")
     if np.any(ta > hi * (1.0 + _T_SLACK)):
-        if upper_fraction < 1.0:
+        if series.t_max_fraction < 1.0:
             raise NearDiagonalError(
-                f"t beyond {upper_fraction} * x: the (x^2-t^2)^(l+1) division "
-                "amplifies truncation error near the diagonal"
+                f"t beyond {series.t_max_fraction} * x: the (x^2-t^2)^(l+1) "
+                "division amplifies truncation error near the diagonal"
             )
         raise DomainError("t must lie in [0, x]")
     return np.clip(ta, 0.0, hi)
 
 
-def kernel_K_integer(series: KernelSeries, t):
-    """K_N(x, t) for the integer-l series, t in [0, x].  Vectorized in t."""
-    if series.mode != "integer-l":
-        raise DomainError("kernel_K_integer requires an integer-l series")
-    ta = _check_t(series, t, 1.0)
-    x = series.x
-    z = 1.0 - 2.0 * (ta / x) ** 2
-    rows = specialfn.jacobi_all(series.N, series.l + 0.5, series.l + 1.0, z)
-    vals = ta ** (int(series.l) + 1) * _compensated_dot(series.weights, rows)
-    return float(vals[0]) if np.ndim(t) == 0 else vals
+def kernel_K(series: KernelSeries, t):
+    """K_N(x, t) for 0 <= t <= t_max_fraction * x.  Vectorized in t.
 
-
-def kernel_K_real(series: KernelSeries, t):
-    """K_N(x, t) for the real-l series, 0 <= t <= t_max_fraction * x.
-
-    Raises NearDiagonalError past the cutoff instead of returning a value
-    dominated by amplified truncation error.
+    Past the cutoff of a real-l series it raises NearDiagonalError instead
+    of returning a value dominated by amplified truncation error.
     """
-    if series.mode != "real-l":
-        raise DomainError("kernel_K_real requires a real-l series")
-    ta = _check_t(series, t, series.t_max_fraction)
+    ta = _check_t(series, t)
     x, l = series.x, series.l
     z = 1.0 - 2.0 * (ta / x) ** 2
-    rows = specialfn.jacobi_all(series.N, l + 0.5, -l - 1.0, z)
-    core = _compensated_dot(series.weights, rows)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pref = np.where(
-            ta > 0.0, ta ** (l + 1.0) / (x * x - ta * ta) ** (l + 1.0), 0.0
-        )
-    vals = pref * core
-    return float(vals[0]) if np.ndim(t) == 0 else vals
-
-
-def kernel_K(series: KernelSeries, t):
-    """Mode-dispatching kernel evaluation."""
     if series.mode == "integer-l":
-        return kernel_K_integer(series, t)
-    return kernel_K_real(series, t)
-
-
-def goursat_series(series: KernelSeries) -> float:
-    """Diagonal value K_N(x, x) by the endpoint closed form.
-
-    Equals ((-1)^(l+1)/x^(l+2)) (sqrt(pi)/Gamma(l+3/2))
-    sum_m beta_{m+l+1} (Gamma(m+2l+5/2)/Gamma(m+l+3/2)) C(m+l+1, m),
-    and converges to (1/2) int_0^x q as N grows.  Identical, term by term,
-    to kernel_K_integer(series, x) via P_m^(a,b)(-1) = (-1)^m C(m+b, m).
-    """
-    if series.mode != "integer-l":
-        raise DomainError("goursat_series requires an integer-l series")
-    li = int(series.l)
-    x = series.x
-    m = np.arange(series.N + 1)
-    # series.weights = sign * exp(lpref + ratio) * beta; multiply by the
-    # endpoint value (-1)^m C(m+l+1, m) and restore x^(l+1) t-prefactor
-    binom_log = (
-        gammaln(m + li + 2.0) - gammaln(m + 1.0) - math.lgamma(li + 2.0)
-    )
-    endpoint = (-1.0) ** m * np.exp(binom_log)
-    terms = series.weights * endpoint
-    return math.fsum(x ** (li + 1) * terms)
+        rows = specialfn.jacobi_all(series.N, l + 0.5, l + 1.0, z)
+        pref = ta ** (int(l) + 1)
+    else:
+        rows = specialfn.jacobi_all(series.N, l + 0.5, -l - 1.0, z)
+        pref = ta ** (l + 1.0) / (x * x - ta * ta) ** (l + 1.0)
+    vals = pref * specialfn.compensated_sum(series.weights[:, None] * rows)
+    return float(vals[0]) if np.ndim(t) == 0 else vals
 
 
 def kernel_moment(series: KernelSeries, alpha: float) -> float:
@@ -316,11 +257,7 @@ def epsilon_N(series_N: KernelSeries, series_ref: KernelSeries) -> float:
         raise DomainError("series must share a mode")
     if abs(series_N.x - series_ref.x) > 1e-9 * max(1.0, series_N.x):
         raise DomainError("series must share x")
-    evaluate = kernel_K_integer if series_N.mode == "integer-l" else kernel_K_real
-    if series_N.mode == "integer-l":
-        hi = series_N.x
-    else:
-        hi = min(series_N.t_max_fraction, series_ref.t_max_fraction) * series_N.x
+    hi = min(series_N.t_max_fraction, series_ref.t_max_fraction) * series_N.x
     z16, w16 = _gl_nodes(16)
     panels = max(8, (2 * series_ref.N) // 8)
     prev = None
@@ -329,7 +266,7 @@ def epsilon_N(series_N: KernelSeries, series_ref: KernelSeries) -> float:
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * np.diff(edges)
         tg = (mid[:, None] + half[:, None] * z16[None, :]).ravel()
-        diff = np.abs(evaluate(series_ref, tg) - evaluate(series_N, tg))
+        diff = np.abs(kernel_K(series_ref, tg) - kernel_K(series_N, tg))
         est = float(np.sum((half[:, None] * w16[None, :]).ravel() * diff))
         if prev is not None and abs(est - prev) <= 1e-6 * max(est, 1e-300) + 1e-15:
             return est
@@ -372,16 +309,6 @@ def poisson_transform(f: Callable, l: float, x: float) -> float:
     )
 
 
-def _call_on_grid(y: Callable, tg: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(y(tg), dtype=float)
-        if vals.shape == tg.shape:
-            return vals
-    except Exception:
-        pass
-    return np.array([float(y(float(t))) for t in tg])
-
-
 def apply_transmutation(
     series: KernelSeries,
     y: Callable,
@@ -389,6 +316,9 @@ def apply_transmutation(
     omega_hint: float | None = None,
 ) -> float:
     """y(x) + int_0^x K_N(x,t) y(t) dt by Gauss quadrature.
+
+    y must be vectorized: it is called once on the array of quadrature
+    nodes and must return an array of the same shape.
 
     omega_hint, when given, is the dominant oscillation frequency of y;
     past omega x = 50 the integral switches from a single 200-node rule to
@@ -402,10 +332,7 @@ def apply_transmutation(
     """
     if abs(x - series.x) > 1e-9 * max(1.0, series.x):
         raise DomainError(f"series was built at x={series.x}, got x={x}")
-    if series.mode == "integer-l":
-        evaluate, hi = kernel_K_integer, x
-    else:
-        evaluate, hi = kernel_K_real, series.t_max_fraction * x
+    hi = series.t_max_fraction * x
 
     if omega_hint is not None and abs(omega_hint) * x > 50.0:
         length = math.pi / abs(omega_hint)
@@ -420,15 +347,23 @@ def apply_transmutation(
         z200, w200 = _gl_nodes(200)
         tg = 0.5 * hi * (z200 + 1.0)
         wg = 0.5 * hi * w200
-    integral = float(np.sum(wg * evaluate(series, tg) * _call_on_grid(y, tg)))
+    kg = kernel_K(series, tg)
+    if hi < x:
+        t2, w2, k2 = _near_diagonal_tail(series, hi)
+        tg, wg, kg = np.r_[tg, t2], np.r_[wg, w2], np.r_[kg, k2]
 
-    if series.mode == "real-l" and hi < x:
-        integral += _near_diagonal_tail(series, y, hi)
-    return float(y(x)) + integral
+    yg = np.asarray(y(tg), dtype=float)
+    if yg.shape != tg.shape:
+        raise DomainError(
+            f"y must map the node array of shape {tg.shape} to values of "
+            f"the same shape, got {yg.shape}"
+        )
+    return float(y(x)) + float(np.sum(wg * kg * yg))
 
 
-def _near_diagonal_tail(series: KernelSeries, y: Callable, hi: float) -> float:
-    """int_{hi}^{x} K y dt with K replaced by a quadratic in u = t^2.
+def _near_diagonal_tail(series: KernelSeries, hi: float):
+    """Nodes, weights and kernel values for int_{hi}^{x} K y dt, with K
+    replaced by a quadratic in u = t^2.
 
     Anchored at (x, goursat_diag) when available; otherwise all three
     interpolation points sit at or below the cutoff and the quadratic is
@@ -437,18 +372,13 @@ def _near_diagonal_tail(series: KernelSeries, y: Callable, hi: float) -> float:
     x = series.x
     if series.goursat_diag is not None:
         tp = np.array([0.96 * hi, hi, x])
-        kp = np.array([
-            kernel_K_real(series, tp[0]),
-            kernel_K_real(series, tp[1]),
-            series.goursat_diag,
-        ])
+        kp = np.append(kernel_K(series, tp[:2]), series.goursat_diag)
     else:
         tp = np.array([0.92 * hi, 0.96 * hi, hi])
-        kp = kernel_K_real(series, tp)
+        kp = kernel_K(series, tp)
     V = np.vander(tp ** 2, 3, increasing=True)
     coef = np.linalg.solve(V, kp)
     z32, w32 = _gl_nodes(32)
     tg = 0.5 * (hi + x) + 0.5 * (x - hi) * z32
     wg = 0.5 * (x - hi) * w32
-    kq = coef[0] + coef[1] * tg ** 2 + coef[2] * tg ** 4
-    return float(np.sum(wg * kq * _call_on_grid(y, tg)))
+    return tg, wg, coef[0] + coef[1] * tg ** 2 + coef[2] * tg ** 4

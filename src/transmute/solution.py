@@ -12,7 +12,9 @@ where I_{k,m} = int_0^x t^(k+3/2) J_{k+1/2}(omega t)
 P_m^(k+1/2, k+1)(1-2t^2/x^2) dt.  The I-table satisfies a two-term
 recurrence anchored at the closed form I_{k,0} = x^(k+3/2)
 J_{k+3/2}(omega x)/omega, so evaluating the truncated sum u_N costs one
-spherical-Bessel pass plus O(N^2) arithmetic — for any omega.  The payoff
+spherical-Bessel pass plus O(N^2) arithmetic — for any omega.  Its terms
+are summed over m with specialfn.compensated_sum, the same column-wise
+compensated sum kernel.kernel_K uses over the kernel series.  The payoff
 is the uniform bound |u - u_N| <= c_l * eps_N(x) with c_l =
 sup_z |sqrt(z) J_{l+1/2}(z)| and eps_N the L1 kernel truncation error:
 the accuracy does not degrade as omega grows, which is what makes
@@ -36,7 +38,6 @@ from .errors import DomainError
 from .kernel import KernelSeries, make_kernel_series
 
 __all__ = [
-    "IntegralTriangle",
     "SolutionEvaluator",
     "integral_triangle",
     "solution_evaluator",
@@ -47,38 +48,6 @@ __all__ = [
 
 SMALL_PHASE = 0.1   # below omega*x = 0.1 the recurrence divides tiny by tiny;
                     # direct quadrature of the defining integral is used instead
-
-
-@dataclass(frozen=True)
-class IntegralTriangle:
-    """Values I_{k,m}(omega, x) for k = l..l+m_max, m = 0..m_max-(k-l).
-
-    values[j, m] holds I_{l+j, m}; entries outside the triangle are zero.
-    """
-
-    l: int
-    m_max: int
-    omega: float
-    x: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.m_max + 1, self.m_max + 1):
-            raise DomainError(
-                f"values must be ({self.m_max + 1}, {self.m_max + 1}), got {v.shape}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise DomainError("triangle entries must be finite")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    def value(self, k: int, m: int) -> float:
-        j = k - self.l
-        if not (0 <= j <= self.m_max and 0 <= m <= self.m_max - j):
-            raise DomainError(f"(k={k}, m={m}) outside the triangle")
-        return float(self.values[j, m])
 
 
 def _triangle_quadrature(l, m_max, omega, x):
@@ -101,8 +70,8 @@ def _triangle_quadrature(l, m_max, omega, x):
 
 
 def _triangles(l: int, m_max: int, omega: np.ndarray, x: float) -> np.ndarray:
-    """integral_triangle's values at every omega of a 1-D array, stacked
-    along the first axis; the recurrence is elementwise in omega."""
+    """integral_triangle at every omega of a 1-D array, stacked along the
+    first axis; the recurrence is elementwise in omega."""
     out = np.zeros((omega.size, m_max + 1, m_max + 1))
     small = omega * x < SMALL_PHASE
     for i in np.flatnonzero(small):
@@ -124,11 +93,16 @@ def _triangles(l: int, m_max: int, omega: np.ndarray, x: float) -> np.ndarray:
         tri[:, j, m] = (-1.0) ** m * binom * tri[:, j, 0] \
             + (2.0 * m + 4.0 * k + 5.0) / wx2 * tri[:, j + 1, m - 1]
     out[~small] = tri
+    if not np.all(np.isfinite(out)):
+        raise DomainError("triangle entries must be finite")
     return out
 
 
-def integral_triangle(l: int, m_max: int, omega: float, x: float) -> IntegralTriangle:
-    """Build the I_{k,m} table at one (omega, x).
+def integral_triangle(l: int, m_max: int, omega: float, x: float) -> np.ndarray:
+    """The I_{k,m} table at one (omega, x), shape (m_max+1, m_max+1).
+
+    Entry [j, m] holds I_{l+j, m} for m <= m_max - j; entries outside the
+    triangle are zero.
 
     Anchored at I_{k,0} = x^(k+3/2) J_{k+3/2}(omega x)/omega (one spherical
     Bessel pass covers every k), then filled by
@@ -152,8 +126,7 @@ def integral_triangle(l: int, m_max: int, omega: float, x: float) -> IntegralTri
         raise DomainError("need l >= 0 and m_max >= 0")
     if omega <= 0.0 or x <= 0.0:
         raise DomainError("need omega > 0 and x > 0")
-    vals = _triangles(l, m_max, np.array([omega], dtype=float), x)[0]
-    return IntegralTriangle(l=l, m_max=m_max, omega=omega, x=x, values=vals)
+    return _triangles(l, m_max, np.array([omega], dtype=float), x)[0]
 
 
 @lru_cache(maxsize=32)
@@ -222,17 +195,16 @@ def u_N(ev: SolutionEvaluator, omega, x: float):
         )
     l = int(series.l)
     tri = _triangles(l, series.N, flat, x)
-    if not np.all(np.isfinite(tri)):
-        raise DomainError("triangle entries must be finite")
     terms = series.weights * np.sqrt(flat)[:, None] * tri[:, 0]
     z = flat * x
     main = z * math.sqrt(2.0 / math.pi) * specialfn.spherical_j(l, z)
-    vals = main + np.array([math.fsum(row) for row in terms])
+    vals = main + specialfn.compensated_sum(terms.T)
     return float(vals[0]) if om.ndim == 0 else vals
 
 
-def uniform_error_bound(ev: SolutionEvaluator, x: float, eps_N: float) -> float:
-    """omega-independent error budget c_l * eps_N for |u - u_N| on (0, x]."""
+def uniform_error_bound(ev: SolutionEvaluator, eps_N: float) -> float:
+    """omega-independent error budget c_l * eps_N for |u - u_N| on (0, x],
+    x being the evaluator's point."""
     if eps_N < 0.0:
         raise DomainError("eps_N must be >= 0")
     return ev.c_l_estimate * float(eps_N)

@@ -1,6 +1,7 @@
 """Special-function kernel: the Jacobi recurrence, half-integer Bessel,
 spherical Bessel tables, log-gamma ratios, terminating hypergeometric sums,
-and the rule that decides when l counts as an integer.
+the column-wise compensated sum the series evaluators share, and the rule
+that decides when l counts as an integer.
 
 All routines are pure functions of their arguments (no caches, no globals)
 and accept numpy arrays where it is natural to vectorize.  "Machine
@@ -24,6 +25,7 @@ __all__ = [
     "bessel_j_half",
     "gamma_ratio_log",
     "hyp3f2_terminating",
+    "compensated_sum",
 ]
 
 INTEGER_L_TOL = 1e-9   # |l - round(l)| up to this counts as integer l
@@ -231,3 +233,19 @@ def hyp3f2_terminating(m: int, l: float, alpha: float) -> float:
         term *= ((j - m) * (a2 + j) * (a3 + j)) / ((b1 + j) * (b2 + j) * (j + 1.0))
         terms.append(term)
     return math.fsum(terms)
+
+
+def compensated_sum(terms) -> np.ndarray:
+    """Sums of a 2-D array over axis 0, last row first, Neumaier-compensated
+    column by column: the one summation of the truncated series (kernel_K
+    over t, u_N over omega).  math.fsum, which has no column-wise form,
+    stays the tool for a single sum of scalars.
+    """
+    total = np.zeros(terms.shape[1])
+    comp = np.zeros_like(total)
+    for term in terms[::-1]:
+        t = total + term
+        big = np.abs(total) >= np.abs(term)
+        comp += np.where(big, (total - t) + term, (term - t) + total)
+        total = t
+    return total + comp

@@ -186,6 +186,16 @@ def test_kernel_near_integer_l_matches_integer_l(tmp_path):
     assert np.max(np.abs(got - want)) <= 1e-8
 
 
+def test_kernel_real_l_rejects_cutoff_at_diagonal(tmp_path, capsys):
+    # the real-l series is singular at t = x: no K = inf flagged "ok"
+    rc = main(["kernel", "--l", "0.5", "--potential", "poly:0,0,1",
+               "--M", "30", "--nx", "2", "--nt", "5",
+               "--t-max-fraction", "1.0", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "t_max_fraction" in capsys.readouterr().err
+    assert not (tmp_path / "kernel.csv").exists()
+
+
 def test_kernel_real_l_flags_near_diagonal(tmp_path):
     rc = main(["kernel", "--l", "0.5", "--potential", "poly:0,0,1",
                "--M", "30", "--nx", "2", "--nt", "21",

@@ -12,7 +12,6 @@ from transmute.kernel import (
     KernelSeries,
     apply_transmutation,
     epsilon_N,
-    goursat_series,
     kernel_K,
     kernel_moment,
     make_kernel_series,
@@ -29,7 +28,7 @@ def _zero_table(l, x=np.pi, M=8):
 
 
 # ---------------------------------------------------------------------------
-# diagonal (Goursat) values
+# diagonal (Goursat) values: K_N(x, x) -> (1/2) int_0^x q
 
 
 def test_goursat_value_harmonic(beta_harmonic):
@@ -39,7 +38,7 @@ def test_goursat_value_harmonic(beta_harmonic):
 
     for l in (0, 1, 2):
         series = make_kernel_series(beta_harmonic[l], N=choose_N(beta_harmonic[l]))
-        got = goursat_series(series)
+        got = kernel_K(series, series.x)
         assert abs(got - HALF_INT_Q) < 1e-6 * HALF_INT_Q, l
 
 
@@ -47,15 +46,8 @@ def test_goursat_error_decreases_with_N(beta_harmonic):
     errs = []
     for N in (4, 8, 13):
         series = make_kernel_series(beta_harmonic[1], N=N)
-        errs.append(abs(goursat_series(series) - HALF_INT_Q))
+        errs.append(abs(kernel_K(series, series.x) - HALF_INT_Q))
     assert errs[0] > errs[1] > errs[2]
-
-
-def test_goursat_equals_kernel_at_diagonal(beta_harmonic):
-    series = make_kernel_series(beta_harmonic[1], N=10)
-    a = goursat_series(series)
-    b = float(kernel_K(series, np.pi))
-    assert abs(a - b) < 1e-10 * max(1.0, abs(a))
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +66,17 @@ def test_apply_transmutation_identity_for_zero_kernel():
     y = lambda t: np.cos(0.7 * np.asarray(t))
     got = apply_transmutation(series, y, np.pi)
     assert abs(got - math.cos(0.7 * math.pi)) < 1e-12
+
+
+@pytest.mark.parametrize("l", [1, 0.5])
+def test_apply_transmutation_needs_vectorized_y(l):
+    # y is called once on the node array; a y that cannot map it is an
+    # error, not a reason to fall back to one call per node
+    series = make_kernel_series(_zero_table(l))
+    with pytest.raises(DomainError):
+        apply_transmutation(series, lambda t: 1.0, np.pi)
+    with pytest.raises(DomainError):
+        apply_transmutation(series, lambda t: np.ones(3), np.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +224,12 @@ def test_series_construction_validation(beta_harmonic, beta_half_dense):
         KernelSeries(x=1.0, l=1.0, mode="banana", N=1, weights=np.zeros(2))
     with pytest.raises(DomainError):
         KernelSeries(x=1.0, l=1.0, mode="integer-l", N=1, weights=np.zeros(5))
+    # the real-l series divides by (x^2 - t^2)^(l+1): no cutoff at t = x
+    with pytest.raises(DomainError):
+        make_kernel_series(beta_half_dense, t_max_fraction=1.0)
+    with pytest.raises(DomainError):
+        KernelSeries(x=1.0, l=0.5, mode="real-l", N=1, weights=np.zeros(2))
+    assert make_kernel_series(beta_harmonic[1], t_max_fraction=1.0).t_max_fraction == 1.0
 
 
 def test_kernel_eval_outside_range(beta_harmonic):
@@ -231,9 +240,7 @@ def test_kernel_eval_outside_range(beta_harmonic):
         kernel_K(series, -0.1)
 
 
-def test_goursat_requires_integer_mode(beta_half_dense):
+def test_moment_requires_integer_mode(beta_half_dense):
     series = make_kernel_series(beta_half_dense, N=40, t_max_fraction=0.9)
-    with pytest.raises(DomainError):
-        goursat_series(series)
     with pytest.raises(DomainError):
         kernel_moment(series, 1.0)
