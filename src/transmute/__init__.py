@@ -40,7 +40,7 @@ from .oracle import (
 )
 from .solution import (
     SolutionEvaluator,
-    integral_triangle,
+    integral_row,
     solution_evaluator,
     sup_sqrt_bessel,
     u_N,
@@ -81,7 +81,7 @@ __all__ = [
     "apply_transmutation",
     "poisson_transform",
     # solution
-    "integral_triangle",
+    "integral_row",
     "SolutionEvaluator",
     "solution_evaluator",
     "u_N",

@@ -26,9 +26,9 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -104,38 +104,32 @@ class RunConfig:
     def from_dict(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise DomainError("config must be a JSON object")
-        known = {
-            "problem": {"l", "b", "potential"},
-            "fit": {"M", "N", "freq_count"},
-            "spectrum": {"count", "compare_builtin", "references"},
-            "kernel": {"nx", "nt", "t_max_fraction"},
-            "validate": {"perturb_beta"},
-        }
+        layout = cls().to_dict()   # sections map to dicts, top-level keys do not
+        hints = get_type_hints(cls)
         flat: dict = {}
         for key, value in data.items():
-            if key in ("seed", "out"):
-                flat[key] = value
-            elif key in known:
-                if not isinstance(value, dict):
-                    raise DomainError(f"config section {key!r} must be an object")
-                extra = set(value) - known[key]
-                if extra:
-                    raise DomainError(
-                        f"unknown keys in config section {key!r}: {sorted(extra)}"
-                    )
-                flat.update(value)
-            else:
+            if key not in layout:
                 raise DomainError(f"unknown config key {key!r}")
-        if flat.get("references") is not None:
-            try:
-                flat["references"] = {
-                    int(k): float(v) for k, v in flat["references"].items()
-                }
-            except (TypeError, ValueError):
+            if not isinstance(layout[key], dict):
+                flat[key] = _check_type(key, value, hints[key])
+                continue
+            if not isinstance(value, dict):
+                raise DomainError(f"config section {key!r} must be an object")
+            extra = set(value) - set(layout[key])
+            if extra:
                 raise DomainError(
-                    "spectrum.references must map integer indices to numbers"
-                ) from None
-        cfg = cls(**{f.name: flat[f.name] for f in fields(cls) if f.name in flat})
+                    f"unknown keys in config section {key!r}: {sorted(extra)}"
+                )
+            for name, item in value.items():
+                flat[name] = _check_type(f"{key}.{name}", item, hints[name])
+        refs = flat.get("references")
+        if refs is not None:
+            try:
+                flat["references"] = {int(k): float(v) for k, v in refs.items()}
+            except (TypeError, ValueError):
+                raise DomainError("spectrum.references must map integer indices "
+                                  "to numbers") from None
+        cfg = cls(**flat)
         cfg._check_ranges()
         return cfg
 
@@ -154,6 +148,23 @@ class RunConfig:
             raise DomainError("kernel grid needs nx >= 1 and nt >= 2")
         if not 0.0 < self.t_max_fraction <= 1.0:
             raise DomainError("t_max_fraction must lie in (0, 1]")
+
+
+_JSON_TYPE = {int: "an integer", float: "a number", bool: "true or false",
+              str: "a string", dict: "an object"}
+
+
+def _check_type(where: str, value, hint):
+    """The value, if it has its field's JSON type: int fields take no floats
+    or booleans, float fields take integers too, only Optional fields null."""
+    kinds = get_args(hint) or (hint,)   # Optional[int] -> (int, NoneType)
+    if kinds[0] is float:
+        kinds += (int,)
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        null = " or null" if type(None) in kinds else ""
+        raise DomainError(f"config {where} must be {_JSON_TYPE[kinds[0]]}{null}, "
+                          f"got {json.dumps(value)}")
+    return value
 
 
 def parse_potential(text: str) -> dict:
@@ -226,12 +237,8 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 
 def _json_safe(obj):
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
+    if isinstance(obj, np.generic):   # numpy scalars become Python ones
+        return obj.item()
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
@@ -484,10 +491,7 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_args(_load_config(args.config), args)
         return _COMMANDS[args.command](cfg)
-    except TransmuteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (TransmuteError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

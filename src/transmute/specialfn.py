@@ -35,7 +35,7 @@ def is_integer_l(l: float) -> bool:
     """True when l is within INTEGER_L_TOL of a non-negative integer.
 
     The one test every module uses to choose between the integer-l forms
-    (spherical Bessel identity, integer-l kernel series, the u_N recurrence)
+    (spherical Bessel identity, integer-l kernel series and with it u_N)
     and the general real-l ones.
     """
     n = round(l)

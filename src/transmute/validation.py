@@ -23,7 +23,7 @@ from .coeffs import BetaTable, compute_beta, unperturbed_term
 from .errors import TransmuteError
 from .kernel import apply_transmutation, kernel_K, make_kernel_series
 from .oracle import ProblemSetup, regular_solution_ode
-from .solution import integral_triangle
+from .solution import integral_row
 from .specialfn import is_integer_l
 
 __all__ = ["CheckResult", "run_validation"]
@@ -126,35 +126,35 @@ def _transmutation_check(setup, beta) -> CheckResult:
     )
 
 
-def _recurrence_check(setup, li, rng) -> CheckResult:
-    # The closed-form integral table versus direct quadrature built from
-    # scipy primitives only (independent Bessel + Jacobi evaluations).
+def _integral_row_check(setup, li, M, rng) -> CheckResult:
+    # The closed-form integral row versus direct quadrature built from
+    # scipy primitives only (independent Bessel + Jacobi evaluations), up
+    # to the longest truncation a fit of size M allows.
+    m_top = max(M - li - 1, 1)
     worst = 0.0
     z24, w24 = roots_legendre(24)
     for _ in range(25):
-        m_max = int(rng.integers(1, 11))
+        m_max = int(rng.integers(1, m_top + 1))
         x = float(rng.uniform(0.4, setup.b))
         omega = float(rng.uniform(1.0, 100.0)) / x
-        tri = integral_triangle(li, m_max, omega, x)
-        panels = max(4, 2 * int(np.ceil(omega * x / np.pi)))
+        row = integral_row(li, m_max, omega, x)
+        # a panel per half wave of the Bessel factor, per 4 degrees of Jacobi
+        panels = max(4, 2 * int(np.ceil(omega * x / np.pi)), m_max // 4)
         edges = np.linspace(0.0, x, panels + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * np.diff(edges)
         t = (mid[:, None] + half[:, None] * z24[None, :]).ravel()
         w = (half[:, None] * w24[None, :]).ravel()
         zz = 1.0 - 2.0 * (t / x) ** 2
-        ref = np.zeros_like(tri)
-        for j in range(m_max + 1):
-            k = li + j
-            base = w * t ** (k + 1.5) * jv(k + 0.5, omega * t)
-            for m in range(m_max - j + 1):
-                ref[j, m] = np.dot(eval_jacobi(m, k + 0.5, k + 1.0, zz), base)
+        base = w * t ** (li + 1.5) * jv(li + 0.5, omega * t)
+        ref = np.array([np.dot(eval_jacobi(m, li + 0.5, li + 1.0, zz), base)
+                        for m in range(m_max + 1)])
         scale = max(np.max(np.abs(ref)), 1e-300)
-        worst = max(worst, np.max(np.abs(tri - ref)) / scale)
+        worst = max(worst, np.max(np.abs(row - ref)) / scale)
     tol = 1e-9
     return CheckResult(
-        "recurrence-vs-quadrature", worst <= tol, worst, tol,
-        "25 random (omega, x, m) draws, matrix-normalized",
+        "integral-row-vs-quadrature", worst <= tol, worst, tol,
+        f"25 random (omega, x, m_max <= {m_top}) draws, row-normalized",
     )
 
 
@@ -188,7 +188,7 @@ def run_validation(
 ) -> List[CheckResult]:
     """Run the five-check invariant suite; returns one result per check.
 
-    Checks needing integer l (kernel diagonal, integral table) run at
+    Checks needing integer l (kernel diagonal, integral row) run at
     round(l) when l is integer, at l=1 otherwise; the reduction check
     always runs at l=1 because that is where the two kernel assemblies
     overlap.  ``beta_perturbation`` corrupts one coefficient by that
@@ -219,7 +219,7 @@ def run_validation(
         results.append(_transmutation_check(setup, own))
     except TransmuteError as exc:  # pragma: no cover - diagnostic path
         results.append(CheckResult("transmutation-property", False, np.inf, 1e-6, str(exc)))
-    results.append(_recurrence_check(setup, li, rng))
+    results.append(_integral_row_check(setup, li, M, rng))
 
     if li == 1:
         beta1, setup1 = beta_int, setup_int

@@ -23,7 +23,7 @@ def _read_csv(path):
         return list(csv.reader(fh))
 
 
-def test_import_does_not_load_optimize_or_interpolate():
+def test_import_does_not_load_optimize_or_interpolate(tmp_path):
     # both cost ~0.2 s at start-up; only a table potential needs a spline
     code = ("import sys, transmute; "
             "print(sorted(m for m in sys.modules if m.startswith("
@@ -33,6 +33,14 @@ def test_import_does_not_load_optimize_or_interpolate():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env).stdout
     assert out.strip() == "[]"
+    # a spectrum run does not need scipy.linalg either (3.7 MiB of peak RSS)
+    code = ("import sys; from transmute.cli import main; "
+            "rc = main(['spectrum', '--l', '1', '--potential', 'poly:0,0,1', "
+            f"'--count', '5', '--out', {str(tmp_path)!r}]); "
+            "print(rc, sorted(m for m in sys.modules if m.startswith('scipy.linalg')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.splitlines()[-1] == "0 []"
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +90,16 @@ def test_config_range_validation():
         RunConfig.from_dict({"problem": {"l": float("nan")}})
     with pytest.raises(DomainError):
         RunConfig.from_dict({"kernel": {"t_max_fraction": 1.5}})
+
+
+def test_config_type_rules():
+    # float fields take integers, Optional fields take null
+    cfg = RunConfig.from_dict({"problem": {"l": 1}, "fit": {"M": None}})
+    assert cfg.l == 1 and cfg.M is None
+    for bad in ({"seed": True}, {"spectrum": {"compare_builtin": 1}},
+                {"problem": {"potential": 3}}, {"fit": {"N": 4.0}}):
+        with pytest.raises(DomainError):
+            RunConfig.from_dict(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -288,3 +306,19 @@ def test_unusable_oracle_grid_exit_2(tmp_path, capsys, argv, named):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("config,key", [
+    ({"spectrum": {"count": "10"}}, "spectrum.count"),
+    ({"problem": {"l": "1"}}, "problem.l"),
+    ({"spectrum": {"references": [1, 2]}}, "spectrum.references"),
+    ({"fit": {"M": 2.5}}, "fit.M"),
+    ({"kernel": {"nx": None}}, "kernel.nx"),
+])
+def test_config_wrong_json_type_exit_2(tmp_path, capsys, config, key):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(config))
+    rc = main(["spectrum", "--config", str(cfg_path), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err

@@ -1,4 +1,4 @@
-"""Recurrent evaluation of the truncated solution representation."""
+"""Closed-form evaluation of the truncated solution representation."""
 import math
 
 import numpy as np
@@ -11,10 +11,8 @@ from transmute.errors import DomainError
 from transmute.kernel import apply_transmutation, epsilon_N, make_kernel_series
 from transmute.oracle import regular_solution_ode
 from transmute.solution import (
-    SMALL_PHASE,
     SolutionEvaluator,
-    _triangle_quadrature,
-    integral_triangle,
+    integral_row,
     solution_evaluator,
     sup_sqrt_bessel,
     u_N,
@@ -35,75 +33,65 @@ def _normalized(l, omega, u_physical):
 
 
 # ---------------------------------------------------------------------------
-# the integral table
+# the integral row
 
 
 def test_anchor_row():
+    # I_{l,0} = x^(l+3/2) J_{l+3/2}(omega x)/omega
     for om, x in [(1.0, 2.0), (30.0, np.pi), (0.5, 1.0)]:
-        tri = integral_triangle(1, 8, om, x)
-        for k in range(1, 10):
-            want = x ** (k + 1.5) * jv(k + 1.5, om * x) / om
-            got = tri[k - 1, 0]
-            assert abs(got - want) <= 1e-12 * max(abs(want), x ** (k + 1.5) / om * 0.05)
+        for l in range(1, 10):
+            want = x ** (l + 1.5) * jv(l + 1.5, om * x) / om
+            got = integral_row(l, 8, om, x)[0]
+            assert abs(got - want) <= 1e-12 * max(abs(want), x ** (l + 1.5) / om * 0.05)
 
 
-def _triangle_by_quadrature(l, m_max, omega, x):
+def _row_by_quadrature(l, m_max, omega, x):
     panels = max(4, int(np.ceil(omega * x / np.pi)) * 2)
-    z24, w24 = roots_legendre(24)
+    z40, w40 = roots_legendre(40)
     edges = np.linspace(0.0, x, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
-    t = (mid[:, None] + half[:, None] * z24[None, :]).ravel()
-    w = (half[:, None] * w24[None, :]).ravel()
+    t = (mid[:, None] + half[:, None] * z40[None, :]).ravel()
+    w = (half[:, None] * w40[None, :]).ravel()
     zz = 1.0 - 2.0 * (t / x) ** 2
-    out = np.zeros((m_max + 1, m_max + 1))
-    for j in range(m_max + 1):
-        k = l + j
-        base = w * t ** (k + 1.5) * jv(k + 0.5, omega * t)
-        rows = sf.jacobi_all(m_max - j, k + 0.5, k + 1.0, zz)
-        out[j, : m_max - j + 1] = rows @ base
-    return out
+    base = w * t ** (l + 1.5) * jv(l + 0.5, omega * t)
+    return sf.jacobi_all(m_max, l + 0.5, l + 1.0, zz) @ base
 
 
-def test_triangle_against_quadrature():
+@pytest.mark.parametrize("case", ["short", "long"])
+def test_integral_row_against_quadrature(case):
+    # "long" reaches the truncations of full fits (m_max up to 40) and
+    # phases omega*x down to 1e-4, where a forward recurrence in m fails
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(30):
         l = int(rng.integers(0, 4))
-        m_max = int(rng.integers(1, 11))
         x = float(rng.uniform(0.5, np.pi))
-        om = float(rng.uniform(1.0, 100.0)) / x
-        tri = integral_triangle(l, m_max, om, x)
-        ref = _triangle_by_quadrature(l, m_max, om, x)
-        scale = np.max(np.abs(ref))
-        worst = max(worst, np.max(np.abs(tri - ref)) / scale)
-    assert worst < 1e-9, worst
+        if case == "short":
+            m_max = int(rng.integers(1, 11))
+            om = float(rng.uniform(1.0, 100.0)) / x
+        else:
+            m_max = int(rng.integers(11, 41))
+            om = 10.0 ** float(rng.uniform(-4.0, 2.0)) / x
+        row = integral_row(l, m_max, om, x)
+        ref = _row_by_quadrature(l, m_max, om, x)
+        worst = max(worst, np.max(np.abs(row - ref)) / np.max(np.abs(ref)))
+    assert worst < 1e-11, worst
 
 
-def test_triangle_small_phase_branch():
-    # below the phase threshold the table comes from direct quadrature;
-    # check continuity across the switch
-    x = 1.0
-    for om in (0.99 * SMALL_PHASE, 1.01 * SMALL_PHASE):
-        tri = integral_triangle(0, 4, om, x)
-        ref = _triangle_by_quadrature(0, 4, om, x)
-        assert np.max(np.abs(tri - ref)) < 1e-12 * np.max(np.abs(ref))
-
-
-def test_small_phase_quadrature_matches_recurrence():
-    # the quadrature takes every order from one spherical Bessel table; just
-    # above the switch the recurrence is still exact for a short triangle
-    for l in (0, 1, 3):
-        for x in (0.5, np.pi):
-            om = 1.01 * SMALL_PHASE / x
-            quad = _triangle_quadrature(l, 6, om, x)
-            rec = integral_triangle(l, 6, om, x)
-            assert np.max(np.abs(quad - rec)) <= 1e-12 * np.max(np.abs(rec)), (l, x)
-
-
-def test_triangle_accessor_bounds():
+def test_integral_row_argument_checks():
+    for bad in (-2.0, 0.0, np.nan):
+        with pytest.raises(DomainError):
+            integral_row(1, 4, bad, 1.0)
+    with pytest.raises(DomainError, match="-2.0"):
+        integral_row(1, 4, np.array([1.0, -2.0, 0.0]), 1.0)
     with pytest.raises(DomainError):
-        integral_triangle(1, 4, -2.0, 1.0)
+        integral_row(1, 4, np.ones((2, 2)), 1.0)
+    for l, m_max, x in ((-1, 4, 1.0), (1, -1, 1.0), (1, 4, 0.0)):
+        with pytest.raises(DomainError):
+            integral_row(l, m_max, 1.0, x)
+    assert integral_row(1, 4, 2.0, 1.0).shape == (5,)
+    assert integral_row(1, 4, np.array([2.0, 3.0]), 1.0).shape == (2, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +112,9 @@ def test_matches_ode_solver_both_sides_of_threshold(harmonic_setups, beta_harmon
     setup = harmonic_setups[1]
     ev = solution_evaluator(beta_harmonic[1], N=13)
     b = np.pi
-    for om in (0.95 * SMALL_PHASE / b, 1.05 * SMALL_PHASE / b, 2.0, 60.0):
+    # omega*b from 0.09 to 190: the Bessel table behind the row switches
+    # from Miller's algorithm to forward recurrence at omega*b = 29
+    for om in (0.03, 0.0335, 2.0, 60.0):
         u_ref = float(regular_solution_ode(setup, om, np.array([b])).u_values[0])
         want = _normalized(1, om, u_ref)
         assert abs(u_N(ev, om, b) - want) < 1e-9 * max(1.0, abs(want)), om
@@ -167,7 +157,7 @@ def test_small_x_normalization():
 
 
 def test_u_N_equals_apply_transmutation(beta_harmonic):
-    # same beta, two routes: recurrent sum vs explicit kernel integral
+    # same beta, two routes: closed-form row vs explicit kernel integral
     bt = beta_harmonic[1]
     ev = solution_evaluator(bt, N=13)
     series = make_kernel_series(bt, N=13)
@@ -176,6 +166,21 @@ def test_u_N_equals_apply_transmutation(beta_harmonic):
         ta = apply_transmutation(series, y, np.pi, omega_hint=om)
         un = u_N(ev, om, np.pi)
         assert abs(ta - un) < 1e-8 * max(1.0, abs(un)), om
+    # synthetic tables used at their full truncation N = M - l - 1, where
+    # the high-m entries of the row carry weight
+    rng = np.random.default_rng(3)
+    M = 25
+    for l in (0, 1, 2):
+        beta = 1e-2 * 0.8 ** np.arange(M + 1) * rng.choice([-1.0, 1.0], M + 1)
+        bt = BetaTable(l=float(l), x=np.pi, M=M, beta=beta,
+                       fit_residual=0.0, sum_beta=float(np.sum(beta)))
+        ev = solution_evaluator(bt)
+        series = make_kernel_series(bt)
+        for om in (0.05, 0.3, 1.0, 3.0, 10.0, 30.0):
+            y = lambda t, om=om: np.sqrt(om * t) * jv(l + 0.5, om * t)
+            ta = apply_transmutation(series, y, np.pi, omega_hint=om)
+            un = u_N(ev, om, np.pi)
+            assert abs(ta - un) < 1e-11 * max(1.0, abs(un)), (l, om)
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +214,12 @@ def test_uniform_error_bound_validation(beta_harmonic):
 def test_array_omega_matches_scalar_calls(beta_harmonic):
     ev = solution_evaluator(beta_harmonic[1], N=13)
     b = np.pi
-    nmax = int(ev.series.l) + ev.series.N + 1
+    nmax = int(ev.series.l) + 2 * ev.series.N + 1   # top order of the row's table
     om = np.array([
-        0.2 * SMALL_PHASE / b, 0.9 * SMALL_PHASE / b,   # quadrature
-        1.1 * SMALL_PHASE / b, 1.0, 3.7,                # Miller branch
+        0.0064, 0.0286, 0.035, 1.0, 3.7,                # Miller branch
         (nmax + 1.5) / b, 40.0, 211.3,                  # forward recurrence
     ])
-    assert np.any(om * b < SMALL_PHASE)
-    assert np.any((om * b >= SMALL_PHASE) & (om * b < nmax + 1))
+    assert np.any(om * b < nmax + 1)
     assert np.any(om * b >= nmax + 1)
     got = u_N(ev, om, b)
     want = np.array([u_N(ev, float(w), b) for w in om])

@@ -10,7 +10,7 @@ EXPECTED_CHECKS = {
     "goursat-diagonal",
     "coefficient-sum",
     "transmutation-property",
-    "recurrence-vs-quadrature",
+    "integral-row-vs-quadrature",
     "integer-reduction",
 }
 
@@ -47,9 +47,9 @@ def test_fault_injection_trips_diagonal_check(harmonic_setups, beta_harmonic):
     by = _by_name(results)
     assert not by["goursat-diagonal"].passed
     assert not by["coefficient-sum"].passed
-    # quadrature identities run on independently generated tables of
-    # integrals, so a corrupted coefficient table cannot affect them
-    assert by["recurrence-vs-quadrature"].passed
+    # the quadrature identity runs on independently computed integrals,
+    # so a corrupted coefficient table cannot affect it
+    assert by["integral-row-vs-quadrature"].passed
 
 
 def test_results_json_serializable(zero_setups):
