@@ -11,19 +11,18 @@ Method
 A fourth-order Magnus propagator on the first-order system for (u, u'):
 each step exponentiates the averaged coefficient matrix sampled at the
 two-point Gauss nodes.  The omega^2 shift enters the exponent exactly, so
-the step need not resolve each wavelength finely: the grid allows 0.16 rad
-of phase per step (h sqrt|q - omega^2| <= 0.16), and against the exact
-constant-q solutions this keeps the error near 1e-11 up to omega b =
-1400 pi.  The step count, and so the cost of a solve, still grows linearly
-with omega.  A geometric section resolves the centrifugal term
-l(l+1)/x^2 near the origin.
-The integration starts at x0 = 1e-6*b from a two-term Frobenius expansion
-(the centrifugal term forbids starting at zero), stops at the last
-requested point, propagates the rescaled variable w = u / x0^(l+1) to
-avoid underflow at large l, and verifies itself by re-running on a
+the step need not resolve each wavelength finely: one step-length rule
+allows 0.16 rad of phase per step (h sqrt|q - omega^2| <= 0.16), no step
+longer than b/1024, and a fixed fraction of x near the origin, which
+resolves the centrifugal term l(l+1)/x^2.  The step count, and so the
+cost of a solve, still grows linearly with omega.
+The integration starts at x0 = 1e-6*b from a three-term Frobenius
+expansion (the centrifugal term forbids starting at zero), stops at the
+last requested point, propagates the rescaled variable w = u / x0^(l+1)
+to avoid underflow at large l, and verifies itself by re-running on a
 midpoint-refined grid with Richardson extrapolation; further halvings are
 added until two consecutive extrapolants agree.  The self-check cannot
-see the error that builds up over many wavelengths, so solves with
+see an error that does not change with the grid, so solves with
 |omega| b > 2000 pi, past the measured range, warn.
 
 A sweep of frequencies is solved in blocks (regular_solutions).  A block
@@ -39,12 +38,13 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import AccuracyWarning, DomainError, IntegrationFailure
+from .specialfn import is_integer_l
 
 __all__ = [
     "ProblemSetup",
@@ -57,17 +57,17 @@ __all__ = [
 
 _GAUSS_OFF = math.sqrt(3.0) / 6.0   # two-point Gauss offset from midpoint
 
-# grid-construction factors; error scales as the 4th power of the phase
-# and singularity fractions.  Against the exact constant-q solutions
-# (q = 0, 50, -3; l = 0..10; |omega| <= 1400; x in [0.3, pi]) the worst
-# relative error is 1.3e-11 at 0.16 and 1.4e-11 at 0.02; at 0.32 the
-# fitted l=1/2 coefficients at x=pi (|beta| <= 111) move by 1.1e-10
+# grid-construction factors.  Worst relative error against the exact
+# constant-q solutions (q = 0, 50, -3; l = -1/2..10; |omega| <= 1400;
+# x in [0.3, pi]): 9.2e-13; against the exact q = x^2 ones (l = 0, 1/2, 1;
+# omega <= 235; x = pi/8, pi/2, pi): 3.3e-13.  A step cap of b/200 instead
+# of b/1024 moved the l = 1/2, M = 100 fit at x = pi 3x further from its
+# exact-data fit and out of the coefficient-sum check's tolerance
 _PHASE_FRAC = 0.16
 _SING_FRAC = 0.02
-_HMAX_FRAC = 0.005
 _REL_TOL = 1e-10
-# |omega| * b validated against the exact constant-q family; past it the
-# error grows (2.5e-9 at omega*b = 5000 pi) while the self-check stays quiet
+# |omega| * b validated against the exact constant-q family (5000 pi
+# measures 6.1e-12, but the limit stays until such a range is validated)
 _PHASE_LIMIT = 2000.0 * math.pi
 # frequencies x nodes of a block's grid, and of one _step_maps call; the
 # step maps and the first pass of the chain product hold up to about
@@ -210,61 +210,60 @@ def make_potential(descriptor, b: float):
 # grid construction and propagation
 
 
-def _build_grid(
-    l: float, b: float, om_lo: float, om_hi: float, q, x0: float
-) -> np.ndarray:
-    """Non-uniform step grid on [x0, b], shared by every frequency in
-    [om_lo, om_hi].
+def _step_rule(l: float, b: float, om_lo: float, om_hi: float, q, x0: float):
+    """Probe cells on [x0, b] and the longest step h[i] allowed on cell
+    [edges[i], edges[i+1]] at every frequency in [om_lo, om_hi].
 
-    The centrifugal term l(l+1)/x^2 is resolved by a geometric section
-    whose ratio keeps the local step below a fixed fraction of the local
-    length scale x/sqrt(l(l+1)); the oscillation due to q - omega^2 is
-    resolved by piecewise-uniform cells of at most _PHASE_FRAC rad of
-    phase, sized from a 1024-cell probe of the potential.  |q - omega^2|
-    is convex in omega^2, so its per-cell maximum at the two ends of the
-    frequency range bounds it at every frequency in between.  The union of
-    the two sections satisfies both constraints everywhere.
-
-    Raises DomainError if q is not finite on a probe, or if the grid would
-    need more than _MAX_STEPS steps.
+    h = min(w, _PHASE_FRAC / sqrt(max |q - omega^2|), ratio x): at most a
+    uniform probe cell w = (b - x0)/1024 and _PHASE_FRAC rad of phase, and,
+    for the centrifugal term, at most ratio = _SING_FRAC / max(1,
+    sqrt|l(l+1)|) times the cell's left end.  The cells are the 1024
+    uniform ones split at the geometric points x0 (1 + ratio)^k below
+    ratio x = w.  |q - omega^2|, sampled at each cell's ends and midpoint,
+    is convex in omega^2, so its maximum at om_lo and om_hi bounds it in
+    between.  Raises DomainError if q is not finite on the probe.
     """
-    parts = [np.array([x0, b])]
-    ll1 = l * (l + 1.0)
-    if ll1 > 0:
-        ratio = _SING_FRAC / max(1.0, math.sqrt(ll1))
-        count = int(math.ceil(math.log(b / x0) / math.log1p(ratio)))
-        geo = x0 * (1.0 + ratio) ** np.arange(1, count + 1)
-        parts.append(geo[geo < b])
-
     edges = np.linspace(x0, b, 1025)
+    w = edges[1] - x0
+    ll1 = abs(l * (l + 1.0))
+    if ll1:
+        ratio = _SING_FRAC / max(1.0, math.sqrt(ll1))
+        cross = min(w / ratio, b)
+        count = int(math.ceil(math.log(cross / x0) / math.log1p(ratio)))
+        geo = x0 * (1.0 + ratio) ** np.arange(1, count + 1)
+        edges = np.union1d(edges, geo[geo < cross])
+    n = edges.size - 1
     probes = np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])])
     qp = np.asarray(q(probes), dtype=float)
     bad = ~np.isfinite(qp)
     if np.any(bad):
         raise DomainError(f"potential q is not finite at x={probes[bad].min():.6g}")
     vmag = np.maximum(np.abs(qp - om_lo * om_lo), np.abs(qp - om_hi * om_hi))
-    cell_v = np.maximum(
-        np.maximum(vmag[:1024], vmag[1:1025]), vmag[1025:]
-    )  # per-cell max over left/right/mid probes
-    hmax = _HMAX_FRAC * (b - x0)
-    h_req = np.minimum(hmax, _PHASE_FRAC / np.sqrt(np.maximum(cell_v, 1e-300)))
-    width = edges[1] - edges[0]
-    # float counts: an overflowing count must not wrap to a negative int64
-    counts = np.ceil(width / h_req)
-    total = counts.sum()
+    cell_v = np.maximum(np.maximum(vmag[:n], vmag[1 : n + 1]), vmag[n + 1 :])
+    h = np.minimum(w, _PHASE_FRAC / np.sqrt(np.maximum(cell_v, 1e-300)))
+    if ll1:
+        h = np.minimum(h, ratio * edges[:-1])
+    return edges, h
+
+
+def _build_grid(
+    l: float, b: float, om_lo: float, om_hi: float, q, x0: float
+) -> np.ndarray:
+    """Step grid on [x0, b] for every frequency in [om_lo, om_hi]: nodes
+    that equidistribute int dx/h over the cells of _step_rule, so it has
+    ceil(int dx/h) steps and none is longer than the largest h of the
+    cells it spans.  Raises DomainError as _step_rule does, or if the grid
+    would need more than _MAX_STEPS steps.
+    """
+    edges, h = _step_rule(l, b, om_lo, om_hi, q, x0)
+    level = np.concatenate([[0.0], np.cumsum(np.diff(edges) / h)])
+    total = level[-1]
     if not total <= _MAX_STEPS:
         raise DomainError(
             f"the oracle grid would need {total:.3g} steps on (0, {b:.6g}] at "
             f"omega = {om_hi:.6g}, more than the {_MAX_STEPS} allowed"
         )
-    counts = counts.astype(np.int64)
-    starts = np.repeat(edges[:-1], counts)
-    steps = np.repeat(width / counts, counts)
-    offsets = np.arange(counts.sum()) - np.repeat(
-        np.concatenate([[0], np.cumsum(counts)[:-1]]), counts
-    )
-    parts.append(starts + steps * (offsets + 1))
-    return np.unique(np.concatenate(parts))
+    return np.interp(np.linspace(0.0, total, math.ceil(total) + 1), level, edges)
 
 
 def _step_maps(xs: np.ndarray, l: float, om: np.ndarray, q):
@@ -272,10 +271,17 @@ def _step_maps(xs: np.ndarray, l: float, om: np.ndarray, q):
     per frequency in om.
 
     The omega-free part of the coefficient is evaluated once on the grid
-    and -omega^2 is broadcast over the rows.  The 2-D work runs in place
-    where it can, so a call holds at most five rows x steps arrays at
-    once; every value is formed by the same operations, in the same
-    order, as for a single frequency.
+    and -omega^2 is broadcast over the rows.  A step's exponent
+    [[d, h], [h vbar, -d]] squares to s I, s = d^2 + h^2 vbar, so its
+    exponential is C(s) I + S(s) times it, with C(s) = sum s^k/(2k)! and
+    S(s) = sum s^k/(2k+1)! (cos and sin(theta)/theta at s = -theta^2, cosh
+    and sinh(theta)/theta at s = theta^2).  Their Taylor sums reach
+    rounding at |s| <= 1/16 (the grids keep |s| <= 0.026); a larger |s|
+    is scaled by 4^-k and doubled back k times with S <- S C and
+    C - 1 <- 2 (C - 1)(C + 1).  The 2-D work runs in place where it can,
+    so a call holds at most five rows x steps arrays at once; every value
+    is formed by the same operations, in the same order, as for a single
+    frequency.
     """
     h = np.diff(xs)
     xm = 0.5 * (xs[:-1] + xs[1:])
@@ -291,25 +297,27 @@ def _step_maps(xs: np.ndarray, l: float, om: np.ndarray, q):
     d *= (math.sqrt(3.0) / 12.0) * h * h
     s = np.multiply(d, d, out=v2)
     s += h * h * vbar
-    theta = np.sqrt(np.abs(s))
-    big = theta > 1e-4
-    pos = big & (s > 0)
-    small = ~big
-    ss = s[small]
-    # cos and sin(theta)/theta everywhere, then the non-oscillatory and
-    # tiny-theta entries are overwritten
-    c = np.cos(theta, out=s)
-    sc = np.sin(theta)
-    np.divide(sc, theta, out=sc, where=big)
-    if pos.any():
-        tp = theta[pos]
-        c[pos] = np.cosh(tp)
-        sc[pos] = np.sinh(tp) / tp
-    if ss.size:
-        c[small] = 1.0 + ss * (0.5 + ss / 24.0)
-        sc[small] = 1.0 + ss * (1.0 / 6.0 + ss / 120.0)
+    top = max(s.max(), -s.min())
+    k = (math.frexp(16.0 * top)[1] + 1) // 2 if top > 0.0625 else 0
+    if k:
+        s *= 0.25 ** k
+    # Horner sums of C - 1 (through s^6) and S (through s^5)
+    cm1 = s / math.factorial(12)
+    for j in range(5, 0, -1):
+        cm1 += 1.0 / math.factorial(2 * j)
+        cm1 *= s
+    sc = s / math.factorial(11)
+    for j in range(4, 0, -1):
+        sc += 1.0 / math.factorial(2 * j + 1)
+        sc *= s
+    sc += 1.0
+    for _ in range(k):
+        sc += sc * cm1
+        cm1 *= cm1 + 2.0
+        cm1 *= 2.0
+    c = np.add(cm1, 1.0, out=cm1)
     scd = np.multiply(sc, d, out=d)
-    m11 = np.add(c, scd, out=theta)
+    m11 = np.add(c, scd, out=s)
     m22 = np.subtract(c, scd, out=c)
     m12 = np.multiply(sc, h, out=sc)
     m21 = np.multiply(m12, vbar, out=vbar)
@@ -440,8 +448,9 @@ def _solve_block(setup, om, grid, x0, x_eval):
     frequencies om on their shared grid; each row is checked on its own."""
     l = setup.l
     c1 = (setup.q0 - om * om) / (4.0 * l + 6.0)
-    w0 = 1.0 + c1 * x0 * x0
-    wp0 = (l + 1.0) / x0 + (l + 3.0) * c1 * x0
+    c2 = c1 * c1 * (2.0 * l + 3.0) / (4.0 * l + 10.0)
+    w0 = 1.0 + x0 * x0 * (c1 + c2 * x0 * x0)
+    wp0 = (l + 1.0) / x0 + x0 * ((l + 3.0) * c1 + (l + 5.0) * c2 * x0 * x0)
 
     w_a, wp_a = _propagate(grid, l, om, setup.q, w0, wp0, x_eval)
     grid = _refine(grid)
@@ -492,7 +501,8 @@ def regular_solutions(setup: ProblemSetup, omegas, x_eval: Sequence[float]):
     row that fails the two-grid test is refined further on its own,
     whatever its neighbours do.  One AccuracyWarning is emitted per call
     if any |omega| b exceeds 2000 pi.  One call over a sweep costs far
-    less than a loop of one-frequency calls.
+    less than a loop of one-frequency calls.  An l that is_integer_l
+    takes for an integer is solved as that integer, as everywhere else.
 
     Raises
     ------
@@ -518,6 +528,8 @@ def regular_solutions(setup: ProblemSetup, omegas, x_eval: Sequence[float]):
     if np.any(bad):
         raise DomainError(f"omega must be finite, got {omegas[bad][0]}")
     om = np.abs(omegas)  # the equation depends on omega^2 only
+    if is_integer_l(setup.l) and setup.l != round(setup.l):
+        setup = replace(setup, l=float(round(setup.l)))
     top = float(np.max(om))
     if top * setup.b > _PHASE_LIMIT:
         warnings.warn(
@@ -557,13 +569,13 @@ def regular_solution_ode(
     sqrt(u^2 + (u'/omega)^2) over the requested points, so a requested
     point on a node does not deflate the scale) is 1e-10 or better on
     [b/100, b] for smooth potentials and |omega| b <= 2000 pi (measured
-    against the exact constant-q solutions: 1.3e-11 up to omega = 1400 on
-    b = pi, 6.7e-11 at omega*b = 2000 pi); the self-verification enforces
-    the agreement between grid levels.  Past that range the error grows
-    with omega unseen by the self-check (3.3e-10 at omega*b = 3000 pi),
-    so an AccuracyWarning is emitted.  In a sweep (regular_solutions) a
-    frequency shares its block's grid, which is at least as fine as its
-    own, so the same contract holds.
+    against the exact constant-q solutions, l >= -1/2: 9.2e-13 up to
+    omega = 1400 on b = pi, 3.2e-12 at omega*b = 2000 pi; against the
+    exact q = x^2 ones 3.3e-13 up to omega = 235); the self-verification
+    enforces the agreement between grid levels.  Past that range the
+    accuracy is not validated, so an AccuracyWarning is emitted.  In a
+    sweep (regular_solutions) a frequency shares its block's grid, which
+    is at least as fine as its own, so the same contract holds.
 
     Raises
     ------

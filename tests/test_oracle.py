@@ -2,8 +2,11 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transmute import oracle
 from transmute.coeffs import compute_beta, unperturbed_term
@@ -48,7 +51,7 @@ def _constant_q_cases():
             yield pytest.param(omega, Q, id=name if Q == 0 else f"{name}-Q{Q:g}")
 
 
-@pytest.mark.parametrize("l", [0.0, 0.5, 1.0, 2.0, 5.0, 10.0])
+@pytest.mark.parametrize("l", [-0.5, -0.25, 0.0, 0.5, 1.0, 2.0, 5.0, 10.0])
 @pytest.mark.parametrize("omega,Q", list(_constant_q_cases()))
 def test_free_problem_matches_closed_form(l, omega, Q):
     """q == Q is the free problem at frequency sqrt(omega^2 - Q), a Bessel
@@ -70,6 +73,121 @@ def test_free_problem_matches_closed_form(l, omega, Q):
         assert np.max(np.abs(u - ref)) < 5e-10 * scale, om
 
 
+def _harmonic_exact(l, omega, x):
+    """u and u' for q = x^2: x^(l+1) e^(-x^2/2) 1F1((2l+3-omega^2)/4; l+3/2; x^2)."""
+    def u(t):
+        return t ** (l + 1) * mpmath.exp(-t * t / 2) * mpmath.hyp1f1(
+            (2 * l + 3 - mpmath.mpf(omega) ** 2) / 4, l + mpmath.mpf(3) / 2, t * t)
+    x = mpmath.mpf(x)
+    return float(u(x)), float(mpmath.diff(u, x))
+
+
+@pytest.mark.parametrize("l", [0.0, 0.5, 1.0])
+def test_harmonic_potential_matches_mpmath(l):
+    """q = x^2 varies along every step, so unlike constant q it shows the
+    step-size error; the oracle must match the 40-digit Kummer form over
+    the frequencies a fit samples, to 1e-11 of its envelope."""
+    setup = ProblemSetup(l=l, b=np.pi, q=_harmonic)
+    omegas = [0.5, 3.0, 20.0, 60.0, 120.0, 235.0]
+    xs = np.pi / np.array([8.0, 2.0, 1.0])
+    u, u_prime = regular_solutions(setup, omegas, xs)
+    for om, row, row_p in zip(omegas, u, u_prime):
+        with mpmath.workdps(40):
+            ref = np.array([_harmonic_exact(l, om, x) for x in xs])
+        scale = _envelope(row, row_p, om)
+        assert np.max(np.abs(row - ref[:, 0])) < 1e-11 * scale, om
+        assert np.max(np.abs(row_p - ref[:, 1])) < 1e-11 * max(om, 1.0) * scale, om
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    l=st.sampled_from([-0.5, -0.25, 0.0]) | st.floats(0.1, 20.0),
+    b=st.floats(0.2, 10.0),
+    om_lo=st.floats(0.0, 150.0),
+    om_span=st.floats(0.0, 100.0),
+    q0=st.floats(-50.0, 50.0),
+    q2=st.sampled_from([0.0, 100.0]) | st.floats(0.0, 2000.0),
+)
+def test_grid_follows_step_rule(l, b, om_lo, om_span, q0, q2):
+    """The grid runs from x0 to b, strictly increasing; no step is longer
+    than the largest h the rule allows on the probe cells it spans; and it
+    has at most ceil(int dx/h) + 1 nodes.  q = q0 + q2 x^2 crosses omega^2
+    inside the interval for many draws, where |q - omega^2| vanishes."""
+    q = lambda x: q0 + q2 * np.asarray(x, dtype=float) ** 2
+    om_hi = om_lo + om_span
+    x0 = 1e-6 * b
+    grid = oracle._build_grid(l, b, om_lo, om_hi, q, x0)
+    edges, h = oracle._step_rule(l, b, om_lo, om_hi, q, x0)
+    assert grid[0] == x0 and grid[-1] == b
+    assert np.all(np.diff(grid) > 0)
+    assert grid.size <= math.ceil(np.sum(np.diff(edges) / h)) + 1
+
+    # the largest h over the cells [first, last] each step touches
+    first = np.searchsorted(edges, grid[:-1], side="right") - 1
+    last = np.searchsorted(edges, grid[1:], side="left") - 1
+    spans = np.stack([first, last + 1], axis=1).ravel()
+    allowed = np.maximum.reduceat(np.append(h, 0.0), spans)[0::2]
+    assert np.all(np.diff(grid) <= allowed * (1 + 1e-12))
+
+    # the rule: a probe cell at most, the phase bound at the probed
+    # points of each cell, and the centrifugal ratio at its left end
+    assert np.all(h <= (b - x0) / 1024 * (1 + 1e-12))
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    for om in (om_lo, om_hi):
+        for pts in (edges[:-1], edges[1:], mids):
+            assert np.all(h * np.sqrt(np.abs(q(pts) - om * om))
+                          <= oracle._PHASE_FRAC * (1 + 1e-12))
+    if l * (l + 1):
+        ratio = oracle._SING_FRAC / max(1.0, math.sqrt(abs(l * (l + 1))))
+        assert np.all(h <= ratio * edges[:-1] * (1 + 1e-12))
+
+
+@pytest.mark.parametrize("omega", [0.0, 3.0, 40.0])
+def test_step_maps_are_the_exact_exponential(omega):
+    """Each step map is exp([[d, h], [h vbar, -d]]) to rounding, including
+    steps far longer than any grid takes, whose |s| goes through the
+    4^-k scaling and the doubling back (|s| up to about 3600 here), for
+    oscillating (omega^2 > q) and growing (omega = 0) steps."""
+    xs = np.array([0.05, 0.06, 0.3, 1.0, 2.5, np.pi])
+    l, q = 1.0, lambda x: 3.0 + np.asarray(x, dtype=float)
+    maps = oracle._step_maps(xs, l, np.array([omega]), q)
+    h = np.diff(xs)
+    x1 = 0.5 * (xs[:-1] + xs[1:]) - oracle._GAUSS_OFF * h
+    x2 = 0.5 * (xs[:-1] + xs[1:]) + oracle._GAUSS_OFF * h
+    v1 = 2.0 / x1 ** 2 + q(x1) - omega ** 2
+    v2 = 2.0 / x2 ** 2 + q(x2) - omega ** 2
+    d = (v1 - v2) * math.sqrt(3.0) / 12.0 * h * h
+    for i in range(h.size):
+        a = [[d[i], h[i]], [h[i] * 0.5 * (v1[i] + v2[i]), -d[i]]]
+        with mpmath.workdps(40):
+            want = np.array(mpmath.expm(mpmath.matrix(a)).tolist(), dtype=float)
+        got = np.array([[maps[0][0, i], maps[1][0, i]], [maps[2][0, i], maps[3][0, i]]])
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want)), i
+
+
+def test_near_integer_l_is_solved_as_integer_l():
+    """l within INTEGER_L_TOL of an integer counts as that integer, so
+    l = -1e-10 gets the ungraded l = 0 grid and the same values."""
+    xs = np.array([0.5, np.pi])
+    near = regular_solutions(ProblemSetup(l=-1e-10, b=np.pi, q=_harmonic), [2.0, 40.0], xs)
+    exact = regular_solutions(ProblemSetup(l=0.0, b=np.pi, q=_harmonic), [2.0, 40.0], xs)
+    assert np.array_equal(near, exact)
+
+
+@pytest.mark.parametrize("l", [-0.5, -0.25, 0.0, 0.5])
+def test_start_is_exact_to_the_validated_limit(l):
+    """The error of the Frobenius start does not change with the grid, so
+    the self-check cannot see it.  Just inside omega*b = 2000 pi its three
+    terms keep the solution within 1e-11 of the envelope; two terms left
+    5.4e-10 at l = -1/2 and 6.3e-11 at l = 0."""
+    setup = ProblemSetup(l=l, b=np.pi, q=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+    xs = np.linspace(0.3, np.pi, 7)
+    sol = regular_solution_ode(setup, 1999.0, xs)
+    ref = unperturbed_term(l, 1999.0, xs)
+    scale = _envelope(sol.u_values, sol.u_prime_values, 1999.0)
+    assert np.max(np.abs(sol.u_values - ref)) < 1e-11 * scale
+
+
 def test_no_step_past_last_point_and_step_budget(monkeypatch):
     """The grid ends at the last requested point, and resolving the phase
     at _PHASE_FRAC keeps a high-frequency solve small (rows x steps over
@@ -87,8 +205,8 @@ def test_no_step_past_last_point_and_step_budget(monkeypatch):
 
 def test_fit_sweep_is_solved_in_blocks(monkeypatch):
     """An M = 25 fit solves its 156 frequencies in a few block calls, none
-    larger than the block bound.  At l = 1 the grid has 2008 nodes (4015
-    refined), so a 2^15 block takes 16 frequencies: 10 blocks, each one
+    larger than the block bound.  At l = 1 the grid has 1748 nodes (3495
+    refined), so a 2^15 block takes 18 frequencies: 9 blocks, each one
     call on its grid and two on the refinement.  One solve per frequency
     took 312 calls."""
     calls = _spy_step_maps(monkeypatch)
