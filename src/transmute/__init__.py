@@ -16,7 +16,6 @@ from .errors import (
     DomainError,
     IllConditionedFit,
     IntegrationFailure,
-    MissedRootWarning,
     NearDiagonalError,
     QuadratureError,
     TransmuteError,
@@ -37,6 +36,7 @@ from .oracle import (
     make_potential,
     regular_solution_ode,
     regular_solutions,
+    zero_count,
 )
 from .solution import (
     SolutionEvaluator,
@@ -66,6 +66,7 @@ __all__ = [
     "make_potential",
     "regular_solution_ode",
     "regular_solutions",
+    "zero_count",
     "exact_solution_harmonic",
     # coefficients
     "BetaTable",
@@ -104,6 +105,5 @@ __all__ = [
     "IllConditionedFit",
     "QuadratureError",
     "NearDiagonalError",
-    "MissedRootWarning",
     "AccuracyWarning",
 ]

@@ -15,8 +15,8 @@ into a JSON summary next to the CSV so results are reproducible.  Output
 is deterministic: the same configuration and seed produce byte-identical
 CSV files.
 
-Exit codes: 0 success, 1 a validation/quality check failed, 2 malformed
-input or a numerical failure.
+Exit codes: 0 success, 1 a ``validate`` check failed, 2 malformed input
+or a numerical failure (such as spectrum ordinals Sturm's count rejects).
 """
 
 from __future__ import annotations
@@ -372,22 +372,13 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         "version": __version__,
         "count": cfg.count,
         "N_used": report.N_used,
-        "spacing_ok": report.spacing_ok,
         "worst_reference_error": worst,
-        "tolerances": {
-            "refine_xtol": 1e-12,
-            "missed_root_spacing_fraction": 0.5,
-        },
+        "tolerances": {"refine_xtol": 1e-12},
         "outputs": [str(csv_path)],
         "runtime_seconds": time.perf_counter() - t0,
     }
     _write_summary(out / "spectrum_summary.json", summary)
     print(f"wrote {csv_path} ({cfg.count} eigenvalues, N={report.N_used})")
-    if not report.spacing_ok:
-        print("warning: eigenvalue spacing anomaly (possible missed root)",
-              file=sys.stderr)
-        if references is not None:
-            return 1
     return 0
 
 

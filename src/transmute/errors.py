@@ -38,8 +38,8 @@ class NearDiagonalError(DomainError):
 
 
 class MissedRootWarning(UserWarning):
-    """Consecutive eigenvalues deviate strongly from the asymptotic spacing,
-    suggesting that a root was skipped by the scan."""
+    """No longer emitted: Sturm's count makes a missed root a TransmuteError.
+    Kept only because the benchmark's workloads import it."""
 
 
 class AccuracyWarning(UserWarning):

@@ -52,6 +52,7 @@ __all__ = [
     "make_potential",
     "regular_solution_ode",
     "regular_solutions",
+    "zero_count",
     "exact_solution_harmonic",
 ]
 
@@ -443,15 +444,31 @@ def _two_grid_fails(diff, envelope):
     return diff > 1e-6 * envelope
 
 
-def _solve_block(setup, om, grid, x0, x_eval):
-    """Richardson-verified rescaled states (w, w') at x_eval for the
-    frequencies om on their shared grid; each row is checked on its own."""
+def _start(setup, om, x0):
+    """Rescaled states (w, w') at x0 from the three-term Frobenius start."""
     l = setup.l
     c1 = (setup.q0 - om * om) / (4.0 * l + 6.0)
     c2 = c1 * c1 * (2.0 * l + 3.0) / (4.0 * l + 10.0)
     w0 = 1.0 + x0 * x0 * (c1 + c2 * x0 * x0)
     wp0 = (l + 1.0) / x0 + x0 * ((l + 3.0) * c1 + (l + 5.0) * c2 * x0 * x0)
+    return w0, wp0
 
+
+def _check_finite(omegas, xs, finite):
+    """IntegrationFailure at the first row of the mask with a non-finite
+    state (w = u / x0^(l+1) overflows at large l), at its first such x."""
+    rows = np.flatnonzero(~finite.all(axis=1))
+    if rows.size:
+        i = rows[0]
+        raise IntegrationFailure(f"the solution is not finite at omega={omegas[i]:.6g}",
+                                 x=float(xs[np.argmin(finite[i])]))
+
+
+def _solve_block(setup, om, grid, x0, x_eval):
+    """Richardson-verified rescaled states (w, w') at x_eval for the
+    frequencies om on their shared grid; each row is checked on its own."""
+    l = setup.l
+    w0, wp0 = _start(setup, om, x0)
     w_a, wp_a = _propagate(grid, l, om, setup.q, w0, wp0, x_eval)
     grid = _refine(grid)
     w_b, wp_b = _propagate(grid, l, om, setup.q, w0, wp0, x_eval)
@@ -485,6 +502,13 @@ def _solve_block(setup, om, grid, x0, x_eval):
     return rich_w, rich_wp
 
 
+def _integer_l(setup):
+    """setup with an l that is_integer_l takes for an integer set to it."""
+    if is_integer_l(setup.l) and setup.l != round(setup.l):
+        return replace(setup, l=float(round(setup.l)))
+    return setup
+
+
 def regular_solutions(setup: ProblemSetup, omegas, x_eval: Sequence[float]):
     """Regular solutions u(omega, .) with u ~ x^(l+1) at the origin, for a
     whole sweep of frequencies at once.
@@ -511,8 +535,8 @@ def regular_solutions(setup: ProblemSetup, omegas, x_eval: Sequence[float]):
         (0, b], q is not finite on the grid probe, or a grid would need
         more than _MAX_STEPS steps.
     IntegrationFailure
-        If grid refinement fails to converge for some frequency; the
-        message names the worst such omega, and ``x`` its abscissa.
+        If grid refinement fails to converge, or a solution is not finite
+        (large l); the message names that omega, and ``x`` its abscissa.
     """
     x_eval = np.asarray(x_eval, dtype=float)
     if x_eval.size == 0:
@@ -528,8 +552,7 @@ def regular_solutions(setup: ProblemSetup, omegas, x_eval: Sequence[float]):
     if np.any(bad):
         raise DomainError(f"omega must be finite, got {omegas[bad][0]}")
     om = np.abs(omegas)  # the equation depends on omega^2 only
-    if is_integer_l(setup.l) and setup.l != round(setup.l):
-        setup = replace(setup, l=float(round(setup.l)))
+    setup = _integer_l(setup)
     top = float(np.max(om))
     if top * setup.b > _PHASE_LIMIT:
         warnings.warn(
@@ -555,7 +578,9 @@ def regular_solutions(setup: ProblemSetup, omegas, x_eval: Sequence[float]):
         stop = start
 
     scale = x0 ** (setup.l + 1.0)
-    return w * scale, wp * scale
+    u, up = w * scale, wp * scale
+    _check_finite(omegas, x_eval, np.isfinite(u) & np.isfinite(up))
+    return u, up
 
 
 def regular_solution_ode(
@@ -590,6 +615,35 @@ def regular_solution_ode(
         u_values=u[0],
         u_prime_values=u_prime[0],
     )
+
+
+def zero_count(setup: ProblemSetup, omega: float) -> int:
+    """Sturm's count: the zeros of u(omega, .) in (0, b], which number the
+    Dirichlet eigenvalues lambda <= omega^2 (Pryce, Numerical Solution of
+    Sturm-Liouville Problems, OUP 1993).  The sign of w is read at every
+    node of regular_solutions' grid for omega alone, from the same start;
+    a step carries at most _PHASE_FRAC rad of phase, so none hides two
+    zeros.  |w(b)| within 1e-6 of the envelope there (the grid's error is
+    below 2e-8 of it) is a zero at b, whichever way its sign tips.  Raises
+    as regular_solutions does.
+    """
+    setup, om = _integer_l(setup), abs(float(omega))
+    x0 = 1e-6 * setup.b
+    grid = _build_grid(setup.l, setup.b, om, om, setup.q, x0)
+    maps = _step_maps(grid, setup.l, np.array([om]), setup.q)
+    w, wp = _start(setup, om, x0)
+    ws = [w]
+    for m11, m12, m21, m22 in zip(*(m[0].tolist() for m in maps)):
+        w, wp = m11 * w + m12 * wp, m21 * w + m22 * wp
+        ws.append(w)
+    ws = np.array(ws)
+    finite = np.isfinite(ws)
+    finite[-1] &= math.isfinite(wp)
+    _check_finite([omega], grid, finite[None])
+    neg = ws < 0.0
+    if abs(w) <= 1e-6 * math.hypot(w, wp / max(om, 1.0)):
+        neg[-1] = not neg[-2]
+    return int(np.count_nonzero(neg[1:] != neg[:-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -8,28 +8,26 @@ eigenvalue costs the same and carries roughly the same absolute error as
 the first.  Classical shooting degrades with omega; this representation
 does not.
 
-Roots are located the plain way -- sample F on a grid fine enough that
-no sign change can hide between nodes, then polish all brackets together
-with a safeguarded regula falsi.  Eigenvalue gaps tend to pi/b as n
-grows (exactly pi/b for q = 0, l = 0), from above or from below
-depending on l and q: for l = 0, q = 20 they are
-sqrt(n^2+20) - sqrt((n-1)^2+20) < pi/b.  The grid step is a quarter of
-pi/b; a spacing monitor warns if the computed sequence nevertheless
-shows a gap consistent with a skipped root.
+Roots are located the plain way -- sample F on a grid of a quarter of
+pi/b, the asymptotic eigenvalue gap, then polish all brackets together
+with a safeguarded regula falsi.  Sturm oscillation certifies the
+ordinals: the oracle's count of the zeros of u(omega, .) in (0, b] at
+the top of the last bracket must equal the number of brackets; if not,
+the scan missed roots or some eigenvalues are negative, and a
+TransmuteError says so.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .coeffs import BetaTable, compute_beta
-from .errors import DomainError, MissedRootWarning, TransmuteError
-from .oracle import ProblemSetup, regular_solutions
+from .errors import DomainError, TransmuteError
+from .oracle import ProblemSetup, regular_solutions, zero_count
 from .solution import solution_evaluator, u_N
 from .specialfn import is_integer_l
 
@@ -93,9 +91,6 @@ class SpectrumReport:
     reference_errors : dict or None
         {n: |omega_n - reference_n|} for whichever indices a reference
         value was supplied.
-    spacing_ok : bool
-        False if some consecutive gap deviated from the asymptotic pi/b
-        spacing by more than 50% (a MissedRootWarning was issued).
     """
 
     eigenvalues: np.ndarray
@@ -103,7 +98,6 @@ class SpectrumReport:
     residuals: np.ndarray
     N_used: int
     reference_errors: Optional[dict] = None
-    spacing_ok: bool = True
 
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=float)
@@ -259,22 +253,19 @@ def _polish(f: Callable, brackets, maxiter: int = 200) -> np.ndarray:
         b[i], fb[i] = c, fc
 
 
-def _check_spacing(roots: np.ndarray, b: float) -> bool:
-    """Warn on gaps that deviate from the asymptotic pi/b spacing by >50%."""
-    expected = math.pi / b
-    ok = True
-    for i, gap in enumerate(np.diff(roots)):
-        if abs(gap - expected) > 0.5 * expected:
-            ok = False
-            warnings.warn(
-                MissedRootWarning(
-                    f"gap {gap:.6g} between roots {i + 1} and {i + 2} deviates "
-                    f"from the asymptotic spacing {expected:.6g} by more than "
-                    f"50%; a root may have been missed"
-                ),
-                stacklevel=3,
-            )
-    return ok
+def _scan(setup: ProblemSetup, F: Callable, count: int, h_scan: Optional[float]):
+    """First `count` brackets of F on the grid pi/(4b) (or h_scan), their
+    ordinals certified by Sturm's count at the top of the last one."""
+    h = math.pi / (4.0 * setup.b) if h_scan is None else float(h_scan)
+    brackets = _bracket_roots(F, count, h)
+    top = brackets[-1][1]
+    sturm = zero_count(setup, top)
+    if sturm != count:
+        why = ("roots were missed or lie below zero" if sturm > count
+               else "some are spurious")
+        raise TransmuteError(f"{count} roots found below omega = {top:.6g}, "
+                             f"Sturm count {sturm}: {why}")
+    return brackets
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +289,8 @@ def dirichlet_eigenvalues(
     the caller already has one), the truncation level is chosen from its
     decay profile unless ``N`` is given, and the scan/refine machinery
     above locates the roots.  Refinement tightens each bracket until its
-    width is below 1e-12 + 4 eps omega.
+    width is below 1e-12 + 4 eps omega.  Raises TransmuteError if Sturm's
+    count disagrees with the scan (missed or negative eigenvalues).
 
     Parameters
     ----------
@@ -349,11 +341,9 @@ def dirichlet_eigenvalues(
     def F(omega: np.ndarray) -> np.ndarray:
         return u_N(ev, omega, b)
 
-    h = math.pi / (4.0 * b) if h_scan is None else float(h_scan)
-    brackets = _bracket_roots(F, count, h)
+    brackets = _scan(setup, F, count, h_scan)
     roots = _polish(F, brackets)
     residuals = np.abs(F(roots))
-    spacing_ok = _check_spacing(roots, b)
 
     ref_err = None
     if references is not None:
@@ -368,7 +358,6 @@ def dirichlet_eigenvalues(
         residuals=residuals,
         N_used=int(N),
         reference_errors=ref_err,
-        spacing_ok=spacing_ok,
     )
 
 
@@ -386,8 +375,8 @@ def oracle_eigenvalues(
     slower -- each sample is a full ODE solve, batched into one
     regular_solutions call per scan block or polish step -- hence
     ``which`` lets the caller refine only selected ordinals (the scan
-    still counts all sign changes up to the largest one, so ordinals are
-    exact).
+    counts the sign changes up to the largest one, and Sturm's count
+    certifies those ordinals as dirichlet_eigenvalues does).
 
     Returns {n: omega_n} for the requested ordinals.
     """
@@ -398,11 +387,10 @@ def oracle_eigenvalues(
     def F(omega: np.ndarray) -> np.ndarray:
         return regular_solutions(setup, omega, [b])[0][:, 0]
 
-    h = math.pi / (4.0 * b) if h_scan is None else float(h_scan)
     wanted = sorted({int(n) for n in which} if which is not None else range(1, count + 1))
     if not wanted or wanted[0] < 1 or wanted[-1] > count:
         raise DomainError("requested ordinals must lie in [1, count]")
-    brackets = _bracket_roots(F, count, h)
+    brackets = _scan(setup, F, wanted[-1], h_scan)
     picked = [brackets[n - 1] for n in wanted]
     roots = _polish(F, picked)
     return {n: float(r) for n, r in zip(wanted, roots)}

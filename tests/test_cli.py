@@ -174,6 +174,16 @@ def test_spectrum_zero_potential_integers(tmp_path):
     assert np.max(np.abs(omegas - np.arange(1, 6))) < 1e-9
 
 
+def test_spectrum_wrong_ordinals_exit_2(tmp_path, capsys):
+    # q == 120: the scan brackets 30 roots below omega = 40.25, where 38
+    # eigenvalues lie; no CSV is written
+    rc = main(["spectrum", "--l", "0", "--potential", "poly:120",
+               "--count", "30", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "30 roots found below omega = 40.25, Sturm count 38" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # kernel subcommand
 

@@ -270,6 +270,38 @@ def test_warns_past_validated_range():
         regular_solution_ode(setup, 1400.0, np.array([np.pi]))
 
 
+def test_non_finite_solution_raises():
+    """At l = 50 the rescaled w = u / x0^(l+1) overflows at omega = 0:
+    that raises, naming omega and x, instead of returning a non-finite
+    row.  zero_count's single grid overflows from l = 60 on."""
+    setup = ProblemSetup(l=50.0, b=np.pi, q=lambda x: 30.0 * np.sin(5.0 * np.asarray(x)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationFailure, match=r"not finite at omega=0 ") as err:
+            regular_solutions(setup, np.linspace(0.0, 1900.0, 40), [0.1, np.pi])
+        assert err.value.x == np.pi
+        with pytest.raises(IntegrationFailure, match=r"not finite at omega=0 "):
+            oracle.zero_count(ProblemSetup(l=60.0, b=np.pi, q=setup.q), 0.0)
+
+
+@pytest.mark.parametrize("l", [0.0, 1.0, 1.0 + 5e-10])
+def test_zero_count_is_sturm_count(l):
+    """q == 0: omega_n = j_{l+1/2,n} / pi.  The count is n between omega_n
+    and omega_{n+1} and on omega_n itself, where the zero sits at b."""
+    setup = ProblemSetup(l=l, b=np.pi, q=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+    eig = [float(mpmath.besseljzero(round(l) + mpmath.mpf(1) / 2, n)) / np.pi
+           for n in range(1, 32)]
+    assert oracle.zero_count(setup, 0.5 * eig[0]) == 0
+    for n in range(1, 31):
+        assert oracle.zero_count(setup, eig[n - 1]) == n
+        assert oracle.zero_count(setup, 0.5 * (eig[n - 1] + eig[n])) == n
+
+
+def test_zero_count_sees_negative_eigenvalues():
+    # q == -3, l = 0: lambda_n = n^2 - 3, so lambda_1 = -2 lies below omega = 0
+    setup = ProblemSetup(l=0.0, b=np.pi, q=lambda x: np.full_like(np.asarray(x, float), -3.0))
+    assert [oracle.zero_count(setup, w) for w in (0.0, 0.5, 2.0, 2.5)] == [1, 1, 2, 3]
+
+
 @pytest.mark.parametrize("l", [0.0, 0.5, 1.0, 2.0])
 @pytest.mark.parametrize("omega", [1.0, 3.0])
 def test_harmonic_closed_form(l, omega):

@@ -2,6 +2,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -9,9 +10,9 @@ from scipy.special import jv
 
 from transmute import spectral
 from transmute.coeffs import BetaTable, compute_beta
-from transmute.errors import DomainError, MissedRootWarning, TransmuteError
+from transmute.errors import DomainError, TransmuteError
 from transmute.kernel import make_kernel_series
-from transmute.oracle import ProblemSetup
+from transmute.oracle import ProblemSetup, regular_solutions
 from transmute.solution import solution_evaluator, u_N
 from transmute.spectral import (
     HARMONIC_L1_EIGENVALUES,
@@ -98,7 +99,6 @@ def test_default_fit_size():
 def test_zero_potential_l0_integer_spectrum(zero_setups):
     rep = dirichlet_eigenvalues(zero_setups[0], 12)
     assert np.max(np.abs(rep.eigenvalues - np.arange(1, 13))) <= 1e-10
-    assert rep.spacing_ok
 
 
 def test_zero_potential_l1_bessel_zeros(zero_setups):
@@ -112,6 +112,86 @@ def test_zero_potential_l1_bessel_zeros(zero_setups):
             zeros.append(brentq(f, zg[i], zg[i + 1], xtol=1e-13))
     zeros = np.array(zeros[: 8])
     assert np.max(np.abs(rep.eigenvalues * np.pi - zeros)) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# constant potentials: omega_n = sqrt((j_{l+1/2,n} / b)^2 + Q) exactly
+
+
+def _constant_setup(l, Q, c2=0.0):
+    return ProblemSetup(l=float(l), b=np.pi,
+                        q=lambda x: Q + c2 * np.asarray(x, dtype=float) ** 2)
+
+
+def _constant_spectrum(l, Q, count):
+    return np.array([math.sqrt((float(mpmath.besseljzero(mpmath.mpf(l) + 0.5, n))
+                                / np.pi) ** 2 + Q) for n in range(1, count + 1)])
+
+
+@pytest.mark.parametrize("l", [0, 1])
+@pytest.mark.parametrize("Q, tol", [(0.0, 1e-12), (20.0, 1e-6)])
+def test_constant_potential_spectrum(l, Q, tol):
+    # worst errors 2.1e-14 / 7.1e-15 (Q = 0) and 4.9e-9 / 9.1e-8 (Q = 20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = dirichlet_eigenvalues(_constant_setup(l, Q), 30)
+    assert np.max(np.abs(rep.eigenvalues - _constant_spectrum(l, Q, 30))) <= tol
+
+
+@pytest.mark.parametrize("Q", [0.0, 20.0])
+def test_constant_potential_shooting_at_half_integer_l(Q):
+    # worst error 3.2e-14
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = oracle_eigenvalues(_constant_setup(0.5, Q), 30)
+    want = _constant_spectrum(0.5, Q, 30)
+    assert max(abs(got[n] - want[n - 1]) for n in range(1, 31)) <= 1e-10
+
+
+@pytest.mark.xfail(raises=AssertionError,
+                   reason="ordinals right, values off by 2.4e-4 / 2.8e-4: the "
+                          "unweighted fit (ROADMAP item 2)")
+@pytest.mark.parametrize("l", [0, 1])
+def test_constant_potential_50_spectrum(l):
+    rep = dirichlet_eigenvalues(_constant_setup(l, 50.0), 30)
+    assert np.max(np.abs(rep.eigenvalues - _constant_spectrum(l, 50.0, 30))) <= 1e-6
+
+
+# (l, q = Q + c2 x^2, roots asked, Sturm count at the top of the last
+# bracket): the scan of omega > 0 never brackets eigenvalues below zero,
+# and q == 120 has gaps below the scan step, so each ordinal would be off
+_WRONG_ORDINALS = [(0, 120.0, 0.0, 30, 38), (1, -10.0, 1.0, 200, 202),
+                   (1, 400.0, 1.0, 200, 212), (0, -3.0, 0.0, 30, 31),
+                   (1, -3.0, 0.0, 30, 31)]
+
+
+@pytest.mark.parametrize("l, Q, c2, count, sturm", _WRONG_ORDINALS)
+def test_series_solver_raises_on_wrong_ordinals(l, Q, c2, count, sturm):
+    with pytest.raises(TransmuteError, match=rf"^{count} roots found below omega = "
+                                             rf"[0-9.]+, Sturm count {sturm}: roots "
+                                             "were missed or lie below zero$"):
+        dirichlet_eigenvalues(_constant_setup(l, Q, c2), count)
+
+
+def test_series_solver_raises_on_spurious_roots():
+    # a table for q == 0 (beta == 0 exactly) puts roots at 1..10, but only
+    # sqrt(n^2 + 50) <= 10.25, n <= 7, are eigenvalues of q == 50
+    bt = BetaTable(l=0.0, x=np.pi, M=12, beta=np.zeros(13),
+                   fit_residual=0.0, sum_beta=0.0)
+    with pytest.raises(TransmuteError, match=r"^10 roots found below omega = 10\.25, "
+                                             r"Sturm count 7: some are spurious$"):
+        dirichlet_eigenvalues(_constant_setup(0, 50.0), 10, beta=bt)
+
+
+@pytest.mark.parametrize("l, Q, c2, count, sturm", [
+    (0, 120.0, 0.0, 10, 12), (1, -10.0, 1.0, 5, 7), (1, 400.0, 1.0, 5, 7),
+    (0, -3.0, 0.0, 5, 6), (1, -3.0, 0.0, 5, 6),
+])
+def test_shooting_raises_on_wrong_ordinals(l, Q, c2, count, sturm):
+    # q == 120 would otherwise give 11.3578, the true omega_3, as omega_1
+    with pytest.raises(TransmuteError, match=rf"^{count} roots found below omega = "
+                                             rf"[0-9.]+, Sturm count {sturm}: "):
+        oracle_eigenvalues(_constant_setup(l, Q, c2), count)
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +237,11 @@ def test_residuals_are_converged(harmonic_setups, beta_harmonic):
 
 
 def test_missed_root_warning_on_coarse_scan(harmonic_setups, beta_harmonic):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rep = dirichlet_eigenvalues(
-            harmonic_setups[1], 10, beta=beta_harmonic[1], h_scan=2.2
-        )
-    assert any(issubclass(w.category, MissedRootWarning) for w in caught)
-    assert not rep.spacing_ok
+    """A scan step of 2.2, twice the eigenvalue gap, steps over pairs of
+    roots; Sturm's count at the top of the last bracket sees them all."""
+    with pytest.raises(TransmuteError, match=r"^10 roots found below omega = 94\.6, "
+                                             r"Sturm count 94: roots were missed"):
+        dirichlet_eigenvalues(harmonic_setups[1], 10, beta=beta_harmonic[1], h_scan=2.2)
 
 
 def test_harmonic_200_match_brentq_reference(harmonic_setups, beta_harmonic):
@@ -285,6 +363,22 @@ def test_oracle_eigenvalues_rejects_non_positive_scan_step(zero_setups):
     for h in (0.0, -0.25):
         with pytest.raises(DomainError):
             oracle_eigenvalues(zero_setups[0], 1, h_scan=h)
+
+
+def test_oracle_eigenvalues_scans_only_to_the_largest_ordinal(monkeypatch):
+    # q == 20: omega_7 = 8.31, inside the first scan block (96 h = 24);
+    # count = 60 alone would scan to omega_60 = 60.17
+    seen = []
+
+    def spy(setup, omegas, x_eval):
+        seen.append(np.max(np.abs(omegas)))
+        return regular_solutions(setup, omegas, x_eval)
+
+    monkeypatch.setattr(spectral, "regular_solutions", spy)
+    got = oracle_eigenvalues(_constant_setup(0, 20.0), 60, which=[3, 7])
+    assert max(seen) <= 24.0
+    assert got == oracle_eigenvalues(_constant_setup(0, 20.0), 7, which=[3, 7])
+    assert abs(got[7] - math.sqrt(69.0)) <= 1e-10
 
 
 def test_oracle_eigenvalues_refines_requested_ordinals(harmonic_setups):
