@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -61,6 +61,11 @@ class KernelSeries:
     one, which is singular at t = x.  goursat_diag optionally carries
     (1/2) int_0^x q, the exact diagonal value K(x,x); the real-l
     transmutation integral uses it to anchor its near-diagonal tail.
+
+    K_N(x, .) does not depend on the function it is applied to, so the
+    fixed quadrature rule of apply_transmutation (nodes, weights and
+    kernel values, tail included) is computed on first use and kept, read
+    only, for the life of the series.
     """
 
     x: float
@@ -95,6 +100,18 @@ class KernelSeries:
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+
+    @cached_property
+    def quadrature(self):
+        """(nodes, weights, K_N values) of the 200-node Gauss-Legendre rule
+        on [0, t_max_fraction * x], followed by the near-diagonal tail's
+        for a real-l series; read-only arrays."""
+        hi = self.t_max_fraction * self.x
+        z200, w200 = _gl_nodes(200)
+        rule = _with_kernel(self, hi, 0.5 * hi * (z200 + 1.0), 0.5 * hi * w200)
+        for a in rule:
+            a.setflags(write=False)
+        return rule
 
 
 def make_kernel_series(
@@ -248,31 +265,67 @@ def _gl_nodes(n: int):
 def epsilon_N(series_N: KernelSeries, series_ref: KernelSeries) -> float:
     """L1[0, x] distance between two truncations of the same kernel.
 
-    series_ref (larger N) stands in for the exact kernel; the integral of
-    |K_ref - K_N| runs over panels that are doubled until two successive
-    composite Gauss estimates agree.  Real-l series are compared on
+    series_ref (larger N) stands in for the exact kernel.  Both share the
+    t prefactor, so K_ref - K_N is one series whose weights are the
+    difference of theirs.  Its modulus has a kink at every sign change,
+    where composite Gauss rules converge slowly, so [0, x] is split at
+    those zeros: they are bracketed on 4(N+1) points uniform in theta,
+    z = cos(theta), where the zeros of a degree-N Jacobi sum are about
+    evenly spaced, and bisected all together to 1e-9 x.  Each smooth
+    piece is integrated by 16-node Gauss panels, doubled until two
+    successive estimates agree to 1e-6.  Real-l series are compared on
     [0, t_max_fraction * x].
+
+    Raises
+    ------
+    QuadratureError
+        If the seventh estimate still disagrees with the sixth.
     """
     if series_N.mode != series_ref.mode:
         raise DomainError("series must share a mode")
     if abs(series_N.x - series_ref.x) > 1e-9 * max(1.0, series_N.x):
         raise DomainError("series must share x")
-    hi = min(series_N.t_max_fraction, series_ref.t_max_fraction) * series_N.x
+    x = series_N.x
+    frac = min(series_N.t_max_fraction, series_ref.t_max_fraction)
+    n = max(series_N.N, series_ref.N)
+    weights = np.zeros(n + 1)
+    weights[: series_ref.N + 1] = series_ref.weights
+    weights[: series_N.N + 1] -= series_N.weights
+    delta = KernelSeries(x=x, l=series_N.l, mode=series_N.mode, N=n,
+                         weights=weights, t_max_fraction=frac)
+    hi = frac * x
+
+    # t = x sin(theta / 2) maps theta in (0, pi] onto z = cos(theta)
+    theta = np.linspace(0.0, 2.0 * math.asin(frac), 4 * (n + 1) + 1)[1:]
+    ts = np.minimum(x * np.sin(0.5 * theta), hi)
+    ds = kernel_K(delta, ts)
+    k = np.flatnonzero(np.signbit(ds[:-1]) != np.signbit(ds[1:]))
+    a, b, da = ts[k], ts[k + 1], ds[k]
+    while a.size and np.max(b - a) > 1e-9 * x:
+        m = 0.5 * (a + b)
+        dm = kernel_K(delta, m)
+        right = np.signbit(dm) == np.signbit(da)    # the zero lies in [m, b]
+        a, da = np.where(right, m, a), np.where(right, dm, da)
+        b = np.where(right, b, m)
+    edges = np.r_[0.0, 0.5 * (a + b), hi]
+    width = np.diff(edges)
+
     z16, w16 = _gl_nodes(16)
-    panels = max(8, (2 * series_ref.N) // 8)
-    prev = None
+    panels = 1
+    est = None
     for _ in range(7):
-        edges = np.linspace(0.0, hi, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * np.diff(edges)
-        tg = (mid[:, None] + half[:, None] * z16[None, :]).ravel()
-        diff = np.abs(kernel_K(series_ref, tg) - kernel_K(series_N, tg))
-        est = float(np.sum((half[:, None] * w16[None, :]).ravel() * diff))
+        half = (0.5 / panels) * width[:, None, None]
+        mid = edges[:-1, None, None] + (2.0 * np.arange(panels)[:, None] + 1.0) * half
+        tg = mid + half * z16
+        diff = np.abs(kernel_K(delta, tg.ravel())).reshape(tg.shape)
+        prev, est = est, float(np.sum(half * w16 * diff))
         if prev is not None and abs(est - prev) <= 1e-6 * max(est, 1e-300) + 1e-15:
             return est
-        prev = est
         panels *= 2
-    return est
+    raise QuadratureError(
+        f"epsilon_N did not converge in 7 passes over {width.size} pieces: "
+        f"last two estimates {prev:.6e} and {est:.6e}"
+    )
 
 
 def poisson_transform(f: Callable, l: float, x: float) -> float:
@@ -318,11 +371,15 @@ def apply_transmutation(
     """y(x) + int_0^x K_N(x,t) y(t) dt by Gauss quadrature.
 
     y must be vectorized: it is called once on the array of quadrature
-    nodes and must return an array of the same shape.
+    nodes and must return an array of the same shape.  The node array is
+    read-only; a y that writes into its argument raises.
 
     omega_hint, when given, is the dominant oscillation frequency of y;
     past omega x = 50 the integral switches from a single 200-node rule to
-    composite panels no longer than pi/omega.
+    composite panels no longer than pi/omega.  The single rule and the
+    kernel values on it are evaluated once per series
+    (KernelSeries.quadrature) and reused by every later call; the panels
+    depend on omega and are evaluated on each call.
 
     Real-l kernels are integrated up to t_max_fraction * x only; the
     remaining sliver is covered by a quadratic-in-t^2 interpolation of the
@@ -332,9 +389,9 @@ def apply_transmutation(
     """
     if abs(x - series.x) > 1e-9 * max(1.0, series.x):
         raise DomainError(f"series was built at x={series.x}, got x={x}")
-    hi = series.t_max_fraction * x
 
     if omega_hint is not None and abs(omega_hint) * x > 50.0:
+        hi = series.t_max_fraction * x
         length = math.pi / abs(omega_hint)
         panels = int(math.ceil(hi / length))
         z24, w24 = _gl_nodes(24)
@@ -343,14 +400,9 @@ def apply_transmutation(
         half = 0.5 * np.diff(edges)
         tg = (mid[:, None] + half[:, None] * z24[None, :]).ravel()
         wg = (half[:, None] * w24[None, :]).ravel()
+        tg, wg, kg = _with_kernel(series, hi, tg, wg)
     else:
-        z200, w200 = _gl_nodes(200)
-        tg = 0.5 * hi * (z200 + 1.0)
-        wg = 0.5 * hi * w200
-    kg = kernel_K(series, tg)
-    if hi < x:
-        t2, w2, k2 = _near_diagonal_tail(series, hi)
-        tg, wg, kg = np.r_[tg, t2], np.r_[wg, w2], np.r_[kg, k2]
+        tg, wg, kg = series.quadrature
 
     yg = np.asarray(y(tg), dtype=float)
     if yg.shape != tg.shape:
@@ -359,6 +411,16 @@ def apply_transmutation(
             f"the same shape, got {yg.shape}"
         )
     return float(y(x)) + float(np.sum(wg * kg * yg))
+
+
+def _with_kernel(series: KernelSeries, hi: float, tg, wg):
+    """The rule (tg, wg) on [0, hi] with K_N at its nodes, extended past a
+    cutoff hi < x by the near-diagonal tail."""
+    kg = kernel_K(series, tg)
+    if hi < series.x:
+        t2, w2, k2 = _near_diagonal_tail(series, hi)
+        return np.r_[tg, t2], np.r_[wg, w2], np.r_[kg, k2]
+    return tg, wg, kg
 
 
 def _near_diagonal_tail(series: KernelSeries, hi: float):

@@ -67,16 +67,21 @@ def jacobi_all(degree: int, alpha: float, beta: float, z):
         return out
     a, b = alpha, beta
     out[1] = 0.5 * ((a + b + 2.0) * z + (a - b))
-    for n in range(2, degree + 1):
-        c = 2.0 * n + a + b
-        c1 = 2.0 * n * (n + a + b) * (c - 2.0)
-        if abs(c1) < 1e-300:
-            raise DomainError(
-                f"Jacobi recurrence degenerate at n={n} for alpha+beta={a + b}"
-            )
-        c2 = (c - 1.0) * (c * (c - 2.0) * z + a * a - b * b)
-        c3 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * c
-        out[n] = (c2 * out[n - 1] - c3 * out[n - 2]) / c1
+    # P_n = (A_n z + B_n) P_{n-1} - C_n P_{n-2}; the coefficients for all n
+    # at once, so the loop body is one expression per degree
+    n = np.arange(2, degree + 1, dtype=float)
+    c = 2.0 * n + a + b
+    c1 = 2.0 * n * (n + a + b) * (c - 2.0)
+    bad = np.flatnonzero(np.abs(c1) < 1e-300)
+    if bad.size:
+        raise DomainError(
+            f"Jacobi recurrence degenerate at n={int(n[bad[0]])} for alpha+beta={a + b}"
+        )
+    A = ((c - 1.0) * c * (c - 2.0) / c1).tolist()
+    B = ((c - 1.0) * (a * a - b * b) / c1).tolist()
+    C = (2.0 * (n + a - 1.0) * (n + b - 1.0) * c / c1).tolist()
+    for k in range(degree - 1):
+        out[k + 2] = (A[k] * z + B[k]) * out[k + 1] - C[k] * out[k]
     return out
 
 
@@ -236,16 +241,18 @@ def hyp3f2_terminating(m: int, l: float, alpha: float) -> float:
 
 
 def compensated_sum(terms) -> np.ndarray:
-    """Sums of a 2-D array over axis 0, last row first, Neumaier-compensated
-    column by column: the one summation of the truncated series (kernel_K
-    over t, u_N over omega).  math.fsum, which has no column-wise form,
-    stays the tool for a single sum of scalars.
+    """Sums of a 2-D array over axis 0, last row first, compensated column
+    by column: the one summation of the truncated series (kernel_K over t,
+    u_N over omega).  Each addition's rounding error is recovered exactly
+    by Knuth's branch-free TwoSum and accumulated, so the result is
+    bit-identical to Neumaier's compare-and-branch form.  math.fsum, which
+    has no column-wise form, stays the tool for a single sum of scalars.
     """
     total = np.zeros(terms.shape[1])
     comp = np.zeros_like(total)
     for term in terms[::-1]:
         t = total + term
-        big = np.abs(total) >= np.abs(term)
-        comp += np.where(big, (total - t) + term, (term - t) + total)
+        tb = t - total
+        comp += (total - (t - tb)) + (term - tb)
         total = t
     return total + comp

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import jv, roots_legendre
+from scipy.integrate import quad
+from scipy.optimize import brentq
+from scipy.special import eval_jacobi, jv, roots_legendre
 
+from transmute import kernel
 from transmute.coeffs import BetaTable, compute_beta, eval_R, unperturbed_term
-from transmute.errors import DomainError, NearDiagonalError
+from transmute.errors import DomainError, NearDiagonalError, QuadratureError
 from transmute.kernel import (
     KernelSeries,
     apply_transmutation,
@@ -153,6 +156,78 @@ def test_epsilon_N_decreases(harmonic_setups, beta_harmonic):
     assert eps[0] > eps[1] > eps[2] > 0.0
 
 
+@pytest.fixture(scope="module")
+def beta_ref(harmonic_setups, setup_half):
+    """Reference-length tables: M = 40 for l = 0, 1, 2; M = 30 and 60 for
+    l = 1/2."""
+    tables = {l: compute_beta(harmonic_setups[l], np.pi, 40) for l in (0, 1, 2)}
+    tables[0.5] = (compute_beta(setup_half, np.pi, 30), compute_beta(setup_half, np.pi, 60))
+    return tables
+
+
+def _scipy_kernel_difference(series_N, series_ref, t):
+    """K_ref(x, t) - K_N(x, t) at one t from scipy's Jacobi polynomials, an
+    evaluation route independent of specialfn.jacobi_all and
+    compensated_sum.  The weights are subtracted before the sum, so the
+    difference keeps its digits where the two kernels agree to 1e-11."""
+    x, l = series_N.x, series_N.l
+    n = max(series_N.N, series_ref.N) + 1
+    dw = np.pad(series_ref.weights, (0, n - series_ref.N - 1)) \
+        - np.pad(series_N.weights, (0, n - series_N.N - 1))
+    z = 1.0 - 2.0 * (t / x) ** 2
+    if series_N.mode == "integer-l":
+        p = eval_jacobi(np.arange(n), l + 0.5, l + 1.0, z)
+        pref = t ** (l + 1.0)
+    else:
+        p = eval_jacobi(np.arange(n), l + 0.5, -l - 1.0, z)
+        pref = t ** (l + 1.0) / (x * x - t * t) ** (l + 1.0)
+    return pref * float(np.dot(dw, p))
+
+
+def _reference_epsilon(series_N, series_ref):
+    """int |K_ref - K_N| split at the zeros of the difference (brentq on
+    the sign changes of a 2000-point grid), one adaptive quad per piece."""
+    hi = min(series_N.t_max_fraction, series_ref.t_max_fraction) * series_N.x
+    d = lambda t: _scipy_kernel_difference(series_N, series_ref, t)
+    ts = np.linspace(0.0, hi, 2001)[1:]
+    ds = np.array([d(t) for t in ts])
+    cross = np.flatnonzero(np.sign(ds[:-1]) != np.sign(ds[1:]))
+    edges = [0.0] + [brentq(d, ts[i], ts[i + 1], xtol=1e-12 * hi) for i in cross] + [hi]
+    return sum(
+        quad(lambda t: abs(d(t)), a, b, epsabs=0.0, epsrel=1e-9, limit=50)[0]
+        for a, b in zip(edges[:-1], edges[1:])
+    )
+
+
+@pytest.mark.parametrize("l, N", [(0, 6), (0, 13), (1, 6), (1, 11), (2, 11), (0.5, None)])
+def test_epsilon_N_matches_split_quad_reference(beta_harmonic, beta_ref, l, N):
+    # seven doublings of uniform panels did not converge on any of these
+    # cases, because |K_ref - K_N| has a kink at each sign change; the
+    # bound is the 1e-6 agreement that epsilon_N asks of its passes
+    if l == 0.5:
+        short, long_ = beta_ref[0.5]
+        series_N, series_ref = make_kernel_series(short), make_kernel_series(long_)
+    else:
+        series_N = make_kernel_series(beta_harmonic[l], N=N)
+        series_ref = make_kernel_series(beta_ref[l])
+    want = _reference_epsilon(series_N, series_ref)
+    assert abs(epsilon_N(series_N, series_ref) - want) <= 1e-6 * want
+
+
+def test_epsilon_N_raises_when_passes_disagree(monkeypatch, beta_harmonic):
+    # relative noise of 1e-3 in every kernel value keeps successive
+    # estimates from agreeing to 1e-6 however fine the panels get
+    rng = np.random.default_rng(0)
+    exact = kernel.kernel_K
+    monkeypatch.setattr(
+        kernel, "kernel_K",
+        lambda s, t: exact(s, t) * (1.0 + 1e-3 * rng.standard_normal(np.shape(t))),
+    )
+    with pytest.raises(QuadratureError, match="did not converge in 7 passes"):
+        epsilon_N(make_kernel_series(beta_harmonic[1], N=6),
+                  make_kernel_series(beta_harmonic[1]))
+
+
 def test_epsilon_N_mode_mismatch(beta_harmonic):
     a = make_kernel_series(beta_harmonic[1], N=8, mode="integer-l")
     b = make_kernel_series(beta_harmonic[1], N=8, mode="real-l",
@@ -202,6 +277,36 @@ def test_apply_transmutation_matches_ode(harmonic_setups, beta_harmonic):
             1e-300,
         )
         assert abs(got - float(sol.u_values[0])) < 1e-8 * scale, om
+
+
+@pytest.mark.parametrize("l", [1, 0.5])
+def test_apply_transmutation_evaluates_the_kernel_once_per_series(
+    monkeypatch, beta_harmonic, beta_half_dense, l
+):
+    # K_N(x, .) does not depend on omega: twelve calls with omega x <= 50
+    # make one kernel_K call over the 200 nodes, plus one for the anchored
+    # near-diagonal tail at real l
+    table = beta_harmonic[1] if l == 1 else beta_half_dense
+    build = lambda: make_kernel_series(table, goursat_diag=HALF_INT_Q)
+    y = lambda om: (lambda t: unperturbed_term(float(l), om, t))
+    omegas = np.linspace(1.0, 15.0, 12)
+    series = build()
+    sizes = []
+    exact = kernel.kernel_K
+    monkeypatch.setattr(kernel, "kernel_K", lambda s, t: sizes.append(np.size(t)) or exact(s, t))
+    got = [apply_transmutation(series, y(om), np.pi, omega_hint=om) for om in omegas]
+    assert sizes == ([200] if l == 1 else [200, 2])
+    monkeypatch.undo()
+    for om, value in zip(omegas, got):
+        assert value == apply_transmutation(build(), y(om), np.pi, omega_hint=om)
+
+    def in_place(t):
+        t *= 2.0
+        return t
+
+    with pytest.raises(ValueError, match="read-only"):
+        apply_transmutation(series, in_place, np.pi)
+    assert got[0] == apply_transmutation(series, y(omegas[0]), np.pi, omega_hint=omegas[0])
 
 
 # ---------------------------------------------------------------------------

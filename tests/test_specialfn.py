@@ -72,6 +72,64 @@ def test_legendre_argument_range():
     sf.jacobi_all(3, 0.0, 0.0, 1.0 + 5e-13)
 
 
+@pytest.mark.parametrize("l", [0.25, 0.5])
+@pytest.mark.parametrize("kind", ["real-l", "integer-l"])
+def test_jacobi_all_degree_60_matches_scipy(l, kind):
+    # the kernel series' parameters (l+1/2, -l-1) and (l+1/2, l+1) at the
+    # longest truncation the CLI uses; row-normalized, since P_n grows
+    # like n^alpha at the endpoints
+    alpha, beta = l + 0.5, (-l - 1.0 if kind == "real-l" else l + 1.0)
+    z = np.linspace(-1.0, 1.0, 41)
+    ref = eval_jacobi(np.arange(61)[:, None], alpha, beta, z[None, :])
+    scale = np.max(np.abs(ref), axis=1)
+    table = sf.jacobi_all(60, alpha, beta, z)
+    assert np.max(np.max(np.abs(table - ref), axis=1) / scale) < 1e-13
+    column = sf.jacobi_all(60, alpha, beta, np.float64(0.3))
+    assert column.shape == (61,)
+    ref0 = eval_jacobi(np.arange(61), alpha, beta, 0.3)
+    assert np.max(np.abs(column - ref0) / scale) < 1e-13
+
+
+def test_jacobi_all_degenerate_recurrence_names_the_degree():
+    # alpha + beta = -3 zeroes the leading coefficient 2n(n+a+b)(2n+a+b-2)
+    # at n = 3
+    with pytest.raises(DomainError, match=r"degenerate at n=3 "):
+        sf.jacobi_all(5, 0.0, -3.0, 0.2)
+
+
+# ---------------------------------------------------------------------------
+# compensated summation
+
+
+def _neumaier_sum(terms):
+    """Column-wise Neumaier summation, last row first, with the
+    compare-and-branch error term: the reference compensated_sum must
+    reproduce bit for bit."""
+    total = np.zeros(terms.shape[1])
+    comp = np.zeros_like(total)
+    for term in terms[::-1]:
+        t = total + term
+        big = np.abs(total) >= np.abs(term)
+        comp += np.where(big, (total - t) + term, (term - t) + total)
+        total = t
+    return total + comp
+
+
+@pytest.mark.parametrize("rows", [1, 61])
+@pytest.mark.parametrize("cols", [1, 202])
+def test_compensated_sum_bitwise_equals_neumaier(rows, cols):
+    rng = np.random.default_rng(rows * 1000 + cols)
+    terms = rng.choice([-1.0, 1.0], (rows, cols)) * 10.0 ** rng.uniform(-17.0, 18.0, (rows, cols))
+    if rows > 1:
+        terms[rows // 2] = -terms[0]    # the largest terms cancel exactly
+    assert np.array_equal(sf.compensated_sum(terms), _neumaier_sum(terms))
+
+
+def test_compensated_sum_recovers_cancelled_digits():
+    terms = np.array([[1e16, 3.0], [1.0, 1e-16], [-1e16, -3.0]])
+    assert np.array_equal(sf.compensated_sum(terms), [1.0, 1e-16])
+
+
 # ---------------------------------------------------------------------------
 # spherical Bessel
 

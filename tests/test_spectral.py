@@ -216,12 +216,7 @@ def test_eigenvalue_count_matches_oracle_sign_changes(harmonic_setups):
     assert rep.eigenvalues[-1] > cutoff  # the request covered the window
 
     om_grid = np.linspace(0.05, cutoff, 700)
-    from transmute.oracle import regular_solution_ode
-
-    vals = np.array([
-        float(regular_solution_ode(setup, float(om), np.array([setup.b])).u_values[0])
-        for om in om_grid
-    ])
+    vals = regular_solutions(setup, om_grid, [setup.b])[0][:, 0]
     crossings = int(np.sum(np.signbit(vals[:-1]) != np.signbit(vals[1:])))
     assert inside == crossings
 

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from transmute.validation import CheckResult, run_validation
+from transmute.kernel import kernel_K, make_kernel_series
+from transmute.validation import CheckResult, _reduction_check, run_validation
 
 EXPECTED_CHECKS = {
     "goursat-diagonal",
@@ -50,6 +51,22 @@ def test_fault_injection_trips_diagonal_check(harmonic_setups, beta_harmonic):
     # the quadrature identity runs on independently computed integrals,
     # so a corrupted coefficient table cannot affect it
     assert by["integral-row-vs-quadrature"].passed
+
+
+def test_reduction_check_matches_scalar_loop(harmonic_setups, beta_harmonic):
+    # one vectorized draw of 50 abscissae is the stream of 50 scalar draws
+    bt = beta_harmonic[1]
+    got = _reduction_check(harmonic_setups[1], bt, np.random.default_rng(11))
+    int_series = make_kernel_series(bt, mode="integer-l")
+    real_series = make_kernel_series(bt, mode="real-l", t_max_fraction=0.9)
+    rng = np.random.default_rng(11)
+    diffs, mags = [], []
+    for _ in range(50):
+        t = float(rng.uniform(0.0, 0.9)) * bt.x
+        a = kernel_K(int_series, t)
+        diffs.append(abs(a - kernel_K(real_series, t)))
+        mags.append(abs(a))
+    assert abs(got.value - max(diffs) / max(mags)) <= 1e-15
 
 
 def test_results_json_serializable(zero_setups):
