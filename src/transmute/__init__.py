@@ -10,13 +10,12 @@ uniform in omega, and solves Dirichlet spectral problems on top of that
 representation.  See the README for the pipeline and the CLI.
 """
 
-from .coeffs import BetaTable, compute_beta, eval_R, unperturbed_term
+from .coeffs import BetaTable, compute_beta, unperturbed_term
 from .errors import (
     AccuracyWarning,
     DomainError,
     IllConditionedFit,
     IntegrationFailure,
-    NearDiagonalError,
     QuadratureError,
     TransmuteError,
 )
@@ -27,21 +26,17 @@ from .kernel import (
     kernel_K,
     kernel_moment,
     make_kernel_series,
-    poisson_transform,
 )
 from .oracle import (
     ProblemSetup,
     SolutionSample,
-    exact_solution_harmonic,
     make_potential,
     regular_solution_ode,
     regular_solutions,
     zero_count,
 )
 from .solution import (
-    SolutionEvaluator,
     integral_row,
-    solution_evaluator,
     sup_sqrt_bessel,
     u_N,
     uniform_error_bound,
@@ -67,11 +62,9 @@ __all__ = [
     "regular_solution_ode",
     "regular_solutions",
     "zero_count",
-    "exact_solution_harmonic",
     # coefficients
     "BetaTable",
     "compute_beta",
-    "eval_R",
     "unperturbed_term",
     # kernel
     "KernelSeries",
@@ -80,11 +73,8 @@ __all__ = [
     "kernel_moment",
     "epsilon_N",
     "apply_transmutation",
-    "poisson_transform",
     # solution
     "integral_row",
-    "SolutionEvaluator",
-    "solution_evaluator",
     "u_N",
     "uniform_error_bound",
     "sup_sqrt_bessel",
@@ -104,6 +94,5 @@ __all__ = [
     "IntegrationFailure",
     "IllConditionedFit",
     "QuadratureError",
-    "NearDiagonalError",
     "AccuracyWarning",
 ]

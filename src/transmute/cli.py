@@ -148,6 +148,8 @@ class RunConfig:
             raise DomainError("kernel grid needs nx >= 1 and nt >= 2")
         if not 0.0 < self.t_max_fraction <= 1.0:
             raise DomainError("t_max_fraction must lie in (0, 1]")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
 _JSON_TYPE = {int: "an integer", float: "a number", bool: "true or false",

@@ -27,7 +27,7 @@ from . import specialfn
 from .errors import DomainError, IllConditionedFit
 from .oracle import ProblemSetup, regular_solutions
 
-__all__ = ["BetaTable", "unperturbed_term", "compute_beta", "eval_R"]
+__all__ = ["BetaTable", "unperturbed_term", "compute_beta"]
 
 _RCOND = 1e-13      # relative singular-value cutoff in the least-squares solve
 _FREQ_LO = 0.5      # smallest omega*x sample in the collocation sweep
@@ -154,19 +154,3 @@ def compute_beta(
         fit_residual=float(fit_residual),
         sum_beta=float(beta.sum()),
     )
-
-
-def eval_R(x: float, t, beta: BetaTable):
-    """Evaluate R(x, t) = sum_k (beta_k(x)/x) P_{2k}(t/x) for t in [0, x]."""
-    x = float(x)
-    if abs(x - beta.x) > 1e-9 * max(1.0, abs(beta.x)):
-        raise DomainError(
-            f"table was fitted at x={beta.x}, cannot evaluate at x={x}"
-        )
-    ta = np.asarray(t, dtype=float)
-    if np.any(ta < -1e-12 * x) or np.any(ta > x * (1.0 + 1e-12)):
-        raise DomainError("t must lie in [0, x]")
-    z = np.clip(ta / x, 0.0, 1.0)
-    legendre_rows = specialfn.jacobi_all(2 * beta.M, 0.0, 0.0, np.atleast_1d(z))
-    vals = (beta.beta / x) @ legendre_rows[0::2]
-    return float(vals[0]) if np.ndim(t) == 0 else vals

@@ -32,11 +32,6 @@ class QuadratureError(TransmuteError):
     """A quadrature did not converge to the requested tolerance."""
 
 
-class NearDiagonalError(DomainError):
-    """Kernel evaluation requested too close to t = x in real-order mode,
-    where division by (x^2 - t^2)^(l+1) amplifies truncation error."""
-
-
 class MissedRootWarning(UserWarning):
     """No longer emitted: Sturm's count makes a missed root a TransmuteError.
     Kept only because the benchmark's workloads import it."""

@@ -31,11 +31,11 @@ from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gammaln, gammasgn, roots_jacobi, roots_legendre
+from scipy.special import gammaln, gammasgn, roots_legendre
 
 from . import specialfn
 from .coeffs import BetaTable
-from .errors import DomainError, NearDiagonalError, QuadratureError
+from .errors import DomainError, QuadratureError
 
 __all__ = [
     "KernelSeries",
@@ -43,7 +43,6 @@ __all__ = [
     "kernel_K",
     "kernel_moment",
     "epsilon_N",
-    "poisson_transform",
     "apply_transmutation",
 ]
 
@@ -200,7 +199,7 @@ def _check_t(series: KernelSeries, t):
         raise DomainError("t must be >= 0")
     if np.any(ta > hi * (1.0 + _T_SLACK)):
         if series.t_max_fraction < 1.0:
-            raise NearDiagonalError(
+            raise DomainError(
                 f"t beyond {series.t_max_fraction} * x: the (x^2-t^2)^(l+1) "
                 "division amplifies truncation error near the diagonal"
             )
@@ -211,8 +210,8 @@ def _check_t(series: KernelSeries, t):
 def kernel_K(series: KernelSeries, t):
     """K_N(x, t) for 0 <= t <= t_max_fraction * x.  Vectorized in t.
 
-    Past the cutoff of a real-l series it raises NearDiagonalError instead
-    of returning a value dominated by amplified truncation error.
+    Past the cutoff of a real-l series it raises DomainError instead of
+    returning a value dominated by amplified truncation error.
     """
     ta = _check_t(series, t)
     x, l = series.x, series.l
@@ -265,16 +264,16 @@ def _gl_nodes(n: int):
 def epsilon_N(series_N: KernelSeries, series_ref: KernelSeries) -> float:
     """L1[0, x] distance between two truncations of the same kernel.
 
-    series_ref (larger N) stands in for the exact kernel.  Both share the
-    t prefactor, so K_ref - K_N is one series whose weights are the
-    difference of theirs.  Its modulus has a kink at every sign change,
-    where composite Gauss rules converge slowly, so [0, x] is split at
-    those zeros: they are bracketed on 4(N+1) points uniform in theta,
-    z = cos(theta), where the zeros of a degree-N Jacobi sum are about
-    evenly spaced, and bisected all together to 1e-9 x.  Each smooth
-    piece is integrated by 16-node Gauss panels, doubled until two
-    successive estimates agree to 1e-6.  Real-l series are compared on
-    [0, t_max_fraction * x].
+    series_ref (larger N) stands in for the exact kernel; the two must
+    share mode, l and x.  Both share the t prefactor, so K_ref - K_N is
+    one series whose weights are the difference of theirs.  Its modulus
+    has a kink at every sign change, where composite Gauss rules
+    converge slowly, so [0, x] is split at those zeros: they are
+    bracketed on 4(N+1) points uniform in theta, z = cos(theta), where
+    the zeros of a degree-N Jacobi sum are about evenly spaced, and
+    bisected all together to 1e-9 x.  Each smooth piece is integrated by
+    16-node Gauss panels, doubled until two successive estimates agree
+    to 1e-6.  Real-l series are compared on [0, t_max_fraction * x].
 
     Raises
     ------
@@ -283,6 +282,8 @@ def epsilon_N(series_N: KernelSeries, series_ref: KernelSeries) -> float:
     """
     if series_N.mode != series_ref.mode:
         raise DomainError("series must share a mode")
+    if abs(series_N.l - series_ref.l) > 1e-9:
+        raise DomainError(f"series must share l, got {series_N.l} and {series_ref.l}")
     if abs(series_N.x - series_ref.x) > 1e-9 * max(1.0, series_N.x):
         raise DomainError("series must share x")
     x = series_N.x
@@ -325,40 +326,6 @@ def epsilon_N(series_N: KernelSeries, series_ref: KernelSeries) -> float:
     raise QuadratureError(
         f"epsilon_N did not converge in 7 passes over {width.size} pieces: "
         f"last two estimates {prev:.6e} and {est:.6e}"
-    )
-
-
-def poisson_transform(f: Callable, l: float, x: float) -> float:
-    """(x^(-l)/(2^(l+1/2) Gamma(l+3/2))) int_0^x (x^2-s^2)^l f(s) ds.
-
-    The endpoint weight (x^2-s^2)^l (degenerate or singular at s = x for
-    non-integer or negative l) is absorbed exactly into Gauss-Jacobi nodes
-    with weight (1-z)^l on the mapped interval; the node count is doubled
-    until two successive estimates agree.
-
-    Maps cos(omega s) to sqrt(pi) Gamma(l+1)/(2 omega^(l+1) Gamma(l+3/2))
-    * sqrt(omega x) J_{l+1/2}(omega x).
-    """
-    if x <= 0.0:
-        raise DomainError(f"x must be > 0, got {x}")
-    if l <= -1.0:
-        raise DomainError(f"need l > -1 for an integrable weight, got {l}")
-    const = x ** (l + 1.0) / (2.0 ** (2.0 * l + 1.5) * math.exp(math.lgamma(l + 1.5)))
-    prev = None
-    n = 48
-    while n <= 768:
-        z, w = roots_jacobi(n, l, 0.0)
-        s = x * (z + 1.0) / 2.0
-        g = ((3.0 + z) / 2.0) ** l * np.asarray(f(s), dtype=float)
-        val = const * float(np.sum(w * g))
-        scale = const * float(np.sum(np.abs(w * g))) + 1e-300
-        if prev is not None and abs(val - prev) <= 1e-11 * scale + 1e-15 * abs(val):
-            return val
-        prev = val
-        n *= 2
-    raise QuadratureError(
-        "Poisson transform did not converge by 768 Gauss-Jacobi nodes "
-        "(integrand too oscillatory or rough)"
     )
 
 

@@ -53,7 +53,6 @@ __all__ = [
     "regular_solution_ode",
     "regular_solutions",
     "zero_count",
-    "exact_solution_harmonic",
 ]
 
 _GAUSS_OFF = math.sqrt(3.0) / 6.0   # two-point Gauss offset from midpoint
@@ -644,64 +643,3 @@ def zero_count(setup: ProblemSetup, omega: float) -> int:
     if abs(w) <= 1e-6 * math.hypot(w, wp / max(om, 1.0)):
         neg[-1] = not neg[-2]
     return int(np.count_nonzero(neg[1:] != neg[:-1]))
-
-
-# ---------------------------------------------------------------------------
-# closed form for the harmonic potential
-
-
-def _kummer_1f1(a: float, c: float, z: float, nmax: int = 800):
-    """Terminating-in-practice 1F1(a; c; z) partial sum, summed with
-    math.fsum; returns (value, largest term magnitude)."""
-    term = 1.0
-    terms = [term]
-    total = 1.0   # plain running sum; only the stop test reads it
-    peak = 1.0
-    for k in range(nmax):
-        term *= (a + k) * z / ((c + k) * (k + 1.0))
-        terms.append(term)
-        total += term
-        mag = abs(term)
-        if mag > peak:
-            peak = mag
-        if mag < 1e-18 * max(abs(total), 1e-300) and abs(a + k) * abs(z) < (
-            c + k
-        ) * (k + 1.0):
-            break
-    return math.fsum(terms), peak
-
-
-def exact_solution_harmonic(l: float, omega: float, x: float) -> float:
-    """Closed-form regular solution for q(x) = x^2.
-
-    Evaluates the confluent-hypergeometric form and its Kummer transform,
-    keeps whichever suffered less cancellation, and emits AccuracyWarning
-    when the estimated relative error exceeds 1e-8.  Intended for
-    |omega| <= 12 and x <= pi; beyond that the cancellation grows rapidly
-    and regular_solution_ode should be used instead.
-
-    The normalization is u ~ x^(l+1) as x -> 0.
-    """
-    if x < 0:
-        raise DomainError("x must be >= 0")
-    if x == 0.0:
-        return 0.0
-    a = (omega * omega + 2.0 * l + 3.0) / 4.0
-    c = l + 1.5
-    x2 = x * x
-    direct, peak_d = _kummer_1f1(a, c, -x2)
-    trans, peak_t = _kummer_1f1(c - a, c, x2)
-    val_d = math.exp(0.5 * x2) * direct
-    val_t = math.exp(-0.5 * x2) * trans
-    # relative roundoff estimate: eps * (largest term) / (final value)
-    err_d = 2.2e-16 * math.exp(0.5 * x2) * peak_d / max(abs(val_d), 1e-300)
-    err_t = 2.2e-16 * math.exp(-0.5 * x2) * peak_t / max(abs(val_t), 1e-300)
-    val, err = (val_d, err_d) if err_d <= err_t else (val_t, err_t)
-    if err > 1e-8:
-        warnings.warn(
-            f"harmonic closed form lost accuracy (estimated relative error "
-            f"{err:.1e}) at l={l}, omega={omega}, x={x}",
-            AccuracyWarning,
-            stacklevel=2,
-        )
-    return x ** (l + 1.0) * val

@@ -25,20 +25,16 @@ kernel series; non-integer l goes through kernel.apply_transmutation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import specialfn
-from .coeffs import BetaTable
 from .errors import DomainError
-from .kernel import KernelSeries, make_kernel_series
+from .kernel import KernelSeries
 
 __all__ = [
-    "SolutionEvaluator",
     "integral_row",
-    "solution_evaluator",
     "u_N",
     "uniform_error_bound",
     "sup_sqrt_bessel",
@@ -113,42 +109,21 @@ def sup_sqrt_bessel(l: float) -> float:
     return max(refined, math.sqrt(2.0 / math.pi))
 
 
-@dataclass(frozen=True)
-class SolutionEvaluator:
-    """Precombined state for u_N at one x: the integer-l kernel series,
-    whose weights are the u_N series coefficients, and the uniform-bound
-    constant c_l."""
-
-    series: KernelSeries
-    c_l_estimate: float
-
-    def __post_init__(self):
-        if self.series.mode != "integer-l":
-            raise DomainError("u_N needs an integer-l kernel series")
-
-
-def solution_evaluator(beta: BetaTable, N: int | None = None) -> SolutionEvaluator:
-    """Bundle a BetaTable into a SolutionEvaluator (integer l only).
-
-    N defaults to the largest the table supports, M - l - 1; the table
-    and N are checked by make_kernel_series.
-    """
-    series = make_kernel_series(beta, N, mode="integer-l")
-    return SolutionEvaluator(series=series, c_l_estimate=sup_sqrt_bessel(series.l))
-
-
-def u_N(ev: SolutionEvaluator, omega, x: float):
+def u_N(series: KernelSeries, omega, x: float):
     """Truncated representation of the normalized regular solution.
 
-    ``omega`` is a float or a 1-D array (all > 0), and so is the result;
-    one call over an array is far cheaper than a call per frequency.
+    ``series`` is the integer-l kernel series at x, whose weights are the
+    series coefficients of u_N.  ``omega`` is a float or a 1-D array (all
+    > 0), and so is the result; one call over an array is far cheaper
+    than a call per frequency.
 
     The approximation error is bounded by c_l * eps_N(x) independently of
     omega — see uniform_error_bound.
     """
-    series = ev.series
+    if series.mode != "integer-l":
+        raise DomainError("u_N needs an integer-l kernel series")
     if abs(x - series.x) > 1e-9 * max(1.0, series.x):
-        raise DomainError(f"evaluator holds coefficients at x={series.x}, got x={x}")
+        raise DomainError(f"series holds coefficients at x={series.x}, got x={x}")
     l = int(series.l)
     row = np.atleast_2d(integral_row(l, series.N, omega, x))
     om = np.atleast_1d(np.asarray(omega, dtype=float))
@@ -158,9 +133,9 @@ def u_N(ev: SolutionEvaluator, omega, x: float):
     return float(vals[0]) if np.ndim(omega) == 0 else vals
 
 
-def uniform_error_bound(ev: SolutionEvaluator, eps_N: float) -> float:
+def uniform_error_bound(series: KernelSeries, eps_N: float) -> float:
     """omega-independent error budget c_l * eps_N for |u - u_N| on (0, x],
-    x being the evaluator's point."""
+    x being the series' point and c_l = sup_sqrt_bessel(l)."""
     if eps_N < 0.0:
         raise DomainError("eps_N must be >= 0")
-    return ev.c_l_estimate * float(eps_N)
+    return sup_sqrt_bessel(series.l) * float(eps_N)

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import eval_jacobi, jv, roots_legendre
 
 from .coeffs import BetaTable, compute_beta, unperturbed_term
-from .errors import TransmuteError
+from .errors import DomainError, TransmuteError
 from .kernel import apply_transmutation, kernel_K, make_kernel_series
 from .oracle import ProblemSetup, regular_solutions
 from .solution import integral_row
@@ -156,9 +156,11 @@ def _integral_row_check(setup, li, M, rng) -> CheckResult:
     )
 
 
-def _reduction_check(setup, beta1, rng) -> CheckResult:
+def _reduction_check(beta1, rng) -> CheckResult:
     # Same coefficient table pushed through the two kernel assemblies;
     # at integer l they must agree wherever the general form is defined.
+    # The identity holds for any coefficient vector, so a table fitted at
+    # another l serves once relabelled to l = 1.
     int_series = make_kernel_series(beta1, mode="integer-l")
     real_series = make_kernel_series(beta1, mode="real-l", t_max_fraction=0.9)
     t = rng.uniform(0.0, 0.9, 50) * beta1.x
@@ -182,17 +184,20 @@ def run_validation(
 
     Checks needing integer l (kernel diagonal, integral row) run at
     round(l) when l is integer, at l=1 otherwise; the reduction check
-    always runs at l=1 because that is where the two kernel assemblies
-    overlap.  ``beta_perturbation`` corrupts one coefficient by that
-    fraction of max|beta| before the checks run (fault injection).
+    always runs at l=1, where the two kernel assemblies overlap, on the
+    integer-l table relabelled.  ``beta`` reuses a table fitted at
+    (setup.l, setup.b) in place of the size-M fit.  ``beta_perturbation``
+    corrupts one coefficient by that fraction of max|beta| before the
+    checks run (fault injection).
     """
+    if beta is not None and (abs(beta.x - setup.b) > 1e-9 * setup.b
+                             or abs(beta.l - setup.l) > 1e-9):
+        raise DomainError("beta table was fitted for a different (l, x)")
     rng = np.random.default_rng(seed)
     li = int(round(setup.l)) if is_integer_l(setup.l) else 1
     results: List[CheckResult] = []
 
-    own = beta if beta is not None and abs(beta.l - setup.l) <= 1e-12 else compute_beta(
-        setup, setup.b, M
-    )
+    own = beta if beta is not None else compute_beta(setup, setup.b, M)
     if beta_perturbation:
         own = _perturbed(own, beta_perturbation)
 
@@ -212,11 +217,5 @@ def run_validation(
     except TransmuteError as exc:  # pragma: no cover - diagnostic path
         results.append(CheckResult("transmutation-property", False, np.inf, 1e-6, str(exc)))
     results.append(_integral_row_check(setup, li, M, rng))
-
-    if li == 1:
-        beta1, setup1 = beta_int, setup_int
-    else:
-        setup1 = ProblemSetup(l=1.0, b=setup.b, q=setup.q)
-        beta1 = compute_beta(setup1, setup.b, M)
-    results.append(_reduction_check(setup1, beta1, rng))
+    results.append(_reduction_check(replace(beta_int, l=1.0), rng))
     return results

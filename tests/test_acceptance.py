@@ -25,7 +25,6 @@ from transmute.kernel import (
 from transmute.oracle import ProblemSetup, regular_solution_ode
 from transmute.solution import (
     integral_row,
-    solution_evaluator,
     u_N,
     uniform_error_bound,
 )
@@ -132,12 +131,9 @@ def test_criterion_05_uniform_in_frequency(harmonic_setups, beta_harmonic):
     setup = harmonic_setups[1]
     bt = beta_harmonic[1]
     N = choose_N(bt)
-    ev = solution_evaluator(bt, N)
-    eps = epsilon_N(
-        make_kernel_series(bt, N=N),
-        make_kernel_series(compute_beta(setup, np.pi, 40)),
-    )
-    bound = uniform_error_bound(ev, eps)
+    series = make_kernel_series(bt, N=N)
+    eps = epsilon_N(series, make_kernel_series(compute_beta(setup, np.pi, 40)))
+    bound = uniform_error_bound(series, eps)
 
     def sup_err(om_grid):
         worst = 0.0
@@ -146,7 +142,7 @@ def test_criterion_05_uniform_in_frequency(harmonic_setups, beta_harmonic):
                 regular_solution_ode(setup, float(om), np.array([np.pi])).u_values[0]
             )
             want = _normalized(1, float(om), u_ode)
-            worst = max(worst, abs(u_N(ev, float(om), np.pi) - want))
+            worst = max(worst, abs(u_N(series, float(om), np.pi) - want))
         return worst
 
     low = sup_err(np.linspace(1.0, 50.0, 25))

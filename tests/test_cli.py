@@ -90,6 +90,8 @@ def test_config_range_validation():
         RunConfig.from_dict({"problem": {"l": float("nan")}})
     with pytest.raises(DomainError):
         RunConfig.from_dict({"kernel": {"t_max_fraction": 1.5}})
+    with pytest.raises(DomainError, match="seed"):
+        RunConfig.from_dict({"seed": -1})
 
 
 def test_config_type_rules():
@@ -324,6 +326,7 @@ def test_unusable_oracle_grid_exit_2(tmp_path, capsys, argv, named):
     ({"spectrum": {"references": [1, 2]}}, "spectrum.references"),
     ({"fit": {"M": 2.5}}, "fit.M"),
     ({"kernel": {"nx": None}}, "kernel.nx"),
+    ({"seed": -1}, "seed must be >= 0"),
 ])
 def test_config_wrong_json_type_exit_2(tmp_path, capsys, config, key):
     cfg_path = tmp_path / "c.json"

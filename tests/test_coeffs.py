@@ -6,7 +6,7 @@ import pytest
 from scipy.special import roots_legendre
 
 import transmute.coeffs as coeffs
-from transmute.coeffs import BetaTable, compute_beta, eval_R, unperturbed_term
+from transmute.coeffs import BetaTable, compute_beta, unperturbed_term
 from transmute.errors import DomainError, IllConditionedFit
 from transmute.oracle import ProblemSetup, regular_solution_ode
 from transmute import specialfn as sf
@@ -78,13 +78,14 @@ def test_coefficient_sum_vanishes(beta_harmonic):
 
 
 def test_eval_R_cosine_transform_round_trip(beta_harmonic):
+    # R(x,t) = sum_k (beta_k/x) P_{2k}(t/x) built from the table must satisfy
     # int_0^x R(x,t) cos(om t) dt == sum_k (-1)^k beta_k j_{2k}(om x)
     bt = beta_harmonic[1]
     x = np.pi
     z, w = roots_legendre(240)
     t = 0.5 * x * (z + 1.0)
     wt = 0.5 * x * w
-    rvals = eval_R(x, t, bt)
+    rvals = (bt.beta / x) @ sf.jacobi_all(2 * bt.M, 0.0, 0.0, t / x)[0::2]
     k = np.arange(bt.M + 1)
     for om in [0.9, 4.0, 11.5]:
         quad_val = float(np.sum(wt * rvals * np.cos(om * t)))
@@ -135,10 +136,3 @@ def test_compute_beta_argument_validation(zero_setups):
     with pytest.raises(DomainError):
         compute_beta(zero_setups[0], np.pi, 5, freq_count=4)
 
-
-def test_eval_R_domain(beta_harmonic):
-    bt = beta_harmonic[0]
-    with pytest.raises(DomainError):
-        eval_R(np.pi, np.pi + 0.1, bt)
-    with pytest.raises(DomainError):
-        eval_R(2.0, 1.0, bt)  # table was fitted at x = pi

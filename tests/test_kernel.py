@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import legval
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import eval_jacobi, jv, roots_legendre
+from scipy.special import eval_jacobi, roots_legendre
 
 from transmute import kernel
-from transmute.coeffs import BetaTable, compute_beta, eval_R, unperturbed_term
-from transmute.errors import DomainError, NearDiagonalError, QuadratureError
+from transmute.coeffs import BetaTable, compute_beta, unperturbed_term
+from transmute.errors import DomainError, QuadratureError
 from transmute.kernel import (
     KernelSeries,
     apply_transmutation,
@@ -18,7 +19,6 @@ from transmute.kernel import (
     kernel_K,
     kernel_moment,
     make_kernel_series,
-    poisson_transform,
 )
 from transmute.oracle import regular_solution_ode
 
@@ -138,8 +138,12 @@ def test_l0_kernel_is_minus_dR_dt(beta_harmonic):
     x = bt.x
     h = 1e-5
     ts = np.array([0.3, 1.1, 2.0, 2.9])
+    # R(x, t) = sum_k (beta_k/x) P_2k(t/x)
+    c = np.zeros(2 * bt.M + 1)
+    c[0::2] = bt.beta
+    R = lambda t: legval(t / x, c) / x
     got = kernel_K(series, ts)
-    want = -(eval_R(x, ts + h, bt) - eval_R(x, ts - h, bt)) / (2.0 * h)
+    want = -(R(ts + h) - R(ts - h)) / (2.0 * h)
     assert np.max(np.abs(got - want)) < 1e-6 * np.max(np.abs(got))
 
 
@@ -234,31 +238,10 @@ def test_epsilon_N_mode_mismatch(beta_harmonic):
                            t_max_fraction=0.9)
     with pytest.raises(DomainError):
         epsilon_N(a, b)
-
-
-# ---------------------------------------------------------------------------
-# Poisson-type transform
-
-
-@pytest.mark.parametrize("l", [0.0, 0.5, 1.0, 2.0])
-@pytest.mark.parametrize("omega", [1.0, 6.0])
-def test_poisson_transform_of_cosine(l, omega):
-    x = 2.2
-    got = poisson_transform(lambda s: np.cos(omega * s), l, x)
-    z = omega * x
-    want = (
-        math.sqrt(math.pi) * math.gamma(l + 1.0)
-        / (2.0 * omega ** (l + 1.0) * math.gamma(l + 1.5))
-        * math.sqrt(z) * jv(l + 0.5, z)
-    )
-    assert abs(got - want) < 1e-9 * max(1.0, abs(want))
-
-
-def test_poisson_transform_domain():
-    with pytest.raises(DomainError):
-        poisson_transform(np.cos, -1.0, 1.0)
-    with pytest.raises(DomainError):
-        poisson_transform(np.cos, 0.0, 0.0)
+    # same mode and x, but l = 0 and l = 1 weights
+    with pytest.raises(DomainError, match="share l"):
+        epsilon_N(make_kernel_series(beta_harmonic[0], N=8),
+                  make_kernel_series(beta_harmonic[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +299,7 @@ def test_apply_transmutation_evaluates_the_kernel_once_per_series(
 def test_near_diagonal_guard(beta_half_dense):
     series = make_kernel_series(beta_half_dense, N=60, t_max_fraction=0.95)
     assert series.mode == "real-l"
-    with pytest.raises(NearDiagonalError):
+    with pytest.raises(DomainError, match="near the diagonal"):
         kernel_K(series, 0.97 * series.x)
 
 

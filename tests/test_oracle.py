@@ -13,7 +13,6 @@ from transmute.coeffs import compute_beta, unperturbed_term
 from transmute.errors import AccuracyWarning, DomainError, IntegrationFailure
 from transmute.oracle import (
     ProblemSetup,
-    exact_solution_harmonic,
     make_potential,
     regular_solution_ode,
     regular_solutions,
@@ -82,7 +81,7 @@ def _harmonic_exact(l, omega, x):
     return float(u(x)), float(mpmath.diff(u, x))
 
 
-@pytest.mark.parametrize("l", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("l", [0.0, 0.5, 1.0, 2.0])
 def test_harmonic_potential_matches_mpmath(l):
     """q = x^2 varies along every step, so unlike constant q it shows the
     step-size error; the oracle must match the 40-digit Kummer form over
@@ -305,11 +304,12 @@ def test_zero_count_sees_negative_eigenvalues():
 @pytest.mark.parametrize("l", [0.0, 0.5, 1.0, 2.0])
 @pytest.mark.parametrize("omega", [1.0, 3.0])
 def test_harmonic_closed_form(l, omega):
-    # q = x^2 reduces to a Kummer function; usable while the 1F1 series
-    # is numerically benign (small omega)
-    setup = ProblemSetup(l=l, b=np.pi, q=lambda x: np.asarray(x) ** 2)
+    # q = x^2 reduces to a Kummer function; a single-frequency solve must
+    # match it at interior points and at the right end
+    setup = ProblemSetup(l=l, b=np.pi, q=_harmonic)
     for x in [0.7, 2.0, np.pi]:
-        want = exact_solution_harmonic(l, omega, x)
+        with mpmath.workdps(40):
+            want = _harmonic_exact(l, omega, x)[0]
         got = float(regular_solution_ode(setup, omega, np.array([x])).u_values[0])
         assert abs(got - want) < 1e-9 * max(1.0, abs(want)), (l, omega, x)
 

@@ -11,9 +11,7 @@ from transmute.errors import DomainError
 from transmute.kernel import apply_transmutation, epsilon_N, make_kernel_series
 from transmute.oracle import regular_solution_ode
 from transmute.solution import (
-    SolutionEvaluator,
     integral_row,
-    solution_evaluator,
     sup_sqrt_bessel,
     u_N,
     uniform_error_bound,
@@ -101,34 +99,33 @@ def test_integral_row_argument_checks():
 def test_free_solution_is_bessel():
     b = np.pi
     for l in (0, 1, 3):
-        ev = solution_evaluator(_zero_table(l, b))
+        series = make_kernel_series(_zero_table(l, b))
         for om in (0.01, 0.5, 7.3, 180.0):
-            got = u_N(ev, om, b)
+            got = u_N(series, om, b)
             want = math.sqrt(om * b) * jv(l + 0.5, om * b)
             assert abs(got - want) < 1e-12 * max(1.0, abs(want)), (l, om)
 
 
 def test_matches_ode_solver_both_sides_of_threshold(harmonic_setups, beta_harmonic):
     setup = harmonic_setups[1]
-    ev = solution_evaluator(beta_harmonic[1], N=13)
+    series = make_kernel_series(beta_harmonic[1], N=13)
     b = np.pi
     # omega*b from 0.09 to 190: the Bessel table behind the row switches
     # from Miller's algorithm to forward recurrence at omega*b = 29
     for om in (0.03, 0.0335, 2.0, 60.0):
         u_ref = float(regular_solution_ode(setup, om, np.array([b])).u_values[0])
         want = _normalized(1, om, u_ref)
-        assert abs(u_N(ev, om, b) - want) < 1e-9 * max(1.0, abs(want)), om
+        assert abs(u_N(series, om, b) - want) < 1e-9 * max(1.0, abs(want)), om
 
 
 def test_uniform_accuracy_and_bound(harmonic_setups, beta_harmonic):
     """The truncation error must not grow with frequency and must respect
     the c_l * eps_N budget."""
     setup = harmonic_setups[1]
-    ev = solution_evaluator(beta_harmonic[1], N=11)
     series_N = make_kernel_series(beta_harmonic[1], N=11)
     series_ref = make_kernel_series(
         compute_beta(setup, np.pi, 40))
-    bound = uniform_error_bound(ev, epsilon_N(series_N, series_ref))
+    bound = uniform_error_bound(series_N, epsilon_N(series_N, series_ref))
 
     def errs(om_grid):
         out = []
@@ -136,7 +133,8 @@ def test_uniform_accuracy_and_bound(harmonic_setups, beta_harmonic):
             u_ref = float(
                 regular_solution_ode(setup, float(om), np.array([np.pi])).u_values[0]
             )
-            out.append(abs(u_N(ev, float(om), np.pi) - _normalized(1, float(om), u_ref)))
+            out.append(abs(u_N(series_N, float(om), np.pi)
+                           - _normalized(1, float(om), u_ref)))
         return np.array(out)
 
     low = errs(np.linspace(1.0, 50.0, 20))
@@ -150,21 +148,20 @@ def test_small_x_normalization():
     # Gamma(l+3/2)) as x -> 0: fixes both the power and the constant
     om = 3.0
     for x in (0.5, 0.1, 0.02):
-        ev = solution_evaluator(_zero_table(2, x))
+        series = make_kernel_series(_zero_table(2, x))
         lead = (om * x) ** 3 / (2.0 ** 2.5 * math.exp(gammaln(3.5)))
         # next Bessel-series term gives a deviation z^2/(2(2l+3)) = z^2/14
-        assert abs(u_N(ev, om, x) / lead - 1.0) < 0.1 * (om * x) ** 2
+        assert abs(u_N(series, om, x) / lead - 1.0) < 0.1 * (om * x) ** 2
 
 
 def test_u_N_equals_apply_transmutation(beta_harmonic):
     # same beta, two routes: closed-form row vs explicit kernel integral
     bt = beta_harmonic[1]
-    ev = solution_evaluator(bt, N=13)
     series = make_kernel_series(bt, N=13)
     for om in (1.0, 5.0, 10.0):
         y = lambda t, om=om: np.sqrt(om * np.asarray(t)) * jv(1.5, om * np.asarray(t))
         ta = apply_transmutation(series, y, np.pi, omega_hint=om)
-        un = u_N(ev, om, np.pi)
+        un = u_N(series, om, np.pi)
         assert abs(ta - un) < 1e-8 * max(1.0, abs(un)), om
     # synthetic tables used at their full truncation N = M - l - 1, where
     # the high-m entries of the row carry weight
@@ -174,12 +171,11 @@ def test_u_N_equals_apply_transmutation(beta_harmonic):
         beta = 1e-2 * 0.8 ** np.arange(M + 1) * rng.choice([-1.0, 1.0], M + 1)
         bt = BetaTable(l=float(l), x=np.pi, M=M, beta=beta,
                        fit_residual=0.0, sum_beta=float(np.sum(beta)))
-        ev = solution_evaluator(bt)
         series = make_kernel_series(bt)
         for om in (0.05, 0.3, 1.0, 3.0, 10.0, 30.0):
             y = lambda t, om=om: np.sqrt(om * t) * jv(l + 0.5, om * t)
             ta = apply_transmutation(series, y, np.pi, omega_hint=om)
-            un = u_N(ev, om, np.pi)
+            un = u_N(series, om, np.pi)
             assert abs(ta - un) < 1e-11 * max(1.0, abs(un)), (l, om)
 
 
@@ -202,9 +198,9 @@ def test_sup_sqrt_bessel_l1():
 
 
 def test_uniform_error_bound_validation(beta_harmonic):
-    ev = solution_evaluator(beta_harmonic[1])
+    series = make_kernel_series(beta_harmonic[1])
     with pytest.raises(DomainError):
-        uniform_error_bound(ev, -1.0)
+        uniform_error_bound(series, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -212,40 +208,40 @@ def test_uniform_error_bound_validation(beta_harmonic):
 
 
 def test_array_omega_matches_scalar_calls(beta_harmonic):
-    ev = solution_evaluator(beta_harmonic[1], N=13)
+    series = make_kernel_series(beta_harmonic[1], N=13)
     b = np.pi
-    nmax = int(ev.series.l) + 2 * ev.series.N + 1   # top order of the row's table
+    nmax = int(series.l) + 2 * series.N + 1   # top order of the row's table
     om = np.array([
         0.0064, 0.0286, 0.035, 1.0, 3.7,                # Miller branch
         (nmax + 1.5) / b, 40.0, 211.3,                  # forward recurrence
     ])
     assert np.any(om * b < nmax + 1)
     assert np.any(om * b >= nmax + 1)
-    got = u_N(ev, om, b)
-    want = np.array([u_N(ev, float(w), b) for w in om])
+    got = u_N(series, om, b)
+    want = np.array([u_N(series, float(w), b) for w in om])
     assert isinstance(got, np.ndarray) and got.shape == om.shape
-    assert isinstance(u_N(ev, 2.0, b), float)
+    assert isinstance(u_N(series, 2.0, b), float)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_array_omega_checks_every_element(beta_harmonic):
-    ev = solution_evaluator(beta_harmonic[1])
+    series = make_kernel_series(beta_harmonic[1])
     for bad in ([1.0, 0.0], [2.0, -1.0, 3.0], [1.0, np.nan]):
         with pytest.raises(DomainError):
-            u_N(ev, np.array(bad), np.pi)
+            u_N(series, np.array(bad), np.pi)
     with pytest.raises(DomainError):
-        u_N(ev, np.ones((2, 2)), np.pi)
+        u_N(series, np.ones((2, 2)), np.pi)
 
 
-def test_solution_evaluator_validation(beta_half_dense, beta_harmonic):
+def test_u_N_series_validation(beta_half_dense, beta_harmonic):
+    for real_l in (make_kernel_series(beta_half_dense),         # non-integer l
+                   make_kernel_series(beta_harmonic[1], mode="real-l")):
+        with pytest.raises(DomainError, match="integer-l kernel series"):
+            u_N(real_l, 1.0, np.pi)
     with pytest.raises(DomainError):
-        solution_evaluator(beta_half_dense)      # non-integer l
+        make_kernel_series(beta_harmonic[1], N=24)  # table supports N <= 23
+    series = make_kernel_series(beta_harmonic[1])
     with pytest.raises(DomainError):
-        solution_evaluator(beta_harmonic[1], N=24)  # table supports N <= 23
+        u_N(series, -1.0, np.pi)
     with pytest.raises(DomainError):
-        SolutionEvaluator(make_kernel_series(beta_harmonic[1], mode="real-l"), 1.0)
-    ev = solution_evaluator(beta_harmonic[1])
-    with pytest.raises(DomainError):
-        u_N(ev, -1.0, np.pi)
-    with pytest.raises(DomainError):
-        u_N(ev, 1.0, 2.0)  # coefficients fitted at x = pi
+        u_N(series, 1.0, 2.0)  # coefficients fitted at x = pi

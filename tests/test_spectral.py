@@ -13,7 +13,7 @@ from transmute.coeffs import BetaTable, compute_beta
 from transmute.errors import DomainError, TransmuteError
 from transmute.kernel import make_kernel_series
 from transmute.oracle import ProblemSetup, regular_solutions
-from transmute.solution import solution_evaluator, u_N
+from transmute.solution import u_N
 from transmute.spectral import (
     HARMONIC_L1_EIGENVALUES,
     SpectrumReport,
@@ -41,10 +41,10 @@ def test_every_stage_classifies_l_alike(l, integer):
     seen = {"kernel": make_kernel_series(bt).mode == "integer-l",
             "fit size": default_fit_size(l) != 60}
     try:
-        solution_evaluator(bt)
-        seen["evaluator"] = True
+        u_N(make_kernel_series(bt), 1.0, np.pi)
+        seen["u_N"] = True
     except DomainError:
-        seen["evaluator"] = False
+        seen["u_N"] = False
     try:
         dirichlet_eigenvalues(setup, 1, beta=bt)
         seen["spectrum"] = True
@@ -157,6 +157,14 @@ def test_constant_potential_50_spectrum(l):
     assert np.max(np.abs(rep.eigenvalues - _constant_spectrum(l, 50.0, 30))) <= 1e-6
 
 
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="ordinals right, values off by 1.0e-2 with no warning: "
+                          "the unweighted fit at large l (ROADMAP item 2)")
+def test_constant_potential_spectrum_at_l5():
+    rep = dirichlet_eigenvalues(_constant_setup(5, 20.0), 40)
+    assert np.max(np.abs(rep.eigenvalues - _constant_spectrum(5, 20.0, 40))) <= 1e-10
+
+
 # (l, q = Q + c2 x^2, roots asked, Sturm count at the top of the last
 # bracket): the scan of omega > 0 never brackets eigenvalues below zero,
 # and q == 120 has gaps below the scan step, so each ordinal would be off
@@ -223,9 +231,9 @@ def test_eigenvalue_count_matches_oracle_sign_changes(harmonic_setups):
 
 def test_residuals_are_converged(harmonic_setups, beta_harmonic):
     rep = dirichlet_eigenvalues(harmonic_setups[1], 6, beta=beta_harmonic[1])
-    ev = solution_evaluator(beta_harmonic[1], rep.N_used)
+    series = make_kernel_series(beta_harmonic[1], rep.N_used)
     bracket_mag = max(
-        abs(u_N(ev, float(om), np.pi))
+        abs(u_N(series, float(om), np.pi))
         for pair in rep.brackets for om in pair
     )
     assert np.max(rep.residuals) <= 1e-10 * bracket_mag
@@ -241,9 +249,9 @@ def test_missed_root_warning_on_coarse_scan(harmonic_setups, beta_harmonic):
 
 def test_harmonic_200_match_brentq_reference(harmonic_setups, beta_harmonic):
     rep = dirichlet_eigenvalues(harmonic_setups[1], 200, beta=beta_harmonic[1])
-    ev = solution_evaluator(beta_harmonic[1], rep.N_used)
+    series = make_kernel_series(beta_harmonic[1], rep.N_used)
     ref = np.array([
-        brentq(lambda w: u_N(ev, w, np.pi), lo, hi, xtol=1e-12, maxiter=200)
+        brentq(lambda w: u_N(series, w, np.pi), lo, hi, xtol=1e-12, maxiter=200)
         for lo, hi in rep.brackets
     ])
     assert np.max(np.abs(rep.eigenvalues - ref)) <= 1e-12
@@ -253,9 +261,9 @@ def test_spectrum_evaluates_u_N_over_arrays(harmonic_setups, beta_harmonic,
                                             monkeypatch):
     calls = []
 
-    def counting(ev, omega, x):
+    def counting(series, omega, x):
         calls.append(np.size(omega))
-        return u_N(ev, omega, x)
+        return u_N(series, omega, x)
 
     monkeypatch.setattr(spectral, "u_N", counting)
     rep = dirichlet_eigenvalues(harmonic_setups[1], 200, beta=beta_harmonic[1])
@@ -310,7 +318,7 @@ def test_cli_reports_non_finite_characteristic_function(monkeypatch, tmp_path, c
     from transmute.cli import main
 
     monkeypatch.setattr(spectral, "u_N",
-                        lambda ev, omega, x: np.full(np.shape(omega), np.nan))
+                        lambda series, omega, x: np.full(np.shape(omega), np.nan))
     rc = main(["spectrum", "--l", "1", "--potential", "poly:0,0,1", "--count", "3",
                "--M", "8", "--out", str(tmp_path)])
     assert rc == 2

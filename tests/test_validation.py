@@ -1,9 +1,11 @@
 """Invariant suite: green on healthy problems, red under fault injection."""
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from transmute.errors import DomainError
 from transmute.kernel import kernel_K, make_kernel_series
 from transmute.validation import CheckResult, _reduction_check, run_validation
 
@@ -53,10 +55,10 @@ def test_fault_injection_trips_diagonal_check(harmonic_setups, beta_harmonic):
     assert by["integral-row-vs-quadrature"].passed
 
 
-def test_reduction_check_matches_scalar_loop(harmonic_setups, beta_harmonic):
+def test_reduction_check_matches_scalar_loop(beta_harmonic):
     # one vectorized draw of 50 abscissae is the stream of 50 scalar draws
     bt = beta_harmonic[1]
-    got = _reduction_check(harmonic_setups[1], bt, np.random.default_rng(11))
+    got = _reduction_check(bt, np.random.default_rng(11))
     int_series = make_kernel_series(bt, mode="integer-l")
     real_series = make_kernel_series(bt, mode="real-l", t_max_fraction=0.9)
     rng = np.random.default_rng(11)
@@ -67,6 +69,14 @@ def test_reduction_check_matches_scalar_loop(harmonic_setups, beta_harmonic):
         diffs.append(abs(a - kernel_K(real_series, t)))
         mags.append(abs(a))
     assert abs(got.value - max(diffs) / max(mags)) <= 1e-15
+
+
+def test_table_for_another_problem_is_rejected(harmonic_setups, beta_harmonic):
+    # a table fitted at l = 1 or x = pi must not be reused for l = 0 or x = 2
+    with pytest.raises(DomainError, match=r"different \(l, x\)"):
+        run_validation(harmonic_setups[0], beta=beta_harmonic[1])
+    with pytest.raises(DomainError, match=r"different \(l, x\)"):
+        run_validation(replace(harmonic_setups[1], b=2.0), beta=beta_harmonic[1])
 
 
 def test_results_json_serializable(zero_setups):
