@@ -18,10 +18,11 @@ the latter valid away from the diagonal t = x, where the division by
 off at t_max_fraction * x < x.  One evaluator, kernel_K, serves both: the
 series' mode picks the second Jacobi parameter, the t prefactor and the
 cutoff.  The integer-l series reaches the diagonal, where K_N(x, x)
-converges to the Goursat value (1/2) int_0^x q.  The weights are assembled
-in log-magnitude + sign form and the series summed from the highest index
-down with compensation, because the Gamma ratios span many orders of
-magnitude.
+converges to the Goursat value (1/2) int_0^x q.  The integer-l Gamma
+ratio is a finite product of half-integers; the real-l weights are
+assembled in log-magnitude + sign form.  Both series are summed from the
+highest index down with compensation, because the weights span many
+orders of magnitude.
 """
 from __future__ import annotations
 
@@ -31,7 +32,6 @@ from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gammaln, gammasgn, roots_legendre
 
 from . import specialfn
 from .coeffs import BetaTable
@@ -163,9 +163,8 @@ def make_kernel_series(
         lpref = 0.5 * math.log(math.pi) - (2 * li + 3) * math.log(x) \
             - math.lgamma(li + 1.5)
         m = np.arange(N + 1)
-        logmag = lpref + specialfn.gamma_ratio_log(m, float(li))
         sign = (-1.0) ** (m + li + 1)
-        weights = sign * np.exp(logmag) * beta.beta[m + li + 1]
+        weights = sign * math.exp(lpref) * _gamma_ratio(m, li) * beta.beta[m + li + 1]
         return KernelSeries(
             x=x, l=float(li), mode=mode, N=N, weights=weights,
             t_max_fraction=1.0, goursat_diag=goursat_diag,
@@ -173,6 +172,8 @@ def make_kernel_series(
 
     if mode != "real-l":
         raise DomainError(f"unknown mode {mode!r}")
+    from scipy.special import gammaln, gammasgn   # loads slowly; only real l needs it
+
     if N is None:
         N = beta.M
     if not 0 <= N <= beta.M:
@@ -190,6 +191,13 @@ def make_kernel_series(
         x=x, l=l, mode="real-l", N=N, weights=weights,
         t_max_fraction=t_max_fraction, goursat_diag=goursat_diag,
     )
+
+
+def _gamma_ratio(m, li: int):
+    """Gamma(m+2l+5/2)/Gamma(m+l+3/2) at integer l >= 0, vectorized over m:
+    the product of the l+1 half-integers m+l+3/2+j, j = 0..l."""
+    a = np.asarray(m, dtype=float)[..., None] + (li + 1.5)
+    return np.prod(a + np.arange(li + 1), axis=-1)
 
 
 def _check_t(series: KernelSeries, t):
@@ -241,24 +249,25 @@ def kernel_moment(series: KernelSeries, alpha: float) -> float:
     # weights already carry sqrt(pi)/(x^(2l+3) Gamma(l+3/2)) and the
     # Gamma(m+2l+5/2)/Gamma(m+l+3/2) ratio; the closed form needs
     # Gamma(m+2l+5/2)/m! and one more 1/Gamma(l+3/2), so adjust per term:
-    # Gamma(m+l+3/2)/(m! Gamma(l+3/2)) and the alpha-dependent prefactor.
+    # Gamma(m+l+3/2)/(m! Gamma(l+3/2)) = prod_{j=1..m} (l+1/2+j)/j and the
+    # alpha-dependent prefactor.
     m = np.arange(series.N + 1)
-    adjust_log = (
-        gammaln(m + li + 1.5) - gammaln(m + 1.0) - math.lgamma(li + 1.5)
-    )
+    adjust = np.cumprod(np.r_[1.0, (li + 0.5 + m[1:]) / m[1:]])
     half = 0.5 * (alpha + li) + 1.0
     pref = x ** (alpha + li + 2.0) / (2.0 * half)   # net of the x^(2l+3) in weights
     f32 = np.array(
         [specialfn.hyp3f2_terminating(int(mm), float(li), alpha) for mm in m]
     )
-    terms = pref * series.weights * np.exp(adjust_log) * f32
+    terms = pref * series.weights * adjust * f32
     return math.fsum(terms)
 
 
 @lru_cache(maxsize=64)
 def _gl_nodes(n: int):
-    z, w = roots_legendre(n)
-    return z, w
+    """Gauss-Legendre nodes and weights on [-1, 1], the package's one source."""
+    from scipy.special import roots_legendre   # loads slowly; cached per n
+
+    return roots_legendre(n)
 
 
 def epsilon_N(series_N: KernelSeries, series_ref: KernelSeries) -> float:

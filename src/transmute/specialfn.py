@@ -1,7 +1,7 @@
 """Special-function kernel: the Jacobi recurrence, half-integer Bessel,
-spherical Bessel tables, log-gamma ratios, terminating hypergeometric sums,
-the column-wise compensated sum the series evaluators share, and the rule
-that decides when l counts as an integer.
+spherical Bessel tables, terminating hypergeometric sums, the column-wise
+compensated sum the series evaluators share, and the rule that decides
+when l counts as an integer.
 
 All routines are pure functions of their arguments (no caches, no globals)
 and accept numpy arrays where it is natural to vectorize.  "Machine
@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import jv as _scipy_jv
 
 from .errors import DomainError
 
@@ -23,7 +22,6 @@ __all__ = [
     "spherical_j",
     "spherical_j_table",
     "bessel_j_half",
-    "gamma_ratio_log",
     "hyp3f2_terminating",
     "compensated_sum",
 ]
@@ -196,25 +194,14 @@ def bessel_j_half(l: float, z):
         zz = np.atleast_1d(z)
         res = np.sqrt(2.0 * zz / np.pi) * spherical_j_table(n, zz)[n]
         return float(res[0]) if z.ndim == 0 else res
-    res = _scipy_jv(l + 0.5, z)
+    from scipy.special import jv   # loads slowly; only non-integer l needs it
+
+    res = jv(l + 0.5, z)
     return float(res) if z.ndim == 0 else res
 
 
 # ---------------------------------------------------------------------------
-# gamma ratios and terminating hypergeometric sums
-
-
-def gamma_ratio_log(m, l: float):
-    """log(Gamma(m + 2l + 5/2) / Gamma(m + l + 3/2)), vectorized over m.
-
-    Both arguments are positive for m >= 0, l >= -1/2, so the ratio is
-    positive and its log difference never overflows (m up to 1e6 and far
-    beyond).
-    """
-    from scipy.special import gammaln
-
-    ma = np.asarray(m, dtype=float)
-    return gammaln(ma + 2.0 * l + 2.5) - gammaln(ma + l + 1.5)
+# terminating hypergeometric sums
 
 
 def hyp3f2_terminating(m: int, l: float, alpha: float) -> float:

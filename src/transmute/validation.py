@@ -17,14 +17,14 @@ from dataclasses import dataclass, replace
 from typing import List, Optional
 
 import numpy as np
-from scipy.special import eval_jacobi, jv, roots_legendre
 
 from .coeffs import BetaTable, compute_beta, unperturbed_term
 from .errors import DomainError, TransmuteError
-from .kernel import apply_transmutation, kernel_K, make_kernel_series
+from .kernel import _gl_nodes, apply_transmutation, kernel_K, make_kernel_series
 from .oracle import ProblemSetup, regular_solutions
 from .solution import integral_row
 from .specialfn import is_integer_l
+from .spectral import choose_N
 
 __all__ = ["CheckResult", "run_validation"]
 
@@ -48,7 +48,7 @@ class CheckResult:
 def _q_integral(setup: ProblemSetup, x: float) -> float:
     # Gauss-Legendre is plenty for the smooth potentials the suite
     # targets; 120 nodes keeps even table-interpolated q honest.
-    z, w = roots_legendre(120)
+    z, w = _gl_nodes(120)
     t = 0.5 * x * (z + 1.0)
     return float(0.5 * x * np.dot(w, np.asarray(setup.q(t), dtype=float)))
 
@@ -62,8 +62,10 @@ def _perturbed(beta: BetaTable, amount: float) -> BetaTable:
 
 def _goursat_check(setup, beta, li) -> CheckResult:
     # Absolute tolerance floor so q = 0 (diagonal exactly zero) is judged
-    # on the noise it produces, not on a 0/0 ratio.
-    series = make_kernel_series(beta, mode="integer-l")
+    # on the noise it produces, not on a 0/0 ratio.  Truncated where the
+    # spectrum solver truncates (choose_N): the weights grow with m, so
+    # coefficients past the fit's noise floor would swamp the diagonal.
+    series = make_kernel_series(beta, choose_N(beta), mode="integer-l")
     got = kernel_K(series, beta.x)
     want = 0.5 * _q_integral(setup, beta.x)
     err = abs(got - want)
@@ -128,9 +130,11 @@ def _integral_row_check(setup, li, M, rng) -> CheckResult:
     # The closed-form integral row versus direct quadrature built from
     # scipy primitives only (independent Bessel + Jacobi evaluations), up
     # to the longest truncation a fit of size M allows.
+    from scipy.special import eval_jacobi, jv
+
     m_top = max(M - li - 1, 1)
     worst = 0.0
-    z24, w24 = roots_legendre(24)
+    z24, w24 = _gl_nodes(24)
     for _ in range(25):
         m_max = int(rng.integers(1, m_top + 1))
         x = float(rng.uniform(0.4, setup.b))

@@ -24,23 +24,36 @@ def _read_csv(path):
 
 
 def test_import_does_not_load_optimize_or_interpolate(tmp_path):
-    # both cost ~0.2 s at start-up; only a table potential needs a spline
-    code = ("import sys, transmute; "
-            "print(sorted(m for m in sys.modules if m.startswith("
-            "('scipy.optimize', 'scipy.interpolate'))))")
+    # each costs 0.1-0.3 s at start-up: only a table potential needs a
+    # spline, and only non-integer l, validate and kernel need scipy.special
+    slow = ("scipy.optimize", "scipy.interpolate", "scipy.special")
     # the child imports the same transmute as this process, installed or not
     env = dict(os.environ, PYTHONPATH=str(Path(transmute.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env).stdout
-    assert out.strip() == "[]"
-    # a spectrum run does not need scipy.linalg either (3.7 MiB of peak RSS)
-    code = ("import sys; from transmute.cli import main; "
-            "rc = main(['spectrum', '--l', '1', '--potential', 'poly:0,0,1', "
-            f"'--count', '5', '--out', {str(tmp_path)!r}]); "
-            "print(rc, sorted(m for m in sys.modules if m.startswith('scipy.linalg')))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env).stdout
-    assert out.splitlines()[-1] == "0 []"
+
+    def fresh(code):
+        return subprocess.run([sys.executable, "-c", "import sys; " + code],
+                              capture_output=True, text=True, check=True,
+                              env=env).stdout.splitlines()[-1]
+
+    def loaded(prefixes):
+        return f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
+
+    assert fresh("import transmute; " + loaded(slow)) == "[]"
+    # integer-l runs do not need scipy.linalg either (3.7 MiB of peak RSS)
+    for argv in (["spectrum", "--l", "1", "--count", "5"],
+                 ["spectrum", "--l", "1", "--potential", "poly:0,0,1", "--count", "5"],
+                 ["beta", "--l", "1"]):
+        run = (f"from transmute.cli import main; "
+               f"assert main({argv + ['--out', str(tmp_path)]!r}) == 0; ")
+        assert fresh(run + loaded(slow + ("scipy.linalg",))) == "[]", argv
+    # positive control: a non-integer order does load scipy.special
+    assert fresh(
+        "import numpy as np; from transmute.specialfn import bessel_j_half; "
+        "z = np.linspace(0.1, 30.0, 7); got = bessel_j_half(0.5, z); "
+        "was_loaded = 'scipy.special' in sys.modules; "
+        "from scipy.special import jv; "
+        "print(was_loaded, np.array_equal(got, jv(1, z)))"
+    ) == "True True"
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +274,16 @@ def test_validate_fault_injection_fails(tmp_path, capsys):
     report = json.loads((tmp_path / "validate_report.json").read_text())
     assert report["all_passed"] is False
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_validate_long_half_integer_fit_keeps_the_diagonal(tmp_path):
+    # non-integer l checks the diagonal on an l = 1 table of the same M;
+    # at M = 60 its full length failed a healthy q = 20 (0.40 vs 0.031)
+    main(["validate", "--l", "0.5", "--potential", "poly:20", "--M", "60",
+          "--out", str(tmp_path)])
+    report = json.loads((tmp_path / "validate_report.json").read_text())
+    check = {c["name"]: c for c in report["checks"]}["goursat-diagonal"]
+    assert check["passed"], check
 
 
 # ---------------------------------------------------------------------------

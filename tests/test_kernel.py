@@ -2,6 +2,7 @@
 moments, truncation error, and the transmutation integral."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import legval
@@ -28,6 +29,20 @@ HALF_INT_Q = math.pi ** 3 / 6.0  # (1/2) int_0^pi t^2 dt
 def _zero_table(l, x=np.pi, M=8):
     return BetaTable(l=float(l), x=float(x), M=M, beta=np.zeros(M + 1),
                      fit_residual=0.0, sum_beta=0.0)
+
+
+def test_integer_l_weight_ratio_against_mpmath():
+    # Gamma(m+2l+5/2)/Gamma(m+l+3/2) as a product of l+1 half-integers:
+    # correct to rounding, and finite far past any fit size
+    m = np.r_[np.arange(201), 10 ** 6]
+    with mpmath.workdps(40):
+        for li in range(11):
+            got = kernel._gamma_ratio(m, li)
+            want = np.array([float(mpmath.gamma(mm + 2 * li + mpmath.mpf(5) / 2)
+                                   / mpmath.gamma(mm + li + mpmath.mpf(3) / 2))
+                             for mm in m])
+            assert np.all(np.isfinite(got)), li
+            assert np.max(np.abs(got - want) / want) <= 1e-15, li
 
 
 # ---------------------------------------------------------------------------

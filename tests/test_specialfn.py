@@ -1,5 +1,5 @@
 """Special-function layer: orthogonal polynomials, spherical Bessel tables,
-gamma ratios, terminating hypergeometric sums, the integer-l rule.
+terminating hypergeometric sums, the integer-l rule.
 
 Reference values come from scipy.special (independent implementations),
 mpmath, and closed forms.
@@ -194,27 +194,7 @@ def test_legendre_bessel_cosine_identity():
 
 
 # ---------------------------------------------------------------------------
-# gamma ratios, 3F2
-
-
-def test_gamma_ratio_small_arguments():
-    for m in [0, 1, 4, 9]:
-        for l in [0.0, 0.5, 1.0, 3.0]:
-            want = math.gamma(m + 2 * l + 2.5) / math.gamma(m + l + 1.5)
-            got = math.exp(sf.gamma_ratio_log(m, l))
-            assert abs(got - want) < 1e-12 * want
-
-
-def test_gamma_ratio_log_vectorized_consistency():
-    m = np.arange(0, 25)
-    logs = sf.gamma_ratio_log(m, 1.5)
-    for mm in m:
-        want = math.lgamma(mm + 2 * 1.5 + 2.5) - math.lgamma(mm + 1.5 + 1.5)
-        assert abs(logs[mm] - want) < 1e-12
-
-
-def test_gamma_ratio_large_m_no_overflow():
-    assert math.isfinite(sf.gamma_ratio_log(10 ** 6, 10.0))
+# 3F2
 
 
 def _hyp3f2_term_scale(m, l, alpha):

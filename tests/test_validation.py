@@ -7,6 +7,7 @@ import pytest
 
 from transmute.errors import DomainError
 from transmute.kernel import kernel_K, make_kernel_series
+from transmute.oracle import ProblemSetup
 from transmute.validation import CheckResult, _reduction_check, run_validation
 
 EXPECTED_CHECKS = {
@@ -41,6 +42,14 @@ def test_all_checks_pass_half_integer(setup_half, beta_half_dense):
     results = run_validation(setup_half, beta=beta_half_dense, M=60)
     for r in results:
         assert r.passed, (r.name, r.value, r.detail)
+
+
+def test_goursat_check_holds_for_a_long_fit():
+    # the diagonal is read at choose_N's truncation: the full M = 60 table
+    # is off by 1.3e-2 relative at q = 20, choose_N's by 9.5e-7
+    setup = ProblemSetup(l=1.0, b=np.pi, q=lambda x: np.full_like(x, 20.0))
+    check = _by_name(run_validation(setup, M=60))["goursat-diagonal"]
+    assert check.passed, (check.value, check.tolerance, check.detail)
 
 
 def test_fault_injection_trips_diagonal_check(harmonic_setups, beta_harmonic):
