@@ -164,7 +164,8 @@ def make_kernel_series(
             - math.lgamma(li + 1.5)
         m = np.arange(N + 1)
         sign = (-1.0) ** (m + li + 1)
-        weights = sign * math.exp(lpref) * _gamma_ratio(m, li) * beta.beta[m + li + 1]
+        weights = sign * math.exp(lpref) * specialfn.gamma_ratio(m, li) \
+            * beta.beta[m + li + 1]
         return KernelSeries(
             x=x, l=float(li), mode=mode, N=N, weights=weights,
             t_max_fraction=1.0, goursat_diag=goursat_diag,
@@ -191,13 +192,6 @@ def make_kernel_series(
         x=x, l=l, mode="real-l", N=N, weights=weights,
         t_max_fraction=t_max_fraction, goursat_diag=goursat_diag,
     )
-
-
-def _gamma_ratio(m, li: int):
-    """Gamma(m+2l+5/2)/Gamma(m+l+3/2) at integer l >= 0, vectorized over m:
-    the product of the l+1 half-integers m+l+3/2+j, j = 0..l."""
-    a = np.asarray(m, dtype=float)[..., None] + (li + 1.5)
-    return np.prod(a + np.arange(li + 1), axis=-1)
 
 
 def _check_t(series: KernelSeries, t):

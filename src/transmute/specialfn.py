@@ -1,5 +1,6 @@
 """Special-function kernel: the Jacobi recurrence, half-integer Bessel,
-spherical Bessel tables, terminating hypergeometric sums, the column-wise
+spherical Bessel tables, the integer-l gamma ratio, terminating
+hypergeometric sums, the column-wise
 compensated sum the series evaluators share, and the rule that decides
 when l counts as an integer.
 
@@ -22,6 +23,7 @@ __all__ = [
     "spherical_j",
     "spherical_j_table",
     "bessel_j_half",
+    "gamma_ratio",
     "hyp3f2_terminating",
     "compensated_sum",
 ]
@@ -201,7 +203,21 @@ def bessel_j_half(l: float, z):
 
 
 # ---------------------------------------------------------------------------
-# terminating hypergeometric sums
+# gamma ratios and terminating hypergeometric sums
+
+
+def gamma_ratio(m, l: float):
+    """Gamma(m + 2l + 5/2) / Gamma(m + l + 3/2) at integer l >= 0, vectorized
+    over m: the product of the l+1 half-integers m + l + 3/2 + j, j = 0..l.
+
+    Exact to rounding and finite for m up to 1e6 and beyond at the l the
+    kernel series use, with no log-gamma difference to cancel.
+    """
+    if not is_integer_l(l):
+        raise DomainError(f"gamma_ratio needs integer l >= 0, got {l}")
+    li = int(round(l))
+    a = np.asarray(m, dtype=float)[..., None] + (li + 1.5)
+    return np.prod(a + np.arange(li + 1), axis=-1)
 
 
 def hyp3f2_terminating(m: int, l: float, alpha: float) -> float:

@@ -11,6 +11,7 @@ from scipy.optimize import brentq
 from scipy.special import eval_jacobi, roots_legendre
 
 from transmute import kernel
+from transmute import specialfn as sf
 from transmute.coeffs import BetaTable, compute_beta, unperturbed_term
 from transmute.errors import DomainError, QuadratureError
 from transmute.kernel import (
@@ -37,7 +38,7 @@ def test_integer_l_weight_ratio_against_mpmath():
     m = np.r_[np.arange(201), 10 ** 6]
     with mpmath.workdps(40):
         for li in range(11):
-            got = kernel._gamma_ratio(m, li)
+            got = sf.gamma_ratio(m, li)
             want = np.array([float(mpmath.gamma(mm + 2 * li + mpmath.mpf(5) / 2)
                                    / mpmath.gamma(mm + li + mpmath.mpf(3) / 2))
                              for mm in m])

@@ -1,5 +1,5 @@
 """Special-function layer: orthogonal polynomials, spherical Bessel tables,
-terminating hypergeometric sums, the integer-l rule.
+gamma ratios, terminating hypergeometric sums, the integer-l rule.
 
 Reference values come from scipy.special (independent implementations),
 mpmath, and closed forms.
@@ -194,7 +194,32 @@ def test_legendre_bessel_cosine_identity():
 
 
 # ---------------------------------------------------------------------------
-# 3F2
+# gamma ratios, 3F2
+
+
+def test_gamma_ratio_small_arguments():
+    for m in [0, 1, 4, 9]:
+        for l in [0.0, 1.0, 2.0, 3.0]:
+            want = math.gamma(m + 2 * l + 2.5) / math.gamma(m + l + 1.5)
+            got = sf.gamma_ratio(m, l)
+            assert abs(got - want) < 1e-12 * want
+    for l in [0.5, -1.0]:
+        with pytest.raises(DomainError):
+            sf.gamma_ratio(0, l)
+
+
+def test_gamma_ratio_log_vectorized_consistency():
+    m = np.arange(0, 25)
+    ratios = sf.gamma_ratio(m, 2)
+    assert ratios.shape == m.shape
+    for mm in m:
+        want = math.lgamma(mm + 2 * 2 + 2.5) - math.lgamma(mm + 2 + 1.5)
+        assert abs(math.log(ratios[mm]) - want) < 1e-12
+        assert ratios[mm] == sf.gamma_ratio(int(mm), 2)
+
+
+def test_gamma_ratio_large_m_no_overflow():
+    assert math.isfinite(sf.gamma_ratio(10 ** 6, 10.0))
 
 
 def _hyp3f2_term_scale(m, l, alpha):
