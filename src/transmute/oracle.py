@@ -28,10 +28,11 @@ see an error that does not change with the grid, so solves with
 A sweep of frequencies is solved in blocks (regular_solutions).  A block
 shares one grid, sized for its lowest and highest |omega|, which bounds
 the phase of every frequency in between, so no frequency gets a coarser
-grid than it would alone; q is evaluated once per grid, and the step
-maps and chain products are frequency x step arrays.  A block holds at
-most _BLOCK frequencies x nodes, which bounds the memory of any sweep.
-The self-check runs per frequency.
+grid than it would alone.  The omega-free part of every step, q at its
+Gauss nodes included, is formed once per grid; the step maps and chain
+products are frequency x step arrays, in tiles of at most _BLOCK
+frequencies x nodes that reuse one workspace per call, which bounds the
+memory of any sweep.  The self-check runs per frequency.
 """
 from __future__ import annotations
 
@@ -69,15 +70,22 @@ _REL_TOL = 1e-10
 # |omega| * b validated against the exact constant-q family (5000 pi
 # measures 6.1e-12, but the limit stays until such a range is validated)
 _PHASE_LIMIT = 2000.0 * math.pi
-# frequencies x nodes of a block's grid, and of one _step_maps call; the
-# step maps and the first pass of the chain product hold up to about
-# seven float arrays of that size (256 KiB each).  Larger blocks cost
-# memory and, once the arrays leave the cache, time: with 2^16 the
-# l = 1/2, M = 60 fits ran about 20 % slower than with 2^15 or 2^14
+# frequencies x nodes of a block's grid, and of one tile of the step maps
+# and chain product (before padding); a call's workspace holds six float
+# arrays of that size (256 KiB each).  Larger blocks cost memory and, once
+# the arrays leave the cache, time: with 2^16 the l = 1/2, M = 60 fits
+# ran about 20 % slower than with 2^15 or 2^14
 _BLOCK = 1 << 15
 # steps of one grid: 100 times what |omega| b = 2000 pi needs (~4e4); a
 # sweep near omega = 0 on b = 1e300 would ask for 1e150
 _MAX_STEPS = 1 << 22
+# steps of a tile, padded with identity maps, are a multiple of this, so
+# the chain product's first levels pair steps within a row
+_PAD = 8
+# floats of the largest tile of several rows on a grid of 1024 steps or
+# more (32 rows at most); a workspace for such tiles starts at six, so it
+# does not grow tile by tile
+_TILE = _BLOCK + 32 * (_PAD - 1)
 
 
 @dataclass(frozen=True)
@@ -210,21 +218,16 @@ def make_potential(descriptor, b: float):
 # grid construction and propagation
 
 
-def _step_rule(l: float, b: float, om_lo: float, om_hi: float, q, x0: float):
-    """Probe cells on [x0, b] and the longest step h[i] allowed on cell
-    [edges[i], edges[i+1]] at every frequency in [om_lo, om_hi].
-
-    h = min(w, _PHASE_FRAC / sqrt(max |q - omega^2|), ratio x): at most a
-    uniform probe cell w = (b - x0)/1024 and _PHASE_FRAC rad of phase, and,
-    for the centrifugal term, at most ratio = _SING_FRAC / max(1,
-    sqrt|l(l+1)|) times the cell's left end.  The cells are the 1024
-    uniform ones split at the geometric points x0 (1 + ratio)^k below
-    ratio x = w.  |q - omega^2|, sampled at each cell's ends and midpoint,
-    is convex in omega^2, so its maximum at om_lo and om_hi bounds it in
-    between.  Raises DomainError if q is not finite on the probe.
-    """
+def _probe(l: float, b: float, q, x0: float):
+    """The frequency-free part of the step rule on [x0, b]: probe cells,
+    the 1024 uniform ones of width w split at x0 (1 + ratio)^k below
+    ratio x = w; each cell's longest step, w and (for the centrifugal term)
+    ratio = _SING_FRAC / max(1, sqrt|l(l+1)|) times its left end; and the
+    least and greatest q at its ends and midpoint.  Raises DomainError if
+    q is not finite there."""
     edges = np.linspace(x0, b, 1025)
     w = edges[1] - x0
+    cap = w
     ll1 = abs(l * (l + 1.0))
     if ll1:
         ratio = _SING_FRAC / max(1.0, math.sqrt(ll1))
@@ -232,96 +235,145 @@ def _step_rule(l: float, b: float, om_lo: float, om_hi: float, q, x0: float):
         count = int(math.ceil(math.log(cross / x0) / math.log1p(ratio)))
         geo = x0 * (1.0 + ratio) ** np.arange(1, count + 1)
         edges = np.union1d(edges, geo[geo < cross])
+        cap = np.minimum(w, ratio * edges[:-1])
     n = edges.size - 1
     probes = np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])])
     qp = np.asarray(q(probes), dtype=float)
     bad = ~np.isfinite(qp)
     if np.any(bad):
         raise DomainError(f"potential q is not finite at x={probes[bad].min():.6g}")
-    vmag = np.maximum(np.abs(qp - om_lo * om_lo), np.abs(qp - om_hi * om_hi))
-    cell_v = np.maximum(np.maximum(vmag[:n], vmag[1 : n + 1]), vmag[n + 1 :])
-    h = np.minimum(w, _PHASE_FRAC / np.sqrt(np.maximum(cell_v, 1e-300)))
-    if ll1:
-        h = np.minimum(h, ratio * edges[:-1])
-    return edges, h
+    cells = np.stack([qp[:n], qp[1 : n + 1], qp[n + 1 :]])
+    return edges, cap, cells.min(axis=0), cells.max(axis=0)
 
 
-def _build_grid(
-    l: float, b: float, om_lo: float, om_hi: float, q, x0: float
-) -> np.ndarray:
+def _step_rule(probe, om_lo: float, om_hi: float):
+    """Probe cells and the longest step h[i] on cell [edges[i], edges[i+1]]
+    at every frequency in [om_lo, om_hi], at most _PHASE_FRAC rad of phase:
+    |q - omega^2| at the probed points is convex in omega^2, so its maximum
+    at om_lo and om_hi bounds it in between."""
+    edges, cap, q_lo, q_hi = probe
+    cell_v = np.maximum(q_hi - om_lo * om_lo, om_hi * om_hi - q_lo)
+    return edges, np.minimum(cap, _PHASE_FRAC / np.sqrt(np.maximum(cell_v, 1e-300)))
+
+
+def _build_grid(probe, om_lo: float, om_hi: float) -> np.ndarray:
     """Step grid on [x0, b] for every frequency in [om_lo, om_hi]: nodes
     that equidistribute int dx/h over the cells of _step_rule, so it has
     ceil(int dx/h) steps and none is longer than the largest h of the
-    cells it spans.  Raises DomainError as _step_rule does, or if the grid
-    would need more than _MAX_STEPS steps.
+    cells it spans.  Raises DomainError if the grid would need more than
+    _MAX_STEPS steps.
     """
-    edges, h = _step_rule(l, b, om_lo, om_hi, q, x0)
+    edges, h = _step_rule(probe, om_lo, om_hi)
     level = np.concatenate([[0.0], np.cumsum(np.diff(edges) / h)])
     total = level[-1]
     if not total <= _MAX_STEPS:
         raise DomainError(
-            f"the oracle grid would need {total:.3g} steps on (0, {b:.6g}] at "
+            f"the oracle grid would need {total:.3g} steps on (0, {edges[-1]:.6g}] at "
             f"omega = {om_hi:.6g}, more than the {_MAX_STEPS} allowed"
         )
-    return np.interp(np.linspace(0.0, total, math.ceil(total) + 1), level, edges)
+    # less the sum's rounding, or cells of exactly one step each get one more
+    steps = math.ceil(total * (1.0 - 1e-13))
+    return np.interp(np.linspace(0.0, total, steps + 1), level, edges)
 
 
-def _step_maps(xs: np.ndarray, l: float, om: np.ndarray, q):
-    """Per-interval 2x2 transfer matrices of the Magnus propagator, one row
-    per frequency in om.
+def _grid_terms(xs: np.ndarray, l: float, q) -> np.ndarray:
+    """The omega-free terms of the step maps on the grid xs, a column per
+    step: h, h^2, pbar = (p1 + p2)/2, d = (sqrt(3)/12) h^2 (p1 - p2), d^2,
+    with p = l(l+1)/x^2 + q at the Gauss nodes; zero columns, identity
+    maps, pad them to a multiple of _PAD."""
+    n = xs.size - 1
+    terms = np.empty((5, -(-n // _PAD) * _PAD))
+    terms[:, n:] = 0.0
+    h, h2, pbar, d, d2 = terms[:, :n]
+    np.subtract(xs[1:], xs[:-1], out=h)
+    np.add(xs[:-1], xs[1:], out=d2)
+    d2 *= 0.5
+    np.multiply(h, _GAUSS_OFF, out=h2)
+    ll1 = l * (l + 1.0)
 
-    The omega-free part of the coefficient is evaluated once on the grid
-    and -omega^2 is broadcast over the rows.  A step's exponent
-    [[d, h], [h vbar, -d]] squares to s I, s = d^2 + h^2 vbar, so its
+    def p_at(node, out=None):
+        x = node(d2, h2, out=d)
+        np.divide(ll1, np.multiply(x, x, out=pbar), out=pbar)
+        return np.add(pbar, q(x), out=out)
+
+    p1 = p_at(np.subtract)
+    p2 = p_at(np.add, out=d2)   # the midpoints are spent once the node is formed
+    np.multiply(h, h, out=h2)
+    np.subtract(p1, p2, out=d)
+    d *= math.sqrt(3.0) / 12.0
+    d *= h2
+    np.add(p1, p2, out=pbar)
+    pbar *= 0.5
+    np.multiply(d, d, out=d2)
+    return terms
+
+
+def _step_maps(terms, om: np.ndarray, bufs):
+    """Per-interval 2x2 transfer matrices (m11, m12, m21, m22) of the Magnus
+    propagator, one row per frequency in om, from the grid's _grid_terms.
+
+    omega enters only through vbar = pbar - omega^2.  A step's exponent
+    [[d, h], [h vbar, -d]] squares to s I, s = h^2 vbar + d^2, so its
     exponential is C(s) I + S(s) times it, with C(s) = sum s^k/(2k)! and
     S(s) = sum s^k/(2k+1)! (cos and sin(theta)/theta at s = -theta^2, cosh
     and sinh(theta)/theta at s = theta^2).  Their Taylor sums reach
     rounding at |s| <= 1/16 (the grids keep |s| <= 0.026); a larger |s|
     is scaled by 4^-k and doubled back k times with S <- S C and
-    C - 1 <- 2 (C - 1)(C + 1).  The 2-D work runs in place where it can,
-    so a call holds at most five rows x steps arrays at once; every value
-    is formed by the same operations, in the same order, as for a single
-    frequency.
+    C - 1 <- 2 (C - 1)(C + 1); s falls with omega^2, so the largest |s|
+    is on the rows of the least and the greatest omega.  The work runs in
+    the five rows x steps arrays bufs (at most five such arrays), the maps
+    in the first four; every value is formed by the same operations, in
+    the same order, as for a single frequency.
     """
-    h = np.diff(xs)
-    xm = 0.5 * (xs[:-1] + xs[1:])
-    x1 = xm - _GAUSS_OFF * h
-    x2 = xm + _GAUSS_OFF * h
-    ll1 = l * (l + 1.0)
-    om2 = (om * om)[:, None]
-    v1 = ((ll1 / (x1 * x1) if ll1 else 0.0) + np.asarray(q(x1))) - om2
-    v2 = ((ll1 / (x2 * x2) if ll1 else 0.0) + np.asarray(q(x2))) - om2
-    vbar = v1 + v2
-    vbar *= 0.5
-    d = np.subtract(v1, v2, out=v1)
-    d *= (math.sqrt(3.0) / 12.0) * h * h
-    s = np.multiply(d, d, out=v2)
-    s += h * h * vbar
-    top = max(s.max(), -s.min())
+    h, h2, pbar, d, d2 = terms
+    om2 = om * om
+    m11, m12, m21, m22, s = bufs
+    vbar = np.subtract(pbar, om2[:, None], out=m21)
+    np.multiply(h2, vbar, out=s)
+    s += d2
+    top = max(s[np.argmin(om2)].max(), -s[np.argmax(om2)].min())
     k = (math.frexp(16.0 * top)[1] + 1) // 2 if top > 0.0625 else 0
     if k:
         s *= 0.25 ** k
     # Horner sums of C - 1 (through s^6) and S (through s^5)
-    cm1 = s / math.factorial(12)
+    cm1 = np.divide(s, math.factorial(12), out=m22)
     for j in range(5, 0, -1):
         cm1 += 1.0 / math.factorial(2 * j)
         cm1 *= s
-    sc = s / math.factorial(11)
+    sc = np.divide(s, math.factorial(11), out=m12)
     for j in range(4, 0, -1):
         sc += 1.0 / math.factorial(2 * j + 1)
         sc *= s
     sc += 1.0
     for _ in range(k):
-        sc += sc * cm1
-        cm1 *= cm1 + 2.0
+        sc += np.multiply(sc, cm1, out=s)
+        cm1 *= np.add(cm1, 2.0, out=s)
         cm1 *= 2.0
     c = np.add(cm1, 1.0, out=cm1)
-    scd = np.multiply(sc, d, out=d)
-    m11 = np.add(c, scd, out=s)
-    m22 = np.subtract(c, scd, out=c)
-    m12 = np.multiply(sc, h, out=sc)
-    m21 = np.multiply(m12, vbar, out=vbar)
+    scd = np.multiply(sc, d, out=s)
+    np.add(c, scd, out=m11)
+    np.subtract(c, scd, out=m22)
+    np.multiply(sc, h, out=m12)
+    np.multiply(m12, vbar, out=m21)
     return m11, m12, m21, m22
+
+
+class _Workspace:
+    """Float scratch reused by every tile of a call: the heap is not
+    trimmed and regrown around each."""
+
+    def __init__(self):
+        self.flat = np.empty(0)
+
+    def arrays(self, rows: int, steps: int):
+        """The five rows x steps arrays of _step_maps and the four of half
+        the width that _product reduces into, two in the fifth of those."""
+        full = rows * steps
+        if self.flat.size < 6 * full:
+            self.flat = np.empty(0)   # free the old buffer before the new one
+            self.flat = np.empty(6 * max(full, _TILE if rows > 1 else 0))
+        return (self.flat[: 5 * full].reshape(5, rows, steps),
+                self.flat[4 * full : 6 * full].reshape(4, rows, steps // 2))
 
 
 def _refine(xs: np.ndarray) -> np.ndarray:
@@ -331,71 +383,75 @@ def _refine(xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _segment_product(a, b, c, d):
-    """Entries of the ordered product M_{n-1} @ ... @ M_0 for matrices
-    [[a_i, b_i], [c_i, d_i]] along the last axis (one product per row).
+def _product(m, spare):
+    """Entries of the ordered product M_{n-1} @ ... @ M_0 for the matrices
+    [[a_i, b_i], [c_i, d_i]], m = (a, b, c, d), along the last axis (one
+    product per row).
 
     The product is associative, so it is collapsed by pairwise reduction:
     O(n) arithmetic in O(log n) vectorized passes instead of a Python loop
-    over every step.  Rounding differs from a strictly sequential product
-    at the 1e-15 level, far below the integrator's error budget.
+    over every step.  The levels go into spare and into m by turns, as
+    contiguous arrays (numpy buffers a 2-D operand that is not evenly
+    strided, allocating every call).  Rounding differs from a sequential
+    product at the 1e-15 level, far below the error budget.
     """
-    while a.shape[-1] > 1:
-        n = a.shape[-1]
-        m = n - n % 2
-        a0, b0, c0, d0 = a[..., 0:m:2], b[..., 0:m:2], c[..., 0:m:2], d[..., 0:m:2]
-        a1, b1, c1, d1 = a[..., 1:m:2], b[..., 1:m:2], c[..., 1:m:2], d[..., 1:m:2]
-        na = a1 * a0
-        na += b1 * c0
-        nb = a1 * b0
-        nb += b1 * d0
-        nc = c1 * a0
-        nc += d1 * c0
-        nd = c1 * b0
-        nd += d1 * d0
+    rows, n = m[0].shape
+    src, dst = [x.reshape(-1) for x in m], [x.reshape(-1) for x in spare]
+    while n > 1:
+        k, half = n // 2, n - n // 2
         if n % 2:
-            na, nb, nc, nd = (np.concatenate([p, e[..., -1:]], axis=-1)
-                              for p, e in ((na, a), (nb, b), (nc, c), (nd, d)))
-        a, b, c, d = na, nb, nc, nd
-    return a[..., 0], b[..., 0], c[..., 0], d[..., 0]
+            x = [f[: rows * n].reshape(rows, n) for f in src]
+            a0, b0, c0, d0 = [y[:, 0 : 2 * k : 2] for y in x]
+            a1, b1, c1, d1 = [y[:, 1 : 2 * k : 2] for y in x]
+            out = [f[: rows * half].reshape(rows, half) for f in dst]
+            na, nb, nc, nd = [y[:, :k] for y in out]
+        else:   # no pair straddles two rows, so flat views serve
+            a0, b0, c0, d0 = [f[0 : rows * n : 2] for f in src]
+            a1, b1, c1, d1 = [f[1 : rows * n : 2] for f in src]
+            na, nb, nc, nd = [f[: rows * k] for f in dst]
+        # the second products go through dst[3] until nd is due, then
+        # through src[0], which nd does not read
+        t = dst[3][: rows * k].reshape(na.shape)
+        np.multiply(a1, a0, out=na)
+        na += np.multiply(b1, c0, out=t)
+        np.multiply(a1, b0, out=nb)
+        nb += np.multiply(b1, d0, out=t)
+        np.multiply(c1, a0, out=nc)
+        nc += np.multiply(d1, c0, out=t)
+        if n % 2:
+            for y, z in zip(out, x):
+                y[:, k] = z[:, -1]
+        t = src[0][: rows * k].reshape(na.shape)
+        np.multiply(c1, b0, out=nd)
+        nd += np.multiply(d1, d0, out=t)
+        src, dst, n = dst, src, half
+    return [f[:rows] for f in src]
 
 
-def _chain_2x2(m11, m12, m21, m22, w0, wp0, idx_out):
-    """Apply step maps 0..n-1 (last axis) in order to the states (w0, wp0),
-    one per row.
-
-    idx_out holds ascending grid-node indices; column j of the returned
-    arrays is the state after the first idx_out[j] steps (index 0 is the
-    initial state).
-    """
-    out_w = np.empty((w0.size, len(idx_out)))
-    out_wp = np.empty_like(out_w)
-    w, wp = w0, wp0
-    prev = 0
-    for j, idx in enumerate(idx_out.tolist()):
-        if idx > prev:
-            a, b, c, d = _segment_product(
-                m11[:, prev:idx], m12[:, prev:idx], m21[:, prev:idx], m22[:, prev:idx]
-            )
-            w, wp = a * w + b * wp, c * w + d * wp
-            prev = idx
-        out_w[:, j] = w
-        out_wp[:, j] = wp
-    return out_w, out_wp
-
-
-def _propagate(grid, l, om, q, w0, wp0, x_eval):
-    """States at x_eval, one row per frequency; the rows go to _step_maps
-    in groups of at most _BLOCK rows x nodes (a single row always whole)."""
+def _propagate(grid, l, om, q, w0, wp0, x_eval, ws):
+    """States at x_eval, one row per frequency, in the workspace ws: steps
+    in ranges ending at the requested points, each range's grid terms
+    formed once and its rows in groups, tiles of at most _BLOCK rows x
+    nodes before padding."""
     idx = np.searchsorted(grid, x_eval)
     rows = max(1, _BLOCK // grid.size)
-    parts = [
-        _chain_2x2(*_step_maps(grid, l, om[i : i + rows], q),
-                   w0[i : i + rows], wp0[i : i + rows], idx)
-        for i in range(0, om.size, rows)
-    ]
-    return (np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts]))
+    cuts = np.union1d(idx, np.arange(0, grid.size - 1, _BLOCK // rows - 1)).tolist()
+    w, wp = np.array(w0, dtype=float), np.array(wp0, dtype=float)
+    out_w = np.empty((om.size, idx.size))
+    out_wp = np.empty_like(out_w)
+    j = 0
+    for c0, c1 in zip(cuts[:-1], cuts[1:]):
+        terms = _grid_terms(grid[c0 : c1 + 1], l, q)
+        for r in range(0, om.size, rows):
+            part = slice(r, r + rows)
+            maps, spare = ws.arrays(om[part].size, terms.shape[1])
+            a, b, c, d = _product(_step_maps(terms, om[part], maps), spare)
+            w[part], wp[part] = a * w[part] + b * wp[part], c * w[part] + d * wp[part]
+        del terms   # before the next range's are formed
+        if c1 == idx[j]:
+            out_w[:, j], out_wp[:, j] = w, wp
+            j += 1
+    return out_w, out_wp
 
 
 def _envelope(w, wp, om):
@@ -406,16 +462,13 @@ def _envelope(w, wp, om):
     )
 
 
-def _block(setup, om, stop, x0, x_eval):
+def _block(probe, om, stop, x_eval):
     """Start of the frequency block that ends just below om[stop] (om
-    ascending), and the block's grid: as many frequencies as keep rows x
-    nodes within _BLOCK, at least one."""
+    ascending), and the block's grid, from the call's step-rule probe: as
+    many frequencies as keep rows x nodes within _BLOCK, at least one."""
 
     def grid_for(start):
-        grid = np.union1d(
-            _build_grid(setup.l, setup.b, om[start], om[stop - 1], setup.q, x0),
-            x_eval,
-        )
+        grid = np.union1d(_build_grid(probe, om[start], om[stop - 1]), x_eval)
         # the chain never uses a step past the last requested point
         return grid[: np.searchsorted(grid, x_eval[-1]) + 1]
 
@@ -463,14 +516,15 @@ def _check_finite(omegas, xs, finite):
                                  x=float(xs[np.argmin(finite[i])]))
 
 
-def _solve_block(setup, om, grid, x0, x_eval):
+def _solve_block(setup, om, grid, x0, x_eval, ws):
     """Richardson-verified rescaled states (w, w') at x_eval for the
-    frequencies om on their shared grid; each row is checked on its own."""
+    frequencies om on their shared grid, every pass in the workspace ws;
+    each row is checked on its own."""
     l = setup.l
     w0, wp0 = _start(setup, om, x0)
-    w_a, wp_a = _propagate(grid, l, om, setup.q, w0, wp0, x_eval)
+    w_a, wp_a = _propagate(grid, l, om, setup.q, w0, wp0, x_eval, ws)
     grid = _refine(grid)
-    w_b, wp_b = _propagate(grid, l, om, setup.q, w0, wp0, x_eval)
+    w_b, wp_b = _propagate(grid, l, om, setup.q, w0, wp0, x_eval, ws)
     rich_w = (16.0 * w_b - w_a) / 15.0
     rich_wp = (16.0 * wp_b - wp_a) / 15.0
 
@@ -483,7 +537,7 @@ def _solve_block(setup, om, grid, x0, x_eval):
         if live.size == 0:
             break
         grid = _refine(grid)
-        w_c, wp_c = _propagate(grid, l, om[live], setup.q, w0[live], wp0[live], x_eval)
+        w_c, wp_c = _propagate(grid, l, om[live], setup.q, w0[live], wp0[live], x_eval, ws)
         rich2_w = (16.0 * w_c - w_b) / 15.0
         rich2_wp = (16.0 * wp_c - wp_b) / 15.0
         err = np.abs(rich2_w - rich_w[live])
@@ -517,15 +571,15 @@ def regular_solutions(setup: ProblemSetup, omegas, x_eval: Sequence[float]):
     The frequencies are sorted by |omega| and split into blocks.  A block
     shares one grid, sized for its lowest and highest |omega| and so, at
     every frequency in it, no coarser than the grid that frequency would
-    get alone; it holds at most _BLOCK frequencies x grid nodes, and the
-    refined passes split their rows to the same bound, so the memory of a
-    call does not grow with the sweep.  The accuracy contract is that of
-    regular_solution_ode, and the self-verification runs row by row: a
-    row that fails the two-grid test is refined further on its own,
-    whatever its neighbours do.  One AccuracyWarning is emitted per call
-    if any |omega| b exceeds 2000 pi.  One call over a sweep costs far
-    less than a loop of one-frequency calls.  An l that is_integer_l
-    takes for an integer is solved as that integer, as everywhere else.
+    get alone.  Every pass runs in tiles of at most _BLOCK frequencies x
+    nodes, so a call's frequency x step arrays grow with neither the sweep
+    nor the grid.  The accuracy contract is that of regular_solution_ode,
+    and the self-verification runs row by row: a row that fails the
+    two-grid test is refined further on its own, whatever its neighbours
+    do.  One AccuracyWarning is emitted per call if any |omega| b exceeds
+    2000 pi.  One call over a sweep costs far less than a loop of
+    one-frequency calls.  An l that is_integer_l takes for an integer is
+    solved as that integer, as everywhere else.
 
     Raises
     ------
@@ -565,15 +619,17 @@ def regular_solutions(setup: ProblemSetup, omegas, x_eval: Sequence[float]):
     x0 = 1e-6 * setup.b
     if x_eval[0] < 2.0 * x0:
         x0 = 0.5 * x_eval[0]
+    probe = _probe(setup.l, setup.b, setup.q, x0)
+    ws = _Workspace()
     order = np.argsort(om, kind="stable")
     om_sorted = om[order]
     w = np.empty((om.size, x_eval.size))
     wp = np.empty_like(w)
     stop = om.size
     while stop > 0:
-        start, grid = _block(setup, om_sorted, stop, x0, x_eval)
+        start, grid = _block(probe, om_sorted, stop, x_eval)
         rows = order[start:stop]
-        w[rows], wp[rows] = _solve_block(setup, om_sorted[start:stop], grid, x0, x_eval)
+        w[rows], wp[rows] = _solve_block(setup, om_sorted[start:stop], grid, x0, x_eval, ws)
         stop = start
 
     scale = x0 ** (setup.l + 1.0)
@@ -628,11 +684,12 @@ def zero_count(setup: ProblemSetup, omega: float) -> int:
     """
     setup, om = _integer_l(setup), abs(float(omega))
     x0 = 1e-6 * setup.b
-    grid = _build_grid(setup.l, setup.b, om, om, setup.q, x0)
-    maps = _step_maps(grid, setup.l, np.array([om]), setup.q)
+    grid = _build_grid(_probe(setup.l, setup.b, setup.q, x0), om, om)
+    terms = _grid_terms(grid, setup.l, setup.q)
+    maps = _step_maps(terms, np.array([om]), np.empty((5, 1, terms.shape[1])))
     w, wp = _start(setup, om, x0)
     ws = [w]
-    for m11, m12, m21, m22 in zip(*(m[0].tolist() for m in maps)):
+    for m11, m12, m21, m22 in zip(*(m[0, : grid.size - 1].tolist() for m in maps)):
         w, wp = m11 * w + m12 * wp, m21 * w + m22 * wp
         ws.append(w)
     ws = np.array(ws)

@@ -108,9 +108,12 @@ def _sum_beta_check(beta) -> CheckResult:
 
 def _transmutation_check(setup, beta) -> CheckResult:
     # T applied to the unperturbed solution must give the regular
-    # solution of the perturbed problem, for every omega at once.
+    # solution of the perturbed problem, for every omega at once.  The
+    # integer-l series is truncated as in _goursat_check, for the same
+    # reason; the real-l one has no such truncation.
     x = beta.x
-    series = make_kernel_series(beta, goursat_diag=0.5 * _q_integral(setup, x))
+    N = choose_N(beta) if is_integer_l(beta.l) else None
+    series = make_kernel_series(beta, N, goursat_diag=0.5 * _q_integral(setup, x))
     tol = 1e-6 if series.mode == "integer-l" else 1e-3
     omegas = (1.0, 5.0, 10.0)
     u, u_prime = regular_solutions(setup, omegas, [x])

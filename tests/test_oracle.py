@@ -1,5 +1,6 @@
 """High-accuracy ODE reference solver and problem setup."""
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -28,15 +29,21 @@ def _harmonic(x):
 
 
 def _spy_step_maps(monkeypatch):
-    """Record (nodes, frequencies) of every _step_maps call."""
-    calls = []
-    step_maps = oracle._step_maps
+    """Record (nodes, frequencies) of every _step_maps call; the nodes are
+    those of the grid terms it is given, the last ones formed."""
+    calls, nodes = [], []
+    grid_terms, step_maps = oracle._grid_terms, oracle._step_maps
 
-    def spy(xs, l, om, q):
-        calls.append((xs, om.size))
-        return step_maps(xs, l, om, q)
+    def terms_spy(xs, l, q):
+        nodes.append(xs)
+        return grid_terms(xs, l, q)
 
-    monkeypatch.setattr(oracle, "_step_maps", spy)
+    def maps_spy(terms, om, bufs):
+        calls.append((nodes[-1], om.size))
+        return step_maps(terms, om, bufs)
+
+    monkeypatch.setattr(oracle, "_grid_terms", terms_spy)
+    monkeypatch.setattr(oracle, "_step_maps", maps_spy)
     return calls
 
 
@@ -115,8 +122,9 @@ def test_grid_follows_step_rule(l, b, om_lo, om_span, q0, q2):
     q = lambda x: q0 + q2 * np.asarray(x, dtype=float) ** 2
     om_hi = om_lo + om_span
     x0 = 1e-6 * b
-    grid = oracle._build_grid(l, b, om_lo, om_hi, q, x0)
-    edges, h = oracle._step_rule(l, b, om_lo, om_hi, q, x0)
+    probe = oracle._probe(l, b, q, x0)
+    grid = oracle._build_grid(probe, om_lo, om_hi)
+    edges, h = oracle._step_rule(probe, om_lo, om_hi)
     assert grid[0] == x0 and grid[-1] == b
     assert np.all(np.diff(grid) > 0)
     assert grid.size <= math.ceil(np.sum(np.diff(edges) / h)) + 1
@@ -141,27 +149,38 @@ def test_grid_follows_step_rule(l, b, om_lo, om_span, q0, q2):
         assert np.all(h <= ratio * edges[:-1] * (1 + 1e-12))
 
 
-@pytest.mark.parametrize("omega", [0.0, 3.0, 40.0])
-def test_step_maps_are_the_exact_exponential(omega):
+@pytest.mark.parametrize("omegas", [
+    pytest.param([0.0], id="0.0"),
+    pytest.param([3.0], id="3.0"),
+    pytest.param([40.0], id="40.0"),
+    pytest.param([0.0, 3.0, 40.0, 600.0], id="rows-0-3-40-600"),
+])
+def test_step_maps_are_the_exact_exponential(omegas):
     """Each step map is exp([[d, h], [h vbar, -d]]) to rounding, including
     steps far longer than any grid takes, whose |s| goes through the
-    4^-k scaling and the doubling back (|s| up to about 3600 here), for
-    oscillating (omega^2 > q) and growing (omega = 0) steps."""
+    4^-k scaling and the doubling back (|s| up to about 3600 alone, and
+    at omega = 600 about 1e6, which sets the scaling of every row of
+    that call), for oscillating (omega^2 > q) and growing (omega = 0)
+    steps; the padding steps are the identity."""
     xs = np.array([0.05, 0.06, 0.3, 1.0, 2.5, np.pi])
     l, q = 1.0, lambda x: 3.0 + np.asarray(x, dtype=float)
-    maps = oracle._step_maps(xs, l, np.array([omega]), q)
+    terms = oracle._grid_terms(xs, l, q)
+    maps = oracle._step_maps(terms, np.array(omegas), np.empty((5, len(omegas), terms.shape[1])))
     h = np.diff(xs)
     x1 = 0.5 * (xs[:-1] + xs[1:]) - oracle._GAUSS_OFF * h
     x2 = 0.5 * (xs[:-1] + xs[1:]) + oracle._GAUSS_OFF * h
-    v1 = 2.0 / x1 ** 2 + q(x1) - omega ** 2
-    v2 = 2.0 / x2 ** 2 + q(x2) - omega ** 2
-    d = (v1 - v2) * math.sqrt(3.0) / 12.0 * h * h
-    for i in range(h.size):
-        a = [[d[i], h[i]], [h[i] * 0.5 * (v1[i] + v2[i]), -d[i]]]
-        with mpmath.workdps(40):
-            want = np.array(mpmath.expm(mpmath.matrix(a)).tolist(), dtype=float)
-        got = np.array([[maps[0][0, i], maps[1][0, i]], [maps[2][0, i], maps[3][0, i]]])
-        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want)), i
+    for row, omega in enumerate(omegas):
+        v1 = 2.0 / x1 ** 2 + q(x1) - omega ** 2
+        v2 = 2.0 / x2 ** 2 + q(x2) - omega ** 2
+        d = (v1 - v2) * math.sqrt(3.0) / 12.0 * h * h
+        for i in range(h.size):
+            a = [[d[i], h[i]], [h[i] * 0.5 * (v1[i] + v2[i]), -d[i]]]
+            with mpmath.workdps(40):
+                want = np.array(mpmath.expm(mpmath.matrix(a)).tolist(), dtype=float)
+            got = np.array([[m[row, i] for m in maps[:2]], [m[row, i] for m in maps[2:]]])
+            assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want)), (omega, i)
+        pad = np.stack([m[row, h.size :] for m in maps])
+        assert np.array_equal(pad, [[1.0], [0.0], [0.0], [1.0]] * np.ones(pad.shape[1]))
 
 
 def test_near_integer_l_is_solved_as_integer_l():
@@ -212,6 +231,21 @@ def test_fit_sweep_is_solved_in_blocks(monkeypatch):
     compute_beta(ProblemSetup(l=1.0, b=np.pi, q=_harmonic), np.pi, 25)
     assert len(calls) <= 30
     assert max(rows * xs.size for xs, rows in calls) <= oracle._BLOCK
+
+
+def test_fit_memory_stays_within_the_workspace():
+    """An M = 25 fit's passes share one workspace of six tile-sized
+    arrays: its traced peak reads 1.90e6 bytes, where allocating each
+    pass's arrays anew peaked at 2.07e6."""
+    setup = ProblemSetup(l=1.0, b=np.pi, q=_harmonic)
+    compute_beta(setup, np.pi, 25)   # first-call allocations are not the fit's
+    tracemalloc.start()
+    try:
+        compute_beta(setup, np.pi, 25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_072_000, peak
 
 
 def test_fit_sweep_matches_one_frequency_solves():

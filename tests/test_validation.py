@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from transmute.coeffs import compute_beta
 from transmute.errors import DomainError
 from transmute.kernel import kernel_K, make_kernel_series
 from transmute.oracle import ProblemSetup
@@ -50,6 +51,18 @@ def test_goursat_check_holds_for_a_long_fit():
     setup = ProblemSetup(l=1.0, b=np.pi, q=lambda x: np.full_like(x, 20.0))
     check = _by_name(run_validation(setup, M=60))["goursat-diagonal"]
     assert check.passed, (check.value, check.tolerance, check.detail)
+
+
+def test_transmutation_check_holds_for_a_long_fit():
+    # the integer-l series is truncated at choose_N, as for the diagonal:
+    # the full M = 60 table read 5.6e-4 against the 1e-6 tolerance at
+    # q = 20, the truncated one 2.9e-7; a corrupted table still fails
+    setup = ProblemSetup(l=1.0, b=np.pi, q=lambda x: np.full_like(x, 20.0))
+    table = compute_beta(setup, np.pi, 60)
+    check = _by_name(run_validation(setup, beta=table))["transmutation-property"]
+    assert check.passed, (check.value, check.tolerance, check.detail)
+    corrupted = run_validation(setup, beta=table, beta_perturbation=1e-3)
+    assert not _by_name(corrupted)["transmutation-property"].passed
 
 
 def test_fault_injection_trips_diagonal_check(harmonic_setups, beta_harmonic):
