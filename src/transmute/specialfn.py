@@ -47,7 +47,7 @@ _Z_SLACK = 1e-12  # tolerated overshoot of |z| past 1 before raising
 
 def _check_z(z):
     z = np.asarray(z, dtype=float)
-    if np.any(np.abs(z) > 1.0 + _Z_SLACK):
+    if not np.all(np.abs(z) <= 1.0 + _Z_SLACK):   # NaN fails too
         raise DomainError("argument outside [-1, 1]")
     return z
 
@@ -89,37 +89,68 @@ def jacobi_all(degree: int, alpha: float, beta: float, z):
 # spherical Bessel functions
 
 
+def _ratios(count, z):
+    """(2n+1)/z for n = 1..count, one row per order: the recurrences'
+    factors in one division, each the same float as formed alone."""
+    return np.arange(3.0, 2 * count + 2, 2.0)[:, None] / z
+
+
 def _spherical_forward(nmax, z, out):
     """Upward recurrence, stable for orders <= argument."""
     s, c = np.sin(z), np.cos(z)
-    j0 = s / z
-    out[0] = j0
+    out[0] = s / z
     if nmax == 0:
         return
-    j1 = s / (z * z) - c / z
-    out[1] = j1
+    out[1] = s / (z * z) - c / z
+    ratio = _ratios(nmax - 1, z)
+    tmp = np.empty_like(z)
     for n in range(1, nmax):
-        j0, j1 = j1, (2 * n + 1) / z * j1 - j0
-        out[n + 1] = j1
+        # j_{n+1} = (2n+1)/z j_n - j_{n-1}, formed in place row by row
+        np.multiply(ratio[n - 1], out[n], out=tmp)
+        np.subtract(tmp, out[n - 1], out=out[n + 1])
 
 
 def _spherical_backward(nmax, z, out):
     """Miller's algorithm: downward recurrence from a padded start order,
     normalized against the closed-form j_0 (or j_1 where j_0 nearly
-    vanishes).  Columns are rescaled on the fly to dodge overflow."""
+    vanishes).  Columns past 1e250 are rescaled on the fly to dodge
+    overflow.
+
+    The orders <= nmax are formed in their rows of out, so jc and jm alias
+    out there.  No column can pass 1e250 before a running bound on
+    max(|j_n|, |j_{n+1}|) does, which grows by at most (2n+1)/min(z) + 1 per
+    order, so the overflow test runs only at the orders where the bound
+    passes 1e249 (the tenfold margin absorbs the bound's rounding).
+    """
     headroom = max(20, int(math.ceil(math.sqrt(40.0 * max(nmax, 1)))))
     start = nmax + headroom
     jp = np.zeros_like(z)          # j_{n+1}, un-normalized
     jc = np.full_like(z, 1e-30)    # j_n
+    spare = np.empty_like(z)       # j_{n-1} while n-1 > nmax
+    tmp = np.empty_like(z)
+    ratio = _ratios(start, z)
+    zmin = float(z.min())
+    bound = 1e-30
     for n in range(start, 0, -1):
-        jm = (2 * n + 1) / z * jc - jp
-        big = np.abs(jm) > 1e250
-        if np.any(big):
-            jm[big] *= 1e-250
-            jc[big] *= 1e-250
-            out[:, big] *= 1e-250
-        if n - 1 <= nmax:
-            out[n - 1] = jm
+        jm = out[n - 1] if n - 1 <= nmax else spare
+        np.multiply(ratio[n - 1], jc, out=tmp)
+        np.subtract(tmp, jp, out=jm)
+        bound *= (2 * n + 1) / zmin + 1.0
+        if bound > 1e249:
+            big = np.abs(jm) > 1e250
+            if np.any(big):
+                # each array once: out's rows from n-1 on hold jm, and jc
+                # if n <= nmax (the slice is empty while n-1 > nmax)
+                out[n - 1:, big] *= 1e-250
+                if n - 1 > nmax:
+                    jm[big] *= 1e-250
+                if n > nmax:
+                    jc[big] *= 1e-250
+            bound = float(np.maximum(np.abs(jm), np.abs(jc)).max())
+            if math.isnan(bound):   # a column overflowed: test every order
+                bound = math.inf
+        if n - 1 > nmax:
+            spare = jp                 # j_{n+1} is not needed again
         jp, jc = jc, jm
     s, c = np.sin(z), np.cos(z)
     j0_true = s / z
@@ -137,7 +168,7 @@ def spherical_j_table(nmax: int, z) -> np.ndarray:
     ----------
     nmax : int
         Largest order required.
-    z : array_like, >= 0
+    z : array_like, finite and >= 0
         Arguments; may be a scalar or 1-D array.
 
     Returns
@@ -151,8 +182,8 @@ def spherical_j_table(nmax: int, z) -> np.ndarray:
     if nmax < 0:
         raise DomainError(f"order must be >= 0, got {nmax}")
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    if np.any(z < 0):
-        raise DomainError("argument must be >= 0")
+    if not np.all((z >= 0.0) & (z < math.inf)):
+        raise DomainError("argument must be finite and >= 0")
     out = np.zeros((nmax + 1, z.size))
     zero = z == 0.0
     out[0, zero] = 1.0
@@ -189,8 +220,8 @@ def bessel_j_half(l: float, z):
     if l < -0.5:
         raise DomainError(f"order parameter must be >= -1/2, got l={l}")
     z = np.asarray(z, dtype=float)
-    if np.any(z < 0):
-        raise DomainError("argument must be >= 0")
+    if not np.all((z >= 0.0) & (z < math.inf)):
+        raise DomainError("argument must be finite and >= 0")
     if is_integer_l(l):
         n = int(round(l))
         zz = np.atleast_1d(z)

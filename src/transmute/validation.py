@@ -23,7 +23,7 @@ from .errors import DomainError, TransmuteError
 from .kernel import _gl_nodes, apply_transmutation, kernel_K, make_kernel_series
 from .oracle import ProblemSetup, regular_solutions
 from .solution import integral_row
-from .specialfn import is_integer_l
+from .specialfn import is_integer_l, jacobi_all
 from .spectral import choose_N
 
 __all__ = ["CheckResult", "run_validation"]
@@ -129,31 +129,40 @@ def _transmutation_check(setup, beta) -> CheckResult:
     )
 
 
-def _integral_row_check(setup, li, M, rng) -> CheckResult:
-    # The closed-form integral row versus direct quadrature built from
-    # scipy primitives only (independent Bessel + Jacobi evaluations), up
-    # to the longest truncation a fit of size M allows.
-    from scipy.special import eval_jacobi, jv
+def _quadrature_row(li, m_max, omega, x) -> np.ndarray:
+    """I_{l,m}(omega, x), m = 0..m_max, by panel Gauss-Legendre quadrature:
+    the check's reference for integral_row.  The Jacobi values come from one
+    jacobi_all table (pinned to scipy's eval_jacobi) and J_{l+1/2} from
+    scipy's spherical_jn, so it shares neither the spherical-Bessel table
+    nor the connection matrix that integral_row goes through."""
+    from scipy.special import spherical_jn
 
+    z24, w24 = _gl_nodes(24)
+    # a panel per half wave of the Bessel factor, per 4 degrees of Jacobi
+    panels = max(4, 2 * int(np.ceil(omega * x / np.pi)), m_max // 4)
+    edges = np.linspace(0.0, x, panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * np.diff(edges)
+    t = (mid[:, None] + half[:, None] * z24[None, :]).ravel()
+    w = (half[:, None] * w24[None, :]).ravel()
+    zz = 1.0 - 2.0 * (t / x) ** 2
+    wt = omega * t
+    # J_{l+1/2}(wt) = sqrt(2 wt/pi) j_l(wt)
+    base = w * t ** (li + 1.5) * np.sqrt(2.0 * wt / np.pi) * spherical_jn(li, wt)
+    return jacobi_all(m_max, li + 0.5, li + 1.0, zz) @ base
+
+
+def _integral_row_check(setup, li, M, rng) -> CheckResult:
+    # The closed-form integral row versus direct quadrature, up to the
+    # longest truncation a fit of size M allows.
     m_top = max(M - li - 1, 1)
     worst = 0.0
-    z24, w24 = _gl_nodes(24)
     for _ in range(25):
         m_max = int(rng.integers(1, m_top + 1))
         x = float(rng.uniform(0.4, setup.b))
         omega = float(rng.uniform(1.0, 100.0)) / x
         row = integral_row(li, m_max, omega, x)
-        # a panel per half wave of the Bessel factor, per 4 degrees of Jacobi
-        panels = max(4, 2 * int(np.ceil(omega * x / np.pi)), m_max // 4)
-        edges = np.linspace(0.0, x, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * np.diff(edges)
-        t = (mid[:, None] + half[:, None] * z24[None, :]).ravel()
-        w = (half[:, None] * w24[None, :]).ravel()
-        zz = 1.0 - 2.0 * (t / x) ** 2
-        base = w * t ** (li + 1.5) * jv(li + 0.5, omega * t)
-        ref = np.array([np.dot(eval_jacobi(m, li + 0.5, li + 1.0, zz), base)
-                        for m in range(m_max + 1)])
+        ref = _quadrature_row(li, m_max, omega, x)
         scale = max(np.max(np.abs(ref)), 1e-300)
         worst = max(worst, np.max(np.abs(row - ref)) / scale)
     tol = 1e-9

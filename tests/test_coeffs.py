@@ -29,6 +29,11 @@ def test_unperturbed_term_l1_closed_form():
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
+def test_unperturbed_term_rejects_nan_argument():
+    with pytest.raises(DomainError):
+        unperturbed_term(1.0, 2.0, np.nan)
+
+
 @pytest.mark.parametrize("l", [0.0, 1.0, 2.5])
 def test_unperturbed_term_low_frequency_limit(l):
     # y -> x^(l+1) as omega -> 0 at fixed x; omega = 0 itself is outside

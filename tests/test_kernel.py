@@ -342,6 +342,8 @@ def test_kernel_eval_outside_range(beta_harmonic):
         kernel_K(series, series.x * 1.01)
     with pytest.raises(DomainError):
         kernel_K(series, -0.1)
+    with pytest.raises(DomainError):
+        kernel_K(series, np.nan)
 
 
 def test_moment_requires_integer_mode(beta_half_dense):

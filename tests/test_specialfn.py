@@ -90,6 +90,13 @@ def test_jacobi_all_degree_60_matches_scipy(l, kind):
     assert np.max(np.abs(column - ref0) / scale) < 1e-13
 
 
+def test_jacobi_all_rejects_nan():
+    with pytest.raises(DomainError):
+        sf.jacobi_all(3, 0.5, 1.0, np.nan)
+    with pytest.raises(DomainError):
+        sf.jacobi_all(3, 0.5, 1.0, np.array([0.2, np.nan]))
+
+
 def test_jacobi_all_degenerate_recurrence_names_the_degree():
     # alpha + beta = -3 zeroes the leading coefficient 2n(n+a+b)(2n+a+b-2)
     # at n = 3
@@ -134,11 +141,8 @@ def test_compensated_sum_recovers_cancelled_digits():
 # spherical Bessel
 
 
-def test_spherical_j_table_against_scipy():
-    zs = np.array([1e-3, 0.1, 0.9, 3.0, 11.0, 47.0, 211.0])
-    nmax = 40
-    table = sf.spherical_j_table(nmax, zs)
-    for n in range(nmax + 1):
+def _assert_matches_spherical_jn(table, zs):
+    for n in range(table.shape[0]):
         ref = spherical_jn(n, zs)
         err = np.abs(table[n] - ref)
         # oscillatory region: absolute error against the 1/z envelope;
@@ -148,6 +152,69 @@ def test_spherical_j_table_against_scipy():
                 assert e * max(z, 1.0) < 5e-13, (n, z)
             elif abs(r) > 1e-250:
                 assert e < 1e-11 * abs(r), (n, z, e / abs(r))
+
+
+def test_spherical_j_table_against_scipy():
+    zs = np.array([1e-3, 0.1, 0.9, 3.0, 11.0, 47.0, 211.0])
+    _assert_matches_spherical_jn(sf.spherical_j_table(40, zs), zs)
+
+
+# 1e-4 and 0.02 pass 1e250 on the way down from order 190 and are
+# rescaled, 5 is not, and 300 runs the upward recurrence
+_RESCALED_ZS = np.array([1e-4, 0.02, 5.0, 300.0])
+
+
+def _plain_spherical_table(nmax, z):
+    # the recurrences as plain loops, with the overflow test at every order
+    out = np.zeros((nmax + 1, z.size))
+    fwd = z >= nmax + 1.0
+    zf, zb = z[fwd], z[~fwd]
+    j0, j1 = np.sin(zf) / zf, np.sin(zf) / (zf * zf) - np.cos(zf) / zf
+    out[0, fwd] = j0
+    if nmax >= 1:
+        out[1, fwd] = j1
+    for n in range(1, nmax):
+        j0, j1 = j1, (2 * n + 1) / zf * j1 - j0
+        out[n + 1, fwd] = j1
+    sub = np.zeros((nmax + 1, zb.size))
+    jp, jc = np.zeros_like(zb), np.full_like(zb, 1e-30)
+    for n in range(nmax + max(20, math.ceil(math.sqrt(40.0 * max(nmax, 1)))), 0, -1):
+        jm = (2 * n + 1) / zb * jc - jp
+        big = np.abs(jm) > 1e250
+        jm[big] *= 1e-250
+        jc[big] *= 1e-250
+        sub[:, big] *= 1e-250
+        if n - 1 <= nmax:
+            sub[n - 1] = jm
+        jp, jc = jc, jm
+    pick = np.abs(sub[0]) >= np.abs(sub[1]) if nmax >= 1 else np.ones(zb.size, bool)
+    truth = np.where(pick, np.sin(zb) / zb, np.sin(zb) / (zb * zb) - np.cos(zb) / zb)
+    sub *= truth / np.where(pick, sub[0], sub[min(nmax, 1)])
+    out[:, ~fwd] = sub
+    return out
+
+
+@pytest.mark.parametrize("nmax", [0, 1, 2, 50, 120])
+def test_spherical_j_table_equals_the_plain_recurrence(nmax):
+    # same floating-point operations in the same order: equal to the bit
+    zs = np.concatenate([_RESCALED_ZS, np.linspace(0.5, 159.0, 31)])
+    assert np.array_equal(sf.spherical_j_table(nmax, zs), _plain_spherical_table(nmax, zs))
+
+
+def test_spherical_j_table_with_rescaling_is_finite():
+    assert np.all(np.isfinite(sf.spherical_j_table(120, _RESCALED_ZS)))
+
+
+def test_spherical_j_table_columns_do_not_depend_on_each_other():
+    # u_N's scan splits its frequencies into blocks; the values must not
+    # depend on which arguments share a call
+    table = sf.spherical_j_table(120, _RESCALED_ZS)
+    for k, z in enumerate(_RESCALED_ZS):
+        assert np.array_equal(table[:, k], sf.spherical_j_table(120, z)[:, 0]), z
+
+
+def test_spherical_j_table_with_rescaling_against_scipy():
+    _assert_matches_spherical_jn(sf.spherical_j_table(120, _RESCALED_ZS), _RESCALED_ZS)
 
 
 def test_spherical_j_small_argument_asymptotics():
@@ -171,12 +238,25 @@ def test_spherical_j_table_validation():
         sf.spherical_j_table(3, -0.5)
 
 
+@pytest.mark.parametrize("z", [np.nan, np.inf, [1.0, np.nan]])
+def test_spherical_j_table_rejects_non_finite(z):
+    with pytest.raises(DomainError, match="finite"):
+        sf.spherical_j_table(3, z)
+
+
 def test_bessel_j_half_integer_and_real_orders():
     z = np.linspace(0.05, 60.0, 37)
     for l in [0.0, 1.0, 4.0, 0.5, 2.25, -0.5]:
         got = sf.bessel_j_half(l, z)
         ref = jv(l + 0.5, z)
         assert np.max(np.abs(got - ref)) < 5e-13, l
+
+
+@pytest.mark.parametrize("l", [1.0, 0.5])
+def test_bessel_j_half_rejects_nan(l):
+    # integer l through the spherical table, real l through scipy's jv
+    with pytest.raises(DomainError, match="finite"):
+        sf.bessel_j_half(l, np.nan)
 
 
 def test_legendre_bessel_cosine_identity():

@@ -9,6 +9,7 @@ from transmute.coeffs import compute_beta
 from transmute.errors import DomainError
 from transmute.kernel import kernel_K, make_kernel_series
 from transmute.oracle import ProblemSetup
+import transmute.validation as validation
 from transmute.validation import CheckResult, _reduction_check, run_validation
 
 EXPECTED_CHECKS = {
@@ -75,6 +76,52 @@ def test_fault_injection_trips_diagonal_check(harmonic_setups, beta_harmonic):
     # the quadrature identity runs on independently computed integrals,
     # so a corrupted coefficient table cannot affect it
     assert by["integral-row-vs-quadrature"].passed
+
+
+def test_integral_row_check_trips_on_a_moved_entry(monkeypatch, harmonic_setups):
+    # one entry of every row off by 1e-7 of the row's largest entry, two
+    # decades above the check's tolerance
+    setup = harmonic_setups[1]
+    honest = validation._integral_row_check(setup, 1, 25, np.random.default_rng(0))
+    assert honest.passed, honest.value
+    exact = validation.integral_row
+
+    def moved(l, m_max, omega, x):
+        row = exact(l, m_max, omega, x).copy()
+        row[m_max // 2] += 1e-7 * np.max(np.abs(row))
+        return row
+
+    monkeypatch.setattr(validation, "integral_row", moved)
+    check = validation._integral_row_check(setup, 1, 25, np.random.default_rng(0))
+    assert not check.passed, check.value
+
+
+@pytest.mark.parametrize("li", [0, 1, 5, 10])
+def test_quadrature_row_matches_eval_jacobi_and_jv(li):
+    # the check's reference against the route it replaced: one eval_jacobi
+    # call per degree and the general-order jv
+    from scipy.special import eval_jacobi, jv
+
+    from transmute.kernel import _gl_nodes
+
+    rng = np.random.default_rng(li)
+    z24, w24 = _gl_nodes(24)
+    for m_max in (1, 7, 23, 59):
+        x = float(rng.uniform(0.4, np.pi))
+        omega = float(rng.uniform(1.0, 100.0)) / x
+        got = validation._quadrature_row(li, m_max, omega, x)
+        panels = max(4, 2 * int(np.ceil(omega * x / np.pi)), m_max // 4)
+        edges = np.linspace(0.0, x, panels + 1)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * np.diff(edges)
+        t = (mid[:, None] + half[:, None] * z24[None, :]).ravel()
+        w = (half[:, None] * w24[None, :]).ravel()
+        zz = 1.0 - 2.0 * (t / x) ** 2
+        base = w * t ** (li + 1.5) * jv(li + 0.5, omega * t)
+        want = np.array([np.dot(eval_jacobi(m, li + 0.5, li + 1.0, zz), base)
+                         for m in range(m_max + 1)])
+        err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert err <= 1e-12, (m_max, err)
 
 
 def test_reduction_check_matches_scalar_loop(beta_harmonic):
