@@ -5,9 +5,11 @@ the perturbed one, T[y](x) = y(x) + int_0^x K(x,t) y(t) dt, is expanded
 over Jacobi polynomials in z = 1 - 2 t^2/x^2.  Two forms are provided:
 
 * integer l >= 0:
-    K(x,t) = t^(l+1) sum_m c_m(x) P_m^(l+1/2, l+1)(z),
+    K(x,t) = t^(l+1) sum_s d_s(x) P_s^(l+1/2, 0)(z),   d = C^T c,
     c_m = (sqrt(pi)/(x^(2l+3) Gamma(l+3/2))) (-1)^(m+l+1)
-          * (Gamma(m+2l+5/2)/Gamma(m+l+3/2)) beta_{m+l+1}(x);
+          * (Gamma(m+2l+5/2)/Gamma(m+l+3/2)) beta_{m+l+1}(x),
+  where c are the weights of the paper's P_m^(l+1/2, l+1) series and C
+  connects that basis to P_s^(l+1/2, 0) (_connection);
 
 * real l > -1/2:
     K(x,t) = (t^(l+1)/(x^2-t^2)^(l+1)) sum_k c_k(x) P_k^(l+1/2, -l-1)(z),
@@ -18,11 +20,13 @@ the latter valid away from the diagonal t = x, where the division by
 off at t_max_fraction * x < x.  One evaluator, kernel_K, serves both: the
 series' mode picks the second Jacobi parameter, the t prefactor and the
 cutoff.  The integer-l series reaches the diagonal, where K_N(x, x)
-converges to the Goursat value (1/2) int_0^x q.  The integer-l Gamma
-ratio is a finite product of half-integers; the real-l weights are
-assembled in log-magnitude + sign form.  Both series are summed from the
-highest index down with compensation, because the weights span many
-orders of magnitude.
+converges to the Goursat value (1/2) int_0^x q.  In its basis each term
+integrates against the free solution to one Bessel function
+(solution.integral_row) and against t^alpha to one ratio of Pochhammer
+symbols (kernel_moment).  The integer-l Gamma ratio is a finite product
+of half-integers; the real-l weights are assembled in log-magnitude +
+sign form.  Both series are summed from the highest index down with
+compensation, because the weights span many orders of magnitude.
 """
 from __future__ import annotations
 
@@ -53,13 +57,15 @@ _T_SLACK = 1e-12
 class KernelSeries:
     """Immutable truncated kernel series at a fixed x.
 
-    weights holds the fully combined coefficients c_0..c_N (everything
-    except the t-dependent prefactor and the Jacobi polynomial), so
-    evaluation is a plain weighted polynomial sum.  t_max_fraction is the
-    evaluation cutoff: 1 for the integer-l series, below 1 for the real-l
-    one, which is singular at t = x.  goursat_diag optionally carries
-    (1/2) int_0^x q, the exact diagonal value K(x,x); the real-l
-    transmutation integral uses it to anchor its near-diagonal tail.
+    weights holds the fully combined coefficients, d_0..d_N of
+    P_s^(l+1/2, 0) for integer l and c_0..c_N of P_k^(l+1/2, -l-1) for
+    real l (everything except the t-dependent prefactor and the Jacobi
+    polynomial), so evaluation is a plain weighted polynomial sum.
+    t_max_fraction is the evaluation cutoff: 1 for the integer-l series,
+    below 1 for the real-l one, which is singular at t = x.  goursat_diag
+    optionally carries (1/2) int_0^x q, the exact diagonal value K(x,x);
+    the real-l transmutation integral uses it to anchor its near-diagonal
+    tail.
 
     K_N(x, .) does not depend on the function it is applied to, so the
     fixed quadrature rule of apply_transmutation (nodes, weights and
@@ -142,6 +148,8 @@ def make_kernel_series(
     """
     l = beta.l
     x = beta.x
+    if N is not None and not float(N).is_integer():   # NaN fails too
+        raise DomainError(f"N must be an integer, got {N}")
     if mode == "auto":
         mode = "integer-l" if specialfn.is_integer_l(l) else "real-l"
 
@@ -156,16 +164,16 @@ def make_kernel_series(
             raise DomainError(
                 f"table with M={beta.M} too short for integer-l kernel at l={li}"
             )
-        if N is None:
-            N = n_max
+        N = n_max if N is None else int(N)
         if not 0 <= N <= n_max:
             raise DomainError(f"N={N} outside [0, {n_max}] for M={beta.M}")
         lpref = 0.5 * math.log(math.pi) - (2 * li + 3) * math.log(x) \
             - math.lgamma(li + 1.5)
         m = np.arange(N + 1)
         sign = (-1.0) ** (m + li + 1)
-        weights = sign * math.exp(lpref) * specialfn.gamma_ratio(m, li) \
+        c = sign * math.exp(lpref) * specialfn.gamma_ratio(m, li) \
             * beta.beta[m + li + 1]
+        weights = _connection(li, N).T @ c
         return KernelSeries(
             x=x, l=float(li), mode=mode, N=N, weights=weights,
             t_max_fraction=1.0, goursat_diag=goursat_diag,
@@ -175,8 +183,7 @@ def make_kernel_series(
         raise DomainError(f"unknown mode {mode!r}")
     from scipy.special import gammaln, gammasgn   # loads slowly; only real l needs it
 
-    if N is None:
-        N = beta.M
+    N = beta.M if N is None else int(N)
     if not 0 <= N <= beta.M:
         raise DomainError(f"N={N} outside [0, {beta.M}]")
     lpref = 0.5 * math.log(math.pi) - math.lgamma(l + 1.5) - math.log(x)
@@ -192,6 +199,22 @@ def make_kernel_series(
         x=x, l=l, mode="real-l", N=N, weights=weights,
         t_max_fraction=t_max_fraction, goursat_diag=goursat_diag,
     )
+
+
+def _connection(l: int, m_max: int) -> np.ndarray:
+    """C with P_m^(l+1/2, l+1) = sum_s C[m, s] P_s^(l+1/2, 0), m, s <= m_max.
+
+    Raises the second parameter from 0 to l+1 by one lower-bidiagonal solve
+    per unit: (2k+a+b+1) P_k^(a,b) = (k+a+b+1) P_k^(a,b+1) + (k+a) P_{k-1}^(a,b+1)
+    (DLMF 18.9.5).
+    """
+    a = l + 0.5
+    k = np.arange(m_max + 1.0)
+    c = np.eye(m_max + 1)
+    for b in range(l + 1):
+        step = np.diag(k + a + b + 1.0) + np.diag(k[1:] + a, -1)
+        c = np.linalg.solve(step, (2.0 * k + a + b + 1.0)[:, None] * c)
+    return c
 
 
 def _check_t(series: KernelSeries, t):
@@ -219,7 +242,7 @@ def kernel_K(series: KernelSeries, t):
     x, l = series.x, series.l
     z = 1.0 - 2.0 * (ta / x) ** 2
     if series.mode == "integer-l":
-        rows = specialfn.jacobi_all(series.N, l + 0.5, l + 1.0, z)
+        rows = specialfn.jacobi_all(series.N, l + 0.5, 0.0, z)
         pref = ta ** (int(l) + 1)
     else:
         rows = specialfn.jacobi_all(series.N, l + 0.5, -l - 1.0, z)
@@ -229,31 +252,24 @@ def kernel_K(series: KernelSeries, t):
 
 
 def kernel_moment(series: KernelSeries, alpha: float) -> float:
-    """int_0^x t^alpha K_N(x,t) dt in closed form (terminating 3F2 per term).
+    """int_0^x t^alpha K_N(x,t) dt in closed form, valid for alpha > -l-2.
 
-    Valid for alpha > -l-2; agrees with direct quadrature of the truncated
-    kernel, and at l=0, alpha=1 collapses to beta_0(x).
+    With sigma = (alpha+l)/2 + 1 each P_s^(l+1/2, 0) term gives a balanced
+    terminating 3F2, which Pfaff-Saalschuetz (DLMF 16.4.3) sums to
+
+        (x^(alpha+l+2)/2) sum_s d_s (l+3/2-sigma)_s / (sigma)_(s+1).
+
+    At l=0, alpha=1 the moment collapses to beta_0(x).
     """
     if series.mode != "integer-l":
         raise DomainError("kernel_moment requires an integer-l series")
     li = int(series.l)
-    x = series.x
-    if alpha <= -li - 2.0:
+    if not alpha > -li - 2.0:   # NaN fails too
         raise DomainError(f"need alpha > {-li - 2}, got {alpha}")
-    # weights already carry sqrt(pi)/(x^(2l+3) Gamma(l+3/2)) and the
-    # Gamma(m+2l+5/2)/Gamma(m+l+3/2) ratio; the closed form needs
-    # Gamma(m+2l+5/2)/m! and one more 1/Gamma(l+3/2), so adjust per term:
-    # Gamma(m+l+3/2)/(m! Gamma(l+3/2)) = prod_{j=1..m} (l+1/2+j)/j and the
-    # alpha-dependent prefactor.
-    m = np.arange(series.N + 1)
-    adjust = np.cumprod(np.r_[1.0, (li + 0.5 + m[1:]) / m[1:]])
-    half = 0.5 * (alpha + li) + 1.0
-    pref = x ** (alpha + li + 2.0) / (2.0 * half)   # net of the x^(2l+3) in weights
-    f32 = np.array(
-        [specialfn.hyp3f2_terminating(int(mm), float(li), alpha) for mm in m]
-    )
-    terms = pref * series.weights * adjust * f32
-    return math.fsum(terms)
+    sigma = 0.5 * (alpha + li) + 1.0
+    s = np.arange(series.N)
+    ratio = np.cumprod(np.r_[1.0 / sigma, (li + 1.5 - sigma + s) / (sigma + 1.0 + s)])
+    return 0.5 * series.x ** (alpha + li + 2.0) * math.fsum(series.weights * ratio)
 
 
 @lru_cache(maxsize=64)

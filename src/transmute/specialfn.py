@@ -1,6 +1,5 @@
 """Special-function kernel: the Jacobi recurrence, half-integer Bessel,
-spherical Bessel tables, the integer-l gamma ratio, terminating
-hypergeometric sums, the column-wise
+spherical Bessel tables, the integer-l gamma ratio, the column-wise
 compensated sum the series evaluators share, and the rule that decides
 when l counts as an integer.
 
@@ -20,11 +19,9 @@ __all__ = [
     "INTEGER_L_TOL",
     "is_integer_l",
     "jacobi_all",
-    "spherical_j",
     "spherical_j_table",
     "bessel_j_half",
     "gamma_ratio",
-    "hyp3f2_terminating",
     "compensated_sum",
 ]
 
@@ -38,8 +35,9 @@ def is_integer_l(l: float) -> bool:
     (spherical Bessel identity, integer-l kernel series and with it u_N)
     and the general real-l ones.
     """
-    n = round(l)
-    return abs(l - n) <= INTEGER_L_TOL and n >= 0
+    if not -0.5 < l < math.inf:   # NaN fails too
+        return False
+    return abs(l - round(l)) <= INTEGER_L_TOL
 
 
 _Z_SLACK = 1e-12  # tolerated overshoot of |z| past 1 before raising
@@ -176,8 +174,9 @@ def spherical_j_table(nmax: int, z) -> np.ndarray:
     ndarray of shape (nmax+1, len(z)).
 
     Forward recurrence where the argument dominates the order, Miller's
-    normalized downward recurrence otherwise; both regimes may be present
-    in one call.
+    normalized downward recurrence otherwise, and below z = 1e-50, where
+    Miller's start would overflow, the leading term z^n/(2n+1)!!, exact
+    to rounding there; all regimes may be present in one call.
     """
     if nmax < 0:
         raise DomainError(f"order must be >= 0, got {nmax}")
@@ -188,9 +187,13 @@ def spherical_j_table(nmax: int, z) -> np.ndarray:
     zero = z == 0.0
     out[0, zero] = 1.0
 
-    live = ~zero
-    fwd = live & (z >= nmax + 1.0)
-    bwd = live & ~fwd
+    tiny = ~zero & (z < 1e-50)
+    if np.any(tiny):
+        # j_n = j_{n-1} z/(2n+1) underflows to 0 quietly
+        out[0, tiny] = 1.0
+        out[1:, tiny] = np.cumprod(z[tiny] / np.arange(3.0, 2 * nmax + 2, 2.0)[:, None], axis=0)
+    fwd = z >= nmax + 1.0
+    bwd = ~zero & ~tiny & ~fwd
     if np.any(fwd):
         sub = np.zeros((nmax + 1, int(fwd.sum())))
         _spherical_forward(nmax, z[fwd], sub)
@@ -200,13 +203,6 @@ def spherical_j_table(nmax: int, z) -> np.ndarray:
         _spherical_backward(nmax, z[bwd], sub)
         out[:, bwd] = sub
     return out
-
-
-def spherical_j(n: int, z):
-    """Spherical Bessel function j_n(z), stable for any order/argument mix."""
-    tbl = spherical_j_table(n, z)
-    res = tbl[n]
-    return float(res[0]) if np.ndim(z) == 0 else res
 
 
 def bessel_j_half(l: float, z):
@@ -234,7 +230,7 @@ def bessel_j_half(l: float, z):
 
 
 # ---------------------------------------------------------------------------
-# gamma ratios and terminating hypergeometric sums
+# gamma ratios
 
 
 def gamma_ratio(m, l: float):
@@ -249,29 +245,6 @@ def gamma_ratio(m, l: float):
     li = int(round(l))
     a = np.asarray(m, dtype=float)[..., None] + (li + 1.5)
     return np.prod(a + np.arange(li + 1), axis=-1)
-
-
-def hyp3f2_terminating(m: int, l: float, alpha: float) -> float:
-    """Terminating 3F2(-m, 2l+m+5/2, (alpha+l)/2+1; l+3/2, (alpha+l)/2+2; 1).
-
-    The first numerator parameter -m cuts the series after m+1 terms;
-    the terms alternate and can cancel heavily, so they are summed with
-    math.fsum (correctly rounded).
-    """
-    if m < 0:
-        raise DomainError(f"m must be >= 0, got {m}")
-    if alpha <= -l - 2.0:
-        raise DomainError(f"need alpha > -l-2, got alpha={alpha}, l={l}")
-    a2 = 2.0 * l + m + 2.5
-    a3 = 0.5 * (alpha + l) + 1.0
-    b1 = l + 1.5
-    b2 = a3 + 1.0
-    term = 1.0
-    terms = [term]
-    for j in range(m):
-        term *= ((j - m) * (a2 + j) * (a3 + j)) / ((b1 + j) * (b2 + j) * (j + 1.0))
-        terms.append(term)
-    return math.fsum(terms)
 
 
 def compensated_sum(terms) -> np.ndarray:

@@ -130,11 +130,11 @@ def _transmutation_check(setup, beta) -> CheckResult:
 
 
 def _quadrature_row(li, m_max, omega, x) -> np.ndarray:
-    """I_{l,m}(omega, x), m = 0..m_max, by panel Gauss-Legendre quadrature:
-    the check's reference for integral_row.  The Jacobi values come from one
-    jacobi_all table (pinned to scipy's eval_jacobi) and J_{l+1/2} from
-    scipy's spherical_jn, so it shares neither the spherical-Bessel table
-    nor the connection matrix that integral_row goes through."""
+    """The integrals of integral_row, s = 0..m_max, by panel Gauss-Legendre
+    quadrature: the check's reference.  The Jacobi values P_s^(l+1/2, 0)
+    come from one jacobi_all table (pinned to scipy's eval_jacobi) and
+    J_{l+1/2} from scipy's spherical_jn, so it does not share the
+    spherical-Bessel table that integral_row goes through."""
     from scipy.special import spherical_jn
 
     z24, w24 = _gl_nodes(24)
@@ -149,7 +149,7 @@ def _quadrature_row(li, m_max, omega, x) -> np.ndarray:
     wt = omega * t
     # J_{l+1/2}(wt) = sqrt(2 wt/pi) j_l(wt)
     base = w * t ** (li + 1.5) * np.sqrt(2.0 * wt / np.pi) * spherical_jn(li, wt)
-    return jacobi_all(m_max, li + 0.5, li + 1.0, zz) @ base
+    return jacobi_all(m_max, li + 0.5, 0.0, zz) @ base
 
 
 def _integral_row_check(setup, li, M, rng) -> CheckResult:

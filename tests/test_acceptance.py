@@ -201,7 +201,7 @@ def test_criterion_08_recurrence_vs_quadrature():
         w = (half[:, None] * w40[None, :]).ravel()
         zz = 1.0 - 2.0 * (t / x) ** 2
         base = w * t ** (l + 1.5) * jv(l + 0.5, omega * t)
-        return sf.jacobi_all(m_max, l + 0.5, l + 1.0, zz) @ base
+        return sf.jacobi_all(m_max, l + 0.5, 0.0, zz) @ base
 
     rng = np.random.default_rng(42)
     worst = 0.0

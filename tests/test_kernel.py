@@ -128,8 +128,68 @@ def test_moment_matches_quadrature(beta_harmonic, alpha):
 
 def test_moment_domain():
     series = make_kernel_series(_zero_table(0))
-    with pytest.raises(DomainError):
-        kernel_moment(series, -2.0)  # needs alpha > -l-2
+    for alpha in (-2.0, np.nan):   # needs alpha > -l-2
+        with pytest.raises(DomainError):
+            kernel_moment(series, alpha)
+
+
+@pytest.fixture(scope="module")
+def series_by_l():
+    """Integer-l series for q = x^2 and q == 20 on (0, pi] at l = 0, 1, 2, 5,
+    10, fitted at the spectrum's default M and truncated by choose_N."""
+    from transmute.oracle import ProblemSetup
+    from transmute.spectral import choose_N, default_fit_size
+
+    pots = {"x^2": lambda x: np.asarray(x, dtype=float) ** 2,
+            "20": lambda x: np.full(np.shape(x), 20.0)}
+    out = {}
+    for name, q in pots.items():
+        for l in (0, 1, 2, 5, 10):
+            bt = compute_beta(ProblemSetup(l=float(l), b=np.pi, q=q), np.pi,
+                              default_fit_size(l))
+            out[name, l] = (bt, make_kernel_series(bt, N=choose_N(bt)))
+    return out
+
+
+@pytest.mark.parametrize("q", ["x^2", "20"])
+@pytest.mark.parametrize("l", [0, 1, 2, 5, 10])
+def test_kernel_K_matches_the_paper_basis(series_by_l, q, l):
+    # the weights are stored in P_s^(l+1/2, 0); the paper's series is
+    # t^(l+1) sum_m c_m P_m^(l+1/2, l+1)(z) with c_m written out here.
+    # mpmath evaluates it: scipy's eval_jacobi is off by 1.6e-11 of max|K|
+    # near t = x at l = 10, the jacobi_all recurrence by 1e-13
+    bt, series = series_by_l[q, l]
+    x = mpmath.mpf(bt.x)
+    t = np.linspace(0.0, bt.x, 31)
+    want = np.zeros_like(t)
+    with mpmath.workdps(30):
+        half = mpmath.mpf(1) / 2
+        c = [(-1) ** (m + l + 1) * mpmath.sqrt(mpmath.pi)
+             / (x ** (2 * l + 3) * mpmath.gamma(l + 3 * half))
+             * mpmath.gamma(m + 2 * l + 5 * half) / mpmath.gamma(m + l + 3 * half)
+             * mpmath.mpf(bt.beta[m + l + 1]) for m in range(series.N + 1)]
+        for i, ti in enumerate(t):
+            z = 1 - 2 * (mpmath.mpf(ti) / x) ** 2
+            want[i] = float(mpmath.mpf(ti) ** (l + 1) * mpmath.fsum(
+                cm * mpmath.jacobi(m, l + half, l + 1, z) for m, cm in enumerate(c)))
+    got = kernel_K(series, t)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("l", [0, 2, 5, 10])
+def test_moment_matches_quadrature_on_constant_potential(series_by_l, l):
+    # the P_s^(l+1/2, 0) form has positive-ratio terms; the 3F2 per term
+    # it replaced cancelled down to 2.7e-10 here at l = 5.  t = x s^2 makes
+    # the integrand a polynomial in s that 400 nodes integrate exactly
+    series = series_by_l["20", l][1]
+    x = series.x
+    z, w = roots_legendre(400)
+    s = 0.5 * (z + 1.0)
+    t = x * s * s
+    kt = kernel_K(series, t)
+    for alpha in (-0.5, 0.0, 0.5, 1.0, 2.0, 3.5):
+        ref = float(np.sum(0.5 * w * t ** alpha * kt * 2.0 * x * s))
+        assert abs(kernel_moment(series, alpha) - ref) <= 1e-12 * abs(ref), alpha
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +256,7 @@ def _scipy_kernel_difference(series_N, series_ref, t):
         - np.pad(series_N.weights, (0, n - series_N.N - 1))
     z = 1.0 - 2.0 * (t / x) ** 2
     if series_N.mode == "integer-l":
-        p = eval_jacobi(np.arange(n), l + 0.5, l + 1.0, z)
+        p = eval_jacobi(np.arange(n), l + 0.5, 0.0, z)
         pref = t ** (l + 1.0)
     else:
         p = eval_jacobi(np.arange(n), l + 0.5, -l - 1.0, z)
@@ -324,6 +384,10 @@ def test_series_construction_validation(beta_harmonic, beta_half_dense):
         make_kernel_series(beta_half_dense, mode="integer-l")
     with pytest.raises(DomainError):
         make_kernel_series(beta_harmonic[1], N=40)  # table only supports M-l-1
+    for table in (beta_harmonic[1], beta_half_dense):
+        for N in (3.5, np.nan):
+            with pytest.raises(DomainError, match="integer"):
+                make_kernel_series(table, N=N)
     with pytest.raises(DomainError):
         KernelSeries(x=1.0, l=1.0, mode="banana", N=1, weights=np.zeros(2))
     with pytest.raises(DomainError):

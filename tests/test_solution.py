@@ -53,7 +53,7 @@ def _row_by_quadrature(l, m_max, omega, x):
     w = (half[:, None] * w40[None, :]).ravel()
     zz = 1.0 - 2.0 * (t / x) ** 2
     base = w * t ** (l + 1.5) * jv(l + 0.5, omega * t)
-    return sf.jacobi_all(m_max, l + 0.5, l + 1.0, zz) @ base
+    return sf.jacobi_all(m_max, l + 0.5, 0.0, zz) @ base
 
 
 @pytest.mark.parametrize("case", ["short", "long"])
@@ -85,11 +85,25 @@ def test_integral_row_argument_checks():
         integral_row(1, 4, np.array([1.0, -2.0, 0.0]), 1.0)
     with pytest.raises(DomainError):
         integral_row(1, 4, np.ones((2, 2)), 1.0)
-    for l, m_max, x in ((-1, 4, 1.0), (1, -1, 1.0), (1, 4, 0.0)):
+    for l, s_max, x in ((-1, 4, 1.0), (1, -1, 1.0), (1, 4, 0.0), (1.5, 4, 1.0),
+                        (np.nan, 4, 1.0), (1, 3.5, 1.0), (1, np.nan, 1.0)):
         with pytest.raises(DomainError):
-            integral_row(l, m_max, 1.0, x)
+            integral_row(l, s_max, 1.0, x)
+    # ProblemSetup.l is a float: any l that is_integer_l takes is accepted
+    assert np.array_equal(integral_row(1.0, 4, 1.0, 1.0), integral_row(1, 4, 1.0, 1.0))
+    assert np.array_equal(integral_row(1 + 1e-12, 4.0, 1.0, 1.0),
+                          integral_row(1, 4, 1.0, 1.0))
     assert integral_row(1, 4, 2.0, 1.0).shape == (5,)
     assert integral_row(1, 4, np.array([2.0, 3.0]), 1.0).shape == (2, 5)
+
+
+def test_integral_row_at_tiny_frequency():
+    # the spherical-Bessel table gave NaN below omega x ~ 5e-58: I_0 is
+    # pi^(5/2) J_{5/2}(omega pi)/omega ~ pi^5 sqrt(2/pi) omega^(3/2)/15, the
+    # rest underflows to 0
+    row = integral_row(1, 5, 1e-100, np.pi)
+    assert abs(row[0] / (np.pi ** 5 * math.sqrt(2.0 / np.pi) * 1e-150 / 15.0) - 1.0) < 1e-14
+    assert np.all(row[1:] == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +213,9 @@ def test_sup_sqrt_bessel_l1():
 
 def test_uniform_error_bound_validation(beta_harmonic):
     series = make_kernel_series(beta_harmonic[1])
-    with pytest.raises(DomainError):
-        uniform_error_bound(series, -1.0)
+    for bad in (-1.0, np.nan):
+        with pytest.raises(DomainError):
+            uniform_error_bound(series, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +237,38 @@ def test_array_omega_matches_scalar_calls(beta_harmonic):
     assert isinstance(got, np.ndarray) and got.shape == om.shape
     assert isinstance(u_N(series, 2.0, b), float)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's arguments."""
+    calls = []
+    inner = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_u_N_makes_one_table_call_and_no_connection(monkeypatch, beta_harmonic,
+                                                    beta_half_dense):
+    # the connection to P_s^(l+1/2, 0) is applied once, to the weights of
+    # an integer-l series; u_N reads its main term and its row off one table
+    from transmute import kernel
+
+    connection = _counting(monkeypatch, kernel, "_connection")
+    series = make_kernel_series(beta_harmonic[1], N=13)
+    assert len(connection) == 1
+    make_kernel_series(beta_half_dense)
+    make_kernel_series(beta_harmonic[1], mode="real-l")
+    assert len(connection) == 1
+    tables = _counting(monkeypatch, sf, "spherical_j_table")
+    u_N(series, 2.0, np.pi)
+    u_N(series, np.linspace(0.1, 80.0, 50), np.pi)
+    assert len(tables) == 2 and len(connection) == 1
+    assert [args[0] for args in tables] == [1 + 2 * 13 + 1] * 2
 
 
 def test_array_omega_checks_every_element(beta_harmonic):

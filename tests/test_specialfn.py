@@ -5,6 +5,7 @@ Reference values come from scipy.special (independent implementations),
 mpmath, and closed forms.
 """
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -221,8 +222,28 @@ def test_spherical_j_small_argument_asymptotics():
     z = 1e-4
     for n in [1, 2, 5, 10]:
         lead = z ** n / math.prod(range(2 * n + 1, 0, -2))
-        got = sf.spherical_j(n, z)
+        got = sf.spherical_j_table(n, z)[n, 0]
         assert abs(got - lead) < 1e-7 * lead
+
+
+@pytest.mark.parametrize("z", [1e-300, 1e-100, 4.5e-58, 1e-51])
+def test_spherical_j_table_tiny_arguments(z):
+    # Miller's start overflowed here and the table came back NaN; the
+    # leading term z^n/(2n+1)!! is exact to rounding, and underflows to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for nmax in (0, 2, 20, 120):
+            got = sf.spherical_j_table(nmax, [z, 0.0])
+            with mpmath.workdps(30):
+                want = np.array([float(mpmath.mpf(z) ** n / mpmath.fac2(2 * n + 1))
+                                 for n in range(nmax + 1)])
+            # relative to the value, or absolutely below the smallest normal
+            assert np.all(np.abs(got[:, 0] - want)
+                          <= 1e-14 * want + np.finfo(float).tiny), (z, nmax)
+            assert np.array_equal(got[:, 1], np.eye(nmax + 1)[0])
+        # J_{3/2}(z) = sqrt(2z/pi) j_1(z) ~ sqrt(2z/pi) z/3
+        want = math.sqrt(2.0 * z / math.pi) * z / 3.0
+        assert abs(sf.bessel_j_half(1.0, z) - want) <= 1e-14 * want
 
 
 def test_spherical_j_zero_argument():
@@ -269,12 +290,12 @@ def test_legendre_bessel_cosine_identity():
                 lambda s: eval_legendre(2 * k, s) * math.cos(z * s),
                 0.0, 1.0, limit=200, epsabs=1e-13, epsrel=1e-13,
             )
-            got = (-1.0) ** k * sf.spherical_j(2 * k, z)
+            got = (-1.0) ** k * sf.spherical_j_table(2 * k, z)[2 * k, 0]
             assert abs(got - ref) < 1e-11, (k, z)
 
 
 # ---------------------------------------------------------------------------
-# gamma ratios, 3F2
+# gamma ratios
 
 
 def test_gamma_ratio_small_arguments():
@@ -302,67 +323,14 @@ def test_gamma_ratio_large_m_no_overflow():
     assert math.isfinite(sf.gamma_ratio(10 ** 6, 10.0))
 
 
-def _hyp3f2_term_scale(m, l, alpha):
-    """Sum of |terms|: the alternating series cancels down from this scale,
-    so roundoff in the result is proportional to it."""
-    a2 = 2 * l + m + 2.5
-    a3 = 0.5 * (alpha + l) + 1.0
-    b1 = l + 1.5
-    b2 = a3 + 1.0
-    term = 1.0
-    total = 1.0
-    for j in range(m):
-        term *= ((j - m) * (a2 + j) * (a3 + j)) / ((b1 + j) * (b2 + j) * (j + 1.0))
-        total += abs(term)
-    return total
-
-
-def _hyp3f2_tol(m, l, alpha):
-    return 1e-15 * (m + 1) * _hyp3f2_term_scale(m, l, alpha) + 1e-13
-
-
-def test_hyp3f2_l0_alpha1_closed_form():
-    # at l = 0, alpha = 1 the third numerator parameter cancels the first
-    # denominator and the sum collapses to (-1)^m m!/(5/2)_m
-    for m in range(0, 15):
-        poch = 1.0
-        for j in range(m):
-            poch *= 2.5 + j
-        want = (-1.0) ** m * math.factorial(m) / poch
-        got = sf.hyp3f2_terminating(m, 0.0, 1.0)
-        assert abs(got - want) < _hyp3f2_tol(m, 0.0, 1.0), m
-
-
-def test_hyp3f2_against_mpmath():
-    mpmath.mp.dps = 40
-    for m in [0, 3, 7, 12]:
-        for l in [0.0, 1.0, 2.0]:
-            for alpha in [0.5, 1.0, 2.0]:
-                ref = float(
-                    mpmath.hyper(
-                        [-m, 2 * l + m + 2.5, 0.5 * (alpha + l) + 1.0],
-                        [l + 1.5, 0.5 * (alpha + l) + 2.0],
-                        1,
-                    )
-                )
-                got = sf.hyp3f2_terminating(m, l, alpha)
-                assert abs(got - ref) < _hyp3f2_tol(m, l, alpha), (m, l, alpha)
-
-
-def test_hyp3f2_validation():
-    with pytest.raises(DomainError):
-        sf.hyp3f2_terminating(-2, 0.0, 1.0)
-    with pytest.raises(DomainError):
-        sf.hyp3f2_terminating(3, 0.0, -2.0)
-
-
 # ---------------------------------------------------------------------------
 # the integer-l rule
 
 
 @pytest.mark.parametrize("l, integer", [
     (0.0, True), (3.0, True), (-1e-10, True), (1.0 + 5e-10, True),
-    (1.0 + 2e-9, False), (0.5, False), (-0.5, False),
+    (1.0 + 2e-9, False), (0.5, False), (-0.5, False), (np.nan, False),
+    (np.inf, False),
 ])
 def test_is_integer_l(l, integer):
     assert sf.is_integer_l(l) is integer
