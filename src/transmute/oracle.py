@@ -28,10 +28,11 @@ see an error that does not change with the grid, so solves with
 A sweep of frequencies is solved in blocks (regular_solutions).  A block
 shares one grid, sized for its lowest and highest |omega|, which bounds
 the phase of every frequency in between, so no frequency gets a coarser
-grid than it would alone.  The omega-free part of every step, q at its
+grid than it would alone; the frequencies whose step rule is the cap
+alone share the cap's grid.  The omega-free part of every step, q at its
 Gauss nodes included, is formed once per grid; the step maps and chain
-products are frequency x step arrays, in tiles of at most _BLOCK
-frequencies x nodes that reuse one workspace per call, which bounds the
+products are frequency x step arrays, in tiles of equal rows and at most
+_BLOCK frequencies x nodes, in one workspace per call, which bounds the
 memory of any sweep.  The self-check runs per frequency.
 """
 from __future__ import annotations
@@ -70,11 +71,11 @@ _REL_TOL = 1e-10
 # |omega| * b validated against the exact constant-q family (5000 pi
 # measures 6.1e-12, but the limit stays until such a range is validated)
 _PHASE_LIMIT = 2000.0 * math.pi
-# frequencies x nodes of a block's grid, and of one tile of the step maps
-# and chain product (before padding); a call's workspace holds six float
-# arrays of that size (256 KiB each).  Larger blocks cost memory and, once
-# the arrays leave the cache, time: with 2^16 the l = 1/2, M = 60 fits
-# ran about 20 % slower than with 2^15 or 2^14
+# frequencies x nodes of a block's grid (its capped frequencies aside),
+# and of one tile of the step maps and chain product (before padding); a
+# call's workspace holds six float arrays of that size (256 KiB each).
+# Larger tiles cost memory and, once the arrays leave the cache, time:
+# with 2^16 the l = 1/2, M = 60 fits ran about 20 % slower than with 2^15
 _BLOCK = 1 << 15
 # steps of one grid: 100 times what |omega| b = 2000 pi needs (~4e4); a
 # sweep near omega = 0 on b = 1e300 would ask for 1e150
@@ -82,9 +83,8 @@ _MAX_STEPS = 1 << 22
 # steps of a tile, padded with identity maps, are a multiple of this, so
 # the chain product's first levels pair steps within a row
 _PAD = 8
-# floats of the largest tile of several rows on a grid of 1024 steps or
-# more (32 rows at most); a workspace for such tiles starts at six, so it
-# does not grow tile by tile
+# floats of the largest tile on a grid of 1024 steps or more (32 rows at
+# most)
 _TILE = _BLOCK + 32 * (_PAD - 1)
 
 
@@ -276,13 +276,17 @@ def _build_grid(probe, om_lo: float, om_hi: float) -> np.ndarray:
     return np.interp(np.linspace(0.0, total, steps + 1), level, edges)
 
 
-def _grid_terms(xs: np.ndarray, l: float, q) -> np.ndarray:
+def _grid_terms(xs: np.ndarray, l: float, q, buf=None) -> np.ndarray:
     """The omega-free terms of the step maps on the grid xs, a column per
     step: h, h^2, pbar = (p1 + p2)/2, d = (sqrt(3)/12) h^2 (p1 - p2), d^2,
     with p = l(l+1)/x^2 + q at the Gauss nodes; zero columns, identity
-    maps, pad them to a multiple of _PAD."""
+    maps, pad them to a multiple of _PAD.  They go into the float array
+    buf if it is large enough."""
     n = xs.size - 1
-    terms = np.empty((5, -(-n // _PAD) * _PAD))
+    steps = -(-n // _PAD) * _PAD
+    if buf is None or buf.size < 5 * steps:
+        buf = np.empty(5 * steps)
+    terms = buf[: 5 * steps].reshape(5, steps)
     terms[:, n:] = 0.0
     h, h2, pbar, d, d2 = terms[:, :n]
     np.subtract(xs[1:], xs[:-1], out=h)
@@ -355,25 +359,27 @@ def _step_maps(terms, om: np.ndarray, bufs):
     np.subtract(c, scd, out=m22)
     np.multiply(sc, h, out=m12)
     np.multiply(m12, vbar, out=m21)
-    return m11, m12, m21, m22
+    return bufs[:4]
 
 
 class _Workspace:
-    """Float scratch reused by every tile of a call: the heap is not
-    trimmed and regrown around each."""
+    """A call's grid terms and tile arrays, in one buffer sized for its top
+    block's refined pass: glibc trims the heap past twice the largest block
+    freed, so smaller buffers make each call trim and regrow it."""
 
-    def __init__(self):
-        self.flat = np.empty(0)
+    def __init__(self, nodes: int, count: int):
+        steps = min(_BLOCK, 2 * -(-(nodes - 1) // _PAD) * _PAD)
+        flat = np.empty(5 * steps + 6 * min(_TILE, count * steps))
+        self.terms, self.tiles = flat[: 5 * steps], flat[5 * steps :]
 
     def arrays(self, rows: int, steps: int):
         """The five rows x steps arrays of _step_maps and the four of half
         the width that _product reduces into, two in the fifth of those."""
         full = rows * steps
-        if self.flat.size < 6 * full:
-            self.flat = np.empty(0)   # free the old buffer before the new one
-            self.flat = np.empty(6 * max(full, _TILE if rows > 1 else 0))
-        return (self.flat[: 5 * full].reshape(5, rows, steps),
-                self.flat[4 * full : 6 * full].reshape(4, rows, steps // 2))
+        if self.tiles.size < 6 * full:
+            self.tiles = np.empty(6 * full)
+        return (self.tiles[: 5 * full].reshape(5, rows, steps),
+                self.tiles[4 * full : 6 * full].reshape(4, rows, steps // 2))
 
 
 def _refine(xs: np.ndarray) -> np.ndarray:
@@ -384,70 +390,59 @@ def _refine(xs: np.ndarray) -> np.ndarray:
 
 
 def _product(m, spare):
-    """Entries of the ordered product M_{n-1} @ ... @ M_0 for the matrices
-    [[a_i, b_i], [c_i, d_i]], m = (a, b, c, d), along the last axis (one
-    product per row).
+    """Entries (a, b, c, d) of the ordered product M_{n-1} @ ... @ M_0 for
+    the matrices [[a_i, b_i], [c_i, d_i]], stacked m = [a, b, c, d], rows x
+    n each (one product per row); spare holds four rows x ceil(n/2).
 
     The product is associative, so it is collapsed by pairwise reduction:
     O(n) arithmetic in O(log n) vectorized passes instead of a Python loop
-    over every step.  The levels go into spare and into m by turns, as
-    contiguous arrays (numpy buffers a 2-D operand that is not evenly
-    strided, allocating every call).  Rounding differs from a sequential
-    product at the 1e-15 level, far below the error budget.
+    over every step.  A level forms each pair's product a matrix row at a
+    time, row r of M' M = M'[r, 0] M[0, :] + M'[r, 1] M[1, :], in six
+    broadcast calls, into spare and into m by turns.  Rounding differs from
+    a sequential product at the 1e-15 level, far below the error budget.
     """
-    rows, n = m[0].shape
-    src, dst = [x.reshape(-1) for x in m], [x.reshape(-1) for x in spare]
+    rows, n = m.shape[1:]
+    src, dst = m.reshape(2, 2, -1), spare.reshape(2, 2, -1)
     while n > 1:
         k, half = n // 2, n - n // 2
         if n % 2:
-            x = [f[: rows * n].reshape(rows, n) for f in src]
-            a0, b0, c0, d0 = [y[:, 0 : 2 * k : 2] for y in x]
-            a1, b1, c1, d1 = [y[:, 1 : 2 * k : 2] for y in x]
-            out = [f[: rows * half].reshape(rows, half) for f in dst]
-            na, nb, nc, nd = [y[:, :k] for y in out]
+            x = src[..., : rows * n].reshape(2, 2, rows, n)
+            even, odd = x[..., 0 : 2 * k : 2], x[..., 1 : 2 * k : 2]
+            out = dst[..., : rows * half].reshape(2, 2, rows, half)
+            out[..., k] = x[..., -1]
+            new = out[..., :k]
         else:   # no pair straddles two rows, so flat views serve
-            a0, b0, c0, d0 = [f[0 : rows * n : 2] for f in src]
-            a1, b1, c1, d1 = [f[1 : rows * n : 2] for f in src]
-            na, nb, nc, nd = [f[: rows * k] for f in dst]
-        # the second products go through dst[3] until nd is due, then
-        # through src[0], which nd does not read
-        t = dst[3][: rows * k].reshape(na.shape)
-        np.multiply(a1, a0, out=na)
-        na += np.multiply(b1, c0, out=t)
-        np.multiply(a1, b0, out=nb)
-        nb += np.multiply(b1, d0, out=t)
-        np.multiply(c1, a0, out=nc)
-        nc += np.multiply(d1, c0, out=t)
-        if n % 2:
-            for y, z in zip(out, x):
-                y[:, k] = z[:, -1]
-        t = src[0][: rows * k].reshape(na.shape)
-        np.multiply(c1, b0, out=nd)
-        nd += np.multiply(d1, d0, out=t)
+            even, odd = src[..., 0 : rows * n : 2], src[..., 1 : rows * n : 2]
+            new = dst[..., : rows * k]
+        # the second products go through the second row of the new level,
+        # then through [a, b] of the odd maps, which that row does not read
+        np.multiply(odd[0, 0], even[0], out=new[0])
+        new[0] += np.multiply(odd[0, 1], even[1], out=new[1])
+        np.multiply(odd[1, 0], even[0], out=new[1])
+        new[1] += np.multiply(odd[1, 1], even[1], out=odd[0])
         src, dst, n = dst, src, half
-    return [f[:rows] for f in src]
+    return src.reshape(4, -1)[:, :rows]
 
 
 def _propagate(grid, l, om, q, w0, wp0, x_eval, ws):
     """States at x_eval, one row per frequency, in the workspace ws: steps
     in ranges ending at the requested points, each range's grid terms
-    formed once and its rows in groups, tiles of at most _BLOCK rows x
-    nodes before padding."""
+    formed once and its rows in groups of equal size, as few tiles of at
+    most _BLOCK rows x nodes before padding as there can be."""
     idx = np.searchsorted(grid, x_eval)
-    rows = max(1, _BLOCK // grid.size)
-    cuts = np.union1d(idx, np.arange(0, grid.size - 1, _BLOCK // rows - 1)).tolist()
+    most = max(1, _BLOCK // grid.size)
+    rows = -(-om.size // -(-om.size // most))
+    cuts = np.union1d(idx, np.arange(0, grid.size - 1, _BLOCK // most - 1)).tolist()
     w, wp = np.array(w0, dtype=float), np.array(wp0, dtype=float)
-    out_w = np.empty((om.size, idx.size))
-    out_wp = np.empty_like(out_w)
+    out_w, out_wp = np.empty((2, om.size, idx.size))
     j = 0
     for c0, c1 in zip(cuts[:-1], cuts[1:]):
-        terms = _grid_terms(grid[c0 : c1 + 1], l, q)
+        terms = _grid_terms(grid[c0 : c1 + 1], l, q, ws.terms)
         for r in range(0, om.size, rows):
             part = slice(r, r + rows)
             maps, spare = ws.arrays(om[part].size, terms.shape[1])
             a, b, c, d = _product(_step_maps(terms, om[part], maps), spare)
             w[part], wp[part] = a * w[part] + b * wp[part], c * w[part] + d * wp[part]
-        del terms   # before the next range's are formed
         if c1 == idx[j]:
             out_w[:, j], out_wp[:, j] = w, wp
             j += 1
@@ -465,7 +460,11 @@ def _envelope(w, wp, om):
 def _block(probe, om, stop, x_eval):
     """Start of the frequency block that ends just below om[stop] (om
     ascending), and the block's grid, from the call's step-rule probe: as
-    many frequencies as keep rows x nodes within _BLOCK, at least one."""
+    many frequencies as keep rows x nodes within _BLOCK, at least one, and
+    if its step rule is the cap alone, every capped frequency below."""
+
+    def rule(start):
+        return _step_rule(probe, om[start], om[stop - 1])[1]
 
     def grid_for(start):
         grid = np.union1d(_build_grid(probe, om[start], om[stop - 1]), x_eval)
@@ -477,13 +476,17 @@ def _block(probe, om, stop, x_eval):
 
     # the top frequency sets most of the grid; a low end where q > omega^2
     # can add nodes, and then the block is cut down until it fits
-    grid = grid_for(stop - 1)
+    h, grid = rule(stop - 1), grid_for(stop - 1)
     start = max(0, stop - rows(grid))
     while start < stop - 1:
-        grid = grid_for(start)
+        if not np.array_equal(low := rule(start), h):
+            h, grid = low, grid_for(start)
         if stop - start <= rows(grid):
             break
         start = stop - rows(grid)
+    # in runs of rows(grid), as a top-down cut takes them, to an uncapped low end
+    while start and np.all(h == probe[1]) and np.all(rule(max(0, start - rows(grid))) == h):
+        start = max(0, start - rows(grid))
     return start, grid
 
 
@@ -525,8 +528,7 @@ def _solve_block(setup, om, grid, x0, x_eval, ws):
     w_a, wp_a = _propagate(grid, l, om, setup.q, w0, wp0, x_eval, ws)
     grid = _refine(grid)
     w_b, wp_b = _propagate(grid, l, om, setup.q, w0, wp0, x_eval, ws)
-    rich_w = (16.0 * w_b - w_a) / 15.0
-    rich_wp = (16.0 * wp_b - wp_a) / 15.0
+    rich_w, rich_wp = (16.0 * w_b - w_a) / 15.0, (16.0 * wp_b - wp_a) / 15.0
 
     # rows that pass the two-grid test are final; the others keep halving,
     # as a smaller batch, until consecutive extrapolants agree directly
@@ -538,8 +540,7 @@ def _solve_block(setup, om, grid, x0, x_eval, ws):
             break
         grid = _refine(grid)
         w_c, wp_c = _propagate(grid, l, om[live], setup.q, w0[live], wp0[live], x_eval, ws)
-        rich2_w = (16.0 * w_c - w_b) / 15.0
-        rich2_wp = (16.0 * wp_c - wp_b) / 15.0
+        rich2_w, rich2_wp = (16.0 * w_c - w_b) / 15.0, (16.0 * wp_c - wp_b) / 15.0
         err = np.abs(rich2_w - rich_w[live])
         rich_w[live], rich_wp[live] = rich2_w, rich2_wp
         ok = np.max(err, axis=1) <= _REL_TOL * _envelope(rich2_w, rich2_wp, om[live])
@@ -571,15 +572,14 @@ def regular_solutions(setup: ProblemSetup, omegas, x_eval: Sequence[float]):
     The frequencies are sorted by |omega| and split into blocks.  A block
     shares one grid, sized for its lowest and highest |omega| and so, at
     every frequency in it, no coarser than the grid that frequency would
-    get alone.  Every pass runs in tiles of at most _BLOCK frequencies x
-    nodes, so a call's frequency x step arrays grow with neither the sweep
-    nor the grid.  The accuracy contract is that of regular_solution_ode,
-    and the self-verification runs row by row: a row that fails the
-    two-grid test is refined further on its own, whatever its neighbours
-    do.  One AccuracyWarning is emitted per call if any |omega| b exceeds
-    2000 pi.  One call over a sweep costs far less than a loop of
-    one-frequency calls.  An l that is_integer_l takes for an integer is
-    solved as that integer, as everywhere else.
+    get alone; the frequencies whose step rule is the cap alone (up to
+    |omega| ~ 52 on b = pi) share one grid, which each would get alone.
+    Every pass runs in tiles of equal rows and at most _BLOCK frequencies x
+    nodes, in one workspace.  The accuracy contract is that of
+    regular_solution_ode, and the self-verification runs row by row: a row
+    that fails the two-grid test is refined further on its own.  One
+    AccuracyWarning is emitted per call if any |omega| b exceeds 2000 pi.
+    An l that is_integer_l takes for an integer is solved as that integer.
 
     Raises
     ------
@@ -620,14 +620,14 @@ def regular_solutions(setup: ProblemSetup, omegas, x_eval: Sequence[float]):
     if x_eval[0] < 2.0 * x0:
         x0 = 0.5 * x_eval[0]
     probe = _probe(setup.l, setup.b, setup.q, x0)
-    ws = _Workspace()
+    ws = None
     order = np.argsort(om, kind="stable")
     om_sorted = om[order]
-    w = np.empty((om.size, x_eval.size))
-    wp = np.empty_like(w)
+    w, wp = np.empty((2, om.size, x_eval.size))
     stop = om.size
     while stop > 0:
         start, grid = _block(probe, om_sorted, stop, x_eval)
+        ws = ws or _Workspace(grid.size, om.size)
         rows = order[start:stop]
         w[rows], wp[rows] = _solve_block(setup, om_sorted[start:stop], grid, x0, x_eval, ws)
         stop = start
@@ -664,12 +664,7 @@ def regular_solution_ode(
         abscissa of the worst disagreement.
     """
     u, u_prime = regular_solutions(setup, [omega], x_eval)
-    return SolutionSample(
-        omega=float(omega),
-        x_values=np.asarray(x_eval, dtype=float),
-        u_values=u[0],
-        u_prime_values=u_prime[0],
-    )
+    return SolutionSample(float(omega), np.asarray(x_eval, dtype=float), u[0], u_prime[0])
 
 
 def zero_count(setup: ProblemSetup, omega: float) -> int:

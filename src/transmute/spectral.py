@@ -163,13 +163,17 @@ def choose_N(beta: BetaTable) -> int:
 # scanning and refinement
 
 
-def _bracket_roots(f: Callable, count: int, h: float, block: int = 96):
+def _bracket_roots(f: Callable, count: int, h: float, gap: float, block: int = 96):
     """First `count` sign-change brackets of f on the grid h, 2h, 3h, ...
 
     ``f`` maps an array of frequencies to its values; each block of the
-    grid takes one call.  Bracket collection is sequential so ordinals stay
-    correct, and a non-finite value raises (taking it for either sign could
-    hide a root).  Returns a list of (lo, hi, f_lo, f_hi).
+    grid takes one call.  A block has room for the roots still missing and
+    one more, ``gap / h`` samples each (``gap`` is the roots' expected
+    spacing, pi/b on (0, b]), and at most ``block`` samples, so the last
+    block is sized to the missing roots and stops soon after the last.
+    Bracket collection is sequential so ordinals stay correct, and a
+    non-finite value raises (taking it for either sign could hide a root).
+    Returns a list of (lo, hi, f_lo, f_hi).
     """
     if not h > 0:
         raise DomainError(f"h_scan must be > 0, got {h}")
@@ -177,7 +181,8 @@ def _bracket_roots(f: Callable, count: int, h: float, block: int = 96):
     g_prev = f_prev = None
     j0 = 1
     while len(brackets) < count:
-        grid = h * np.arange(j0, j0 + block)
+        size = min(block, math.ceil((count - len(brackets) + 1) * gap / h))
+        grid = h * np.arange(j0, j0 + size)
         if grid[-1] > 1e6:
             raise TransmuteError(
                 f"root scan passed omega = 1e6 with {len(brackets)} of "
@@ -195,7 +200,7 @@ def _bracket_roots(f: Callable, count: int, h: float, block: int = 96):
                 if len(brackets) == count:
                     break
             g_prev, f_prev = g, v
-        j0 += block
+        j0 += size
     return brackets
 
 
@@ -258,7 +263,7 @@ def _scan(setup: ProblemSetup, F: Callable, count: int, h_scan: Optional[float])
     """First `count` brackets of F on the grid pi/(4b) (or h_scan), their
     ordinals certified by Sturm's count at the top of the last one."""
     h = math.pi / (4.0 * setup.b) if h_scan is None else float(h_scan)
-    brackets = _bracket_roots(F, count, h)
+    brackets = _bracket_roots(F, count, h, math.pi / setup.b)
     top = brackets[-1][1]
     sturm = zero_count(setup, top)
     if sturm != count:
@@ -305,7 +310,7 @@ def dirichlet_eigenvalues(
     M : int, optional
         Fit size override; default max(25, 2l + 16).  The fit is not
         weighted, so the values degrade fast with l: on q == 20, b = pi,
-        the first 40 roots are off by up to 3.9e-6 at l = 2 and 1.0e-2
+        the first 40 roots are off by up to 4.3e-6 at l = 2 and 1.2e-2
         at l = 5.
     freq_count, h_scan : optional
         Forwarded to the fit / scan; defaults as documented there.

@@ -34,9 +34,9 @@ def _spy_step_maps(monkeypatch):
     calls, nodes = [], []
     grid_terms, step_maps = oracle._grid_terms, oracle._step_maps
 
-    def terms_spy(xs, l, q):
+    def terms_spy(xs, *args):
         nodes.append(xs)
-        return grid_terms(xs, l, q)
+        return grid_terms(xs, *args)
 
     def maps_spy(terms, om, bufs):
         calls.append((nodes[-1], om.size))
@@ -222,21 +222,31 @@ def test_no_step_past_last_point_and_step_budget(monkeypatch):
 
 
 def test_fit_sweep_is_solved_in_blocks(monkeypatch):
-    """An M = 25 fit solves its 156 frequencies in a few block calls, none
-    larger than the block bound.  At l = 1 the grid has 1748 nodes (3495
-    refined), so a 2^15 block takes 18 frequencies: 9 blocks, each one
-    call on its grid and two on the refinement.  One solve per frequency
-    took 312 calls."""
+    """An M = 25 fit's 156 frequencies all lie below omega ~ 52, where the
+    step rule on b = pi is the cap alone, so they form one block on one
+    grid: one _build_grid call, where blocks of 18 frequencies built 18.
+    At l = 1 the grid has 1748 nodes (3495 refined), so the passes run in
+    tiles of at most 18 and 9 rows: 9 + 18 _step_maps calls, none larger
+    than the block bound.  One solve per frequency took 312 calls."""
     calls = _spy_step_maps(monkeypatch)
+    builds = []
+    build_grid = oracle._build_grid
+
+    def build_spy(*args):
+        builds.append(args)
+        return build_grid(*args)
+
+    monkeypatch.setattr(oracle, "_build_grid", build_spy)
     compute_beta(ProblemSetup(l=1.0, b=np.pi, q=_harmonic), np.pi, 25)
-    assert len(calls) <= 30
+    assert len(builds) == 1
+    assert len(calls) <= 27
     assert max(rows * xs.size for xs, rows in calls) <= oracle._BLOCK
 
 
 def test_fit_memory_stays_within_the_workspace():
     """An M = 25 fit's passes share one workspace of six tile-sized
-    arrays: its traced peak reads 1.90e6 bytes, where allocating each
-    pass's arrays anew peaked at 2.07e6."""
+    arrays and the grid terms: its traced peak reads 1.95e6 bytes, where
+    allocating each pass's arrays anew peaked at 2.07e6."""
     setup = ProblemSetup(l=1.0, b=np.pi, q=_harmonic)
     compute_beta(setup, np.pi, 25)   # first-call allocations are not the fit's
     tracemalloc.start()
@@ -250,13 +260,47 @@ def test_fit_memory_stays_within_the_workspace():
 
 def test_fit_sweep_matches_one_frequency_solves():
     """Below omega ~ 52 on b = pi every frequency gets the same grid, so an
-    M = 25 sweep solved as a batch equals its one-frequency solves."""
-    setup = ProblemSetup(l=1.0, b=np.pi, q=_harmonic)
+    M = 25 sweep solved whole, in calls of 16 frequencies and one
+    frequency at a time gives the same values."""
+    const_20 = lambda x: np.full_like(np.asarray(x, dtype=float), 20.0)
     omegas = np.linspace(0.5, 3.0 * 53, 156) / np.pi
-    u, u_prime = regular_solutions(setup, omegas, [np.pi])
-    single = [regular_solution_ode(setup, om, [np.pi]) for om in omegas]
-    assert np.array_equal(u[:, 0], [s.u_values[0] for s in single])
-    assert np.array_equal(u_prime[:, 0], [s.u_prime_values[0] for s in single])
+    for l, q in ((1.0, _harmonic), (0.0, const_20), (3.0, const_20)):
+        setup = ProblemSetup(l=l, b=np.pi, q=q)
+        whole = np.stack(regular_solutions(setup, omegas, [np.pi]))[..., 0]
+        parts = [np.stack(regular_solutions(setup, omegas[i : i + 16], [np.pi]))[..., 0]
+                 for i in range(0, omegas.size, 16)]
+        single = [regular_solution_ode(setup, om, [np.pi]) for om in omegas]
+        assert np.array_equal(whole, np.concatenate(parts, axis=1)), l
+        assert np.array_equal(whole[0], [s.u_values[0] for s in single]), l
+        assert np.array_equal(whole[1], [s.u_prime_values[0] for s in single]), l
+
+
+def _pairwise(mats):
+    """Product of 2x2 matrices (nested lists of floats, first step first)
+    in plain Python, paired as _product pairs them: M_{2i+1} M_{2i} at
+    every level, an odd last matrix carried up alone."""
+    while len(mats) > 1:
+        pairs = [[[m1[r][0] * m0[0][c] + m1[r][1] * m0[1][c] for c in (0, 1)] for r in (0, 1)]
+                 for m0, m1 in zip(mats[0::2], mats[1::2])]
+        mats = pairs + mats[2 * len(pairs) :]
+    return mats[0]
+
+
+@pytest.mark.parametrize("rows, steps, pad", [
+    (1, 1, 0), (3, 2, 0), (2, 5, 0), (4, 13, 0), (3, 16, 0), (1, 3, 5), (5, 11, 5), (2, 37, 3),
+])
+def test_product_matches_pairwise_python(rows, steps, pad):
+    """The chain product equals the plain pairwise product bit for bit, for
+    odd and even step counts and with identity maps padding the steps to a
+    multiple of 8, as _grid_terms pads them."""
+    rng = np.random.default_rng(100 * rows + steps)
+    m = np.empty((4, rows, steps + pad))
+    m[:, :, :steps] = rng.uniform(-2.0, 2.0, (4, rows, steps))
+    m[:, :, steps:] = np.array([1.0, 0.0, 0.0, 1.0])[:, None, None]
+    want = [_pairwise([[[a, b], [c, d]] for a, b, c, d in zip(*m[:, r].tolist())])
+            for r in range(rows)]
+    got = oracle._product(m, np.empty((4, rows, -(-(steps + pad) // 2))))
+    assert np.array_equal(got, np.array(want).reshape(rows, 4).T)
 
 
 def test_failing_row_is_refined_alone(monkeypatch):

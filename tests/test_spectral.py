@@ -276,7 +276,7 @@ def test_spectrum_evaluates_u_N_over_arrays(harmonic_setups, beta_harmonic,
 
 
 def test_scan_nudges_exact_zero_on_grid_node():
-    brackets = spectral._bracket_roots(lambda w: w - 1.0, 1, 0.25)
+    brackets = spectral._bracket_roots(lambda w: w - 1.0, 1, 0.25, 1.0)
     assert len(brackets) == 1
     lo, hi, f_lo, f_hi = brackets[0]
     assert lo == 0.75 and hi == 1.0 + 1e-9 * 0.25   # the node at 1 moved up
@@ -292,7 +292,7 @@ def test_scan_rejects_non_finite_values():
         return np.where((w > 2.2) & (w < 2.6), np.nan, np.cos(2.0 * w))
 
     with pytest.raises(TransmuteError, match="omega = 2.25"):
-        spectral._bracket_roots(F, 2, 0.25)
+        spectral._bracket_roots(F, 2, 0.25, math.pi / 2.0)
 
 
 def test_polish_rejects_non_finite_values():
@@ -382,6 +382,42 @@ def test_oracle_eigenvalues_scans_only_to_the_largest_ordinal(monkeypatch):
     assert max(seen) <= 24.0
     assert got == oracle_eigenvalues(_constant_setup(0, 20.0), 7, which=[3, 7])
     assert abs(got[7] - math.sqrt(69.0)) <= 1e-10
+
+
+def test_oracle_scan_stops_near_its_last_root(monkeypatch):
+    # q == 20: omega_49 = sqrt(2421) = 49.20; two blocks of 96 samples
+    # reach omega = 48 and 47 roots, and the last block is sized to the two
+    # missing: 12 samples, where a third block of 96 made 288 in all
+    sizes = []
+    bracket_roots = spectral._bracket_roots
+
+    def spy(f, *args):
+        def counted(omegas):
+            sizes.append(omegas.size)
+            return f(omegas)
+        return bracket_roots(counted, *args)
+
+    monkeypatch.setattr(spectral, "_bracket_roots", spy)
+    got = oracle_eigenvalues(_constant_setup(0, 20.0), 60, which=[49])
+    assert sum(sizes) <= 210
+    assert abs(got[49] - math.sqrt(49.0 ** 2 + 20.0)) <= 1e-10
+
+
+def test_sized_scan_blocks_bracket_as_fixed_blocks():
+    # blocks sized for roots twice as dense as they are fall short, so
+    # the scan takes many of them, and some root falls between two
+    def f(omegas):
+        calls.append(omegas)
+        return np.sin(2.0 * omegas + 0.3)
+
+    h, straddled = 0.25, 0
+    for count in range(1, 25):
+        calls = []
+        got = spectral._bracket_roots(f, count, h, math.pi / 4.0)
+        ends = {(a[-1], b[0]) for a, b in zip(calls[:-1], calls[1:])}
+        straddled += sum((lo, hi) in ends for lo, hi, _, _ in got)
+        assert got == spectral._bracket_roots(f, count, h, 1e6)   # blocks of 96
+    assert straddled
 
 
 def test_oracle_eigenvalues_refines_requested_ordinals(harmonic_setups):
