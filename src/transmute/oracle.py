@@ -21,9 +21,11 @@ expansion (the centrifugal term forbids starting at zero), stops at the
 last requested point, propagates the rescaled variable w = u / x0^(l+1)
 to avoid underflow at large l, and verifies itself by re-running on a
 midpoint-refined grid with Richardson extrapolation; further halvings are
-added until two consecutive extrapolants agree.  The self-check cannot
-see an error that does not change with the grid, so solves with
-|omega| b > 2000 pi, past the measured range, warn.
+added until two consecutive extrapolants agree.  w grows like
+(b/x0)^(l+1), so past l ~ 41 x0 moves in to where that is 1e250.  The
+self-check cannot see an error that does not change with the grid, so
+solves with |omega| b > 2000 pi, past the measured range, warn, and a
+start whose omitted terms pass the accuracy contract raises.
 
 A sweep of frequencies is solved in blocks (regular_solutions).  A block
 shares one grid, sized for its lowest and highest |omega|, which bounds
@@ -68,6 +70,8 @@ _GAUSS_OFF = math.sqrt(3.0) / 6.0   # two-point Gauss offset from midpoint
 _PHASE_FRAC = 0.16
 _SING_FRAC = 0.02
 _REL_TOL = 1e-10
+# the start's own error budget, relative to w: the accuracy contract
+_START_TOL = 1e-10
 # |omega| * b validated against the exact constant-q family (5000 pi
 # measures 6.1e-12, but the limit stays until such a range is validated)
 _PHASE_LIMIT = 2000.0 * math.pi
@@ -499,11 +503,32 @@ def _two_grid_fails(diff, envelope):
     return diff > 1e-6 * envelope
 
 
+def _x0(l: float, b: float) -> float:
+    """Start abscissa: 1e-6 b, moved in to where (b/x0)^(l+1), the growth
+    of w = u / x0^(l+1) for omega^2 >= q, is 1e250 when it would pass
+    that (l > 40.7), leaving headroom for the Richardson step's 16 w."""
+    return b * max(1e-6, 10.0 ** (-250.0 / (l + 1.0)))
+
+
 def _start(setup, om, x0):
-    """Rescaled states (w, w') at x0 from the three-term Frobenius start."""
+    """Rescaled states (w, w') at x0 from the three-term Frobenius start.
+
+    Its error does not change with the grid, so the self-check cannot see
+    it: IntegrationFailure if the first omitted terms, c3 x0^6 of the
+    constant-q series and (q(x0) - q0) x0^2 / (6l + 12) of q's variation,
+    pass _START_TOL of w.  Below |omega| b = 2000 pi only the larger x0 of
+    l > 40.7 comes near that: on b = pi, l = 100 passes it at |omega| ~ 56.
+    """
     l = setup.l
     c1 = (setup.q0 - om * om) / (4.0 * l + 6.0)
     c2 = c1 * c1 * (2.0 * l + 3.0) / (4.0 * l + 10.0)
+    c3 = np.max(np.abs(c2 * c1)) * (4.0 * l + 6.0) / (12.0 * l + 42.0)
+    dq = float(np.asarray(setup.q(np.array([x0])))[0]) - setup.q0
+    x2 = x0 * x0
+    if not c3 * x2 ** 3 + abs(dq) * x2 / (6.0 * l + 12.0) <= _START_TOL:
+        raise IntegrationFailure(
+            f"the series start at x0 = {x0:.6g} misses the accuracy contract "
+            f"(l = {l:g}, |omega| up to {np.max(om):.6g})", x=x0)
     w0 = 1.0 + x0 * x0 * (c1 + c2 * x0 * x0)
     wp0 = (l + 1.0) / x0 + x0 * ((l + 3.0) * c1 + (l + 5.0) * c2 * x0 * x0)
     return w0, wp0
@@ -588,8 +613,9 @@ def regular_solutions(setup: ProblemSetup, omegas, x_eval: Sequence[float]):
         (0, b], q is not finite on the grid probe, or a grid would need
         more than _MAX_STEPS steps.
     IntegrationFailure
-        If grid refinement fails to converge, or a solution is not finite
-        (large l); the message names that omega, and ``x`` its abscissa.
+        If grid refinement fails to converge, a solution is not finite
+        (large l), or the series start misses the accuracy contract (large
+        l and omega); the message names that omega, and ``x`` its abscissa.
     """
     x_eval = np.asarray(x_eval, dtype=float)
     if x_eval.size == 0:
@@ -616,7 +642,7 @@ def regular_solutions(setup: ProblemSetup, omegas, x_eval: Sequence[float]):
             stacklevel=2,
         )
 
-    x0 = 1e-6 * setup.b
+    x0 = _x0(setup.l, setup.b)
     if x_eval[0] < 2.0 * x0:
         x0 = 0.5 * x_eval[0]
     probe = _probe(setup.l, setup.b, setup.q, x0)
@@ -678,7 +704,7 @@ def zero_count(setup: ProblemSetup, omega: float) -> int:
     as regular_solutions does.
     """
     setup, om = _integer_l(setup), abs(float(omega))
-    x0 = 1e-6 * setup.b
+    x0 = _x0(setup.l, setup.b)
     grid = _build_grid(_probe(setup.l, setup.b, setup.q, x0), om, om)
     terms = _grid_terms(grid, setup.l, setup.q)
     maps = _step_maps(terms, np.array([om]), np.empty((5, 1, terms.shape[1])))

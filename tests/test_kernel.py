@@ -69,6 +69,25 @@ def test_goursat_error_decreases_with_N(beta_harmonic):
     assert errs[0] > errs[1] > errs[2]
 
 
+@pytest.mark.parametrize("l, mode", [(l, mode) for l in (0, 0.5, 1, 5)
+                                     for mode in ("integer-l", "real-l")
+                                     if mode == "real-l" or l == int(l)])
+def test_pointwise_kernel_K_has_the_bits_of_a_wide_call(l, mode):
+    """kernel_K at one t runs the Python-float path of jacobi_all and
+    compensated_sum, over more than _NARROW points the numpy one; each
+    value of the wide call is the pointwise value, bit for bit."""
+    rng = np.random.default_rng(7)
+    M = 30
+    table = BetaTable(l=float(l), x=np.pi, M=M,
+                      beta=rng.standard_normal(M + 1) * 0.7 ** np.arange(M + 1),
+                      fit_residual=0.0, sum_beta=0.0)
+    series = make_kernel_series(table, mode=mode)
+    ts = np.linspace(0.0, series.t_max_fraction * np.pi, sf._NARROW + 5)
+    wide = kernel_K(series, ts)
+    for i, t in enumerate(ts):
+        assert kernel_K(series, float(t)) == wide[i]
+
+
 # ---------------------------------------------------------------------------
 # zero potential
 

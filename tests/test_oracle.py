@@ -348,16 +348,79 @@ def test_warns_past_validated_range():
 
 
 def test_non_finite_solution_raises():
-    """At l = 50 the rescaled w = u / x0^(l+1) overflows at omega = 0:
-    that raises, naming omega and x, instead of returning a non-finite
-    row.  zero_count's single grid overflows from l = 60 on."""
+    """A start far below where the solution is wanted overflows the
+    rescaled w = u / x0^(l+1): a first x_eval of 1e-6 at l = 50 puts x0 at
+    5e-7, and (pi/x0)^51 ~ 1e347.  That raises, naming omega and x,
+    instead of returning a non-finite row.  zero_count overflows where q
+    far above omega^2 makes w grow like exp(sqrt(q) x)."""
     setup = ProblemSetup(l=50.0, b=np.pi, q=lambda x: 30.0 * np.sin(5.0 * np.asarray(x)))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(IntegrationFailure, match=r"not finite at omega=0 ") as err:
-            regular_solutions(setup, np.linspace(0.0, 1900.0, 40), [0.1, np.pi])
+            regular_solutions(setup, np.linspace(0.0, 1900.0, 40), [1e-6, np.pi])
         assert err.value.x == np.pi
+        steep = ProblemSetup(l=60.0, b=np.pi, q=lambda x: np.full_like(np.asarray(x, float), 1e4))
         with pytest.raises(IntegrationFailure, match=r"not finite at omega=0 "):
-            oracle.zero_count(ProblemSetup(l=60.0, b=np.pi, q=setup.q), 0.0)
+            oracle.zero_count(steep, 0.0)
+
+
+def _constant_q_exact(l, Q, omega, x):
+    """u and u' for q == Q at 40 digits: the regular Bessel solution at
+    k = sqrt(omega^2 - Q) (the modified one where omega^2 < Q), normalized
+    to u ~ x^(l+1) at the origin."""
+    with mpmath.workdps(40):
+        nu = mpmath.mpf(l) + mpmath.mpf(1) / 2
+        k2 = mpmath.mpf(omega) ** 2 - Q
+        k = mpmath.sqrt(abs(k2))
+        bessel = mpmath.besselj if k2 > 0 else mpmath.besseli
+
+        def u(t):
+            if k == 0:
+                return t ** (nu + mpmath.mpf(1) / 2)
+            return mpmath.gamma(nu + 1) * (2 / k) ** nu * mpmath.sqrt(t) * bessel(nu, k * t)
+
+        x = mpmath.mpf(x)
+        return float(u(x)), float(mpmath.diff(u, x))
+
+
+@pytest.mark.parametrize("Q", [0.0, 20.0])
+@pytest.mark.parametrize("l", [50.0, 75.0, 100.0])
+def test_large_l_matches_bessel_closed_form(l, Q):
+    """Past l ~ 40, x0 = 1e-6 b would let w = u / x0^(l+1) pass 1e250 (and
+    overflow from l = 50); the start moves in to where it does not, and
+    the solution still meets the constant-q closed form."""
+    setup = ProblemSetup(l=l, b=np.pi, q=lambda x: np.full_like(np.asarray(x, float), Q))
+    omegas = [0.0, 0.5, 3.0, 10.0, 25.0, 40.0]
+    xs = np.array([0.5, 1.0, 2.0, np.pi])
+    u, u_prime = regular_solutions(setup, omegas, xs)
+    for om, row, row_p in zip(omegas, u, u_prime):
+        ref = np.array([_constant_q_exact(l, Q, om, x) for x in xs])
+        scale = max(_envelope(row, row_p, om), np.max(np.abs(ref[:, 0])))
+        assert np.max(np.abs(row - ref[:, 0])) < 5e-10 * scale, om
+        assert np.max(np.abs(row_p - ref[:, 1])) < 5e-10 * max(om, 1.0) * scale, om
+
+
+def test_large_l_start_past_its_accuracy_raises():
+    """The larger x0 of large l puts omega x0 where the three-term start
+    misses the contract (l = 100, omega = 120: about 1e-8 of the
+    envelope); the self-check cannot see that error, so the start raises."""
+    setup = ProblemSetup(l=100.0, b=np.pi, q=lambda x: np.zeros_like(np.asarray(x, float)))
+    with pytest.raises(IntegrationFailure, match="series start"):
+        regular_solutions(setup, [3.0, 120.0], [np.pi])
+    with pytest.raises(IntegrationFailure, match="series start"):
+        oracle.zero_count(setup, 120.0)
+
+
+@pytest.mark.parametrize("l", [60, 100])
+def test_zero_count_at_large_l(l):
+    """q == 0 at large l, where the start has moved in from 1e-6 b: the
+    count is n between the n-th and the next zero of J_{l+1/2}(pi omega)
+    and on the n-th itself."""
+    setup = ProblemSetup(l=float(l), b=np.pi, q=lambda x: np.zeros_like(np.asarray(x, float)))
+    eig = [float(mpmath.besseljzero(l + mpmath.mpf(1) / 2, n)) / np.pi for n in range(1, 7)]
+    assert oracle.zero_count(setup, 0.5 * eig[0]) == 0
+    for n in range(1, 6):
+        assert oracle.zero_count(setup, eig[n - 1]) == n
+        assert oracle.zero_count(setup, 0.5 * (eig[n - 1] + eig[n])) == n
 
 
 @pytest.mark.parametrize("l", [0.0, 1.0, 1.0 + 5e-10])

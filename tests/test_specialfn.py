@@ -98,6 +98,46 @@ def test_jacobi_all_rejects_nan():
         sf.jacobi_all(3, 0.5, 1.0, np.array([0.2, np.nan]))
 
 
+@pytest.mark.parametrize("degree", [-1, 2.5, "3", None])
+def test_jacobi_all_rejects_bad_degree(degree):
+    with pytest.raises(DomainError, match="degree"):
+        sf.jacobi_all(degree, 0.5, 1.0, 0.2)
+
+
+def test_size_arguments_take_numpy_integers():
+    assert sf.jacobi_all(np.int64(3), 0.5, 1.0, 0.2).shape == (4,)
+    assert sf.spherical_j_table(np.int64(3), 0.2).shape == (4, 1)
+
+
+@pytest.mark.parametrize("terms", [np.ones(3), np.ones((2, 3, 4)), 1.0])
+def test_compensated_sum_rejects_non_2d(terms):
+    with pytest.raises(DomainError, match="2-D"):
+        sf.compensated_sum(terms)
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.5, 0.0), (0.5, 1.0), (1.0, -1.5), (5.5, -6.0)])
+@pytest.mark.parametrize("degree", [0, 1, 2, 60])
+def test_jacobi_all_narrow_and_wide_paths_agree(degree, alpha, beta):
+    """Up to _NARROW points run the recurrence in Python floats, more in
+    numpy; each column of a wide table has the bits of the call at that
+    point alone, 0-d or 1-D, at the interval's ends too.  beta = -l-1 is
+    the real-l kernel's."""
+    rng = np.random.default_rng(degree)
+    z = np.r_[-1.0, 1.0, 0.0, rng.uniform(-1.0, 1.0, sf._NARROW)]
+    assert z.size > sf._NARROW
+    table = sf.jacobi_all(degree, alpha, beta, z)
+    assert table.shape == (degree + 1, z.size)
+    for i, zi in enumerate(z):
+        point = sf.jacobi_all(degree, alpha, beta, zi)
+        assert point.shape == (degree + 1,)
+        assert np.array_equal(point, table[:, i])
+        assert np.array_equal(sf.jacobi_all(degree, alpha, beta, [zi])[:, 0], point)
+    narrow = z[: sf._NARROW]
+    assert np.array_equal(sf.jacobi_all(degree, alpha, beta, narrow), table[:, : sf._NARROW])
+    square = sf.jacobi_all(degree, alpha, beta, z[:4].reshape(2, 2))
+    assert np.array_equal(square, table[:, :4].reshape(degree + 1, 2, 2))
+
+
 def test_jacobi_all_degenerate_recurrence_names_the_degree():
     # alpha + beta = -3 zeroes the leading coefficient 2n(n+a+b)(2n+a+b-2)
     # at n = 3
@@ -124,12 +164,24 @@ def _neumaier_sum(terms):
 
 
 @pytest.mark.parametrize("rows", [1, 61])
-@pytest.mark.parametrize("cols", [1, 202])
+@pytest.mark.parametrize("cols", [1, sf._NARROW, sf._NARROW + 1, 202])
 def test_compensated_sum_bitwise_equals_neumaier(rows, cols):
     rng = np.random.default_rng(rows * 1000 + cols)
     terms = rng.choice([-1.0, 1.0], (rows, cols)) * 10.0 ** rng.uniform(-17.0, 18.0, (rows, cols))
     if rows > 1:
         terms[rows // 2] = -terms[0]    # the largest terms cancel exactly
+    assert np.array_equal(sf.compensated_sum(terms), _neumaier_sum(terms))
+
+
+@pytest.mark.parametrize("cols", [1, sf._NARROW, sf._NARROW + 1])
+def test_compensated_sum_keeps_the_summation_order(cols):
+    """Terms up to 1e18 that cancel to below 1e-3 leave a sum that is not
+    exact even compensated, so it depends on the order of the additions:
+    both paths add the last row first, as the reference does."""
+    rng = np.random.default_rng(cols)
+    big = rng.choice([-1.0, 1.0], (30, cols)) * 10.0 ** rng.uniform(0.0, 18.0, (30, cols))
+    terms = np.concatenate([big, -rng.permuted(big, axis=0), rng.uniform(-1e-3, 1e-3, (5, cols))])
+    assert not np.array_equal(_neumaier_sum(terms[::-1]), _neumaier_sum(terms))
     assert np.array_equal(sf.compensated_sum(terms), _neumaier_sum(terms))
 
 
@@ -255,6 +307,8 @@ def test_spherical_j_zero_argument():
 def test_spherical_j_table_validation():
     with pytest.raises(DomainError):
         sf.spherical_j_table(-1, 1.0)
+    with pytest.raises(DomainError, match="order"):
+        sf.spherical_j_table(2.5, [0.5, 2.0])
     with pytest.raises(DomainError):
         sf.spherical_j_table(3, -0.5)
 
