@@ -22,7 +22,9 @@ from .errors import (
 from .kernel import (
     KernelSeries,
     apply_transmutation,
+    choose_N,
     epsilon_N,
+    goursat_diagonal,
     kernel_K,
     kernel_moment,
     make_kernel_series,
@@ -44,7 +46,6 @@ from .solution import (
 from .spectral import (
     HARMONIC_L1_EIGENVALUES,
     SpectrumReport,
-    choose_N,
     default_fit_size,
     dirichlet_eigenvalues,
     oracle_eigenvalues,
@@ -68,6 +69,8 @@ __all__ = [
     "unperturbed_term",
     # kernel
     "KernelSeries",
+    "choose_N",
+    "goursat_diagonal",
     "make_kernel_series",
     "kernel_K",
     "kernel_moment",
@@ -80,7 +83,6 @@ __all__ = [
     "sup_sqrt_bessel",
     # spectra
     "SpectrumReport",
-    "choose_N",
     "default_fit_size",
     "dirichlet_eigenvalues",
     "oracle_eigenvalues",

@@ -6,14 +6,17 @@ Four subcommands cover the pipeline end to end:
 * ``kernel``   -- tabulate the integral kernel K(x, t) on a grid, write
                   (x, t, K, flag) CSV.
 * ``spectrum`` -- solve the Dirichlet eigenvalue problem, write
-                  (n, omega, residual, reference, abs_error) CSV.
+                  (n, omega, residual, reference, abs_error) CSV; the
+                  references are ``spectrum.references``, by default the
+                  stored ones of the l=1, q=x^2 problem (``{}``: none).
 * ``validate`` -- run the invariant suite and report PASS/FAIL per check.
 
 Configuration comes from an optional JSON file (``--config``) overridden
 by individual flags; every run writes the resolved configuration back
 into a JSON summary next to the CSV so results are reproducible.  Output
 is deterministic: the same configuration and seed produce byte-identical
-CSV files.
+CSV files.  compute_beta sizes its frequency sweep and make_kernel_series
+picks the default truncation; ``--M`` and ``--N`` override fit and series.
 
 Exit codes: 0 success, 1 a ``validate`` check failed, 2 malformed input
 or a numerical failure (such as spectrum ordinals Sturm's count rejects).
@@ -33,16 +36,16 @@ from typing import Optional, get_args, get_type_hints
 import numpy as np
 
 from . import __version__
-from .coeffs import compute_beta
+from .coeffs import compute_beta, sample_count
 from .errors import DomainError, TransmuteError
-from .kernel import kernel_K, make_kernel_series
+from .kernel import goursat_diagonal, kernel_K, make_kernel_series
 from .oracle import ProblemSetup, make_potential
 from .spectral import (
     HARMONIC_L1_EIGENVALUES,
     default_fit_size,
     dirichlet_eigenvalues,
 )
-from .validation import _q_integral, run_validation
+from .validation import run_validation
 
 __all__ = ["RunConfig", "main"]
 
@@ -67,9 +70,7 @@ class RunConfig:
     potential: str = "zero"
     M: Optional[int] = None
     N: Optional[int] = None
-    freq_count: Optional[int] = None
     count: int = 10
-    compare_builtin: bool = True
     references: Optional[dict] = None
     nx: int = 12
     nt: int = 33
@@ -84,12 +85,8 @@ class RunConfig:
             refs = {str(k): float(v) for k, v in sorted(self.references.items())}
         return {
             "problem": {"l": self.l, "b": self.b, "potential": self.potential},
-            "fit": {"M": self.M, "N": self.N, "freq_count": self.freq_count},
-            "spectrum": {
-                "count": self.count,
-                "compare_builtin": self.compare_builtin,
-                "references": refs,
-            },
+            "fit": {"M": self.M, "N": self.N},
+            "spectrum": {"count": self.count, "references": refs},
             "kernel": {
                 "nx": self.nx,
                 "nt": self.nt,
@@ -148,12 +145,16 @@ class RunConfig:
             raise DomainError("kernel grid needs nx >= 1 and nt >= 2")
         if not 0.0 < self.t_max_fraction <= 1.0:
             raise DomainError("t_max_fraction must lie in (0, 1]")
+        if not math.isfinite(self.perturb_beta):
+            raise DomainError(
+                f"validate.perturb_beta must be finite, got {self.perturb_beta}"
+            )
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
-_JSON_TYPE = {int: "an integer", float: "a number", bool: "true or false",
-              str: "a string", dict: "an object"}
+_JSON_TYPE = {int: "an integer", float: "a number", str: "a string",
+              dict: "an object"}
 
 
 def _check_type(where: str, value, hint):
@@ -211,7 +212,7 @@ def _load_config(path: Optional[str]) -> RunConfig:
 
 def _merge_args(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     overrides = {}
-    for name in ("l", "b", "potential", "M", "N", "freq_count", "count",
+    for name in ("l", "b", "potential", "M", "N", "count",
                  "nx", "nt", "t_max_fraction", "perturb_beta", "seed", "out"):
         value = getattr(args, name, None)
         if value is not None:
@@ -262,7 +263,7 @@ def cmd_beta(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     setup = _setup_from_config(cfg)
     M = cfg.M if cfg.M is not None else default_fit_size(cfg.l)
-    table = compute_beta(setup, cfg.b, M, freq_count=cfg.freq_count)
+    table = compute_beta(setup, cfg.b, M)
     out = _out_dir(cfg)
 
     csv_path = out / "beta.csv"
@@ -274,7 +275,7 @@ def cmd_beta(cfg: RunConfig) -> int:
         "config": cfg.to_dict(),
         "version": __version__,
         "M": M,
-        "freq_count_used": cfg.freq_count or 6 * (M + 1),
+        "freq_count_used": sample_count(M),
         "fit_residual": table.fit_residual,
         "sum_beta": table.sum_beta,
         "max_abs_beta": max_abs,
@@ -291,10 +292,10 @@ def cmd_beta(cfg: RunConfig) -> int:
 def _kernel_column(setup, cfg, x):
     """Rows of the kernel table at one x."""
     M = cfg.M if cfg.M is not None else default_fit_size(cfg.l)
-    table = compute_beta(setup, x, M, freq_count=cfg.freq_count)
+    table = compute_beta(setup, x, M)
     series = make_kernel_series(
         table, N=cfg.N, t_max_fraction=cfg.t_max_fraction,
-        goursat_diag=0.5 * _q_integral(setup, x),
+        goursat_diag=goursat_diagonal(setup.q, x),
     )
     ts = np.linspace(0.0, x, cfg.nt)
     inside = ts <= series.t_max_fraction * x * (1 + 1e-12)
@@ -337,8 +338,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     csv_path = out / "spectrum.csv"
 
     references = cfg.references
-    if references is None and cfg.compare_builtin and _is_builtin_problem(cfg):
-        references = dict(HARMONIC_L1_EIGENVALUES)
+    if references is None:
+        references = HARMONIC_L1_EIGENVALUES if _is_builtin_problem(cfg) else {}
 
     if cfg.count == 0:
         _write_csv(csv_path, "n,omega,residual,reference,abs_error", [])
@@ -353,21 +354,17 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         print(f"wrote {csv_path} (empty: count=0)")
         return 0
 
-    report = dirichlet_eigenvalues(
-        setup, cfg.count, N=cfg.N, M=cfg.M, freq_count=cfg.freq_count,
-        references=references,
-    )
-    rows = []
-    for i, omega in enumerate(report.eigenvalues, start=1):
-        ref = references.get(i) if references else None
-        rows.append([
-            str(i), _fmt(omega), _fmt(report.residuals[i - 1]),
-            _fmt(ref) if ref is not None else "",
-            _fmt(report.reference_errors[i]) if ref is not None else "",
-        ])
+    report = dirichlet_eigenvalues(setup, cfg.count, N=cfg.N, M=cfg.M)
+    rows, errors = [], []
+    for i, (omega, residual) in enumerate(zip(report.eigenvalues, report.residuals), 1):
+        ref, cols = references.get(i), ["", ""]
+        if ref is not None:
+            errors.append(abs(omega - ref))
+            cols = [_fmt(ref), _fmt(errors[-1])]
+        rows.append([str(i), _fmt(omega), _fmt(residual)] + cols)
     _write_csv(csv_path, "n,omega,residual,reference,abs_error", rows)
 
-    worst = max(report.reference_errors.values()) if report.reference_errors else None
+    worst = max(errors) if errors else None
     summary = {
         "command": "spectrum",
         "config": cfg.to_dict(),
@@ -436,8 +433,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="zero | poly:c0,c1,... | table:PATH")
     common.add_argument("--M", type=int, help="coefficient fit size")
     common.add_argument("--N", type=int, help="series truncation override")
-    common.add_argument("--freq-count", dest="freq_count", type=int,
-                        help="collocation frequencies (default 6(M+1))")
     common.add_argument("--seed", type=int, help="seed for randomized checks")
     common.add_argument("--out", metavar="DIR", help="output directory")
 

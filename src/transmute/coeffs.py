@@ -27,7 +27,7 @@ from . import specialfn
 from .errors import DomainError, IllConditionedFit
 from .oracle import ProblemSetup, regular_solutions
 
-__all__ = ["BetaTable", "unperturbed_term", "compute_beta"]
+__all__ = ["BetaTable", "unperturbed_term", "compute_beta", "sample_count"]
 
 _RCOND = 1e-13      # relative singular-value cutoff in the least-squares solve
 _FREQ_LO = 0.5      # smallest omega*x sample in the collocation sweep
@@ -35,6 +35,7 @@ _FREQ_HI = 3.0      # window reaches _FREQ_HI * (2M+3); the highest Legendre
                     # mode needs s past ~2(2M) or its column is evanescent and
                     # the fit ill-conditioned (cond 4e10 at M=100 with a 2x
                     # window vs 5e6 with 3x)
+_FREQ_PER_COEFF = 6  # collocation frequencies per fitted coefficient
 
 
 @dataclass(frozen=True)
@@ -82,14 +83,18 @@ def unperturbed_term(l: float, omega: float, x):
     return float(res) if np.ndim(res) == 0 else res
 
 
-def compute_beta(
-    setup: ProblemSetup, x: float, M: int, freq_count: int | None = None
-) -> BetaTable:
+def sample_count(M: int) -> int:
+    """Number of collocation frequencies in a fit of size M, 6(M+1)."""
+    return _FREQ_PER_COEFF * (M + 1)
+
+
+def compute_beta(setup: ProblemSetup, x: float, M: int) -> BetaTable:
     """Fit beta_0..beta_M at x by frequency collocation against the ODE solver.
 
-    The design matrix is A[j, k] = (-1)^k j_{2k}(omega_j x) with omega_j x
-    uniformly spaced on [0.5, 3(2M+3)] (well past the turning point of the
-    highest column, which keeps the fit conditioned), and the data is
+    The design matrix is A[j, k] = (-1)^k j_{2k}(omega_j x) with the
+    sample_count(M) = 6(M+1) values omega_j x uniformly spaced on
+    [0.5, 3(2M+3)] (well past the turning point of the highest column,
+    which keeps the fit conditioned), and the data is
     r_j = u(omega_j, x) - y(omega_j, x), with u from one regular_solutions
     call over the whole sweep.  Columns are scaled to unit norm before the
     rank-revealing least-squares solve.
@@ -104,9 +109,6 @@ def compute_beta(
     x : float in (0, b]
     M : int >= 0
         Truncation degree of the Legendre expansion.
-    freq_count : int, optional
-        Number of frequency samples; defaults to 6(M+1), must be at least
-        2(M+1).
 
     Raises
     ------
@@ -116,17 +118,11 @@ def compute_beta(
     """
     if M < 0:
         raise DomainError(f"M must be >= 0, got {M}")
-    if freq_count is None:
-        freq_count = 6 * (M + 1)
-    if freq_count < 2 * (M + 1):
-        raise DomainError(
-            f"freq_count={freq_count} too small, need at least {2 * (M + 1)}"
-        )
     x = float(x)
     if not 0.0 < x <= setup.b * (1.0 + 1e-12):
         raise DomainError(f"x={x} outside (0, b] with b={setup.b}")
 
-    s = np.linspace(_FREQ_LO, _FREQ_HI * (2 * M + 3), freq_count)
+    s = np.linspace(_FREQ_LO, _FREQ_HI * (2 * M + 3), sample_count(M))
     omegas = s / x
     u, _ = regular_solutions(setup, omegas, [x])
     r = u[:, 0] - unperturbed_term(setup.l, omegas, x)
@@ -141,7 +137,7 @@ def compute_beta(
     if rank < M + 1:
         raise IllConditionedFit(
             f"collocation matrix has rank {rank} < {M + 1}; "
-            "increase freq_count or reduce M"
+            "reduce M"
         )
     beta = coef / colnorm
     misfit = np.linalg.norm(A @ beta - r)

@@ -103,7 +103,8 @@ class ProblemSetup:
     b : float
         Right endpoint of the interval (0, b].
     q : callable
-        Potential evaluator; must accept and return numpy arrays.
+        Potential evaluator; must accept and return numpy arrays, and be
+        finite at x = 0 (DomainError otherwise).
     """
 
     l: float
@@ -116,7 +117,10 @@ class ProblemSetup:
             raise DomainError(f"l must be finite and >= -1/2, got {self.l}")
         if not (math.isfinite(self.b) and self.b > 0):
             raise DomainError(f"b must be finite and > 0, got {self.b}")
-        q0 = float(np.asarray(self.q(np.array([0.0])))[0])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            q0 = float(np.asarray(self.q(np.array([0.0])))[0])
+        if not math.isfinite(q0):
+            raise DomainError(f"q(0) = {q0}: the potential must be finite at x=0")
         object.__setattr__(self, "q0", q0)
 
 

@@ -6,7 +6,9 @@ bounded uniformly in omega.  One consequence is worth spelling out: a
 single truncation level N serves the *whole* spectrum, so the 200th
 eigenvalue costs the same and carries roughly the same absolute error as
 the first.  Classical shooting degrades with omega; this representation
-does not.
+does not.  That level is the kernel series' own: make_kernel_series
+truncates where the fitted coefficients stop decaying (choose_N) unless
+the caller passes N.
 
 Roots are located the plain way -- sample F on a grid of a quarter of
 pi/b, the asymptotic eigenvalue gap, then polish all brackets together
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -34,21 +36,18 @@ from .specialfn import is_integer_l
 
 __all__ = [
     "SpectrumReport",
-    "choose_N",
     "default_fit_size",
     "dirichlet_eigenvalues",
     "oracle_eigenvalues",
     "HARMONIC_L1_EIGENVALUES",
 ]
 
-_STALL_RATIO = 0.9   # |beta_{k+1}|/|beta_k| at or above this counts as "not decaying"
-_STALL_RUN = 3       # consecutive non-decaying ratios that define a stall
 _EPS = np.finfo(float).eps
 
 #: Dirichlet eigenvalues of -u'' + (2/x^2 + x^2) u = omega^2 u on (0, pi]
 #: (l = 1, q(x) = x^2) for selected indices n; digits verified against an
-#: independent high-precision shooting computation.  Used as the reference
-#: column of the spectrum report for this particular problem.
+#: independent high-precision shooting computation.  The CLI's spectrum
+#: table compares against them for this particular problem.
 HARMONIC_L1_EIGENVALUES = {
     1: 2.24366651120741,
     2: 3.09030600792814,
@@ -89,16 +88,12 @@ class SpectrumReport:
         |F(omega_n)| after refinement.
     N_used : int
         Truncation level of the kernel series behind F.
-    reference_errors : dict or None
-        {n: |omega_n - reference_n|} for whichever indices a reference
-        value was supplied.
     """
 
     eigenvalues: np.ndarray
     brackets: np.ndarray
     residuals: np.ndarray
     N_used: int
-    reference_errors: Optional[dict] = None
 
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=float)
@@ -113,50 +108,6 @@ class SpectrumReport:
         for name, arr in (("eigenvalues", ev), ("brackets", br), ("residuals", rs)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-
-def choose_N(beta: BetaTable) -> int:
-    """Truncation level read off the decay profile of the coefficients.
-
-    |beta_k| decays geometrically until the sequence reaches the noise
-    floor of the fit, after which the ratios hover around one.  The
-    series gains nothing past that point.  Raw consecutive ratios are a
-    poor stall detector -- on a noise plateau they scatter on both sides
-    of one -- so the test runs on the 3-wide running maximum
-    W_k = max(|beta_k|, ..., |beta_{k+2}|): while the sequence decays,
-    W_{k+1}/W_k equals the raw decay ratio, and on a plateau the
-    overlapping windows pin the ratio near one.  The stall index k0 is
-    the start of the first run of ``_STALL_RUN`` consecutive window
-    ratios >= ``_STALL_RATIO``, and the returned level N = k0 - l - 1
-    makes the evaluator consume coefficients up to index k0 and no
-    further.  If the decay never stalls, all available coefficients are
-    used (N = M - l - 1).
-
-    Requires ``beta.M >= 5``; a shorter table has no profile to read.
-    """
-    if beta.M < 5:
-        raise DomainError(f"need M >= 5 to read a decay profile, got M={beta.M}")
-    shift = int(round(beta.l)) + 1
-    a = np.abs(beta.beta)
-    win = np.array([a[k:k + 3].max() for k in range(beta.M - 1)])
-    k0 = beta.M
-    run = 0
-    for k in range(int(np.argmax(a)), win.size - 1):
-        num, den = win[k + 1], win[k]
-        if num == 0.0 and den == 0.0:
-            ratio = 1.0
-        elif den == 0.0:
-            ratio = math.inf
-        else:
-            ratio = num / den
-        if ratio >= _STALL_RATIO:
-            run += 1
-            if run == _STALL_RUN:
-                k0 = k - (_STALL_RUN - 1)
-                break
-        else:
-            run = 0
-    return int(max(0, min(k0 - shift, beta.M - shift)))
 
 
 # ---------------------------------------------------------------------------
@@ -284,16 +235,14 @@ def dirichlet_eigenvalues(
     N: Optional[int] = None,
     *,
     M: Optional[int] = None,
-    freq_count: Optional[int] = None,
     beta: Optional[BetaTable] = None,
-    references: Optional[Mapping[int, float]] = None,
     h_scan: Optional[float] = None,
 ) -> SpectrumReport:
     """First `count` positive zeros of F(omega) = u_N(omega, b).
 
     The coefficient table is fitted at x = b (or taken from ``beta`` if
-    the caller already has one), the truncation level is chosen from its
-    decay profile unless ``N`` is given, and the scan/refine machinery
+    the caller already has one), make_kernel_series truncates its series
+    (at choose_N unless ``N`` is given), and the scan/refine machinery
     above locates the roots.  Refinement tightens each bracket until its
     width is below 1e-12 + 4 eps omega.  Raises TransmuteError if Sturm's
     count disagrees with the scan (missed or negative eigenvalues).
@@ -312,14 +261,11 @@ def dirichlet_eigenvalues(
         weighted, so the values degrade fast with l: on q == 20, b = pi,
         the first 40 roots are off by up to 4.3e-6 at l = 2 and 1.2e-2
         at l = 5.
-    freq_count, h_scan : optional
-        Forwarded to the fit / scan; defaults as documented there.
     beta : BetaTable, optional
         Reuse a coefficient table fitted at x = setup.b (skips the fit;
-        mutually exclusive with M and freq_count).
-    references : mapping, optional
-        {n: reference value}; matching indices are reported with
-        absolute errors in the result.
+        mutually exclusive with M).
+    h_scan : float, optional
+        Scan step; default pi/(4b).
 
     Returns
     -------
@@ -333,16 +279,14 @@ def dirichlet_eigenvalues(
             "the truncated series representation exists for integer l only"
         )
     if beta is not None:
-        if M is not None or freq_count is not None:
-            raise DomainError("pass either a beta table or fit sizes, not both")
+        if M is not None:
+            raise DomainError("pass either a beta table or a fit size, not both")
         if abs(beta.x - setup.b) > 1e-9 * setup.b or abs(beta.l - setup.l) > 1e-9:
             raise DomainError("beta table was fitted for a different (l, x)")
     else:
         if M is None:
             M = default_fit_size(setup.l)
-        beta = compute_beta(setup, setup.b, M, freq_count=freq_count)
-    if N is None:
-        N = choose_N(beta)
+        beta = compute_beta(setup, setup.b, M)
     series = make_kernel_series(beta, N)
     b = setup.b
 
@@ -351,21 +295,11 @@ def dirichlet_eigenvalues(
 
     brackets = _scan(setup, F, count, h_scan)
     roots = _polish(F, brackets)
-    residuals = np.abs(F(roots))
-
-    ref_err = None
-    if references is not None:
-        ref_err = {
-            int(n): abs(roots[int(n) - 1] - float(v))
-            for n, v in references.items()
-            if 1 <= int(n) <= count
-        }
     return SpectrumReport(
         eigenvalues=roots,
         brackets=np.array([[br[0], br[1]] for br in brackets]),
-        residuals=residuals,
-        N_used=int(N),
-        reference_errors=ref_err,
+        residuals=np.abs(F(roots)),
+        N_used=series.N,
     )
 
 

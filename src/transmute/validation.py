@@ -20,11 +20,16 @@ import numpy as np
 
 from .coeffs import BetaTable, compute_beta, unperturbed_term
 from .errors import DomainError, TransmuteError
-from .kernel import _gl_nodes, apply_transmutation, kernel_K, make_kernel_series
+from .kernel import (
+    _gl_nodes,
+    apply_transmutation,
+    goursat_diagonal,
+    kernel_K,
+    make_kernel_series,
+)
 from .oracle import ProblemSetup, regular_solutions
 from .solution import integral_row
 from .specialfn import is_integer_l, jacobi_all
-from .spectral import choose_N
 
 __all__ = ["CheckResult", "run_validation"]
 
@@ -45,14 +50,6 @@ class CheckResult:
         object.__setattr__(self, "tolerance", float(self.tolerance))
 
 
-def _q_integral(setup: ProblemSetup, x: float) -> float:
-    # Gauss-Legendre is plenty for the smooth potentials the suite
-    # targets; 120 nodes keeps even table-interpolated q honest.
-    z, w = _gl_nodes(120)
-    t = 0.5 * x * (z + 1.0)
-    return float(0.5 * x * np.dot(w, np.asarray(setup.q(t), dtype=float)))
-
-
 def _perturbed(beta: BetaTable, amount: float) -> BetaTable:
     vals = np.array(beta.beta, dtype=float)
     idx = min(int(round(beta.l)) + 2, beta.M)
@@ -60,14 +57,12 @@ def _perturbed(beta: BetaTable, amount: float) -> BetaTable:
     return replace(beta, beta=vals)
 
 
-def _goursat_check(setup, beta, li) -> CheckResult:
+def _goursat_check(setup, beta) -> CheckResult:
     # Absolute tolerance floor so q = 0 (diagonal exactly zero) is judged
-    # on the noise it produces, not on a 0/0 ratio.  Truncated where the
-    # spectrum solver truncates (choose_N): the weights grow with m, so
-    # coefficients past the fit's noise floor would swamp the diagonal.
-    series = make_kernel_series(beta, choose_N(beta), mode="integer-l")
+    # on the noise it produces, not on a 0/0 ratio.
+    series = make_kernel_series(beta)
     got = kernel_K(series, beta.x)
-    want = 0.5 * _q_integral(setup, beta.x)
+    want = goursat_diagonal(setup.q, beta.x)
     err = abs(got - want)
     tol = max(1e-3 * abs(want), 1e-8)
     return CheckResult(
@@ -108,12 +103,9 @@ def _sum_beta_check(beta) -> CheckResult:
 
 def _transmutation_check(setup, beta) -> CheckResult:
     # T applied to the unperturbed solution must give the regular
-    # solution of the perturbed problem, for every omega at once.  The
-    # integer-l series is truncated as in _goursat_check, for the same
-    # reason; the real-l one has no such truncation.
+    # solution of the perturbed problem, for every omega at once.
     x = beta.x
-    N = choose_N(beta) if is_integer_l(beta.l) else None
-    series = make_kernel_series(beta, N, goursat_diag=0.5 * _q_integral(setup, x))
+    series = make_kernel_series(beta, goursat_diag=goursat_diagonal(setup.q, x))
     tol = 1e-6 if series.mode == "integer-l" else 1e-3
     omegas = (1.0, 5.0, 10.0)
     u, u_prime = regular_solutions(setup, omegas, [x])
@@ -175,10 +167,11 @@ def _integral_row_check(setup, li, M, rng) -> CheckResult:
 def _reduction_check(beta1, rng) -> CheckResult:
     # Same coefficient table pushed through the two kernel assemblies;
     # at integer l they must agree wherever the general form is defined.
-    # The identity holds for any coefficient vector, so a table fitted at
-    # another l serves once relabelled to l = 1.
-    int_series = make_kernel_series(beta1, mode="integer-l")
-    real_series = make_kernel_series(beta1, mode="real-l", t_max_fraction=0.9)
+    # The identity holds for any coefficient vector, and coefficient by
+    # coefficient, so a table fitted at another l serves once relabelled
+    # to l = 1, and both series take the whole of it.
+    int_series = make_kernel_series(beta1, beta1.M - 2, mode="integer-l")
+    real_series = make_kernel_series(beta1, beta1.M, mode="real-l", t_max_fraction=0.9)
     t = rng.uniform(0.0, 0.9, 50) * beta1.x
     a = kernel_K(int_series, t)
     worst = np.max(np.abs(a - kernel_K(real_series, t))) / max(np.max(np.abs(a)), 1e-300)
@@ -226,7 +219,7 @@ def run_validation(
         if beta_perturbation:
             beta_int = _perturbed(beta_int, beta_perturbation)
 
-    results.append(_goursat_check(setup_int, beta_int, li))
+    results.append(_goursat_check(setup_int, beta_int))
     results.append(_sum_beta_check(own))
     try:
         results.append(_transmutation_check(setup, own))

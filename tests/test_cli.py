@@ -105,14 +105,17 @@ def test_config_range_validation():
         RunConfig.from_dict({"kernel": {"t_max_fraction": 1.5}})
     with pytest.raises(DomainError, match="seed"):
         RunConfig.from_dict({"seed": -1})
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(DomainError, match="validate.perturb_beta"):
+            RunConfig.from_dict({"validate": {"perturb_beta": bad}})
 
 
 def test_config_type_rules():
     # float fields take integers, Optional fields take null
     cfg = RunConfig.from_dict({"problem": {"l": 1}, "fit": {"M": None}})
     assert cfg.l == 1 and cfg.M is None
-    for bad in ({"seed": True}, {"spectrum": {"compare_builtin": 1}},
-                {"problem": {"potential": 3}}, {"fit": {"N": 4.0}}):
+    for bad in ({"seed": True}, {"problem": {"potential": 3}},
+                {"fit": {"N": 4.0}}):
         with pytest.raises(DomainError):
             RunConfig.from_dict(bad)
 
@@ -172,6 +175,18 @@ def test_spectrum_builtin_reference_comparison(tmp_path):
     assert summary["count"] == 10
 
 
+def test_spectrum_empty_references_turn_builtin_comparison_off(tmp_path):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"spectrum": {"references": {}}}))
+    rc = main(["spectrum", "--config", str(cfg_path), "--l", "1",
+               "--potential", "poly:0,0,1", "--count", "5", "--out", str(tmp_path)])
+    assert rc == 0
+    rows = _read_csv(tmp_path / "spectrum.csv")[1:]
+    assert len(rows) == 5 and all(r[3:] == ["", ""] for r in rows)
+    summary = json.loads((tmp_path / "spectrum_summary.json").read_text())
+    assert summary["worst_reference_error"] is None
+
+
 def test_spectrum_count_zero_writes_header_only(tmp_path):
     rc = main(["spectrum", "--l", "0", "--potential", "zero",
                "--count", "0", "--out", str(tmp_path)])
@@ -227,6 +242,19 @@ def test_kernel_near_integer_l_matches_integer_l(tmp_path):
     got = np.array([float(r[2]) for r in rows])
     want = np.array([float(r[2]) for r in ref])
     assert np.max(np.abs(got - want)) <= 1e-8
+
+
+@pytest.mark.parametrize("l, tol", [("1", 1e-8), ("2", 2e-7)])
+def test_kernel_diagonal_matches_goursat_value(tmp_path, l, tol):
+    # q = x^2: K(x, x) = x^3/6 on every column; the full table read
+    # 5.6e-8 (l = 1) and 3.1e-6 (l = 2) off, the default truncation 1.8e-9
+    # and 4.4e-8
+    rc = main(["kernel", "--l", l, "--potential", "poly:0,0,1", "--out", str(tmp_path)])
+    assert rc == 0
+    rows = _read_csv(tmp_path / "kernel.csv")[1:]
+    diag = [(float(r[0]), float(r[2])) for r in rows if r[0] == r[1]]
+    assert len(diag) == 12
+    assert max(abs(k - x ** 3 / 6.0) for x, k in diag) <= tol
 
 
 def test_kernel_real_l_rejects_cutoff_at_diagonal(tmp_path, capsys):
@@ -327,6 +355,15 @@ def test_non_finite_l_or_b_exit_2(tmp_path, capsys, argv):
     rc = main(argv + ["--out", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_perturb_beta_exit_2(tmp_path, capsys, value):
+    rc = main(["validate", "--l", "1", "--perturb-beta", value, "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "validate.perturb_beta" in err
+    assert not (tmp_path / "validate_report.json").exists()
 
 
 @pytest.mark.parametrize("argv,named", [

@@ -100,9 +100,12 @@ def test_eval_R_cosine_transform_round_trip(beta_harmonic):
         assert abs(quad_val - series) < 1e-10 * max(1.0, np.max(np.abs(bt.beta)))
 
 
-def test_fit_stable_under_freq_count_doubling(harmonic_setups, beta_harmonic):
+def test_fit_stable_under_freq_count_doubling(harmonic_setups, beta_harmonic,
+                                             monkeypatch):
     bt = beta_harmonic[1]
-    bt2 = compute_beta(harmonic_setups[1], np.pi, 25, freq_count=2 * 6 * 26)
+    monkeypatch.setattr(coeffs, "_FREQ_PER_COEFF", 2 * coeffs._FREQ_PER_COEFF)
+    assert coeffs.sample_count(25) == 2 * 6 * 26
+    bt2 = compute_beta(harmonic_setups[1], np.pi, 25)
     assert np.max(np.abs(bt.beta - bt2.beta)) < 1e-8 * np.max(np.abs(bt.beta))
 
 
@@ -138,6 +141,4 @@ def test_compute_beta_argument_validation(zero_setups):
         compute_beta(zero_setups[0], np.pi, -1)
     with pytest.raises(DomainError):
         compute_beta(zero_setups[0], 2 * np.pi, 5)  # x beyond b
-    with pytest.raises(DomainError):
-        compute_beta(zero_setups[0], np.pi, 5, freq_count=4)
 

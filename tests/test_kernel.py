@@ -17,6 +17,7 @@ from transmute.errors import DomainError, QuadratureError
 from transmute.kernel import (
     KernelSeries,
     apply_transmutation,
+    choose_N,
     epsilon_N,
     kernel_K,
     kernel_moment,
@@ -51,14 +52,26 @@ def test_integer_l_weight_ratio_against_mpmath():
 
 
 def test_goursat_value_harmonic(beta_harmonic):
-    # with the stall-detected truncation the diagonal limit is clean; the
-    # full-table default drags in amplified trailing noise at higher l
-    from transmute.spectral import choose_N
-
+    # with the default, stall-detected truncation the diagonal limit is
+    # clean; the full table drags in amplified trailing noise at higher l
     for l in (0, 1, 2):
-        series = make_kernel_series(beta_harmonic[l], N=choose_N(beta_harmonic[l]))
+        series = make_kernel_series(beta_harmonic[l])
         got = kernel_K(series, series.x)
         assert abs(got - HALF_INT_Q) < 1e-6 * HALF_INT_Q, l
+
+
+def test_default_truncation(beta_harmonic, beta_half_dense):
+    # integer l stops where the coefficients stop decaying, real l keeps
+    # the whole table
+    for bt in beta_harmonic.values():
+        assert make_kernel_series(bt).N == choose_N(bt) < bt.M - int(bt.l) - 1
+    assert make_kernel_series(beta_half_dense).N == beta_half_dense.M
+    # a table too short for a decay profile needs an explicit N
+    short = _zero_table(1, M=4)
+    with pytest.raises(DomainError, match="M >= 5"):
+        make_kernel_series(short)
+    assert make_kernel_series(short, N=2).N == 2
+    assert make_kernel_series(_zero_table(0.5, M=4)).N == 4
 
 
 def test_goursat_error_decreases_with_N(beta_harmonic):
@@ -155,9 +168,10 @@ def test_moment_domain():
 @pytest.fixture(scope="module")
 def series_by_l():
     """Integer-l series for q = x^2 and q == 20 on (0, pi] at l = 0, 1, 2, 5,
-    10, fitted at the spectrum's default M and truncated by choose_N."""
+    10, fitted at the spectrum's default M and truncated by default
+    (choose_N)."""
     from transmute.oracle import ProblemSetup
-    from transmute.spectral import choose_N, default_fit_size
+    from transmute.spectral import default_fit_size
 
     pots = {"x^2": lambda x: np.asarray(x, dtype=float) ** 2,
             "20": lambda x: np.full(np.shape(x), 20.0)}
@@ -166,7 +180,7 @@ def series_by_l():
         for l in (0, 1, 2, 5, 10):
             bt = compute_beta(ProblemSetup(l=float(l), b=np.pi, q=q), np.pi,
                               default_fit_size(l))
-            out[name, l] = (bt, make_kernel_series(bt, N=choose_N(bt)))
+            out[name, l] = (bt, make_kernel_series(bt))
     return out
 
 
@@ -229,7 +243,7 @@ def test_integer_and_real_mode_agree(beta_harmonic):
 
 def test_l0_kernel_is_minus_dR_dt(beta_harmonic):
     bt = beta_harmonic[0]
-    series = make_kernel_series(bt)
+    series = make_kernel_series(bt, N=bt.M - 1)   # R below takes every beta_k
     x = bt.x
     h = 1e-5
     ts = np.array([0.3, 1.1, 2.0, 2.9])
@@ -247,7 +261,7 @@ def test_l0_kernel_is_minus_dR_dt(beta_harmonic):
 
 
 def test_epsilon_N_decreases(harmonic_setups, beta_harmonic):
-    ref = make_kernel_series(compute_beta(harmonic_setups[1], np.pi, 40))
+    ref = make_kernel_series(compute_beta(harmonic_setups[1], np.pi, 40), N=38)
     eps = [
         epsilon_N(make_kernel_series(beta_harmonic[1], N=N), ref)
         for N in (4, 8, 12)
@@ -308,7 +322,7 @@ def test_epsilon_N_matches_split_quad_reference(beta_harmonic, beta_ref, l, N):
         series_N, series_ref = make_kernel_series(short), make_kernel_series(long_)
     else:
         series_N = make_kernel_series(beta_harmonic[l], N=N)
-        series_ref = make_kernel_series(beta_ref[l])
+        series_ref = make_kernel_series(beta_ref[l], N=40 - l - 1)
     want = _reference_epsilon(series_N, series_ref)
     assert abs(epsilon_N(series_N, series_ref) - want) <= 1e-6 * want
 

@@ -525,6 +525,26 @@ def test_setup_validation():
     assert neg.u_values[0] == pos.u_values[0]
 
 
+@pytest.mark.parametrize("q", [
+    lambda x: -1.0 / np.asarray(x, dtype=float),                       # Coulomb
+    lambda x: np.where(np.asarray(x) == 0.0, -np.inf, np.asarray(x)),  # -inf at 0
+    lambda x: np.where(np.asarray(x) == 0.0, np.nan, 1.0),             # NaN at 0
+])
+def test_setup_rejects_q_not_finite_at_zero(q):
+    # the series start reads q(0); a plain -1/x gets there without a numpy
+    # RuntimeWarning and the error names the place, not the start's accuracy
+    with pytest.raises(DomainError, match=r"finite at x=0"):
+        ProblemSetup(l=0.0, b=np.pi, q=q)
+
+
+def test_q_not_finite_inside_raises_at_the_probe():
+    # finite at 0, so the setup takes it; the first solve names the place
+    setup = ProblemSetup(l=0.0, b=np.pi,
+                         q=lambda x: np.where(np.asarray(x) > 1.0, np.nan, 0.0))
+    with pytest.raises(DomainError, match=r"not finite at x=1\.00"):
+        regular_solutions(setup, [1.0], [np.pi])
+
+
 def test_solution_sample_is_write_protected():
     setup = ProblemSetup(l=0.0, b=np.pi, q=lambda x: np.zeros_like(np.asarray(x)))
     sol = regular_solution_ode(setup, 2.0, np.array([1.0, 2.0]))

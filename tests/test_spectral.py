@@ -11,13 +11,12 @@ from scipy.special import jv
 from transmute import spectral
 from transmute.coeffs import BetaTable, compute_beta
 from transmute.errors import DomainError, TransmuteError
-from transmute.kernel import make_kernel_series
+from transmute.kernel import choose_N, make_kernel_series
 from transmute.oracle import ProblemSetup, regular_solutions
 from transmute.solution import u_N
 from transmute.spectral import (
     HARMONIC_L1_EIGENVALUES,
     SpectrumReport,
-    choose_N,
     default_fit_size,
     dirichlet_eigenvalues,
     oracle_eigenvalues,
@@ -208,9 +207,8 @@ def test_shooting_raises_on_wrong_ordinals(l, Q, c2, count, sturm):
 
 def test_harmonic_l1_against_reference_values(harmonic_setups):
     refs = {n: HARMONIC_L1_EIGENVALUES[n] for n in (1, 2, 5, 10)}
-    rep = dirichlet_eigenvalues(harmonic_setups[1], 10, references=refs)
-    assert rep.reference_errors is not None
-    assert max(rep.reference_errors.values()) < 1e-9
+    rep = dirichlet_eigenvalues(harmonic_setups[1], 10)
+    assert max(abs(rep.eigenvalues[n - 1] - v) for n, v in refs.items()) < 1e-9
     assert rep.N_used >= 8
 
 
@@ -336,7 +334,6 @@ def test_report_rejects_root_outside_bracket():
             brackets=np.array([[2.0, 3.0]]),
             residuals=np.array([0.0]),
             N_used=5,
-            reference_errors=None,
         )
 
 
@@ -347,7 +344,6 @@ def test_report_rejects_unsorted_eigenvalues():
             brackets=np.array([[1.5, 2.5], [0.5, 1.5]]),
             residuals=np.array([0.0, 0.0]),
             N_used=5,
-            reference_errors=None,
         )
 
 

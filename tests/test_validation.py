@@ -128,8 +128,8 @@ def test_reduction_check_matches_scalar_loop(beta_harmonic):
     # one vectorized draw of 50 abscissae is the stream of 50 scalar draws
     bt = beta_harmonic[1]
     got = _reduction_check(bt, np.random.default_rng(11))
-    int_series = make_kernel_series(bt, mode="integer-l")
-    real_series = make_kernel_series(bt, mode="real-l", t_max_fraction=0.9)
+    int_series = make_kernel_series(bt, bt.M - 2, mode="integer-l")
+    real_series = make_kernel_series(bt, bt.M, mode="real-l", t_max_fraction=0.9)
     rng = np.random.default_rng(11)
     diffs, mags = [], []
     for _ in range(50):
