@@ -290,7 +290,8 @@ def cmd_beta(cfg: RunConfig) -> int:
 
 
 def _kernel_column(setup, cfg, x):
-    """Rows of the kernel table at one x."""
+    """The series mode, the truncation level N and the rows of the kernel
+    table at one x."""
     M = cfg.M if cfg.M is not None else default_fit_size(cfg.l)
     table = compute_beta(setup, x, M)
     series = make_kernel_series(
@@ -302,7 +303,7 @@ def _kernel_column(setup, cfg, x):
     rows = [[_fmt(x), _fmt(t), _fmt(k), "ok"]
             for t, k in zip(ts[inside], kernel_K(series, ts[inside]))]
     rows += [[_fmt(x), _fmt(t), "", "near-diagonal"] for t in ts[~inside]]
-    return series.mode, rows
+    return series.mode, series.N, rows
 
 
 def cmd_kernel(cfg: RunConfig) -> int:
@@ -314,7 +315,7 @@ def cmd_kernel(cfg: RunConfig) -> int:
 
     csv_path = out / "kernel.csv"
     _write_csv(csv_path, "x,t,K,flag",
-               (row for _, rows in columns for row in rows))
+               (row for _, _, rows in columns for row in rows))
     summary = {
         "command": "kernel",
         "config": cfg.to_dict(),
@@ -322,6 +323,7 @@ def cmd_kernel(cfg: RunConfig) -> int:
         "mode": columns[-1][0],
         "M": cfg.M if cfg.M is not None else default_fit_size(cfg.l),
         "grid": {"nx": cfg.nx, "nt": cfg.nt},
+        "columns": [{"x": x, "N": N} for x, (_, N, _) in zip(xs, columns)],
         "t_max_fraction": cfg.t_max_fraction,
         "outputs": [str(csv_path)],
         "runtime_seconds": time.perf_counter() - t0,

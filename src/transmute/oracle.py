@@ -14,8 +14,23 @@ two-point Gauss nodes.  The omega^2 shift enters the exponent exactly, so
 the step need not resolve each wavelength finely: one step-length rule
 allows 0.16 rad of phase per step (h sqrt|q - omega^2| <= 0.16), no step
 longer than b/1024, and a fixed fraction of x near the origin, which
-resolves the centrifugal term l(l+1)/x^2.  The step count, and so the
-cost of a solve, still grows linearly with omega.
+resolves the centrifugal term l(l+1)/x^2.  Where l(l+1) != 0 the grid
+starts instead with a layer in t = ln x, the standard treatment of a
+regular-singular endpoint (Pryce, Numerical Solution of Sturm-Liouville
+Problems, OUP 1993): there v = x^(-1/2) u solves
+
+    v_tt = ((l + 1/2)^2 + (q - omega^2) x^2) v,
+
+whose centrifugal part is a constant that the step exponentiates exactly.
+The same Magnus step in t propagates (v, v_t) up to x_L, where |q -
+omega^2| x^2 reaches (max(l + 1/2, 1)/4)^2, about a quarter of the
+turning point; its t-steps bound the phase and shrink toward x_L, where
+the varying part is largest.  The state turns into (w, w') at x_L and at
+any requested point inside the layer; past x_L the x rule holds.  x_L is
+taken at the highest frequency solved, and at least at the cap frequency
+(omega ~ 52 on b = pi), so the frequencies below the cap share one grid.
+The step count, and so the cost of a solve, still grows linearly with
+omega.
 The integration starts at x0 = 1e-6*b from a three-term Frobenius
 expansion (the centrifugal term forbids starting at zero), stops at the
 last requested point, propagates the rescaled variable w = u / x0^(l+1)
@@ -25,13 +40,17 @@ added until two consecutive extrapolants agree.  w grows like
 (b/x0)^(l+1), so past l ~ 41 x0 moves in to where that is 1e250.  The
 self-check cannot see an error that does not change with the grid, so
 solves with |omega| b > 2000 pi, past the measured range, warn, and a
-start whose omitted terms pass the accuracy contract raises.
+start whose omitted terms pass the accuracy contract raises.  The layer's
+error does change with its grid, which halves in t, so the self-check
+sees it.
 
-A sweep of frequencies is solved in blocks (regular_solutions).  A block
-shares one grid, sized for its lowest and highest |omega|, which bounds
-the phase of every frequency in between, so no frequency gets a coarser
-grid than it would alone; the frequencies whose step rule is the cap
-alone share the cap's grid.  The omega-free part of every step, q at its
+A sweep of frequencies is solved in blocks (regular_solutions).  The log
+layer is one for the whole sweep, each pass over it one call for every
+frequency, and the blocks' grids start at its end.  A block shares one
+grid, sized for its lowest and highest |omega|, which bounds the phase of
+every frequency in between, so no frequency gets a coarser step rule than
+it would alone; the frequencies whose step rule is the cap alone share
+the cap's grid.  The omega-free part of every step, q at its
 Gauss nodes included, is formed once per grid; the step maps and chain
 products are frequency x step arrays, in tiles of equal rows and at most
 _BLOCK frequencies x nodes, in one workspace per call, which bounds the
@@ -43,7 +62,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,13 +81,27 @@ __all__ = [
 _GAUSS_OFF = math.sqrt(3.0) / 6.0   # two-point Gauss offset from midpoint
 
 # grid-construction factors.  Worst relative error against the exact
-# constant-q solutions (q = 0, 50, -3; l = -1/2..10; |omega| <= 1400;
-# x in [0.3, pi]): 9.2e-13; against the exact q = x^2 ones (l = 0, 1/2, 1;
-# omega <= 235; x = pi/8, pi/2, pi): 3.3e-13.  A step cap of b/200 instead
-# of b/1024 moved the l = 1/2, M = 100 fit at x = pi 3x further from its
-# exact-data fit and out of the coefficient-sum check's tolerance
+# constant-q solutions (q = 0, 50, -3; l = -1/2..10; |omega| <= 1400; x in
+# [0.3, pi]): 8.6e-13 at l = 0 and 4.4e-13 where the log layer serves (9.2e-13
+# at l = -1/2 with the centrifugal term graded in x down to x0); against the
+# exact q = x^2 ones (l = 0, 1/2, 1, 2; omega <= 235; x = pi/8, pi/2, pi):
+# 2.8e-13.  A step cap of b/200 instead of b/1024
+# moved the l = 1/2, M = 100 fit at x = pi 3x further from its exact-data
+# fit and out of the coefficient-sum check's tolerance.  _SING_FRAC grades
+# the x-steps from the log layer's end until they reach the cap (x ~ 0.2
+# at l = 1 on b = pi, all of (x_L, b] from l ~ 22 on); where l(l+1) = 0
+# there is neither grading nor layer
 _PHASE_FRAC = 0.16
 _SING_FRAC = 0.02
+# the log layer: it ends where |q - omega^2| x^2 = (_LAYER_FRAC nu)^2, nu =
+# max(l + 1/2, _NU_MIN), and its t-steps are at most _DT_END at its end,
+# growing like e^(_DT_GROWTH (t_L - t)) below it.  The error of a step there
+# goes like dt^7 |q - omega^2| x^2 after extrapolation, and |q - omega^2| x^2
+# like e^(2t), so that growth equidistributes it
+_LAYER_FRAC = 0.25
+_NU_MIN = 1.0
+_DT_END = 0.05
+_DT_GROWTH = 2.0 / 7.0
 _REL_TOL = 1e-10
 # the start's own error budget, relative to w: the accuracy contract
 _START_TOL = 1e-10
@@ -76,7 +109,7 @@ _START_TOL = 1e-10
 # measures 6.1e-12, but the limit stays until such a range is validated)
 _PHASE_LIMIT = 2000.0 * math.pi
 # frequencies x nodes of a block's grid (its capped frequencies aside),
-# and of one tile of the step maps and chain product (before padding); a
+# and of one tile of the step maps and chain product (padding included); a
 # call's workspace holds six float arrays of that size (256 KiB each).
 # Larger tiles cost memory and, once the arrays leave the cache, time:
 # with 2^16 the l = 1/2, M = 60 fits ran about 20 % slower than with 2^15
@@ -87,9 +120,6 @@ _MAX_STEPS = 1 << 22
 # steps of a tile, padded with identity maps, are a multiple of this, so
 # the chain product's first levels pair steps within a row
 _PAD = 8
-# floats of the largest tile on a grid of 1024 steps or more (32 rows at
-# most)
-_TILE = _BLOCK + 32 * (_PAD - 1)
 
 
 @dataclass(frozen=True)
@@ -147,6 +177,12 @@ class SolutionSample:
 def _table_potential(xs: np.ndarray, qs: np.ndarray, b: float):
     if xs.ndim != 1 or xs.shape != qs.shape or xs.size < 4:
         raise DomainError("potential table needs >= 4 (x, q) rows")
+    bad = np.flatnonzero(~(np.isfinite(xs) & np.isfinite(qs)))
+    if bad.size:
+        raise DomainError(
+            f"potential table row {bad[0] + 1} is not finite: "
+            f"x={xs[bad[0]]:.6g}, q={qs[bad[0]]:.6g}"
+        )
     diffs = np.diff(xs)
     bad = np.nonzero(diffs <= 0)[0]
     if bad.size:
@@ -226,17 +262,34 @@ def make_potential(descriptor, b: float):
 # grid construction and propagation
 
 
-def _probe(l: float, b: float, q, x0: float):
-    """The frequency-free part of the step rule on [x0, b]: probe cells,
-    the 1024 uniform ones of width w split at x0 (1 + ratio)^k below
-    ratio x = w; each cell's longest step, w and (for the centrifugal term)
-    ratio = _SING_FRAC / max(1, sqrt|l(l+1)|) times its left end; and the
-    least and greatest q at its ends and midpoint.  Raises DomainError if
-    q is not finite there."""
+class _Probe(NamedTuple):
+    """The frequency-free part of the step rule on [x0, b]."""
+
+    edges: np.ndarray   # probe cells
+    cap: np.ndarray     # each cell's longest step
+    q_lo: np.ndarray    # least and greatest q at each cell's ends and midpoint
+    q_hi: np.ndarray
+    reach: float        # bound on |q - omega^2| x^2 in the log layer, 0 for none
+    dt: float           # the layer's longest t-step
+
+
+def _probe(l: float, b: float, q, x0: float) -> _Probe:
+    """Probe cells for the step rule on [x0, b]: the 1024 uniform ones of
+    width w split at x0 (1 + ratio)^k below ratio x = w, each cell's
+    longest step, w and (for the centrifugal term) ratio = _SING_FRAC /
+    max(1, sqrt|l(l+1)|) times its left end, and the least and greatest q
+    at its ends and midpoint.  Where l(l+1) != 0 the grid starts with a
+    layer in t = ln x, up to where |q - omega^2| x^2 reaches reach =
+    (_LAYER_FRAC nu)^2, nu = max(l + 1/2, _NU_MIN); there V = (l + 1/2)^2
+    + (q - omega^2) x^2, so t-steps of at most dt = _PHASE_FRAC /
+    sqrt((l + 1/2)^2 + reach) carry at most _PHASE_FRAC rad of phase.  The
+    grid uses the cells past the layer's end only.  Raises DomainError if
+    q is not finite at the probed points."""
     edges = np.linspace(x0, b, 1025)
     w = edges[1] - x0
     cap = w
     ll1 = abs(l * (l + 1.0))
+    reach, dt = 0.0, 0.0
     if ll1:
         ratio = _SING_FRAC / max(1.0, math.sqrt(ll1))
         cross = min(w / ratio, b)
@@ -244,6 +297,8 @@ def _probe(l: float, b: float, q, x0: float):
         geo = x0 * (1.0 + ratio) ** np.arange(1, count + 1)
         edges = np.union1d(edges, geo[geo < cross])
         cap = np.minimum(w, ratio * edges[:-1])
+        reach = (_LAYER_FRAC * max(l + 0.5, _NU_MIN)) ** 2
+        dt = _PHASE_FRAC / math.sqrt((l + 0.5) ** 2 + reach)
     n = edges.size - 1
     probes = np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])])
     qp = np.asarray(q(probes), dtype=float)
@@ -251,21 +306,40 @@ def _probe(l: float, b: float, q, x0: float):
     if np.any(bad):
         raise DomainError(f"potential q is not finite at x={probes[bad].min():.6g}")
     cells = np.stack([qp[:n], qp[1 : n + 1], qp[n + 1 :]])
-    return edges, cap, cells.min(axis=0), cells.max(axis=0)
+    return _Probe(edges, cap, cells.min(axis=0), cells.max(axis=0), reach, dt)
 
 
-def _step_rule(probe, om_lo: float, om_hi: float):
+def _step_rule(probe: _Probe, om_lo: float, om_hi: float):
     """Probe cells and the longest step h[i] on cell [edges[i], edges[i+1]]
     at every frequency in [om_lo, om_hi], at most _PHASE_FRAC rad of phase:
     |q - omega^2| at the probed points is convex in omega^2, so its maximum
     at om_lo and om_hi bounds it in between."""
-    edges, cap, q_lo, q_hi = probe
+    edges, cap, q_lo, q_hi = probe[:4]
     cell_v = np.maximum(q_hi - om_lo * om_lo, om_hi * om_hi - q_lo)
     return edges, np.minimum(cap, _PHASE_FRAC / np.sqrt(np.maximum(cell_v, 1e-300)))
 
 
-def _build_grid(probe, om_lo: float, om_hi: float) -> np.ndarray:
-    """Step grid on [x0, b] for every frequency in [om_lo, om_hi]: nodes
+def _layer_end(probe: _Probe, om_lo: float, om_hi: float) -> float:
+    """End x_L of the log layer for every frequency in [om_lo, om_hi]: the
+    largest x where the bound of _step_rule on |q - omega^2|, times x^2,
+    stays within probe.reach on every cell below x.  The bound is taken at
+    least at the cap frequency, whose phase rule is the cap, so every
+    capped frequency gets the same layer.  x0 without a layer, b if the
+    bound never passes reach."""
+    edges, _, q_lo, q_hi, reach, _ = probe
+    if not reach:
+        return edges[0]
+    # the floor keeps x_L within the first cells, up to sqrt(reach) / om_cap
+    om_cap = _PHASE_FRAC * 1024.0 / (edges[-1] - edges[0])
+    head = int(np.searchsorted(edges[:-1], math.sqrt(reach) / om_cap, side="right"))
+    cell_v = np.maximum(q_hi[:head] - om_lo * om_lo, om_hi * om_hi - q_lo[:head])
+    v = np.maximum.accumulate(np.maximum(cell_v, om_cap * om_cap))
+    j = int(np.searchsorted(v * edges[1 : head + 1] ** 2, reach, side="right"))
+    return edges[j] if j == head else max(edges[j], math.sqrt(reach / v[j]))
+
+
+def _build_grid(probe: _Probe, om_lo: float, om_hi: float, x_from: float) -> np.ndarray:
+    """Step grid on [x_from, b] for every frequency in [om_lo, om_hi]: nodes
     that equidistribute int dx/h over the cells of _step_rule, so it has
     ceil(int dx/h) steps and none is longer than the largest h of the
     cells it spans.  Raises DomainError if the grid would need more than
@@ -273,29 +347,78 @@ def _build_grid(probe, om_lo: float, om_hi: float) -> np.ndarray:
     """
     edges, h = _step_rule(probe, om_lo, om_hi)
     level = np.concatenate([[0.0], np.cumsum(np.diff(edges) / h)])
-    total = level[-1]
-    if not total <= _MAX_STEPS:
+    start, total = np.interp(x_from, edges, level), level[-1]
+    if not total - start <= _MAX_STEPS:
         raise DomainError(
-            f"the oracle grid would need {total:.3g} steps on (0, {edges[-1]:.6g}] at "
-            f"omega = {om_hi:.6g}, more than the {_MAX_STEPS} allowed"
+            f"the oracle grid would need {total - start:.3g} steps on (0, {edges[-1]:.6g}] "
+            f"at omega = {om_hi:.6g}, more than the {_MAX_STEPS} allowed"
         )
     # less the sum's rounding, or cells of exactly one step each get one more
-    steps = math.ceil(total * (1.0 - 1e-13))
-    return np.interp(np.linspace(0.0, total, steps + 1), level, edges)
+    steps = math.ceil((total - start) * (1.0 - 1e-13))
+    xs = np.interp(np.linspace(start, total, steps + 1), level, edges)
+    xs[0] = x_from
+    return xs
 
 
-def _grid_terms(xs: np.ndarray, l: float, q, buf=None) -> np.ndarray:
+def _layer_nodes(x0: float, x_log: float, dt: float) -> np.ndarray:
+    """Nodes of the log layer on [x0, x_log]: t-steps that equidistribute
+    int dt/k with k = min(dt, _DT_END e^(_DT_GROWTH (t_L - t))), t_L =
+    ln x_log.  Raises DomainError past _MAX_STEPS steps."""
+    span, rate = math.log(x_log / x0), _DT_GROWTH
+    end = min(dt, _DT_END)
+    knee = min(span, math.log(dt / end) / rate)   # where k reaches dt
+    lev_knee = -math.expm1(-rate * knee) / (rate * end)
+    total = lev_knee + (span - knee) / dt
+    if not total <= _MAX_STEPS:
+        raise DomainError(
+            f"the oracle's log layer would need {total:.3g} steps on (0, {x_log:.6g}], "
+            f"more than the {_MAX_STEPS} allowed"
+        )
+    lev = np.linspace(0.0, total, math.ceil(total * (1.0 - 1e-13)) + 1)
+    near = np.minimum(lev, lev_knee)
+    tau = np.where(lev <= lev_knee, -np.log1p(-rate * end * near) / rate,
+                   knee + (lev - lev_knee) * dt)
+    xs = x_log * np.exp(-tau[::-1])
+    xs[0], xs[-1] = x0, x_log
+    return xs
+
+
+def _grid_terms(xs: np.ndarray, l: float, q, buf=None, log: bool = False) -> np.ndarray:
     """The omega-free terms of the step maps on the grid xs, a column per
     step: h, h^2, pbar = (p1 + p2)/2, d = (sqrt(3)/12) h^2 (p1 - p2), d^2,
     with p = l(l+1)/x^2 + q at the Gauss nodes; zero columns, identity
     maps, pad them to a multiple of _PAD.  They go into the float array
-    buf if it is large enough."""
+    buf if it is large enough.
+
+    With log, the steps are in t = ln x, where v = x^(-1/2) u solves v_tt =
+    V v with V = (l + 1/2)^2 + (q - omega^2) x^2: the six terms are h, h^2,
+    a and e of the mean vbar = a - omega^2 e of V at the Gauss nodes, and
+    d0 and d1 of d = d0 - omega^2 d1."""
     n = xs.size - 1
     steps = -(-n // _PAD) * _PAD
-    if buf is None or buf.size < 5 * steps:
-        buf = np.empty(5 * steps)
-    terms = buf[: 5 * steps].reshape(5, steps)
+    size = (6 if log else 5) * steps
+    if buf is None or buf.size < size:
+        buf = np.empty(size)
+    terms = buf[:size].reshape(-1, steps)
     terms[:, n:] = 0.0
+    if log:
+        h, h2, a, e, d0, d1 = terms[:, :n]
+        t = np.log(xs)
+        np.subtract(t[1:], t[:-1], out=h)
+        mid = 0.5 * (t[:-1] + t[1:])
+        x1, x2 = np.exp(mid - _GAUSS_OFF * h), np.exp(mid + _GAUSS_OFF * h)
+        s1, s2 = x1 * x1, x2 * x2
+        g1, g2 = q(x1) * s1, q(x2) * s2
+        np.multiply(h, h, out=h2)
+        np.multiply(h2, math.sqrt(3.0) / 12.0, out=e)
+        np.multiply(e, g1 - g2, out=d0)
+        np.multiply(e, s1 - s2, out=d1)
+        np.add(g1, g2, out=a)
+        a *= 0.5
+        a += (l + 0.5) ** 2
+        np.add(s1, s2, out=e)
+        e *= 0.5
+        return terms
     h, h2, pbar, d, d2 = terms[:, :n]
     np.subtract(xs[1:], xs[:-1], out=h)
     np.add(xs[:-1], xs[1:], out=d2)
@@ -324,26 +447,35 @@ def _step_maps(terms, om: np.ndarray, bufs):
     """Per-interval 2x2 transfer matrices (m11, m12, m21, m22) of the Magnus
     propagator, one row per frequency in om, from the grid's _grid_terms.
 
-    omega enters only through vbar = pbar - omega^2.  A step's exponent
-    [[d, h], [h vbar, -d]] squares to s I, s = h^2 vbar + d^2, so its
-    exponential is C(s) I + S(s) times it, with C(s) = sum s^k/(2k)! and
-    S(s) = sum s^k/(2k+1)! (cos and sin(theta)/theta at s = -theta^2, cosh
-    and sinh(theta)/theta at s = theta^2).  Their Taylor sums reach
-    rounding at |s| <= 1/16 (the grids keep |s| <= 0.026); a larger |s|
+    omega enters only through vbar = pbar - omega^2 (in the log layer
+    through vbar = a - omega^2 e and d = d0 - omega^2 d1).  A step's
+    exponent [[d, h], [h vbar, -d]] squares to s I, s = h^2 vbar + d^2, so
+    its exponential is C(s) I + S(s) times it, with C(s) = sum s^k/(2k)!
+    and S(s) = sum s^k/(2k+1)! (cos and sin(theta)/theta at s = -theta^2,
+    cosh and sinh(theta)/theta at s = theta^2).  Their Taylor sums reach
+    rounding at |s| <= 1/16 (the grids keep |s| <= 0.027); a larger |s|
     is scaled by 4^-k and doubled back k times with S <- S C and
-    C - 1 <- 2 (C - 1)(C + 1); s falls with omega^2, so the largest |s|
-    is on the rows of the least and the greatest omega.  The work runs in
-    the five rows x steps arrays bufs (at most five such arrays), the maps
-    in the first four; every value is formed by the same operations, in
-    the same order, as for a single frequency.
+    C - 1 <- 2 (C - 1)(C + 1); on an x-grid s falls with omega^2, so the
+    largest |s| is on the rows of the least and the greatest omega.  The
+    work runs in the five rows x steps arrays bufs (at most five such
+    arrays), the maps in the first four; every value is formed by the same
+    operations, in the same order, as for a single frequency.
     """
-    h, h2, pbar, d, d2 = terms
     om2 = om * om
     m11, m12, m21, m22, s = bufs
-    vbar = np.subtract(pbar, om2[:, None], out=m21)
-    np.multiply(h2, vbar, out=s)
-    s += d2
-    top = max(s[np.argmin(om2)].max(), -s[np.argmax(om2)].min())
+    if len(terms) == 6:
+        h, h2, a, e, d0, d1 = terms
+        vbar = np.subtract(a, np.multiply(e, om2[:, None], out=m21), out=m21)
+        d = np.subtract(d0, np.multiply(d1, om2[:, None], out=m11), out=m11)
+        np.multiply(h2, vbar, out=s)
+        s += np.multiply(d, d, out=m22)
+        top = max(s.max(), -s.min())
+    else:
+        h, h2, pbar, d, d2 = terms
+        vbar = np.subtract(pbar, om2[:, None], out=m21)
+        np.multiply(h2, vbar, out=s)
+        s += d2
+        top = max(s[np.argmin(om2)].max(), -s[np.argmax(om2)].min())
     k = (math.frexp(16.0 * top)[1] + 1) // 2 if top > 0.0625 else 0
     if k:
         s *= 0.25 ** k
@@ -362,7 +494,7 @@ def _step_maps(terms, om: np.ndarray, bufs):
         cm1 *= np.add(cm1, 2.0, out=s)
         cm1 *= 2.0
     c = np.add(cm1, 1.0, out=cm1)
-    scd = np.multiply(sc, d, out=s)
+    scd = np.multiply(sc, d, out=s)   # d may sit in m11, which this frees
     np.add(c, scd, out=m11)
     np.subtract(c, scd, out=m22)
     np.multiply(sc, h, out=m12)
@@ -377,7 +509,7 @@ class _Workspace:
 
     def __init__(self, nodes: int, count: int):
         steps = min(_BLOCK, 2 * -(-(nodes - 1) // _PAD) * _PAD)
-        flat = np.empty(5 * steps + 6 * min(_TILE, count * steps))
+        flat = np.empty(5 * steps + 6 * min(_BLOCK, count * steps))
         self.terms, self.tiles = flat[: 5 * steps], flat[5 * steps :]
 
     def arrays(self, rows: int, steps: int):
@@ -390,11 +522,24 @@ class _Workspace:
                 self.tiles[4 * full : 6 * full].reshape(4, rows, steps // 2))
 
 
-def _refine(xs: np.ndarray) -> np.ndarray:
+def _refine(xs: np.ndarray, log: bool = False) -> np.ndarray:
+    """xs with every step halved, in t = ln x with log."""
     out = np.empty(2 * xs.size - 1)
     out[0::2] = xs
-    out[1::2] = 0.5 * (xs[:-1] + xs[1:])
+    out[1::2] = np.sqrt(xs[:-1] * xs[1:]) if log else 0.5 * (xs[:-1] + xs[1:])
     return out
+
+
+def _to_log(x0, w, wp):
+    """The layer's state (v, v_t) at its start x0 from (w, w'), for
+    v = (x0/x)^(1/2) w."""
+    return w, x0 * wp - 0.5 * w
+
+
+def _from_log(x, x0, v, vt):
+    """(w, w') at x from the layer's (v, v_t)."""
+    r = math.sqrt(x / x0)
+    return r * v, r * (0.5 * v + vt) / x
 
 
 def _product(m, spare):
@@ -432,27 +577,31 @@ def _product(m, spare):
     return src.reshape(4, -1)[:, :rows]
 
 
-def _propagate(grid, l, om, q, w0, wp0, x_eval, ws):
-    """States at x_eval, one row per frequency, in the workspace ws: steps
-    in ranges ending at the requested points, each range's grid terms
-    formed once and its rows in groups of equal size, as few tiles of at
-    most _BLOCK rows x nodes before padding as there can be."""
+def _propagate(grid, l, om, q, w0, wp0, x_eval, ws, log=False):
+    """States (w, w') at x_eval, one row per frequency, from (w0, wp0) at
+    grid[0], in the workspace ws: steps in ranges ending at the requested
+    points, each range's grid terms formed once and its rows in groups of
+    equal size, as few tiles of at most _BLOCK rows x padded steps as there
+    can be.  With log the grid is the log layer's, and the state there the
+    (v, v_t) of _to_log."""
     idx = np.searchsorted(grid, x_eval)
-    most = max(1, _BLOCK // grid.size)
+    most = max(1, _BLOCK // (-(-(grid.size - 1) // _PAD) * _PAD + 1))
     rows = -(-om.size // -(-om.size // most))
-    cuts = np.union1d(idx, np.arange(0, grid.size - 1, _BLOCK // most - 1)).tolist()
+    cuts = sorted({*idx.tolist(), *range(0, grid.size - 1, _BLOCK // most - 1)})
     w, wp = np.array(w0, dtype=float), np.array(wp0, dtype=float)
+    if log:
+        w, wp = _to_log(grid[0], w, wp)
     out_w, out_wp = np.empty((2, om.size, idx.size))
     j = 0
     for c0, c1 in zip(cuts[:-1], cuts[1:]):
-        terms = _grid_terms(grid[c0 : c1 + 1], l, q, ws.terms)
+        terms = _grid_terms(grid[c0 : c1 + 1], l, q, ws.terms, log)
         for r in range(0, om.size, rows):
             part = slice(r, r + rows)
             maps, spare = ws.arrays(om[part].size, terms.shape[1])
             a, b, c, d = _product(_step_maps(terms, om[part], maps), spare)
             w[part], wp[part] = a * w[part] + b * wp[part], c * w[part] + d * wp[part]
         if c1 == idx[j]:
-            out_w[:, j], out_wp[:, j] = w, wp
+            out_w[:, j], out_wp[:, j] = _from_log(grid[c1], grid[0], w, wp) if log else (w, wp)
             j += 1
     return out_w, out_wp
 
@@ -465,17 +614,18 @@ def _envelope(w, wp, om):
     )
 
 
-def _block(probe, om, stop, x_eval):
+def _block(probe, om, stop, x_eval, x_from):
     """Start of the frequency block that ends just below om[stop] (om
-    ascending), and the block's grid, from the call's step-rule probe: as
-    many frequencies as keep rows x nodes within _BLOCK, at least one, and
-    if its step rule is the cap alone, every capped frequency below."""
+    ascending), and the block's grid from x_from, from the call's
+    step-rule probe: as many frequencies as keep rows x nodes within
+    _BLOCK, at least one, and if its step rule is the cap alone, every
+    capped frequency below."""
 
     def rule(start):
         return _step_rule(probe, om[start], om[stop - 1])[1]
 
     def grid_for(start):
-        grid = np.union1d(_build_grid(probe, om[start], om[stop - 1]), x_eval)
+        grid = np.union1d(_build_grid(probe, om[start], om[stop - 1], x_from), x_eval)
         # the chain never uses a step past the last requested point
         return grid[: np.searchsorted(grid, x_eval[-1]) + 1]
 
@@ -493,7 +643,7 @@ def _block(probe, om, stop, x_eval):
             break
         start = stop - rows(grid)
     # in runs of rows(grid), as a top-down cut takes them, to an uncapped low end
-    while start and np.all(h == probe[1]) and np.all(rule(max(0, start - rows(grid))) == h):
+    while start and np.all(h == probe.cap) and np.all(rule(max(0, start - rows(grid))) == h):
         start = max(0, start - rows(grid))
     return start, grid
 
@@ -548,15 +698,13 @@ def _check_finite(omegas, xs, finite):
                                  x=float(xs[np.argmin(finite[i])]))
 
 
-def _solve_block(setup, om, grid, x0, x_eval, ws):
+def _solve_block(om, x_eval, run):
     """Richardson-verified rescaled states (w, w') at x_eval for the
-    frequencies om on their shared grid, every pass in the workspace ws;
-    each row is checked on its own."""
-    l = setup.l
-    w0, wp0 = _start(setup, om, x0)
-    w_a, wp_a = _propagate(grid, l, om, setup.q, w0, wp0, x_eval, ws)
-    grid = _refine(grid)
-    w_b, wp_b = _propagate(grid, l, om, setup.q, w0, wp0, x_eval, ws)
+    frequencies om, from run(level, rows): the states at x_eval of the pass
+    on the grids refined level times, for those rows of om.  Each row is
+    checked on its own."""
+    w_a, wp_a = run(0, np.arange(om.size))
+    w_b, wp_b = run(1, np.arange(om.size))
     rich_w, rich_wp = (16.0 * w_b - w_a) / 15.0, (16.0 * wp_b - wp_a) / 15.0
 
     # rows that pass the two-grid test are final; the others keep halving,
@@ -564,11 +712,10 @@ def _solve_block(setup, om, grid, x0, x_eval, ws):
     diff = np.max(np.abs(w_b - w_a), axis=1)
     live = np.flatnonzero(_two_grid_fails(diff, _envelope(w_b, wp_b, om)))
     w_b, wp_b = w_b[live], wp_b[live]
-    for _ in range(2):
+    for level in (2, 3):
         if live.size == 0:
             break
-        grid = _refine(grid)
-        w_c, wp_c = _propagate(grid, l, om[live], setup.q, w0[live], wp0[live], x_eval, ws)
+        w_c, wp_c = run(level, live)
         rich2_w, rich2_wp = (16.0 * w_c - w_b) / 15.0, (16.0 * wp_c - wp_b) / 15.0
         err = np.abs(rich2_w - rich_w[live])
         rich_w[live], rich_wp[live] = rich2_w, rich2_wp
@@ -598,13 +745,16 @@ def regular_solutions(setup: ProblemSetup, omegas, x_eval: Sequence[float]):
 
     Returns (u, u_prime), arrays of shape (len(omegas), len(x_eval)).
 
-    The frequencies are sorted by |omega| and split into blocks.  A block
+    The frequencies are sorted by |omega|.  Where l(l+1) != 0 they share
+    one log layer near the origin, which ends where it would for the
+    highest of them, and past it they are split into blocks.  A block
     shares one grid, sized for its lowest and highest |omega| and so, at
-    every frequency in it, no coarser than the grid that frequency would
-    get alone; the frequencies whose step rule is the cap alone (up to
-    |omega| ~ 52 on b = pi) share one grid, which each would get alone.
-    Every pass runs in tiles of equal rows and at most _BLOCK frequencies x
-    nodes, in one workspace.  The accuracy contract is that of
+    every frequency in it, no coarser than the step rule that frequency
+    would get alone; the frequencies whose step rule is the cap alone (up
+    to |omega| ~ 52 on b = pi) share one grid, and in a call that has no
+    other frequency, the layer and grid each would get alone.  Every pass
+    runs in tiles of equal rows and at most _BLOCK frequencies x padded
+    steps, in one workspace.  The accuracy contract is that of
     regular_solution_ode, and the self-verification runs row by row: a row
     that fails the two-grid test is refined further on its own.  One
     AccuracyWarning is emitted per call if any |omega| b exceeds 2000 pi.
@@ -650,16 +800,61 @@ def regular_solutions(setup: ProblemSetup, omegas, x_eval: Sequence[float]):
     if x_eval[0] < 2.0 * x0:
         x0 = 0.5 * x_eval[0]
     probe = _probe(setup.l, setup.b, setup.q, x0)
-    ws = None
     order = np.argsort(om, kind="stable")
     om_sorted = om[order]
+    # one log layer for the call, up to x_log: its passes run once for
+    # every frequency, and the blocks' x grids start at its end
+    x_log = min(_layer_end(probe, om_sorted[0], om_sorted[-1]), x_eval[-1])
+    k = int(np.searchsorted(x_eval, x_log, side="right"))   # points read in the layer
+    ends = np.union1d(x_eval[:k], [x_log]) if k else np.array([x_log])
+    layer_grids = []
+    if x_log > x0:
+        nodes = _layer_nodes(x0, x_log, probe.dt)
+        layer_grids.append(np.union1d(nodes, x_eval[:k]) if k else nodes)
+    passes = {}
+
+    def layer_states(level, rows):
+        """States at the requested points in the layer and, last, at x_log,
+        or at x0 without a layer; level 0 and 1 run once for every row."""
+        if not layer_grids:
+            return w0[rows, None], wp0[rows, None]
+        while len(layer_grids) <= level:
+            layer_grids.append(_refine(layer_grids[-1], log=True))
+        if level > 1:
+            return _propagate(layer_grids[level], setup.l, om_sorted[rows], setup.q, w0[rows],
+                              wp0[rows], ends, ws, log=True)
+        if level not in passes:
+            passes[level] = _propagate(layer_grids[level], setup.l, om_sorted, setup.q, w0, wp0,
+                                       ends, ws, log=True)
+        return passes[level][0][rows], passes[level][1][rows]
+
+    ws = None
     w, wp = np.empty((2, om.size, x_eval.size))
     stop = om.size
     while stop > 0:
-        start, grid = _block(probe, om_sorted, stop, x_eval)
-        ws = ws or _Workspace(grid.size, om.size)
+        if k < x_eval.size:
+            start, grid = _block(probe, om_sorted, stop, x_eval[k:], x_log)
+        else:
+            start, grid = 0, layer_grids[0]
+        if ws is None:   # the grid's checks come before the start's
+            ws = _Workspace(grid.size, om.size)
+            w0, wp0 = _start(setup, om_sorted, x0)
+        x_grids = [grid]
+
+        def run(level, live):
+            rows = start + live
+            lw, lwp = layer_states(level, rows)
+            if k == x_eval.size:
+                return lw, lwp
+            while len(x_grids) <= level:
+                x_grids.append(_refine(x_grids[-1]))
+            xw, xwp = _propagate(x_grids[level], setup.l, om_sorted[rows], setup.q, lw[:, -1],
+                                 lwp[:, -1], x_eval[k:], ws)
+            return (np.concatenate([lw[:, :k], xw], axis=1),
+                    np.concatenate([lwp[:, :k], xwp], axis=1))
+
         rows = order[start:stop]
-        w[rows], wp[rows] = _solve_block(setup, om_sorted[start:stop], grid, x0, x_eval, ws)
+        w[rows], wp[rows] = _solve_block(om_sorted[start:stop], x_eval, run)
         stop = start
 
     scale = x0 ** (setup.l + 1.0)
@@ -679,13 +874,14 @@ def regular_solution_ode(
     sqrt(u^2 + (u'/omega)^2) over the requested points, so a requested
     point on a node does not deflate the scale) is 1e-10 or better on
     [b/100, b] for smooth potentials and |omega| b <= 2000 pi (measured
-    against the exact constant-q solutions, l >= -1/2: 9.2e-13 up to
-    omega = 1400 on b = pi, 3.2e-12 at omega*b = 2000 pi; against the
-    exact q = x^2 ones 3.3e-13 up to omega = 235); the self-verification
+    against the exact constant-q solutions, l >= -1/2: 8.6e-13 up to
+    omega = 1400 on b = pi, 4.9e-12 at omega*b = 2000 pi; against the
+    exact q = x^2 ones 2.8e-13 up to omega = 235); the self-verification
     enforces the agreement between grid levels.  Past that range the
     accuracy is not validated, so an AccuracyWarning is emitted.  In a
-    sweep (regular_solutions) a frequency shares its block's grid, which
-    is at least as fine as its own, so the same contract holds.
+    sweep (regular_solutions) a frequency shares the sweep's log layer and
+    its block's grid, whose steps are no longer than its own rule allows,
+    so the same contract holds.
 
     Raises
     ------
@@ -709,18 +905,31 @@ def zero_count(setup: ProblemSetup, omega: float) -> int:
     """
     setup, om = _integer_l(setup), abs(float(omega))
     x0 = _x0(setup.l, setup.b)
-    grid = _build_grid(_probe(setup.l, setup.b, setup.q, x0), om, om)
-    terms = _grid_terms(grid, setup.l, setup.q)
-    maps = _step_maps(terms, np.array([om]), np.empty((5, 1, terms.shape[1])))
+    probe = _probe(setup.l, setup.b, setup.q, x0)
+    x_log = _layer_end(probe, om, om)
+    grid = _build_grid(probe, om, om, x_log)
     w, wp = _start(setup, om, x0)
     ws = [w]
-    for m11, m12, m21, m22 in zip(*(m[0, : grid.size - 1].tolist() for m in maps)):
-        w, wp = m11 * w + m12 * wp, m21 * w + m22 * wp
-        ws.append(w)
+
+    def steps(xs, w, wp, log=False):
+        terms = _grid_terms(xs, setup.l, setup.q, log=log)
+        maps = _step_maps(terms, np.array([om]), np.empty((5, 1, terms.shape[1])))
+        for m11, m12, m21, m22 in zip(*(m[0, : xs.size - 1].tolist() for m in maps)):
+            w, wp = m11 * w + m12 * wp, m21 * w + m22 * wp
+            ws.append(w)   # v has the sign of w
+        return w, wp
+
+    nodes = grid
+    if x_log > x0:
+        layer = _layer_nodes(x0, x_log, probe.dt)
+        w, wp = _from_log(x_log, x0, *steps(layer, *_to_log(x0, w, wp), log=True))
+        ws[-1] = w
+        nodes = np.concatenate([layer[:-1], grid])
+    w, wp = steps(grid, w, wp)
     ws = np.array(ws)
     finite = np.isfinite(ws)
     finite[-1] &= math.isfinite(wp)
-    _check_finite([omega], grid, finite[None])
+    _check_finite([omega], nodes, finite[None])
     neg = ws < 0.0
     if abs(w) <= 1e-6 * math.hypot(w, wp / max(om, 1.0)):
         neg[-1] = not neg[-2]

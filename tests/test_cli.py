@@ -15,7 +15,10 @@ import pytest
 
 import transmute
 from transmute.cli import RunConfig, main, parse_potential
+from transmute.coeffs import compute_beta
 from transmute.errors import DomainError
+from transmute.kernel import make_kernel_series
+from transmute.oracle import ProblemSetup
 
 
 def _read_csv(path):
@@ -157,6 +160,16 @@ def test_beta_malformed_table_exit_2(tmp_path, capsys):
     assert "2" in err  # offending row is named
 
 
+def test_beta_non_finite_table_value_exit_2(tmp_path, capsys):
+    # a row that parses as a float but is NaN is malformed input too
+    bad = tmp_path / "q.csv"
+    bad.write_text("0.0,0.0\n1.0,1.0\n2.0,nan\n3.2,10.24\n")
+    rc = main(["beta", "--l", "0", "--potential", f"table:{bad}",
+               "--M", "6", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "row 3 is not finite" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # spectrum subcommand
 
@@ -255,6 +268,20 @@ def test_kernel_diagonal_matches_goursat_value(tmp_path, l, tol):
     diag = [(float(r[0]), float(r[2])) for r in rows if r[0] == r[1]]
     assert len(diag) == 12
     assert max(abs(k - x ** 3 / 6.0) for x, k in diag) <= tol
+
+
+def test_kernel_summary_records_each_truncation(tmp_path):
+    # the integer-l default truncation varies per column; the summary
+    # names it, so the table can be rebuilt from the summary alone
+    rc = main(["kernel", "--l", "1", "--potential", "poly:0,0,1", "--nx", "4",
+               "--nt", "5", "--out", str(tmp_path)])
+    assert rc == 0
+    summary = json.loads((tmp_path / "kernel_summary.json").read_text())
+    setup = ProblemSetup(l=1.0, b=np.pi, q=lambda x: np.asarray(x, dtype=float) ** 2)
+    xs = [np.pi * i / 4 for i in range(1, 5)]
+    assert [c["x"] for c in summary["columns"]] == xs
+    want = [make_kernel_series(compute_beta(setup, x, summary["M"])).N for x in xs]
+    assert [c["N"] for c in summary["columns"]] == want
 
 
 def test_kernel_real_l_rejects_cutoff_at_diagonal(tmp_path, capsys):

@@ -34,9 +34,9 @@ def _spy_step_maps(monkeypatch):
     calls, nodes = [], []
     grid_terms, step_maps = oracle._grid_terms, oracle._step_maps
 
-    def terms_spy(xs, *args):
+    def terms_spy(xs, *args, **kwargs):
         nodes.append(xs)
-        return grid_terms(xs, *args)
+        return grid_terms(xs, *args, **kwargs)
 
     def maps_spy(terms, om, bufs):
         calls.append((nodes[-1], om.size))
@@ -45,6 +45,19 @@ def _spy_step_maps(monkeypatch):
     monkeypatch.setattr(oracle, "_grid_terms", terms_spy)
     monkeypatch.setattr(oracle, "_step_maps", maps_spy)
     return calls
+
+
+def _spy_grids(monkeypatch):
+    """Record (name, nodes) of every _layer_nodes and _build_grid call."""
+    builds = []
+    for name in ("_layer_nodes", "_build_grid"):
+        def spy(*args, _name=name, _build=getattr(oracle, name)):
+            grid = _build(*args)
+            builds.append((_name, grid.size))
+            return grid
+
+        monkeypatch.setattr(oracle, name, spy)
+    return builds
 
 
 def _constant_q_cases():
@@ -79,6 +92,24 @@ def test_free_problem_matches_closed_form(l, omega, Q):
         assert np.max(np.abs(u - ref)) < 5e-10 * scale, om
 
 
+@pytest.mark.parametrize("Q", [0.0, 20.0, -3.0])
+@pytest.mark.parametrize("l", [-0.5, -0.25, 0.5, 1.0, 2.0, 10.0, 30.0])
+def test_log_layer_matches_closed_form(l, Q):
+    """Requested points inside the log layer near the origin (1e-5 b,
+    1e-3 b, 1e-2 b) are read off the (v, v_t) state there, and b past it:
+    u and u' meet the constant-q Bessel closed form to 5e-10 of the
+    envelope, from omega = 0 (q above omega^2 for Q = 20) to 600."""
+    setup = ProblemSetup(l=l, b=np.pi, q=lambda x: np.full_like(np.asarray(x, float), Q))
+    omegas = [0.0, 3.0, 52.0, 600.0]
+    xs = np.pi * np.array([1e-5, 1e-3, 1e-2, 1.0])
+    u, u_prime = regular_solutions(setup, omegas, xs)
+    for om, row, row_p in zip(omegas, u, u_prime):
+        ref = np.array([_constant_q_exact(l, Q, om, x) for x in xs])
+        scale = max(_envelope(row, row_p, om), np.max(np.abs(ref[:, 0])))
+        assert np.max(np.abs(row - ref[:, 0])) < 5e-10 * scale, om
+        assert np.max(np.abs(row_p - ref[:, 1])) < 5e-10 * max(om, 1.0) * scale, om
+
+
 def _harmonic_exact(l, omega, x):
     """u and u' for q = x^2: x^(l+1) e^(-x^2/2) 1F1((2l+3-omega^2)/4; l+3/2; x^2)."""
     def u(t):
@@ -92,10 +123,11 @@ def _harmonic_exact(l, omega, x):
 def test_harmonic_potential_matches_mpmath(l):
     """q = x^2 varies along every step, so unlike constant q it shows the
     step-size error; the oracle must match the 40-digit Kummer form over
-    the frequencies a fit samples, to 1e-11 of its envelope."""
+    the frequencies a fit samples, to 1e-11 of its envelope, also at
+    x = pi/64, inside the log layer from omega ~ 20 on at l >= 1/2."""
     setup = ProblemSetup(l=l, b=np.pi, q=_harmonic)
     omegas = [0.5, 3.0, 20.0, 60.0, 120.0, 235.0]
-    xs = np.pi / np.array([8.0, 2.0, 1.0])
+    xs = np.pi / np.array([64.0, 8.0, 2.0, 1.0])
     u, u_prime = regular_solutions(setup, omegas, xs)
     for om, row, row_p in zip(omegas, u, u_prime):
         with mpmath.workdps(40):
@@ -115,28 +147,63 @@ def test_harmonic_potential_matches_mpmath(l):
     q2=st.sampled_from([0.0, 100.0]) | st.floats(0.0, 2000.0),
 )
 def test_grid_follows_step_rule(l, b, om_lo, om_span, q0, q2):
-    """The grid runs from x0 to b, strictly increasing; no step is longer
-    than the largest h the rule allows on the probe cells it spans; and it
-    has at most ceil(int dx/h) + 1 nodes.  q = q0 + q2 x^2 crosses omega^2
-    inside the interval for many draws, where |q - omega^2| vanishes."""
+    """The log layer's nodes run from x0 to its end x_L, and the grid's
+    from x_L to b, strictly increasing.  In the layer no t-step is longer
+    than the rule's dt, nor than _DT_END e^(_DT_GROWTH (t_L - t)) at its
+    left end t, refinement halves each t-step, and dt carries at most
+    _PHASE_FRAC rad of phase of V = (l + 1/2)^2 + (q - omega^2) x^2 at the
+    probed points.  Past x_L no step is longer than the largest h the rule
+    allows on the probe cells it spans, and there are at most
+    ceil(int dx/h) + 1 nodes.  q = q0 + q2 x^2 crosses omega^2 inside the
+    interval for many draws, where |q - omega^2| vanishes."""
     q = lambda x: q0 + q2 * np.asarray(x, dtype=float) ** 2
     om_hi = om_lo + om_span
     x0 = 1e-6 * b
     probe = oracle._probe(l, b, q, x0)
-    grid = oracle._build_grid(probe, om_lo, om_hi)
+    x_log = oracle._layer_end(probe, om_lo, om_hi)
+    rest = oracle._build_grid(probe, om_lo, om_hi, x_log)
     edges, h = oracle._step_rule(probe, om_lo, om_hi)
-    assert grid[0] == x0 and grid[-1] == b
-    assert np.all(np.diff(grid) > 0)
-    assert grid.size <= math.ceil(np.sum(np.diff(edges) / h)) + 1
+    dt = probe.dt
+    assert rest[0] == x_log and rest[-1] == b
+    assert np.all(np.diff(rest) > 0)
 
-    # the largest h over the cells [first, last] each step touches
-    first = np.searchsorted(edges, grid[:-1], side="right") - 1
-    last = np.searchsorted(edges, grid[1:], side="left") - 1
+    # the layer: none without a centrifugal term, else it runs from x0 to
+    # x_L, no further out than where the cap frequency's omega^2 x^2
+    # reaches its bound, and |q - omega^2| x^2 stays within that bound
+    # below it at the probed points
+    if l * (l + 1) == 0:
+        assert x_log == x0
+    else:
+        assert x_log > x0
+        layer = oracle._layer_nodes(x0, x_log, dt)
+        assert layer[0] == x0 and layer[-1] == x_log
+        assert np.all(np.diff(layer) > 0)
+        t = np.log(layer)
+        graded = oracle._DT_END * np.exp(oracle._DT_GROWTH * (t[-1] - t[:-1]))
+        assert np.all(np.diff(t) <= np.minimum(dt, graded) * (1 + 1e-9))
+        # the self-check halves each t-step
+        halves = np.diff(np.log(oracle._refine(layer, log=True))).reshape(-1, 2)
+        assert np.allclose(halves, 0.5 * np.diff(t)[:, None], rtol=1e-9, atol=0.0)
+        om_cap = oracle._PHASE_FRAC * 1024 / (b - x0)
+        assert x_log * om_cap <= math.sqrt(probe.reach) * (1 + 1e-12)
+        pts = np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])])
+        pts = pts[pts <= x_log]
+        for om in (om_lo, om_hi):
+            wx2 = (q(pts) - om * om) * pts * pts
+            assert np.all(np.abs(wx2) <= probe.reach * (1 + 1e-12))
+            v = np.abs((l + 0.5) ** 2 + wx2)
+            assert np.all(dt * np.sqrt(v) <= oracle._PHASE_FRAC * (1 + 1e-12))
+
+    # past x_L: the largest h over the cells [first, last] each step touches
+    level = np.concatenate([[0.0], np.cumsum(np.diff(edges) / h)])
+    assert rest.size <= math.ceil(level[-1] - np.interp(x_log, edges, level)) + 1
+    first = np.searchsorted(edges, rest[:-1], side="right") - 1
+    last = np.searchsorted(edges, rest[1:], side="left") - 1
     spans = np.stack([first, last + 1], axis=1).ravel()
     allowed = np.maximum.reduceat(np.append(h, 0.0), spans)[0::2]
-    assert np.all(np.diff(grid) <= allowed * (1 + 1e-12))
+    assert np.all(np.diff(rest) <= allowed * (1 + 1e-12))
 
-    # the rule: a probe cell at most, the phase bound at the probed
+    # the x-rule: a probe cell at most, the phase bound at the probed
     # points of each cell, and the centrifugal ratio at its left end
     assert np.all(h <= (b - x0) / 1024 * (1 + 1e-12))
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -225,20 +292,16 @@ def test_fit_sweep_is_solved_in_blocks(monkeypatch):
     """An M = 25 fit's 156 frequencies all lie below omega ~ 52, where the
     step rule on b = pi is the cap alone, so they form one block on one
     grid: one _build_grid call, where blocks of 18 frequencies built 18.
-    At l = 1 the grid has 1748 nodes (3495 refined), so the passes run in
-    tiles of at most 18 and 9 rows: 9 + 18 _step_maps calls, none larger
-    than the block bound.  One solve per frequency took 312 calls."""
+    At l = 1 the grid has 1284 nodes, 88 of them in the log layer (1748
+    nodes when the centrifugal term was graded in x down to x0), so the
+    passes run the layer in one tile and the rest in tiles of at most 26
+    and 13 rows: 1 + 6 + 1 + 12 _step_maps calls, none larger than the
+    block bound.  One solve per frequency took 312 calls."""
     calls = _spy_step_maps(monkeypatch)
-    builds = []
-    build_grid = oracle._build_grid
-
-    def build_spy(*args):
-        builds.append(args)
-        return build_grid(*args)
-
-    monkeypatch.setattr(oracle, "_build_grid", build_spy)
+    builds = _spy_grids(monkeypatch)
     compute_beta(ProblemSetup(l=1.0, b=np.pi, q=_harmonic), np.pi, 25)
-    assert len(builds) == 1
+    assert [name for name, _ in builds] == ["_layer_nodes", "_build_grid"]
+    assert sum(size for _, size in builds) - 1 <= 1300
     assert len(calls) <= 27
     assert max(rows * xs.size for xs, rows in calls) <= oracle._BLOCK
 
@@ -436,6 +499,22 @@ def test_zero_count_is_sturm_count(l):
         assert oracle.zero_count(setup, 0.5 * (eig[n - 1] + eig[n])) == n
 
 
+def test_zero_count_grid_at_l30(monkeypatch):
+    """At l = 30 on b = pi the centrifugal term graded the whole grid in x,
+    21074 nodes; the log layer takes it to 6792, under a third, and the
+    count still matches the zeros of J_{l+1/2}."""
+    builds = _spy_grids(monkeypatch)
+    setup = ProblemSetup(l=30.0, b=np.pi, q=lambda x: np.zeros_like(np.asarray(x, float)))
+    eig = [float(mpmath.besseljzero(mpmath.mpf(61) / 2, n)) / np.pi for n in (1, 2, 3)]
+    assert oracle.zero_count(setup, 0.5 * eig[0]) == 0
+    for n in (1, 2):
+        assert oracle.zero_count(setup, eig[n - 1]) == n
+        assert oracle.zero_count(setup, 0.5 * (eig[n - 1] + eig[n])) == n
+    # one layer and one grid per count, sharing the node x_L
+    sizes = [size for _, size in builds]
+    assert max(a + b - 1 for a, b in zip(sizes[0::2], sizes[1::2])) <= 21074 / 3
+
+
 def test_zero_count_sees_negative_eigenvalues():
     # q == -3, l = 0: lambda_n = n^2 - 3, so lambda_1 = -2 lies below omega = 0
     setup = ProblemSetup(l=0.0, b=np.pi, q=lambda x: np.full_like(np.asarray(x, float), -3.0))
@@ -493,6 +572,15 @@ def test_table_potential_malformed_row(tmp_path):
     with pytest.raises(DomainError) as err:
         make_potential({"type": "table", "path": str(path)}, np.pi)
     assert "3" in str(err.value)  # the offending row is named
+
+
+@pytest.mark.parametrize("bad_x, bad_q", [(2.0, math.nan), (math.inf, 4.0), (2.0, -math.inf)])
+def test_table_potential_rejects_non_finite_values(bad_x, bad_q):
+    """A non-finite x or q is refused with the row named, before the
+    spline sees it (scipy raised a bare ValueError for a NaN q)."""
+    xs, qs = [0.0, 1.0, bad_x, np.pi], [0.0, 1.0, bad_q, 9.9]
+    with pytest.raises(DomainError, match="row 3 is not finite"):
+        make_potential({"type": "table", "x": xs, "q": qs}, np.pi)
 
 
 def test_polynomial_potential_descriptor():
