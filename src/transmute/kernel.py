@@ -58,7 +58,7 @@ __all__ = [
 
 _T_SLACK = 1e-12
 _STALL_RATIO = 0.9   # |beta_{k+1}|/|beta_k| at or above this counts as "not decaying"
-_STALL_RUN = 3       # steps over which the mean ratio that defines a stall is taken
+_STALL_RUN = 3       # consecutive non-decaying ratios that define a stall
 
 
 @dataclass(frozen=True)
@@ -138,14 +138,11 @@ def choose_N(beta: BetaTable) -> int:
     W_k = max(|beta_k|, ..., |beta_{k+2}|): while the sequence decays,
     W_{k+1}/W_k equals the raw decay ratio, and on a plateau the
     overlapping windows pin the ratio near one.  The stall index k0 is
-    the first k from the largest coefficient on at which W falls by less
-    than ``_STALL_RATIO ** _STALL_RUN`` over the next ``_STALL_RUN``
-    windows: on geometric decay that is a run of ``_STALL_RUN`` window
-    ratios >= ``_STALL_RATIO``, and on a noise floor that slopes gently
-    one dip below the ratio does not break the run.  The returned level
-    N = k0 - l - 1 makes the evaluator consume coefficients up to index k0
-    and no further.  If the decay never stalls, all available
-    coefficients are used (N = M - l - 1).
+    the start of the first run of ``_STALL_RUN`` consecutive window
+    ratios >= ``_STALL_RATIO``, and the returned level N = k0 - l - 1
+    makes the evaluator consume coefficients up to index k0 and no
+    further.  If the decay never stalls, all available coefficients are
+    used (N = M - l - 1).
 
     Requires ``beta.M >= 5``; a shorter table has no profile to read.
     """
@@ -155,10 +152,22 @@ def choose_N(beta: BetaTable) -> int:
     a = np.abs(beta.beta)
     win = np.array([a[k:k + 3].max() for k in range(beta.M - 1)])
     k0 = beta.M
-    for k in range(int(np.argmax(a)), win.size - _STALL_RUN):
-        if win[k + _STALL_RUN] >= _STALL_RATIO ** _STALL_RUN * win[k]:
-            k0 = k
-            break
+    run = 0
+    for k in range(int(np.argmax(a)), win.size - 1):
+        num, den = win[k + 1], win[k]
+        if num == 0.0 and den == 0.0:
+            ratio = 1.0
+        elif den == 0.0:
+            ratio = math.inf
+        else:
+            ratio = num / den
+        if ratio >= _STALL_RATIO:
+            run += 1
+            if run == _STALL_RUN:
+                k0 = k - (_STALL_RUN - 1)
+                break
+        else:
+            run = 0
     return int(max(0, min(k0 - shift, beta.M - shift)))
 
 

@@ -45,12 +45,12 @@ error does change with its grid, which halves in t, so the self-check
 sees it.
 
 A sweep of frequencies is solved in blocks (regular_solutions).  The log
-layer is one for the whole sweep, each pass over it one call for every
-frequency, and the blocks' grids start at its end.  A block shares one
-grid, sized for its lowest and highest |omega|, which bounds the phase of
-every frequency in between, so no frequency gets a coarser step rule than
-it would alone; the frequencies whose step rule is the cap alone share
-the cap's grid.  The omega-free part of every step, q at its
+layer is one for the whole sweep, its first two grid levels one pass for
+every frequency, and the blocks' grids start at its end.  A block shares
+one grid, sized for its lowest and highest |omega|, which bounds the
+phase of every frequency in between, so no frequency gets a coarser step
+rule than it would alone; the frequencies whose step rule is the cap
+alone share the cap's grid.  The omega-free part of every step, q at its
 Gauss nodes included, is formed once per grid; the step maps and chain
 products are frequency x step arrays, in tiles of equal rows and at most
 _BLOCK frequencies x nodes, in one workspace per call, which bounds the
@@ -85,7 +85,7 @@ _GAUSS_OFF = math.sqrt(3.0) / 6.0   # two-point Gauss offset from midpoint
 # [0.3, pi]): 8.6e-13 at l = 0 and 4.4e-13 where the log layer serves (9.2e-13
 # at l = -1/2 with the centrifugal term graded in x down to x0); against the
 # exact q = x^2 ones (l = 0, 1/2, 1, 2; omega <= 235; x = pi/8, pi/2, pi):
-# 2.8e-13.  A step cap of b/200 instead of b/1024
+# 2.7e-13 (3.3e-13 at x = pi/64).  A step cap of b/200 instead of b/1024
 # moved the l = 1/2, M = 100 fit at x = pi 3x further from its exact-data
 # fit and out of the coefficient-sum check's tolerance.  _SING_FRAC grades
 # the x-steps from the log layer's end until they reach the cap (x ~ 0.2
@@ -97,7 +97,13 @@ _SING_FRAC = 0.02
 # max(l + 1/2, _NU_MIN), and its t-steps are at most _DT_END at its end,
 # growing like e^(_DT_GROWTH (t_L - t)) below it.  The error of a step there
 # goes like dt^7 |q - omega^2| x^2 after extrapolation, and |q - omega^2| x^2
-# like e^(2t), so that growth equidistributes it
+# like e^(2t), so that growth equidistributes it.  The pair also moves the
+# oracle's rounding, which an M = 25 fit reads as its noise floor, and so
+# where choose_N truncates: from the l = 1, q = x^2 fit 200 eigenvalues are
+# off by 6.3e-12 (N = 11), and by at most 5.7e-12 with _DT_END 0.045 or
+# 0.055 or _DT_GROWTH 1/4 or 1/3.  With level 1 of the layer as one chain
+# product instead of the two pieces of _propagate_layer that table kept
+# all its coefficients (N = 23) and they were off by 2.1e-11
 _LAYER_FRAC = 0.25
 _NU_MIN = 1.0
 _DT_END = 0.05
@@ -269,8 +275,6 @@ class _Probe(NamedTuple):
     cap: np.ndarray     # each cell's longest step
     q_lo: np.ndarray    # least and greatest q at each cell's ends and midpoint
     q_hi: np.ndarray
-    reach: float        # bound on |q - omega^2| x^2 in the log layer, 0 for none
-    dt: float           # the layer's longest t-step
 
 
 def _probe(l: float, b: float, q, x0: float) -> _Probe:
@@ -278,18 +282,13 @@ def _probe(l: float, b: float, q, x0: float) -> _Probe:
     width w split at x0 (1 + ratio)^k below ratio x = w, each cell's
     longest step, w and (for the centrifugal term) ratio = _SING_FRAC /
     max(1, sqrt|l(l+1)|) times its left end, and the least and greatest q
-    at its ends and midpoint.  Where l(l+1) != 0 the grid starts with a
-    layer in t = ln x, up to where |q - omega^2| x^2 reaches reach =
-    (_LAYER_FRAC nu)^2, nu = max(l + 1/2, _NU_MIN); there V = (l + 1/2)^2
-    + (q - omega^2) x^2, so t-steps of at most dt = _PHASE_FRAC /
-    sqrt((l + 1/2)^2 + reach) carry at most _PHASE_FRAC rad of phase.  The
-    grid uses the cells past the layer's end only.  Raises DomainError if
-    q is not finite at the probed points."""
+    at its ends and midpoint.  Where l(l+1) != 0 the grid starts with the
+    log layer of _layer_rule and uses the cells past its end only.  Raises
+    DomainError if q is not finite at the probed points."""
     edges = np.linspace(x0, b, 1025)
     w = edges[1] - x0
     cap = w
     ll1 = abs(l * (l + 1.0))
-    reach, dt = 0.0, 0.0
     if ll1:
         ratio = _SING_FRAC / max(1.0, math.sqrt(ll1))
         cross = min(w / ratio, b)
@@ -297,8 +296,6 @@ def _probe(l: float, b: float, q, x0: float) -> _Probe:
         geo = x0 * (1.0 + ratio) ** np.arange(1, count + 1)
         edges = np.union1d(edges, geo[geo < cross])
         cap = np.minimum(w, ratio * edges[:-1])
-        reach = (_LAYER_FRAC * max(l + 0.5, _NU_MIN)) ** 2
-        dt = _PHASE_FRAC / math.sqrt((l + 0.5) ** 2 + reach)
     n = edges.size - 1
     probes = np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])])
     qp = np.asarray(q(probes), dtype=float)
@@ -306,7 +303,19 @@ def _probe(l: float, b: float, q, x0: float) -> _Probe:
     if np.any(bad):
         raise DomainError(f"potential q is not finite at x={probes[bad].min():.6g}")
     cells = np.stack([qp[:n], qp[1 : n + 1], qp[n + 1 :]])
-    return _Probe(edges, cap, cells.min(axis=0), cells.max(axis=0), reach, dt)
+    return _Probe(edges, cap, cells.min(axis=0), cells.max(axis=0))
+
+
+def _layer_rule(l: float):
+    """(reach, dt) of the log layer at l, (0, 0) where l(l+1) = 0 and there
+    is none.  The layer ends where |q - omega^2| x^2 reaches reach =
+    (_LAYER_FRAC nu)^2, nu = max(l + 1/2, _NU_MIN); below it V = (l + 1/2)^2
+    + (q - omega^2) x^2, so t-steps of at most dt = _PHASE_FRAC /
+    sqrt((l + 1/2)^2 + reach) carry at most _PHASE_FRAC rad of phase."""
+    if not l * (l + 1.0):
+        return 0.0, 0.0
+    reach = (_LAYER_FRAC * max(l + 0.5, _NU_MIN)) ** 2
+    return reach, _PHASE_FRAC / math.sqrt((l + 0.5) ** 2 + reach)
 
 
 def _step_rule(probe: _Probe, om_lo: float, om_hi: float):
@@ -314,19 +323,20 @@ def _step_rule(probe: _Probe, om_lo: float, om_hi: float):
     at every frequency in [om_lo, om_hi], at most _PHASE_FRAC rad of phase:
     |q - omega^2| at the probed points is convex in omega^2, so its maximum
     at om_lo and om_hi bounds it in between."""
-    edges, cap, q_lo, q_hi = probe[:4]
+    edges, cap, q_lo, q_hi = probe
     cell_v = np.maximum(q_hi - om_lo * om_lo, om_hi * om_hi - q_lo)
     return edges, np.minimum(cap, _PHASE_FRAC / np.sqrt(np.maximum(cell_v, 1e-300)))
 
 
-def _layer_end(probe: _Probe, om_lo: float, om_hi: float) -> float:
+def _layer_end(probe: _Probe, l: float, om_lo: float, om_hi: float) -> float:
     """End x_L of the log layer for every frequency in [om_lo, om_hi]: the
     largest x where the bound of _step_rule on |q - omega^2|, times x^2,
-    stays within probe.reach on every cell below x.  The bound is taken at
-    least at the cap frequency, whose phase rule is the cap, so every
-    capped frequency gets the same layer.  x0 without a layer, b if the
-    bound never passes reach."""
-    edges, _, q_lo, q_hi, reach, _ = probe
+    stays within the reach of _layer_rule(l) on every cell below x.  The
+    bound is taken at least at the cap frequency, whose phase rule is the
+    cap, so every capped frequency gets the same layer.  x0 without a
+    layer, b if the bound never passes reach."""
+    edges, _, q_lo, q_hi = probe
+    reach = _layer_rule(l)[0]
     if not reach:
         return edges[0]
     # the floor keeps x_L within the first cells, up to sqrt(reach) / om_cap
@@ -360,10 +370,12 @@ def _build_grid(probe: _Probe, om_lo: float, om_hi: float, x_from: float) -> np.
     return xs
 
 
-def _layer_nodes(x0: float, x_log: float, dt: float) -> np.ndarray:
+def _layer_nodes(x0: float, x_log: float, l: float) -> np.ndarray:
     """Nodes of the log layer on [x0, x_log]: t-steps that equidistribute
-    int dt/k with k = min(dt, _DT_END e^(_DT_GROWTH (t_L - t))), t_L =
-    ln x_log.  Raises DomainError past _MAX_STEPS steps."""
+    int dt/k with k = min(dt, _DT_END e^(_DT_GROWTH (t_L - t))), dt that of
+    _layer_rule(l) and t_L = ln x_log.  Raises DomainError past _MAX_STEPS
+    steps."""
+    dt = _layer_rule(l)[1]
     span, rate = math.log(x_log / x0), _DT_GROWTH
     end = min(dt, _DT_END)
     knee = min(span, math.log(dt / end) / rate)   # where k reaches dt
@@ -443,9 +455,10 @@ def _grid_terms(xs: np.ndarray, l: float, q, buf=None, log: bool = False) -> np.
     return terms
 
 
-def _step_maps(terms, om: np.ndarray, bufs):
+def _step_maps(terms, om: np.ndarray, bufs, log: bool = False):
     """Per-interval 2x2 transfer matrices (m11, m12, m21, m22) of the Magnus
-    propagator, one row per frequency in om, from the grid's _grid_terms.
+    propagator, one row per frequency in om, from the grid's _grid_terms
+    (formed with the same log).
 
     omega enters only through vbar = pbar - omega^2 (in the log layer
     through vbar = a - omega^2 e and d = d0 - omega^2 d1).  A step's
@@ -463,7 +476,7 @@ def _step_maps(terms, om: np.ndarray, bufs):
     """
     om2 = om * om
     m11, m12, m21, m22, s = bufs
-    if len(terms) == 6:
+    if log:
         h, h2, a, e, d0, d1 = terms
         vbar = np.subtract(a, np.multiply(e, om2[:, None], out=m21), out=m21)
         d = np.subtract(d0, np.multiply(d1, om2[:, None], out=m11), out=m11)
@@ -577,31 +590,72 @@ def _product(m, spare):
     return src.reshape(4, -1)[:, :rows]
 
 
-def _propagate(grid, l, om, q, w0, wp0, x_eval, ws, log=False):
+def _propagate(grid, l, om, q, w0, wp0, x_eval, ws):
     """States (w, w') at x_eval, one row per frequency, from (w0, wp0) at
     grid[0], in the workspace ws: steps in ranges ending at the requested
     points, each range's grid terms formed once and its rows in groups of
     equal size, as few tiles of at most _BLOCK rows x padded steps as there
-    can be.  With log the grid is the log layer's, and the state there the
-    (v, v_t) of _to_log."""
+    can be."""
     idx = np.searchsorted(grid, x_eval)
     most = max(1, _BLOCK // (-(-(grid.size - 1) // _PAD) * _PAD + 1))
     rows = -(-om.size // -(-om.size // most))
     cuts = sorted({*idx.tolist(), *range(0, grid.size - 1, _BLOCK // most - 1)})
     w, wp = np.array(w0, dtype=float), np.array(wp0, dtype=float)
-    if log:
-        w, wp = _to_log(grid[0], w, wp)
     out_w, out_wp = np.empty((2, om.size, idx.size))
     j = 0
     for c0, c1 in zip(cuts[:-1], cuts[1:]):
-        terms = _grid_terms(grid[c0 : c1 + 1], l, q, ws.terms, log)
+        terms = _grid_terms(grid[c0 : c1 + 1], l, q, ws.terms)
         for r in range(0, om.size, rows):
             part = slice(r, r + rows)
             maps, spare = ws.arrays(om[part].size, terms.shape[1])
             a, b, c, d = _product(_step_maps(terms, om[part], maps), spare)
             w[part], wp[part] = a * w[part] + b * wp[part], c * w[part] + d * wp[part]
         if c1 == idx[j]:
-            out_w[:, j], out_wp[:, j] = _from_log(grid[c1], grid[0], w, wp) if log else (w, wp)
+            out_w[:, j], out_wp[:, j] = w, wp
+            j += 1
+    return out_w, out_wp
+
+
+def _propagate_layer(grids, l, om, q, w0, wp0, ends, ws):
+    """States (w, w') at ends, levels x rows x ends arrays, from (w0, wp0)
+    at the start of the log layer's grids, grids[i + 1] the refinement of
+    grids[i].  The levels run as one pass: over a range of k steps of
+    grids[0], level i takes 2^i pieces of k steps each, and the pieces of
+    every level are rows of the same tiles (at most _BLOCK pieces x padded
+    steps), so one _step_maps and one _product call serve them all; a
+    level's state then goes through its pieces' products in order."""
+    base = grids[0]
+    idx = np.searchsorted(base, ends)
+    pieces = 2 ** len(grids) - 1
+    most = max(1, _BLOCK // (pieces * (-(-(base.size - 1) // _PAD) * _PAD + 1)))
+    rows = -(-om.size // -(-om.size // most))
+    cuts = sorted({*idx.tolist(), *range(0, base.size - 1, _BLOCK // (pieces * most) - 1)})
+    v0, vt0 = _to_log(base[0], np.asarray(w0, dtype=float), np.asarray(wp0, dtype=float))
+    v, vt = np.tile(v0, (len(grids), 1)), np.tile(vt0, (len(grids), 1))
+    out_w, out_wp = np.empty((2, len(grids), om.size, idx.size))
+    j = 0
+    for c0, c1 in zip(cuts[:-1], cuts[1:]):
+        k = c1 - c0
+        terms = np.zeros((6, pieces, 1, -(-k // _PAD) * _PAD))
+        for i, grid in enumerate(grids):
+            n = 2 ** i
+            level = _grid_terms(grid[c0 * n : c1 * n + 1], l, q, ws.terms, log=True)
+            terms[:, n - 1 : 2 * n - 1, 0, :k] = level[:, : k * n].reshape(6, n, k)
+        for r in range(0, om.size, rows):
+            part = slice(r, r + rows)
+            count = om[part].size
+            maps, spare = ws.arrays(pieces * count, terms.shape[-1])
+            _step_maps(terms, om[part], maps.reshape(5, pieces, count, -1), log=True)
+            prod = _product(maps[:4], spare).reshape(4, pieces, count)
+            for i in range(len(grids)):
+                a, b, c, d = prod[:, 2 ** i - 1]
+                for p in range(2 ** i, 2 ** (i + 1) - 1):
+                    a2, b2, c2, d2 = prod[:, p]
+                    a, b, c, d = a2 * a + b2 * c, a2 * b + b2 * d, c2 * a + d2 * c, c2 * b + d2 * d
+                vi, vti = v[i, part], vt[i, part]
+                v[i, part], vt[i, part] = a * vi + b * vti, c * vi + d * vti
+        if c1 == idx[j]:
+            out_w[..., j], out_wp[..., j] = _from_log(base[c1], base[0], v, vt)
             j += 1
     return out_w, out_wp
 
@@ -804,29 +858,31 @@ def regular_solutions(setup: ProblemSetup, omegas, x_eval: Sequence[float]):
     om_sorted = om[order]
     # one log layer for the call, up to x_log: its passes run once for
     # every frequency, and the blocks' x grids start at its end
-    x_log = min(_layer_end(probe, om_sorted[0], om_sorted[-1]), x_eval[-1])
+    x_log = min(_layer_end(probe, setup.l, om_sorted[0], om_sorted[-1]), x_eval[-1])
     k = int(np.searchsorted(x_eval, x_log, side="right"))   # points read in the layer
     ends = np.union1d(x_eval[:k], [x_log]) if k else np.array([x_log])
     layer_grids = []
     if x_log > x0:
-        nodes = _layer_nodes(x0, x_log, probe.dt)
+        nodes = _layer_nodes(x0, x_log, setup.l)
         layer_grids.append(np.union1d(nodes, x_eval[:k]) if k else nodes)
-    passes = {}
+    passes = []
 
     def layer_states(level, rows):
         """States at the requested points in the layer and, last, at x_log,
-        or at x0 without a layer; level 0 and 1 run once for every row."""
+        or at x0 without a layer; levels 0 and 1 run in one pass for every
+        row."""
         if not layer_grids:
             return w0[rows, None], wp0[rows, None]
-        while len(layer_grids) <= level:
+        while len(layer_grids) <= max(level, 1):
             layer_grids.append(_refine(layer_grids[-1], log=True))
         if level > 1:
-            return _propagate(layer_grids[level], setup.l, om_sorted[rows], setup.q, w0[rows],
-                              wp0[rows], ends, ws, log=True)
-        if level not in passes:
-            passes[level] = _propagate(layer_grids[level], setup.l, om_sorted, setup.q, w0, wp0,
-                                       ends, ws, log=True)
-        return passes[level][0][rows], passes[level][1][rows]
+            w, wp = _propagate_layer(layer_grids[level : level + 1], setup.l, om_sorted[rows],
+                                     setup.q, w0[rows], wp0[rows], ends, ws)
+            return w[0], wp[0]
+        if not passes:
+            passes.extend(_propagate_layer(layer_grids[:2], setup.l, om_sorted, setup.q, w0, wp0,
+                                           ends, ws))
+        return passes[0][level][rows], passes[1][level][rows]
 
     ws = None
     w, wp = np.empty((2, om.size, x_eval.size))
@@ -876,7 +932,7 @@ def regular_solution_ode(
     [b/100, b] for smooth potentials and |omega| b <= 2000 pi (measured
     against the exact constant-q solutions, l >= -1/2: 8.6e-13 up to
     omega = 1400 on b = pi, 4.9e-12 at omega*b = 2000 pi; against the
-    exact q = x^2 ones 2.8e-13 up to omega = 235); the self-verification
+    exact q = x^2 ones 2.7e-13 up to omega = 235); the self-verification
     enforces the agreement between grid levels.  Past that range the
     accuracy is not validated, so an AccuracyWarning is emitted.  In a
     sweep (regular_solutions) a frequency shares the sweep's log layer and
@@ -906,14 +962,14 @@ def zero_count(setup: ProblemSetup, omega: float) -> int:
     setup, om = _integer_l(setup), abs(float(omega))
     x0 = _x0(setup.l, setup.b)
     probe = _probe(setup.l, setup.b, setup.q, x0)
-    x_log = _layer_end(probe, om, om)
+    x_log = _layer_end(probe, setup.l, om, om)
     grid = _build_grid(probe, om, om, x_log)
     w, wp = _start(setup, om, x0)
     ws = [w]
 
     def steps(xs, w, wp, log=False):
         terms = _grid_terms(xs, setup.l, setup.q, log=log)
-        maps = _step_maps(terms, np.array([om]), np.empty((5, 1, terms.shape[1])))
+        maps = _step_maps(terms, np.array([om]), np.empty((5, 1, terms.shape[1])), log)
         for m11, m12, m21, m22 in zip(*(m[0, : xs.size - 1].tolist() for m in maps)):
             w, wp = m11 * w + m12 * wp, m21 * w + m22 * wp
             ws.append(w)   # v has the sign of w
@@ -921,7 +977,7 @@ def zero_count(setup: ProblemSetup, omega: float) -> int:
 
     nodes = grid
     if x_log > x0:
-        layer = _layer_nodes(x0, x_log, probe.dt)
+        layer = _layer_nodes(x0, x_log, setup.l)
         w, wp = _from_log(x_log, x0, *steps(layer, *_to_log(x0, w, wp), log=True))
         ws[-1] = w
         nodes = np.concatenate([layer[:-1], grid])

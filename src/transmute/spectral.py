@@ -259,7 +259,7 @@ def dirichlet_eigenvalues(
     M : int, optional
         Fit size override; default max(25, 2l + 16).  The fit is not
         weighted, so the values degrade fast with l: on q == 20, b = pi,
-        the first 40 roots are off by up to 4.0e-7 at l = 2 and 8.9e-5
+        the first 40 roots are off by up to 1.7e-6 at l = 2 and 2.6e-3
         at l = 5.
     beta : BetaTable, optional
         Reuse a coefficient table fitted at x = setup.b (skips the fit;

@@ -29,8 +29,9 @@ def _harmonic(x):
 
 
 def _spy_step_maps(monkeypatch):
-    """Record (nodes, frequencies) of every _step_maps call; the nodes are
-    those of the grid terms it is given, the last ones formed."""
+    """Record (nodes, tile) of every _step_maps call: the nodes of the last
+    grid terms formed, and the tile's rows x padded steps, the rows of
+    every level a layer pass stacks included."""
     calls, nodes = [], []
     grid_terms, step_maps = oracle._grid_terms, oracle._step_maps
 
@@ -38,9 +39,9 @@ def _spy_step_maps(monkeypatch):
         nodes.append(xs)
         return grid_terms(xs, *args, **kwargs)
 
-    def maps_spy(terms, om, bufs):
-        calls.append((nodes[-1], om.size))
-        return step_maps(terms, om, bufs)
+    def maps_spy(terms, om, bufs, *args, **kwargs):
+        calls.append((nodes[-1], bufs[0].size))
+        return step_maps(terms, om, bufs, *args, **kwargs)
 
     monkeypatch.setattr(oracle, "_grid_terms", terms_spy)
     monkeypatch.setattr(oracle, "_step_maps", maps_spy)
@@ -160,10 +161,10 @@ def test_grid_follows_step_rule(l, b, om_lo, om_span, q0, q2):
     om_hi = om_lo + om_span
     x0 = 1e-6 * b
     probe = oracle._probe(l, b, q, x0)
-    x_log = oracle._layer_end(probe, om_lo, om_hi)
+    x_log = oracle._layer_end(probe, l, om_lo, om_hi)
     rest = oracle._build_grid(probe, om_lo, om_hi, x_log)
     edges, h = oracle._step_rule(probe, om_lo, om_hi)
-    dt = probe.dt
+    reach, dt = oracle._layer_rule(l)
     assert rest[0] == x_log and rest[-1] == b
     assert np.all(np.diff(rest) > 0)
 
@@ -175,7 +176,7 @@ def test_grid_follows_step_rule(l, b, om_lo, om_span, q0, q2):
         assert x_log == x0
     else:
         assert x_log > x0
-        layer = oracle._layer_nodes(x0, x_log, dt)
+        layer = oracle._layer_nodes(x0, x_log, l)
         assert layer[0] == x0 and layer[-1] == x_log
         assert np.all(np.diff(layer) > 0)
         t = np.log(layer)
@@ -185,12 +186,12 @@ def test_grid_follows_step_rule(l, b, om_lo, om_span, q0, q2):
         halves = np.diff(np.log(oracle._refine(layer, log=True))).reshape(-1, 2)
         assert np.allclose(halves, 0.5 * np.diff(t)[:, None], rtol=1e-9, atol=0.0)
         om_cap = oracle._PHASE_FRAC * 1024 / (b - x0)
-        assert x_log * om_cap <= math.sqrt(probe.reach) * (1 + 1e-12)
+        assert x_log * om_cap <= math.sqrt(reach) * (1 + 1e-12)
         pts = np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])])
         pts = pts[pts <= x_log]
         for om in (om_lo, om_hi):
             wx2 = (q(pts) - om * om) * pts * pts
-            assert np.all(np.abs(wx2) <= probe.reach * (1 + 1e-12))
+            assert np.all(np.abs(wx2) <= reach * (1 + 1e-12))
             v = np.abs((l + 0.5) ** 2 + wx2)
             assert np.all(dt * np.sqrt(v) <= oracle._PHASE_FRAC * (1 + 1e-12))
 
@@ -285,7 +286,7 @@ def test_no_step_past_last_point_and_step_budget(monkeypatch):
 
     calls.clear()
     regular_solution_ode(setup, 600.0, np.array([np.pi]))
-    assert sum(rows * (xs.size - 1) for xs, rows in calls) < 60_000
+    assert sum(tile for _, tile in calls) < 60_000
 
 
 def test_fit_sweep_is_solved_in_blocks(monkeypatch):
@@ -294,16 +295,17 @@ def test_fit_sweep_is_solved_in_blocks(monkeypatch):
     grid: one _build_grid call, where blocks of 18 frequencies built 18.
     At l = 1 the grid has 1284 nodes, 88 of them in the log layer (1748
     nodes when the centrifugal term was graded in x down to x0), so the
-    passes run the layer in one tile and the rest in tiles of at most 26
-    and 13 rows: 1 + 6 + 1 + 12 _step_maps calls, none larger than the
-    block bound.  One solve per frequency took 312 calls."""
+    layer's first two levels run in two tiles of 78 frequencies x 3
+    pieces and the rest in tiles of at most 26 and 13 rows: 2 + 6 + 12
+    _step_maps calls, none larger than the block bound.  One solve per
+    frequency took 312 calls."""
     calls = _spy_step_maps(monkeypatch)
     builds = _spy_grids(monkeypatch)
     compute_beta(ProblemSetup(l=1.0, b=np.pi, q=_harmonic), np.pi, 25)
     assert [name for name, _ in builds] == ["_layer_nodes", "_build_grid"]
     assert sum(size for _, size in builds) - 1 <= 1300
     assert len(calls) <= 27
-    assert max(rows * xs.size for xs, rows in calls) <= oracle._BLOCK
+    assert max(tile for _, tile in calls) <= oracle._BLOCK
 
 
 def test_fit_memory_stays_within_the_workspace():
@@ -499,20 +501,38 @@ def test_zero_count_is_sturm_count(l):
         assert oracle.zero_count(setup, 0.5 * (eig[n - 1] + eig[n])) == n
 
 
-def test_zero_count_grid_at_l30(monkeypatch):
-    """At l = 30 on b = pi the centrifugal term graded the whole grid in x,
-    21074 nodes; the log layer takes it to 6792, under a third, and the
-    count still matches the zeros of J_{l+1/2}."""
-    builds = _spy_grids(monkeypatch)
+def _zero_counts_at_l30():
+    """Sturm's counts at l = 30, q == 0, b = pi, below, at and between the
+    first zeros of J_{l+1/2}, against the counts those zeros give."""
     setup = ProblemSetup(l=30.0, b=np.pi, q=lambda x: np.zeros_like(np.asarray(x, float)))
     eig = [float(mpmath.besseljzero(mpmath.mpf(61) / 2, n)) / np.pi for n in (1, 2, 3)]
-    assert oracle.zero_count(setup, 0.5 * eig[0]) == 0
+    got = [oracle.zero_count(setup, 0.5 * eig[0])]
+    want = [0]
     for n in (1, 2):
-        assert oracle.zero_count(setup, eig[n - 1]) == n
-        assert oracle.zero_count(setup, 0.5 * (eig[n - 1] + eig[n])) == n
+        got += [oracle.zero_count(setup, eig[n - 1]), oracle.zero_count(setup, 0.5 * (eig[n - 1] + eig[n]))]
+        want += [n, n]
+    return got, want
+
+
+def test_zero_count_at_l30_matches_bessel_zeros():
+    got, want = _zero_counts_at_l30()
+    assert got == want
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="6792 nodes: the x grading kept past the log layer's end "
+                          "alone has 4680 (ROADMAP item 2)")
+def test_zero_count_grid_at_l30(monkeypatch):
+    """At l = 30 on b = pi the centrifugal term graded the whole grid in x,
+    21074 nodes; a count should step at most a fifth of that.  The log
+    layer takes it to 6792: 2113 nodes up to x_L ~ 0.15, where the cap
+    frequency sets the layer's end, and 4680 graded in x from there to b,
+    all below the turning point (l + 1/2)/omega ~ 2.6."""
+    builds = _spy_grids(monkeypatch)
+    _zero_counts_at_l30()
     # one layer and one grid per count, sharing the node x_L
     sizes = [size for _, size in builds]
-    assert max(a + b - 1 for a, b in zip(sizes[0::2], sizes[1::2])) <= 21074 / 3
+    assert max(a + b - 1 for a, b in zip(sizes[0::2], sizes[1::2])) <= 21074 / 5
 
 
 def test_zero_count_sees_negative_eigenvalues():

@@ -74,26 +74,6 @@ def test_choose_N_stops_at_noise_plateau():
     assert 6 <= choose_N(bt) <= 12
 
 
-def test_choose_N_stops_at_a_sloping_noise_floor():
-    """A noise floor that slopes gently down has single window ratios
-    below _STALL_RATIO (0.89 here); a stall is read from the mean ratio
-    over _STALL_RUN windows, so one dip does not hide it.  This tail is
-    the M = 25, l = 1, q = x^2 fit's from an oracle run, where counting
-    consecutive ratios kept the whole table (N = 23)."""
-    head = [1e2, 1.7e2, 8.1e1, 1.8e1, 2.0, 7.8e-2, 4.6e-3, 5.1e-4, 1.1e-6, 1.6e-6,
-            5.0e-8, 1.8e-9, 1.3e-10]
-    tail = [6.6e-14, 6.8e-14, 7.4e-13, 6.6e-13, 3.4e-13, 5.2e-13, 5.9e-13, 3.3e-13,
-            4.2e-13, 1.8e-13, 2.7e-13, 1.6e-13, 4.9e-14]
-    bt = BetaTable(l=1.0, x=np.pi, M=25, beta=np.array(head + tail),
-                   fit_residual=0.0, sum_beta=0.0)
-    assert choose_N(bt) == 11   # up to beta_13, the first coefficient of the floor
-    # geometric decay either way of the ratio: a stall at once, or none
-    for ratio, want in ((0.91, 0), (0.89, 23)):
-        bt = BetaTable(l=1.0, x=np.pi, M=25, beta=ratio ** np.arange(26.0),
-                       fit_residual=0.0, sum_beta=0.0)
-        assert choose_N(bt) == want, ratio
-
-
 def test_choose_N_on_fitted_harmonic_table(beta_harmonic):
     assert 10 <= choose_N(beta_harmonic[1]) <= 16
 
@@ -168,7 +148,7 @@ def test_constant_potential_shooting_at_half_integer_l(Q):
 
 
 @pytest.mark.xfail(raises=AssertionError,
-                   reason="ordinals right, values off by 2.4e-4 / 2.8e-4: the "
+                   reason="ordinals right, values off by 2.4e-4 / 7.8e-5: the "
                           "unweighted fit (ROADMAP item 2)")
 @pytest.mark.parametrize("l", [0, 1])
 def test_constant_potential_50_spectrum(l):
@@ -177,7 +157,7 @@ def test_constant_potential_50_spectrum(l):
 
 
 @pytest.mark.xfail(raises=AssertionError, strict=True,
-                   reason="ordinals right, values off by 1.0e-2 with no warning: "
+                   reason="ordinals right, values off by 2.6e-3 with no warning: "
                           "the unweighted fit at large l (ROADMAP item 2)")
 def test_constant_potential_spectrum_at_l5():
     rep = dirichlet_eigenvalues(_constant_setup(5, 20.0), 40)
