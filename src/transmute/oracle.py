@@ -51,10 +51,15 @@ one grid, sized for its lowest and highest |omega|, which bounds the
 phase of every frequency in between, so no frequency gets a coarser step
 rule than it would alone; the frequencies whose step rule is the cap
 alone share the cap's grid.  The omega-free part of every step, q at its
-Gauss nodes included, is formed once per grid; the step maps and chain
-products are frequency x step arrays, in tiles of equal rows and at most
-_BLOCK frequencies x nodes, in one workspace per call, which bounds the
-memory of any sweep.  The self-check runs per frequency.
+Gauss nodes included, is formed once per range of steps between requested
+points, its steps interleaved in eight planes; the step maps are frequency
+x step arrays, in tiles of equal rows and at most _BLOCK frequencies x
+nodes.  A tile's chain product pairs contiguous halves of its planes and
+leaves at most _STASH partial products per frequency in a stash of at
+most _BLOCK floats, whose tail and state update then run once per range
+for every frequency it holds (all of a sweep below a few thousand).  One
+workspace per call holds it all, which bounds the memory of any sweep.
+The self-check runs per frequency.
 """
 from __future__ import annotations
 
@@ -123,9 +128,13 @@ _BLOCK = 1 << 15
 # steps of one grid: 100 times what |omega| b = 2000 pi needs (~4e4); a
 # sweep near omega = 0 on b = 1e300 would ask for 1e150
 _MAX_STEPS = 1 << 22
-# steps of a tile, padded with identity maps, are a multiple of this, so
-# the chain product's first levels pair steps within a row
+# steps of a range, padded with identity maps, are a multiple of this and
+# interleaved in _PAD planes, plane p holding steps _PAD i + _BITREV[p], so
+# that the chain product's first three levels each pair two contiguous halves
 _PAD = 8
+_BITREV = np.array([0, 4, 2, 6, 1, 5, 3, 7])
+# partial products per row that a tile of a range leaves for the range's tail
+_STASH = 16
 
 
 @dataclass(frozen=True)
@@ -324,6 +333,8 @@ def _step_rule(probe: _Probe, om_lo: float, om_hi: float):
     |q - omega^2| at the probed points is convex in omega^2, so its maximum
     at om_lo and om_hi bounds it in between."""
     edges, cap, q_lo, q_hi = probe
+    # in Python floats omega^2 past ~1.3e154 is inf without numpy's overflow warning
+    om_lo, om_hi = float(om_lo), float(om_hi)
     cell_v = np.maximum(q_hi - om_lo * om_lo, om_hi * om_hi - q_lo)
     return edges, np.minimum(cap, _PHASE_FRAC / np.sqrt(np.maximum(cell_v, 1e-300)))
 
@@ -339,6 +350,7 @@ def _layer_end(probe: _Probe, l: float, om_lo: float, om_hi: float) -> float:
     reach = _layer_rule(l)[0]
     if not reach:
         return edges[0]
+    om_lo, om_hi = float(om_lo), float(om_hi)   # as in _step_rule
     # the floor keeps x_L within the first cells, up to sqrt(reach) / om_cap
     om_cap = _PHASE_FRAC * 1024.0 / (edges[-1] - edges[0])
     head = int(np.searchsorted(edges[:-1], math.sqrt(reach) / om_cap, side="right"))
@@ -356,7 +368,8 @@ def _build_grid(probe: _Probe, om_lo: float, om_hi: float, x_from: float) -> np.
     _MAX_STEPS steps.
     """
     edges, h = _step_rule(probe, om_lo, om_hi)
-    level = np.concatenate([[0.0], np.cumsum(np.diff(edges) / h)])
+    with np.errstate(divide="ignore"):   # h = 0 where omega^2 is inf
+        level = np.concatenate([[0.0], np.cumsum(np.diff(edges) / h)])
     start, total = np.interp(x_from, edges, level), level[-1]
     if not total - start <= _MAX_STEPS:
         raise DomainError(
@@ -395,29 +408,31 @@ def _layer_nodes(x0: float, x_log: float, l: float) -> np.ndarray:
     return xs
 
 
-def _grid_terms(xs: np.ndarray, l: float, q, buf=None, log: bool = False) -> np.ndarray:
-    """The omega-free terms of the step maps on the grid xs, a column per
-    step: h, h^2, pbar = (p1 + p2)/2, d = (sqrt(3)/12) h^2 (p1 - p2), d^2,
-    with p = l(l+1)/x^2 + q at the Gauss nodes; zero columns, identity
-    maps, pad them to a multiple of _PAD.  They go into the float array
-    buf if it is large enough.
+def _grid_terms(xs: np.ndarray, l: float, q, buf=None, log: bool = False,
+                pieces: int = 1) -> np.ndarray:
+    """The omega-free terms of the step maps on the grid xs, cut into
+    pieces of equal steps: h, h^2, pbar = (p1 + p2)/2, d = (sqrt(3)/12)
+    h^2 (p1 - p2), d^2, with p = l(l+1)/x^2 + q at the Gauss nodes, terms x
+    _PAD x 1 x pieces x g in the float array buf if it is large enough.
+    Each piece's steps, padded to _PAD g with steps of length 0 (identity
+    maps), lie in _PAD planes of g, plane p holding steps _PAD i + _BITREV[p].
 
     With log, the steps are in t = ln x, where v = x^(-1/2) u solves v_tt =
     V v with V = (l + 1/2)^2 + (q - omega^2) x^2: the six terms are h, h^2,
     a and e of the mean vbar = a - omega^2 e of V at the Gauss nodes, and
     d0 and d1 of d = d0 - omega^2 d1."""
-    n = xs.size - 1
-    steps = -(-n // _PAD) * _PAD
-    size = (6 if log else 5) * steps
+    k = (xs.size - 1) // pieces
+    g = -(-k // _PAD)
+    count = 6 if log else 5
+    size = count * _PAD * pieces * g
     if buf is None or buf.size < size:
         buf = np.empty(size)
-    terms = buf[:size].reshape(-1, steps)
-    terms[:, n:] = 0.0
+    terms = buf[:size].reshape(count, _PAD, 1, pieces, g)
     if log:
-        h, h2, a, e, d0, d1 = terms[:, :n]
-        t = np.log(xs)
-        np.subtract(t[1:], t[:-1], out=h)
-        mid = 0.5 * (t[:-1] + t[1:])
+        h, h2, a, e, d0, d1 = rows = terms.reshape(count, -1)
+        t_lo, t_hi = _ends(np.log(xs), k, pieces, g, rows)
+        np.subtract(t_hi, t_lo, out=h)
+        mid = 0.5 * (t_lo + t_hi)
         x1, x2 = np.exp(mid - _GAUSS_OFF * h), np.exp(mid + _GAUSS_OFF * h)
         s1, s2 = x1 * x1, x2 * x2
         g1, g2 = q(x1) * s1, q(x2) * s2
@@ -431,9 +446,10 @@ def _grid_terms(xs: np.ndarray, l: float, q, buf=None, log: bool = False) -> np.
         np.add(s1, s2, out=e)
         e *= 0.5
         return terms
-    h, h2, pbar, d, d2 = terms[:, :n]
-    np.subtract(xs[1:], xs[:-1], out=h)
-    np.add(xs[:-1], xs[1:], out=d2)
+    h, h2, pbar, d, d2 = rows = terms.reshape(count, -1)
+    x_lo, x_hi = _ends(xs, k, pieces, g, rows)
+    np.subtract(x_hi, x_lo, out=h)
+    np.add(x_lo, x_hi, out=d2)
     d2 *= 0.5
     np.multiply(h, _GAUSS_OFF, out=h2)
     ll1 = l * (l + 1.0)
@@ -455,10 +471,24 @@ def _grid_terms(xs: np.ndarray, l: float, q, buf=None, log: bool = False) -> np.
     return terms
 
 
+def _ends(v, k, pieces, g, rows):
+    """v at the start and at the end of every step of _grid_terms, in its
+    planes, formed in its rows 0-3: the nodes in rows 0-1, then the ends
+    in rows 2-3, which _grid_terms writes only once it has read them.  A
+    padding step starts and ends at its piece's last node."""
+    nodes = rows[:2].reshape(-1)[: pieces * (_PAD * g + 1)].reshape(pieces, -1)
+    nodes[:, :k] = v[:-1].reshape(pieces, k)
+    nodes[:, k:] = v[k::k, None]
+    ends = rows[2:4].reshape(2, 2, 2, 2, pieces, g)
+    for s in (0, 1):   # plane 4c + 2b + a holds steps 8i + 4a + 2b + c
+        ends[s] = nodes[:, s : s + _PAD * g].reshape(pieces, g, 2, 2, 2).transpose(4, 3, 2, 0, 1)
+    return ends.reshape(2, -1)
+
+
 def _step_maps(terms, om: np.ndarray, bufs, log: bool = False):
     """Per-interval 2x2 transfer matrices (m11, m12, m21, m22) of the Magnus
     propagator, one row per frequency in om, from the grid's _grid_terms
-    (formed with the same log).
+    (formed with the same log), in its planes: _PAD x rows x pieces x g.
 
     omega enters only through vbar = pbar - omega^2 (in the log layer
     through vbar = a - omega^2 e and d = d0 - omega^2 d1).  A step's
@@ -470,25 +500,25 @@ def _step_maps(terms, om: np.ndarray, bufs, log: bool = False):
     is scaled by 4^-k and doubled back k times with S <- S C and
     C - 1 <- 2 (C - 1)(C + 1); on an x-grid s falls with omega^2, so the
     largest |s| is on the rows of the least and the greatest omega.  The
-    work runs in the five rows x steps arrays bufs (at most five such
-    arrays), the maps in the first four; every value is formed by the same
-    operations, in the same order, as for a single frequency.
+    work runs in the five arrays bufs of that shape, the maps in the first
+    four; every value is formed by the same operations, in the same order,
+    as for a single frequency.
     """
-    om2 = om * om
+    om2 = (om * om)[:, None, None]
     m11, m12, m21, m22, s = bufs
     if log:
         h, h2, a, e, d0, d1 = terms
-        vbar = np.subtract(a, np.multiply(e, om2[:, None], out=m21), out=m21)
-        d = np.subtract(d0, np.multiply(d1, om2[:, None], out=m11), out=m11)
+        vbar = np.subtract(a, np.multiply(e, om2, out=m21), out=m21)
+        d = np.subtract(d0, np.multiply(d1, om2, out=m11), out=m11)
         np.multiply(h2, vbar, out=s)
         s += np.multiply(d, d, out=m22)
         top = max(s.max(), -s.min())
     else:
         h, h2, pbar, d, d2 = terms
-        vbar = np.subtract(pbar, om2[:, None], out=m21)
+        vbar = np.subtract(pbar, om2, out=m21)
         np.multiply(h2, vbar, out=s)
         s += d2
-        top = max(s[np.argmin(om2)].max(), -s[np.argmax(om2)].min())
+        top = max(s[:, np.argmin(om2)].max(), -s[:, np.argmax(om2)].min())
     k = (math.frexp(16.0 * top)[1] + 1) // 2 if top > 0.0625 else 0
     if k:
         s *= 0.25 ** k
@@ -516,23 +546,25 @@ def _step_maps(terms, om: np.ndarray, bufs, log: bool = False):
 
 
 class _Workspace:
-    """A call's grid terms and tile arrays, in one buffer sized for its top
-    block's refined pass: glibc trims the heap past twice the largest block
-    freed, so smaller buffers make each call trim and regrow it."""
+    """A call's grid terms, stash and tile arrays, in one buffer sized for
+    its top block's refined pass: glibc trims the heap past twice the
+    largest block freed, so smaller buffers make each call trim and regrow
+    it.  The stash holds the partial products that a range's tiles leave
+    for its tail, _STASH per frequency, and at most _BLOCK floats."""
 
     def __init__(self, nodes: int, count: int):
         steps = min(_BLOCK, 2 * -(-(nodes - 1) // _PAD) * _PAD)
-        flat = np.empty(5 * steps + 6 * min(_BLOCK, count * steps))
-        self.terms, self.tiles = flat[: 5 * steps], flat[5 * steps :]
+        cut = 5 * steps + min(4 * _STASH * count, _BLOCK)
+        flat = np.empty(cut + 6 * min(_BLOCK, count * steps))
+        self.terms, self.stash, self.tiles = flat[: 5 * steps], flat[5 * steps : cut], flat[cut:]
 
-    def arrays(self, rows: int, steps: int):
-        """The five rows x steps arrays of _step_maps and the four of half
-        the width that _product reduces into, two in the fifth of those."""
-        full = rows * steps
-        if self.tiles.size < 6 * full:
-            self.tiles = np.empty(6 * full)
-        return (self.tiles[: 5 * full].reshape(5, rows, steps),
-                self.tiles[4 * full : 6 * full].reshape(4, rows, steps // 2))
+    def maps(self, shape):
+        """The five arrays of that shape that _step_maps works in, grown if
+        need be; _products reduces the first four within six."""
+        size = math.prod(shape)
+        if self.tiles.size < 6 * size:
+            self.tiles = np.empty(6 * size)
+        return self.tiles[: 5 * size].reshape(5, *shape)
 
 
 def _refine(xs: np.ndarray, log: bool = False) -> np.ndarray:
@@ -555,47 +587,100 @@ def _from_log(x, x0, v, vt):
     return r * v, r * (0.5 * v + vt) / x
 
 
-def _product(m, spare):
-    """Entries (a, b, c, d) of the ordered product M_{n-1} @ ... @ M_0 for
-    the matrices [[a_i, b_i], [c_i, d_i]], stacked m = [a, b, c, d], rows x
-    n each (one product per row); spare holds four rows x ceil(n/2).
+def _pair(even, odd, out):
+    """out = odd @ even, 2x2 matrices stacked by entry in rows (a, b, c, d)
+    of 1-D views, which numpy iterates without buffers; each entry takes
+    the same two products and one sum, and odd's a and b serve as scratch."""
+    ea, eb, ec, ed = even
+    oa, ob, oc, od = odd
+    na, nb, nc, nd = out
+    np.multiply(oa, ea, out=na)
+    na += np.multiply(ob, ec, out=nc)
+    np.multiply(oa, eb, out=nb)
+    nb += np.multiply(ob, ed, out=nd)
+    np.multiply(oc, ea, out=nc)
+    nc += np.multiply(od, ec, out=oa)
+    np.multiply(oc, eb, out=nd)
+    nd += np.multiply(od, ed, out=ob)
+
+
+def _halve(src, levels, regions, halves=False):
+    """The maps src (4 x n) after that many pairing levels, each into the
+    two regions by turns: the pairs are the two halves of src, or with
+    halves False neighbours, in stride-2 views."""
+    for _ in range(levels):
+        n = src.shape[1] // 2
+        dst = regions[0][: 4 * n].reshape(4, n)
+        _pair(*((src[:, :n], src[:, n:]) if halves else (src[:, ::2], src[:, 1::2])), dst)
+        src, regions = dst, regions[::-1]
+    return src
+
+
+def _products(terms, om, rows: int, ws, log: bool = False):
+    """Entries (a, b, c, d) of the ordered products M_{n-1} @ ... @ M_0 of
+    the step maps of the grid terms, one per frequency in om and piece,
+    in groups, each with the slice of om it serves and held in ws until
+    the next group's is formed.
 
     The product is associative, so it is collapsed by pairwise reduction:
     O(n) arithmetic in O(log n) vectorized passes instead of a Python loop
-    over every step.  A level forms each pair's product a matrix row at a
-    time, row r of M' M = M'[r, 0] M[0, :] + M'[r, 1] M[1, :], in six
-    broadcast calls, into spare and into m by turns.  Rounding differs from
-    a sequential product at the 1e-15 level, far below the error budget.
+    over every step.  The maps come in tiles of at most rows frequencies,
+    in ws.  A tile's first three levels pair the two halves of its planes
+    and leave g partial products per row, in order; identity maps pad each
+    row to a power of two, and levels of neighbours halve it to at most
+    _STASH in ws.stash.  A tail then halves the stash for every row of a
+    group, as many tiles as the stash holds (all unless a sweep has
+    thousands of frequencies).  An identity paired with a map gives that
+    map exactly, so every level pairs as if it carried an odd last map up
+    alone.  Rounding differs from a sequential product at the 1e-15
+    level, far below the error budget.
     """
-    rows, n = m.shape[1:]
-    src, dst = m.reshape(2, 2, -1), spare.reshape(2, 2, -1)
-    while n > 1:
-        k, half = n // 2, n - n // 2
-        if n % 2:
-            x = src[..., : rows * n].reshape(2, 2, rows, n)
-            even, odd = x[..., 0 : 2 * k : 2], x[..., 1 : 2 * k : 2]
-            out = dst[..., : rows * half].reshape(2, 2, rows, half)
-            out[..., k] = x[..., -1]
-            new = out[..., :k]
-        else:   # no pair straddles two rows, so flat views serve
-            even, odd = src[..., 0 : rows * n : 2], src[..., 1 : rows * n : 2]
-            new = dst[..., : rows * k]
-        # the second products go through the second row of the new level,
-        # then through [a, b] of the odd maps, which that row does not read
-        np.multiply(odd[0, 0], even[0], out=new[0])
-        new[0] += np.multiply(odd[0, 1], even[1], out=new[1])
-        np.multiply(odd[1, 0], even[0], out=new[1])
-        new[1] += np.multiply(odd[1, 1], even[1], out=odd[0])
-        src, dst, n = dst, src, half
-    return src.reshape(4, -1)[:, :rows]
+    pieces, g = terms.shape[3:]
+    width = 1 << (g - 1).bit_length()
+    group = rows * max(1, ws.stash.size // (4 * rows * pieces))
+    for g0 in range(0, om.size, group):
+        part = om[g0 : g0 + group]
+        n = part.size * pieces
+        keep = min(width, _STASH, 1 << (ws.stash.size // (4 * n)).bit_length() - 1)
+        stash = ws.stash[: 4 * n * keep].reshape(4, -1)
+        for r in range(0, part.size, rows):
+            tile = part[r : r + rows]
+            maps = _step_maps(terms, tile, ws.maps((_PAD, tile.size, pieces, g)), log)
+            size, area, m = maps[0].size, ws.tiles, tile.size * pieces
+            src = _halve(maps.reshape(4, -1), 3, (area[4 * size :], area[:size]), halves=True)
+            block = stash[:, r * pieces * keep : (r * pieces + m) * keep]
+            if width > g:
+                pad = block if width == keep else area[2 * size :][: 4 * m * width]
+                pad = pad.reshape(4, m, width)
+                pad[..., :g], pad[..., g:] = src.reshape(4, m, g), 0.0
+                pad[::3, :, g:] = 1.0   # the identity's a and d
+                src = pad.reshape(4, -1)
+            levels = (width // keep).bit_length() - 1
+            block[...] = _halve(src, levels, (area[:size], area[2 * size : 3 * size]))
+        if n > 4:   # the tail takes 3/4 of the stash's size, and ws.tiles is larger
+            yield slice(g0, g0 + group), _halve(stash, keep.bit_length() - 1,
+                                                (ws.tiles, ws.tiles[2 * n * keep :]))
+            continue
+        # up to 4 rows the same operations cost less in Python floats: about
+        # 0.6 us a map, where a numpy level costs about 10 us (keep 2 to 16)
+        out = []
+        for r in range(0, n * keep, keep):
+            mats = list(zip(*stash[:, r : r + keep].tolist()))
+            while len(mats) > 1:
+                mats = [(oa * ea + ob * ec, oa * eb + ob * ed, oc * ea + od * ec,
+                         oc * eb + od * ed)
+                        for (ea, eb, ec, ed), (oa, ob, oc, od) in zip(mats[0::2], mats[1::2])]
+            out += mats
+        yield slice(g0, g0 + group), np.array(out).T
 
 
 def _propagate(grid, l, om, q, w0, wp0, x_eval, ws):
     """States (w, w') at x_eval, one row per frequency, from (w0, wp0) at
     grid[0], in the workspace ws: steps in ranges ending at the requested
-    points, each range's grid terms formed once and its rows in groups of
+    points, each range's grid terms formed once, its rows in groups of
     equal size, as few tiles of at most _BLOCK rows x padded steps as there
-    can be."""
+    can be, and its chain products' tail and state update run once per
+    group of _products."""
     idx = np.searchsorted(grid, x_eval)
     most = max(1, _BLOCK // (-(-(grid.size - 1) // _PAD) * _PAD + 1))
     rows = -(-om.size // -(-om.size // most))
@@ -605,10 +690,7 @@ def _propagate(grid, l, om, q, w0, wp0, x_eval, ws):
     j = 0
     for c0, c1 in zip(cuts[:-1], cuts[1:]):
         terms = _grid_terms(grid[c0 : c1 + 1], l, q, ws.terms)
-        for r in range(0, om.size, rows):
-            part = slice(r, r + rows)
-            maps, spare = ws.arrays(om[part].size, terms.shape[1])
-            a, b, c, d = _product(_step_maps(terms, om[part], maps), spare)
+        for part, (a, b, c, d) in _products(terms, om, rows, ws):
             w[part], wp[part] = a * w[part] + b * wp[part], c * w[part] + d * wp[part]
         if c1 == idx[j]:
             out_w[:, j], out_wp[:, j] = w, wp
@@ -622,8 +704,9 @@ def _propagate_layer(grids, l, om, q, w0, wp0, ends, ws):
     grids[i].  The levels run as one pass: over a range of k steps of
     grids[0], level i takes 2^i pieces of k steps each, and the pieces of
     every level are rows of the same tiles (at most _BLOCK pieces x padded
-    steps), so one _step_maps and one _product call serve them all; a
-    level's state then goes through its pieces' products in order."""
+    steps), so one _step_maps call per tile and one _products group serve
+    them all; a level's state then goes through its pieces' products in
+    order."""
     base = grids[0]
     idx = np.searchsorted(base, ends)
     pieces = 2 ** len(grids) - 1
@@ -635,23 +718,19 @@ def _propagate_layer(grids, l, om, q, w0, wp0, ends, ws):
     out_w, out_wp = np.empty((2, len(grids), om.size, idx.size))
     j = 0
     for c0, c1 in zip(cuts[:-1], cuts[1:]):
-        k = c1 - c0
-        terms = np.zeros((6, pieces, 1, -(-k // _PAD) * _PAD))
+        terms = np.empty((6, _PAD, 1, pieces, -(-(c1 - c0) // _PAD)))
         for i, grid in enumerate(grids):
             n = 2 ** i
-            level = _grid_terms(grid[c0 * n : c1 * n + 1], l, q, ws.terms, log=True)
-            terms[:, n - 1 : 2 * n - 1, 0, :k] = level[:, : k * n].reshape(6, n, k)
-        for r in range(0, om.size, rows):
-            part = slice(r, r + rows)
-            count = om[part].size
-            maps, spare = ws.arrays(pieces * count, terms.shape[-1])
-            _step_maps(terms, om[part], maps.reshape(5, pieces, count, -1), log=True)
-            prod = _product(maps[:4], spare).reshape(4, pieces, count)
+            terms[..., n - 1 : 2 * n - 1, :] = _grid_terms(grid[c0 * n : c1 * n + 1], l, q,
+                                                         ws.terms, log=True, pieces=n)
+        for part, prod in _products(terms, om, rows, ws, log=True):
+            prod = prod.reshape(4, -1, pieces)
             for i in range(len(grids)):
-                a, b, c, d = prod[:, 2 ** i - 1]
+                a, b, c, d = prod[..., 2 ** i - 1]
                 for p in range(2 ** i, 2 ** (i + 1) - 1):
-                    a2, b2, c2, d2 = prod[:, p]
-                    a, b, c, d = a2 * a + b2 * c, a2 * b + b2 * d, c2 * a + d2 * c, c2 * b + d2 * d
+                    a2, b2, c2, d2 = prod[..., p]
+                    a, b, c, d = (a2 * a + b2 * c, a2 * b + b2 * d,
+                                  c2 * a + d2 * c, c2 * b + d2 * d)
                 vi, vti = v[i, part], vt[i, part]
                 v[i, part], vt[i, part] = a * vi + b * vti, c * vi + d * vti
         if c1 == idx[j]:
@@ -960,6 +1039,8 @@ def zero_count(setup: ProblemSetup, omega: float) -> int:
     as regular_solutions does.
     """
     setup, om = _integer_l(setup), abs(float(omega))
+    if not math.isfinite(om):
+        raise DomainError(f"omega must be finite, got {omega}")
     x0 = _x0(setup.l, setup.b)
     probe = _probe(setup.l, setup.b, setup.q, x0)
     x_log = _layer_end(probe, setup.l, om, om)
@@ -969,8 +1050,10 @@ def zero_count(setup: ProblemSetup, omega: float) -> int:
 
     def steps(xs, w, wp, log=False):
         terms = _grid_terms(xs, setup.l, setup.q, log=log)
-        maps = _step_maps(terms, np.array([om]), np.empty((5, 1, terms.shape[1])), log)
-        for m11, m12, m21, m22 in zip(*(m[0, : xs.size - 1].tolist() for m in maps)):
+        maps = _step_maps(terms, np.array([om]), np.empty((5,) + terms.shape[1:]), log)
+        # the steps in order, out of the planes (plane 4a + 2b + c holds steps 8i + 4c + 2b + a)
+        seq = maps.reshape(4, 2, 2, 2, -1).transpose(0, 4, 3, 2, 1).reshape(4, -1)
+        for m11, m12, m21, m22 in zip(*seq[:, : xs.size - 1].tolist()):
             w, wp = m11 * w + m12 * wp, m21 * w + m22 * wp
             ws.append(w)   # v has the sign of w
         return w, wp

@@ -233,7 +233,8 @@ def test_step_maps_are_the_exact_exponential(omegas):
     xs = np.array([0.05, 0.06, 0.3, 1.0, 2.5, np.pi])
     l, q = 1.0, lambda x: 3.0 + np.asarray(x, dtype=float)
     terms = oracle._grid_terms(xs, l, q)
-    maps = oracle._step_maps(terms, np.array(omegas), np.empty((5, len(omegas), terms.shape[1])))
+    planes = np.empty((5, oracle._PAD, len(omegas)) + terms.shape[3:])
+    maps = _in_order(oracle._step_maps(terms, np.array(omegas), planes))
     h = np.diff(xs)
     x1 = 0.5 * (xs[:-1] + xs[1:]) - oracle._GAUSS_OFF * h
     x2 = 0.5 * (xs[:-1] + xs[1:]) + oracle._GAUSS_OFF * h
@@ -310,8 +311,10 @@ def test_fit_sweep_is_solved_in_blocks(monkeypatch):
 
 def test_fit_memory_stays_within_the_workspace():
     """An M = 25 fit's passes share one workspace of six tile-sized
-    arrays and the grid terms: its traced peak reads 1.95e6 bytes, where
-    allocating each pass's arrays anew peaked at 2.07e6."""
+    arrays, the grid terms and the chain products' stash: its traced peak
+    reads 2.01e6 bytes (1.92e6 before the stash's 80 KB, which let each
+    range run one tail where it ran one per tile), where allocating each
+    pass's arrays anew peaked at 2.07e6."""
     setup = ProblemSetup(l=1.0, b=np.pi, q=_harmonic)
     compute_beta(setup, np.pi, 25)   # first-call allocations are not the fit's
     tracemalloc.start()
@@ -340,6 +343,82 @@ def test_fit_sweep_matches_one_frequency_solves():
         assert np.array_equal(whole[1], [s.u_prime_values[0] for s in single]), l
 
 
+@pytest.mark.parametrize("log, pieces", [(False, 1), (True, 1), (True, 2)])
+def test_grid_terms_are_those_of_each_step(log, pieces):
+    """Every step's terms, read back out of the planes in order, are those
+    of its own two nodes, and each padding step has length 0.  The steps'
+    ends are formed in the rows that end up holding pbar and d (a and e in
+    the log layer), so a write to those rows before the ends are read
+    would show here."""
+    xs = np.geomspace(0.01, np.pi, 37 * pieces + 1)   # 37 steps a piece, padded to 40
+    l, q = 1.0, lambda x: 3.0 + np.asarray(x, dtype=float) ** 2
+    terms = oracle._grid_terms(xs, l, q, log=log, pieces=pieces)
+    count, g = terms.shape[0], terms.shape[-1]
+    got = terms[:, oracle._BITREV].reshape(count, oracle._PAD, pieces, g)
+    got = got.transpose(0, 2, 3, 1).reshape(count, pieces, -1)
+    zero = [0, 1, 4, 5] if log else [0, 1, 3, 4]   # h, h^2 and d: identity maps
+    assert not got[zero, :, 37:].any()
+    got = got[:, :, :37].reshape(count, -1)
+    v = np.log(xs) if log else xs
+    h, mid = np.diff(v), 0.5 * (v[:-1] + v[1:])
+    x1, x2 = mid - oracle._GAUSS_OFF * h, mid + oracle._GAUSS_OFF * h
+    if log:
+        x1, x2 = np.exp(x1), np.exp(x2)
+        s1, s2 = x1 * x1, x2 * x2
+        e = h * h * math.sqrt(3.0) / 12.0
+        want = [h, h * h, 0.5 * (q(x1) * s1 + q(x2) * s2) + (l + 0.5) ** 2, 0.5 * (s1 + s2),
+                e * (q(x1) * s1 - q(x2) * s2), e * (s1 - s2)]
+    else:
+        p1, p2 = l * (l + 1.0) / x1 ** 2 + q(x1), l * (l + 1.0) / x2 ** 2 + q(x2)
+        d = math.sqrt(3.0) / 12.0 * (p1 - p2) * h * h
+        want = [h, h * h, 0.5 * (p1 + p2), d, d * d]
+    np.testing.assert_allclose(got, np.array(want), rtol=1e-12, atol=0.0)
+
+
+def _in_order(planes):
+    """Step maps (4 x rows x steps, steps in order) from the planes of
+    _grid_terms (4 x _PAD x rows x 1 x g), plane p holding steps
+    _PAD i + _BITREV[p]."""
+    rows, g = planes.shape[2], planes.shape[-1]
+    ordered = planes[:, oracle._BITREV].reshape(4, oracle._PAD, rows, g)
+    return ordered.transpose(0, 2, 3, 1).reshape(4, rows, -1)
+
+
+def _chain_product(monkeypatch, m, tile_rows, count, pieces=1, groups=1):
+    """oracle._products of the maps m (4 x rows x steps, steps in order
+    and a multiple of _PAD), laid out in the planes of _grid_terms as
+    frequencies x pieces, in tiles of tile_rows frequencies, in a
+    workspace made for count frequencies; that many groups."""
+    rows, steps = m.shape[1:]
+    g = steps // oracle._PAD
+    planes = m.reshape(4, rows // pieces, pieces, g, oracle._PAD)[..., oracle._BITREV]
+    planes = planes.transpose(0, 4, 1, 2, 3)
+
+    def step_maps(terms, om, bufs, log=False):   # om holds the frequencies' indices
+        bufs[:4] = planes[:, :, int(om[0]) : int(om[-1]) + 1]
+        return bufs[:4]
+
+    monkeypatch.setattr(oracle, "_step_maps", step_maps)
+    terms = np.empty((5, oracle._PAD, 1, pieces, g))
+    ws = oracle._Workspace(steps + 1, count)
+    om = np.arange(rows // pieces, dtype=float)
+    # a group's product lives in the workspace until the next is formed
+    got = [(part, prod.copy()) for part, prod in oracle._products(terms, om, tile_rows, ws)]
+    assert len(got) == groups
+    assert [part.start for part, _ in got] == [0] + [part.stop for part, _ in got[:-1]]
+    return np.concatenate([prod for _, prod in got], axis=1)
+
+
+def _identity_padded(rng, rows, steps, pad):
+    """rows x steps random maps, then pad identity maps and as many more
+    as make the steps a multiple of _PAD, as _grid_terms pads them."""
+    total = -(-(steps + pad) // oracle._PAD) * oracle._PAD
+    m = np.empty((4, rows, total))
+    m[:, :, :steps] = rng.uniform(-2.0, 2.0, (4, rows, steps))
+    m[:, :, steps:] = np.array([1.0, 0.0, 0.0, 1.0])[:, None, None]
+    return m
+
+
 def _pairwise(mats):
     """Product of 2x2 matrices (nested lists of floats, first step first)
     in plain Python, paired as _product pairs them: M_{2i+1} M_{2i} at
@@ -354,18 +433,108 @@ def _pairwise(mats):
 @pytest.mark.parametrize("rows, steps, pad", [
     (1, 1, 0), (3, 2, 0), (2, 5, 0), (4, 13, 0), (3, 16, 0), (1, 3, 5), (5, 11, 5), (2, 37, 3),
 ])
-def test_product_matches_pairwise_python(rows, steps, pad):
+def test_product_matches_pairwise_python(monkeypatch, rows, steps, pad):
     """The chain product equals the plain pairwise product bit for bit, for
     odd and even step counts and with identity maps padding the steps to a
     multiple of 8, as _grid_terms pads them."""
     rng = np.random.default_rng(100 * rows + steps)
-    m = np.empty((4, rows, steps + pad))
-    m[:, :, :steps] = rng.uniform(-2.0, 2.0, (4, rows, steps))
-    m[:, :, steps:] = np.array([1.0, 0.0, 0.0, 1.0])[:, None, None]
+    m = _identity_padded(rng, rows, steps, pad)
     want = [_pairwise([[[a, b], [c, d]] for a, b, c, d in zip(*m[:, r].tolist())])
             for r in range(rows)]
-    got = oracle._product(m, np.empty((4, rows, -(-(steps + pad) // 2))))
+    got = _chain_product(monkeypatch, m, rows, rows)
     assert np.array_equal(got, np.array(want).reshape(rows, 4).T)
+
+
+@pytest.mark.parametrize("rows, steps, tile_rows, count, pieces, groups", [
+    (7, 40, 3, 7, 1, 1),     # three tiles, one tail for all rows, in numpy
+    (5, 160, 2, 5, 1, 1),    # 20 per row after the contiguous levels, padded to 32
+    (2, 296, 2, 2, 1, 1),    # 37 per row, an odd count, halved to 16 per row, Python tail
+    (1, 300, 1, 1, 1, 1),    # one row, its tail in Python floats
+    (3, 120, 1, 1, 3, 1),    # one frequency's layer stack: 3 pieces x 4 in Python floats
+    (6, 120, 1, 2, 3, 1),    # two frequencies' layer stack: 6 rows x 4, the numpy tail
+    (12, 120, 4, 4, 1, 1),   # a stash for 4 x 16 holds 12 x 4, the numpy tail
+    (40, 64, 8, 2, 1, 2),    # a stash for 2 x 16 holds 32 x 1, then 8 x 4: two groups
+])
+def test_product_of_row_tiles_matches_pairwise_python(monkeypatch, rows, steps, tile_rows,
+                                                      count, pieces, groups):
+    """Tiles of rows reduced into one stash, and one tail per group of as
+    many tiles as the stash holds, give the plain pairwise product bit for
+    bit: an identity paired with a map gives the map, so padding each row
+    to a power of two pairs as carrying an odd last map up alone does."""
+    rng = np.random.default_rng(rows + steps)
+    m = _identity_padded(rng, rows, steps, 0)
+    want = [_pairwise([[[a, b], [c, d]] for a, b, c, d in zip(*m[:, r].tolist())])
+            for r in range(rows)]
+    got = _chain_product(monkeypatch, m, tile_rows, count, pieces, groups)
+    assert np.array_equal(got, np.array(want).reshape(rows, 4).T)
+
+
+def test_product_reads_no_iterator_buffers(monkeypatch):
+    """One chain product of an 18 x 1752 stack (219 per row after the
+    contiguous levels) in a prepared workspace allocates next to nothing:
+    every level runs on 1-D views, which numpy iterates without buffers.
+    With 2-D broadcast levels and 4-D views for the odd ones it traced a
+    peak of 96,432 bytes."""
+    rng = np.random.default_rng(18)
+    planes = rng.uniform(-1.0, 1.0, (4, oracle._PAD, 18, 1, 219))
+    terms, om = np.empty((5, oracle._PAD, 1, 1, 219)), np.zeros(18)
+    ws = oracle._Workspace(1753, 18)
+    monkeypatch.setattr(oracle, "_step_maps", lambda terms, om, bufs, log=False: bufs[:4])
+    for _ in range(2):   # the second call is traced
+        ws.maps(planes.shape[1:])[:4] = planes
+        tracemalloc.start()
+        try:
+            for _ in oracle._products(terms, om, 18, ws):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 4096, peak
+
+
+@pytest.mark.parametrize("omegas", [[7.0], [2.0, 3.0, 7.0, 11.0, 13.0]])
+def test_overflowing_row_ends_in_integration_failure(monkeypatch, omegas):
+    """A row whose step maps overflow gives non-finite products, in the
+    numpy tail of five rows and in the Python one of a single row alike,
+    and the solve names its frequency."""
+    step_maps = oracle._step_maps
+
+    def overflowing(terms, om, bufs, log=False):
+        maps = step_maps(terms, om, bufs, log)
+        maps[:, :, om == 7.0] *= 1e200
+        return maps
+
+    monkeypatch.setattr(oracle, "_step_maps", overflowing)
+    setup = ProblemSetup(l=1.0, b=np.pi, q=_harmonic)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationFailure, match=r"not finite at omega=7 "):
+            regular_solutions(setup, omegas, [1.0, np.pi])
+
+
+def test_sweep_past_the_stash_runs_in_groups(monkeypatch):
+    """A sweep with more frequencies than the stash holds runs each range's
+    tail and state update once per group of tiles, and every row keeps the
+    value it gets alone: here _BLOCK = 128 leaves a stash of 128 floats,
+    so the x passes run 40 frequencies as 32 + 8 and the layer's three
+    pieces in groups of 10."""
+    monkeypatch.setattr(oracle, "_BLOCK", 128)
+    rows = []
+    products = oracle._products
+
+    def spy(terms, om, *args, **kwargs):
+        for part, prod in products(terms, om, *args, **kwargs):
+            rows.append(prod.shape[1])
+            yield part, prod
+
+    monkeypatch.setattr(oracle, "_products", spy)
+    setup = ProblemSetup(l=1.0, b=np.pi, q=_harmonic)
+    omegas = np.linspace(0.5, 40.0, 40)
+    u, up = regular_solutions(setup, omegas, [1.0, np.pi])
+    assert max(rows) == 32 and 30 in rows
+    for i, om in enumerate(omegas[::13]):
+        single = regular_solution_ode(setup, om, [1.0, np.pi])
+        assert np.array_equal(u[13 * i], single.u_values)
+        assert np.array_equal(up[13 * i], single.u_prime_values)
 
 
 def test_failing_row_is_refined_alone(monkeypatch):
@@ -401,6 +570,32 @@ def test_sweep_rejects_bad_omegas(omegas):
     setup = ProblemSetup(l=0.0, b=np.pi, q=_harmonic)
     with pytest.raises(DomainError):
         regular_solutions(setup, omegas, [1.0])
+
+
+@pytest.mark.parametrize("omega", [math.inf, -math.inf, math.nan])
+def test_zero_count_rejects_non_finite_omega(omega):
+    """zero_count refuses a non-finite omega as regular_solutions does,
+    before any grid is sized for it and without a numpy warning."""
+    setup = ProblemSetup(l=1.0, b=np.pi, q=_harmonic)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="omega must be finite"):
+            oracle.zero_count(setup, omega)
+
+
+@pytest.mark.parametrize("l", [0.0, 1.0])
+def test_step_budget_refuses_huge_omega_without_warning(l):
+    """Past omega ~ 1.3e154 omega^2 overflows: the grid's step count is
+    then infinite, and the step-budget DomainError comes without a numpy
+    overflow or divide warning on the way (the AccuracyWarning past the
+    validated range is the sweep's own)."""
+    setup = ProblemSetup(l=l, b=np.pi, q=_harmonic)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="steps"), pytest.warns(AccuracyWarning):
+            regular_solutions(setup, [1e160], [np.pi])
+        with pytest.raises(DomainError, match="steps"):
+            oracle.zero_count(setup, 1e160)
 
 
 def test_warns_past_validated_range():
