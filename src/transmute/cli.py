@@ -17,6 +17,8 @@ into a JSON summary next to the CSV so results are reproducible.  Output
 is deterministic: the same configuration and seed produce byte-identical
 CSV files.  compute_beta sizes its frequency sweep and make_kernel_series
 picks the default truncation; ``--M`` and ``--N`` override fit and series.
+``spectrum`` fits the series d_0..d_N itself, so it takes ``--N`` (default
+20) and rejects ``--M``.
 
 Exit codes: 0 success, 1 a ``validate`` check failed, 2 malformed input
 or a numerical failure (such as spectrum ordinals Sturm's count rejects).
@@ -44,6 +46,7 @@ from .spectral import (
     HARMONIC_L1_EIGENVALUES,
     default_fit_size,
     dirichlet_eigenvalues,
+    fit_sample_count,
 )
 from .validation import run_validation
 
@@ -335,6 +338,9 @@ def cmd_kernel(cfg: RunConfig) -> int:
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
+    if cfg.M is not None:
+        raise DomainError(f"spectrum takes no fit size M (got {cfg.M}); its fit "
+                          "length is the series length, --N")
     setup = _setup_from_config(cfg)
     out = _out_dir(cfg)
     csv_path = out / "spectrum.csv"
@@ -356,7 +362,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         print(f"wrote {csv_path} (empty: count=0)")
         return 0
 
-    report = dirichlet_eigenvalues(setup, cfg.count, N=cfg.N, M=cfg.M)
+    report = dirichlet_eigenvalues(setup, cfg.count, N=cfg.N)
     rows, errors = [], []
     for i, (omega, residual) in enumerate(zip(report.eigenvalues, report.residuals), 1):
         ref, cols = references.get(i), ["", ""]
@@ -373,6 +379,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         "version": __version__,
         "count": cfg.count,
         "N_used": report.N_used,
+        "freq_count_used": fit_sample_count(report.N_used),
         "worst_reference_error": worst,
         "tolerances": {"refine_xtol": 1e-12},
         "outputs": [str(csv_path)],
@@ -433,8 +440,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--b", type=float, help="right endpoint of (0, b]")
     common.add_argument("--potential", metavar="SPEC",
                         help="zero | poly:c0,c1,... | table:PATH")
-    common.add_argument("--M", type=int, help="coefficient fit size")
-    common.add_argument("--N", type=int, help="series truncation override")
+    common.add_argument("--M", type=int, help="coefficient fit size (not for spectrum)")
+    common.add_argument("--N", type=int, help="series length (spectrum: default 20; "
+                                              "elsewhere a truncation override)")
     common.add_argument("--seed", type=int, help="seed for randomized checks")
     common.add_argument("--out", metavar="DIR", help="output directory")
 

@@ -104,11 +104,11 @@ _SING_FRAC = 0.02
 # goes like dt^7 |q - omega^2| x^2 after extrapolation, and |q - omega^2| x^2
 # like e^(2t), so that growth equidistributes it.  The pair also moves the
 # oracle's rounding, which an M = 25 fit reads as its noise floor, and so
-# where choose_N truncates: from the l = 1, q = x^2 fit 200 eigenvalues are
-# off by 6.3e-12 (N = 11), and by at most 5.7e-12 with _DT_END 0.045 or
-# 0.055 or _DT_GROWTH 1/4 or 1/3.  With level 1 of the layer as one chain
-# product instead of the two pieces of _propagate_layer that table kept
-# all its coefficients (N = 23) and they were off by 2.1e-11
+# where choose_N truncates: 200 eigenvalues from the l = 1, q = x^2 table
+# were off by 6.3e-12 (N = 11), and by at most 5.7e-12 with _DT_END 0.045
+# or 0.055 or _DT_GROWTH 1/4 or 1/3.  With level 1 of the layer as one
+# chain product instead of the two pieces of _propagate_layer that table
+# kept all its coefficients (N = 23) and they were off by 2.1e-11
 _LAYER_FRAC = 0.25
 _NU_MIN = 1.0
 _DT_END = 0.05

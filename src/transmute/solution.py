@@ -38,6 +38,7 @@ from .specialfn import is_integer_l
 
 __all__ = [
     "integral_row",
+    "series_terms",
     "u_N",
     "uniform_error_bound",
     "sup_sqrt_bessel",
@@ -119,12 +120,17 @@ def u_N(series: KernelSeries, omega, x: float):
         raise DomainError("u_N needs an integer-l kernel series")
     if abs(x - series.x) > 1e-9 * max(1.0, series.x):
         raise DomainError(f"series holds coefficients at x={series.x}, got x={x}")
-    l = int(series.l)
-    om, j, row = _row(l, series.N, omega, x)
-    terms = series.weights * np.sqrt(om)[:, None] * row
-    main = om * x * math.sqrt(2.0 / math.pi) * j[l]
-    vals = main + specialfn.compensated_sum(terms.T)
+    main, terms = series_terms(int(round(series.l)), series.N, omega, x)
+    vals = main + specialfn.compensated_sum((series.weights * terms).T)
     return float(vals[0]) if np.ndim(omega) == 0 else vals
+
+
+def series_terms(l: int, s_max: int, omega, x: float):
+    """(main, terms) of u_N at omega > 0: main = sqrt(omega x) J_{l+1/2}(omega x)
+    and terms[:, s] = sqrt(omega) integral_row(l, s_max, omega, x)[:, s], the
+    term d_s multiplies.  u_N sums them; the spectrum's fit solves for d."""
+    om, j, row = _row(l, s_max, omega, x)
+    return om * x * math.sqrt(2.0 / math.pi) * j[l], np.sqrt(om)[:, None] * row
 
 
 def uniform_error_bound(series: KernelSeries, eps_N: float) -> float:

@@ -6,9 +6,12 @@ bounded uniformly in omega.  One consequence is worth spelling out: a
 single truncation level N serves the *whole* spectrum, so the 200th
 eigenvalue costs the same and carries roughly the same absolute error as
 the first.  Classical shooting degrades with omega; this representation
-does not.  That level is the kernel series' own: make_kernel_series
-truncates where the fitted coefficients stop decaying (choose_N) unless
-the caller passes N.
+does not.
+
+The coefficients d_0..d_N of u_N (N = 20 unless the caller picks it)
+come from one weighted least-squares fit at x = b against one oracle
+sweep of 3(N+1) frequencies (_fit_series), whose columns are u_N's own
+terms.
 
 Roots are located the plain way -- sample F on a grid of a quarter of
 pi/b, the asymptotic eigenvalue gap, then polish all brackets together
@@ -27,22 +30,29 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .coeffs import BetaTable, compute_beta
-from .errors import DomainError, TransmuteError
-from .kernel import make_kernel_series
+from .errors import DomainError, IllConditionedFit, TransmuteError
+from .kernel import KernelSeries
 from .oracle import ProblemSetup, regular_solutions, zero_count
-from .solution import u_N
+from .solution import series_terms, u_N
 from .specialfn import is_integer_l
 
 __all__ = [
     "SpectrumReport",
     "default_fit_size",
     "dirichlet_eigenvalues",
+    "fit_sample_count",
     "oracle_eigenvalues",
     "HARMONIC_L1_EIGENVALUES",
 ]
 
 _EPS = np.finfo(float).eps
+_SERIES_N = 20      # series length S of the fit, d_0..d_S
+# Fit frequencies per coefficient.  u(omega, b) and every column are
+# entire of exponential type b in omega, so samples pi/b apart, about 2 per
+# coefficient on the fit's window, carry them; at that Nyquist spacing
+# q == 50, l = 0 is off by 1.5e-2, while 3 (1.5x the density) fits within
+# 2x of what 6 fits on every probed case, at half the oracle work.
+_ROWS_PER_COEFF = 3
 
 #: Dirichlet eigenvalues of -u'' + (2/x^2 + x^2) u = omega^2 u on (0, pi]
 #: (l = 1, q(x) = x^2) for selected indices n; digits verified against an
@@ -229,23 +239,50 @@ def _scan(setup: ProblemSetup, F: Callable, count: int, h_scan: Optional[float])
 # eigenvalue solvers
 
 
+def fit_sample_count(S: int) -> int:
+    """Number of oracle frequencies in the spectrum's fit of d_0..d_S."""
+    return _ROWS_PER_COEFF * (S + 1)
+
+
+def _fit_series(setup: ProblemSetup, S: int) -> KernelSeries:
+    """The integer-l series d_0..d_S at x = b, fitted to the oracle's u
+    (in u_N's normalization, less the free term y) on omega b uniform in
+    [0.5, 3(2S+3)], past the turning point of the last column.  |u| spans
+    many decades at large l, so each row is weighted by 1/max(|u|, |y|);
+    the columns are scaled to unit norm.  IllConditionedFit below full rank.
+    """
+    b, l = setup.b, int(round(setup.l))
+    om = np.linspace(0.5, 3.0 * (2 * S + 3), fit_sample_count(S)) / b
+    u = regular_solutions(setup, om, [b])[0][:, 0]
+    # u ~ x^(l+1) at the origin; u_N ~ (omega x)^(l+1) / (2^(l+1/2) Gamma(l+3/2))
+    u = u * np.exp((l + 1) * np.log(om) - (l + 0.5) * math.log(2.0) - math.lgamma(l + 1.5))
+    y, A = series_terms(l, S, om, b)
+    w = 1.0 / np.maximum(np.abs(u), np.abs(y))
+    A = A * w[:, None]
+    colnorm = np.linalg.norm(A, axis=0)
+    d, _, rank, _ = np.linalg.lstsq(A / colnorm, (u - y) * w, rcond=1e-13)
+    if rank < S + 1:
+        raise IllConditionedFit(f"weighted fit of d_0..d_{S} has rank {rank} < {S + 1}")
+    return KernelSeries(x=b, l=setup.l, mode="integer-l", N=S, weights=d / colnorm)
+
+
 def dirichlet_eigenvalues(
     setup: ProblemSetup,
     count: int,
     N: Optional[int] = None,
     *,
-    M: Optional[int] = None,
-    beta: Optional[BetaTable] = None,
+    series: Optional[KernelSeries] = None,
     h_scan: Optional[float] = None,
 ) -> SpectrumReport:
     """First `count` positive zeros of F(omega) = u_N(omega, b).
 
-    The coefficient table is fitted at x = b (or taken from ``beta`` if
-    the caller already has one), make_kernel_series truncates its series
-    (at choose_N unless ``N`` is given), and the scan/refine machinery
-    above locates the roots.  Refinement tightens each bracket until its
-    width is below 1e-12 + 4 eps omega.  Raises TransmuteError if Sturm's
-    count disagrees with the scan (missed or negative eigenvalues).
+    The coefficients d_0..d_N are fitted at x = b (_fit_series) or taken
+    from ``series``, and the scan/refine machinery above locates the roots.
+    Refinement tightens each bracket until its width is below 1e-12 +
+    4 eps omega.  Raises TransmuteError if Sturm's count disagrees with the
+    scan (missed or negative eigenvalues).  On q == 20, b = pi, 40 roots
+    are within 5e-12 at l = 0 and 7e-13 for l = 2..30; on q == 50, l = 0
+    and 1, 30 roots within 8e-8.
 
     Parameters
     ----------
@@ -255,15 +292,10 @@ def dirichlet_eigenvalues(
     count : int
         Number of eigenvalues, >= 1.
     N : int, optional
-        Truncation level override.
-    M : int, optional
-        Fit size override; default max(25, 2l + 16).  The fit is not
-        weighted, so the values degrade fast with l: on q == 20, b = pi,
-        the first 40 roots are off by up to 1.7e-6 at l = 2 and 2.6e-3
-        at l = 5.
-    beta : BetaTable, optional
-        Reuse a coefficient table fitted at x = setup.b (skips the fit;
-        mutually exclusive with M).
+        Series length of the fit, >= 0; default 20.
+    series : KernelSeries, optional
+        An integer-l series at x = setup.b to use instead of the fit
+        (mutually exclusive with N).
     h_scan : float, optional
         Scan step; default pi/(4b).
 
@@ -278,16 +310,16 @@ def dirichlet_eigenvalues(
             f"Dirichlet solver needs a nonnegative integer l, got {setup.l}; "
             "the truncated series representation exists for integer l only"
         )
-    if beta is not None:
-        if M is not None:
-            raise DomainError("pass either a beta table or a fit size, not both")
-        if abs(beta.x - setup.b) > 1e-9 * setup.b or abs(beta.l - setup.l) > 1e-9:
-            raise DomainError("beta table was fitted for a different (l, x)")
-    else:
-        if M is None:
-            M = default_fit_size(setup.l)
-        beta = compute_beta(setup, setup.b, M)
-    series = make_kernel_series(beta, N)
+    if series is None:
+        N = _SERIES_N if N is None else N
+        if not (float(N).is_integer() and N >= 0):
+            raise DomainError(f"N must be an integer >= 0, got {N}")
+        series = _fit_series(setup, int(N))
+    elif N is not None:
+        raise DomainError("pass either a series or its length N, not both")
+    elif (series.mode != "integer-l" or abs(series.x - setup.b) > 1e-9 * setup.b
+          or abs(series.l - setup.l) > 1e-9):
+        raise DomainError("series is not an integer-l series for this (l, x = b)")
     b = setup.b
 
     def F(omega: np.ndarray) -> np.ndarray:

@@ -218,13 +218,48 @@ def test_spectrum_zero_potential_integers(tmp_path):
 
 
 def test_spectrum_wrong_ordinals_exit_2(tmp_path, capsys):
-    # q == 120: the scan brackets 30 roots below omega = 40.25, where 38
-    # eigenvalues lie; no CSV is written
+    # q == -3: the scan of omega > 0 brackets 30 roots below omega = 31,
+    # where Sturm counts 31 eigenvalues, one of them below zero; no CSV is
+    # written
+    rc = main(["spectrum", "--l", "0", "--potential", "poly:-3",
+               "--count", "30", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "30 roots found below omega = 31, Sturm count 31" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
+def test_spectrum_rank_deficient_fit_exit_2(tmp_path, capsys):
+    # q == 120: the weighted fit loses full rank, and no CSV is written
     rc = main(["spectrum", "--l", "0", "--potential", "poly:120",
                "--count", "30", "--out", str(tmp_path)])
     assert rc == 2
-    assert "30 roots found below omega = 40.25, Sturm count 38" in capsys.readouterr().err
+    assert "weighted fit of d_0..d_20 has rank" in capsys.readouterr().err
     assert not (tmp_path / "spectrum.csv").exists()
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_spectrum_rejects_fit_size(tmp_path, capsys, how):
+    # the spectrum fits its own series; its length is --N
+    argv = ["spectrum", "--l", "1", "--potential", "poly:0,0,1", "--count", "3",
+            "--out", str(tmp_path)]
+    if how == "flag":
+        argv += ["--M", "25"]
+    else:
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"fit": {"M": 25}}))
+        argv += ["--config", str(cfg_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: spectrum takes no fit size M") and "--N" in err
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
+def test_spectrum_summary_records_the_fit(tmp_path):
+    rc = main(["spectrum", "--l", "1", "--potential", "poly:0,0,1", "--count", "3",
+               "--N", "12", "--out", str(tmp_path)])
+    assert rc == 0
+    summary = json.loads((tmp_path / "spectrum_summary.json").read_text())
+    assert summary["N_used"] == 12 and summary["freq_count_used"] == 39
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Dirichlet eigenvalue solver and the truncation-selection heuristic."""
 import math
 import warnings
+from dataclasses import replace
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -8,9 +10,9 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import jv
 
-from transmute import spectral
-from transmute.coeffs import BetaTable, compute_beta
-from transmute.errors import DomainError, TransmuteError
+from transmute import coeffs, kernel, spectral
+from transmute.coeffs import BetaTable
+from transmute.errors import DomainError, IllConditionedFit, TransmuteError
 from transmute.kernel import choose_N, make_kernel_series
 from transmute.oracle import ProblemSetup, regular_solutions
 from transmute.solution import u_N
@@ -28,7 +30,7 @@ from transmute.spectral import (
 
 
 @pytest.mark.parametrize("l, integer", [
-    (0.0, True), (-1e-10, True), (1.0 + 5e-10, True),
+    (0.0, True), (-1e-10, True), (1.0 + 5e-10, True), (1.0 - 5e-10, True),
     (1.0 + 2e-9, False), (0.5, False),
 ])
 def test_every_stage_classifies_l_alike(l, integer):
@@ -45,7 +47,7 @@ def test_every_stage_classifies_l_alike(l, integer):
     except DomainError:
         seen["u_N"] = False
     try:
-        dirichlet_eigenvalues(setup, 1, beta=bt)
+        dirichlet_eigenvalues(setup, 1)   # the spectrum fits its own series
         seen["spectrum"] = True
     except DomainError:
         seen["spectrum"] = False
@@ -122,15 +124,21 @@ def _constant_setup(l, Q, c2=0.0):
                         q=lambda x: Q + c2 * np.asarray(x, dtype=float) ** 2)
 
 
+@lru_cache(maxsize=None)
+def _bessel_zeros(l, count):
+    """j_{l+1/2,1..count}, shared by every Q of one l (mpmath: ~0.25 s per l)."""
+    return tuple(float(mpmath.besseljzero(mpmath.mpf(l) + 0.5, n))
+                 for n in range(1, count + 1))
+
+
 def _constant_spectrum(l, Q, count):
-    return np.array([math.sqrt((float(mpmath.besseljzero(mpmath.mpf(l) + 0.5, n))
-                                / np.pi) ** 2 + Q) for n in range(1, count + 1)])
+    return np.sqrt((np.array(_bessel_zeros(l, count)) / np.pi) ** 2 + Q)
 
 
 @pytest.mark.parametrize("l", [0, 1])
 @pytest.mark.parametrize("Q, tol", [(0.0, 1e-12), (20.0, 1e-6)])
 def test_constant_potential_spectrum(l, Q, tol):
-    # worst errors 2.1e-14 / 7.1e-15 (Q = 0) and 4.9e-9 / 9.1e-8 (Q = 20)
+    # worst errors 2.9e-14 / 2.8e-14 (Q = 0) and 3.4e-12 / 1.4e-12 (Q = 20)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = dirichlet_eigenvalues(_constant_setup(l, Q), 30)
@@ -147,28 +155,59 @@ def test_constant_potential_shooting_at_half_integer_l(Q):
     assert max(abs(got[n] - want[n - 1]) for n in range(1, 31)) <= 1e-10
 
 
-@pytest.mark.xfail(raises=AssertionError,
-                   reason="ordinals right, values off by 2.4e-4 / 7.8e-5: the "
-                          "unweighted fit (ROADMAP item 2)")
 @pytest.mark.parametrize("l", [0, 1])
 def test_constant_potential_50_spectrum(l):
+    # worst errors 7.4e-8 / 1.6e-8
     rep = dirichlet_eigenvalues(_constant_setup(l, 50.0), 30)
     assert np.max(np.abs(rep.eigenvalues - _constant_spectrum(l, 50.0, 30))) <= 1e-6
 
 
-@pytest.mark.xfail(raises=AssertionError, strict=True,
-                   reason="ordinals right, values off by 2.6e-3 with no warning: "
-                          "the unweighted fit at large l (ROADMAP item 2)")
 def test_constant_potential_spectrum_at_l5():
+    # worst error 1.1e-13
     rep = dirichlet_eigenvalues(_constant_setup(5, 20.0), 40)
     assert np.max(np.abs(rep.eigenvalues - _constant_spectrum(5, 20.0, 40))) <= 1e-10
 
 
+@pytest.mark.parametrize("Q", [0.0, 20.0])
+@pytest.mark.parametrize("l", [2, 5, 10, 20, 30])
+def test_constant_potential_spectrum_at_growing_l(l, Q):
+    # the weighted fit keeps the high rows, where |u| is many decades above
+    # its low ones: worst error 6.2e-13 (l = 2, Q = 20), the unweighted
+    # cosine fit gave 1.7e-6 at l = 2, 2.6e-3 at l = 5 and 0.93 at l = 20
+    rep = dirichlet_eigenvalues(_constant_setup(l, Q), 40)
+    assert np.max(np.abs(rep.eigenvalues - _constant_spectrum(l, Q, 40))) <= 1e-10
+
+
+def test_spectrum_fits_from_one_short_sweep(monkeypatch):
+    # one regular_solutions call over 3(S+1) frequencies, omega b within
+    # [0.5, 3(2S+3)], and none of the cosine fit's path
+    sweeps = []
+
+    def counting(setup, omegas, x_eval):
+        sweeps.append((np.size(omegas), float(np.max(omegas)) * setup.b))
+        return regular_solutions(setup, omegas, x_eval)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the spectrum must not call the cosine fit's path")
+
+    monkeypatch.setattr(spectral, "regular_solutions", counting)
+    for module, name in ((coeffs, "compute_beta"), (kernel, "make_kernel_series"),
+                         (kernel, "choose_N")):
+        monkeypatch.setattr(module, name, forbidden)
+        monkeypatch.setattr(spectral, name, forbidden, raising=False)
+    S = 20
+    rep = dirichlet_eigenvalues(_constant_setup(1, 20.0), 30)
+    assert rep.N_used == S
+    assert len(sweeps) == 1
+    rows, top = sweeps[0]
+    assert rows == 3 * (S + 1) == spectral.fit_sample_count(S)
+    assert top <= 3 * (2 * S + 3) * (1 + 1e-12)
+
+
 # (l, q = Q + c2 x^2, roots asked, Sturm count at the top of the last
 # bracket): the scan of omega > 0 never brackets eigenvalues below zero,
-# and q == 120 has gaps below the scan step, so each ordinal would be off
-_WRONG_ORDINALS = [(0, 120.0, 0.0, 30, 38), (1, -10.0, 1.0, 200, 202),
-                   (1, 400.0, 1.0, 200, 212), (0, -3.0, 0.0, 30, 31),
+# so each ordinal would be off
+_WRONG_ORDINALS = [(1, -10.0, 1.0, 200, 202), (0, -3.0, 0.0, 30, 31),
                    (1, -3.0, 0.0, 30, 31)]
 
 
@@ -180,6 +219,17 @@ def test_series_solver_raises_on_wrong_ordinals(l, Q, c2, count, sturm):
         dirichlet_eigenvalues(_constant_setup(l, Q, c2), count)
 
 
+@pytest.mark.parametrize("l, Q, c2", [(0, 120.0, 0.0), (1, 400.0, 1.0)])
+def test_series_solver_raises_on_rank_deficient_fit(l, Q, c2):
+    # below omega = sqrt(Q) |u| grows, and the row weights span 15 (q == 120)
+    # and 26 (400 + x^2) decades over the sweep, so the weighted columns lose
+    # full rank; a rank-truncated solve gives a series that misses roots of
+    # q == 120 even on a scan step of 0.02, so the fit raises instead
+    with pytest.raises(IllConditionedFit, match=r"^weighted fit of d_0\.\.d_20 has "
+                                                r"rank \d+ < 21$"):
+        dirichlet_eigenvalues(_constant_setup(l, Q, c2), 30)
+
+
 def test_series_solver_raises_on_spurious_roots():
     # a table for q == 0 (beta == 0 exactly) puts roots at 1..10, but only
     # sqrt(n^2 + 50) <= 10.25, n <= 7, are eigenvalues of q == 50
@@ -187,7 +237,7 @@ def test_series_solver_raises_on_spurious_roots():
                    fit_residual=0.0, sum_beta=0.0)
     with pytest.raises(TransmuteError, match=r"^10 roots found below omega = 10\.25, "
                                              r"Sturm count 7: some are spurious$"):
-        dirichlet_eigenvalues(_constant_setup(0, 50.0), 10, beta=bt)
+        dirichlet_eigenvalues(_constant_setup(0, 50.0), 10, series=make_kernel_series(bt))
 
 
 @pytest.mark.parametrize("l, Q, c2, count, sturm", [
@@ -203,6 +253,12 @@ def test_shooting_raises_on_wrong_ordinals(l, Q, c2, count, sturm):
 
 # ---------------------------------------------------------------------------
 # perturbed problem
+
+
+@pytest.fixture(scope="module")
+def series_harmonic(harmonic_setups):
+    """The spectrum's own series for l = 1, q = x^2: d_0..d_20 at x = pi."""
+    return spectral._fit_series(harmonic_setups[1], 20)
 
 
 def test_harmonic_l1_against_reference_values(harmonic_setups):
@@ -227,9 +283,9 @@ def test_eigenvalue_count_matches_oracle_sign_changes(harmonic_setups):
     assert inside == crossings
 
 
-def test_residuals_are_converged(harmonic_setups, beta_harmonic):
-    rep = dirichlet_eigenvalues(harmonic_setups[1], 6, beta=beta_harmonic[1])
-    series = make_kernel_series(beta_harmonic[1], rep.N_used)
+def test_residuals_are_converged(harmonic_setups, series_harmonic):
+    series = series_harmonic
+    rep = dirichlet_eigenvalues(harmonic_setups[1], 6, series=series)
     bracket_mag = max(
         abs(u_N(series, float(om), np.pi))
         for pair in rep.brackets for om in pair
@@ -237,17 +293,17 @@ def test_residuals_are_converged(harmonic_setups, beta_harmonic):
     assert np.max(rep.residuals) <= 1e-10 * bracket_mag
 
 
-def test_missed_root_warning_on_coarse_scan(harmonic_setups, beta_harmonic):
+def test_missed_root_warning_on_coarse_scan(harmonic_setups, series_harmonic):
     """A scan step of 2.2, twice the eigenvalue gap, steps over pairs of
     roots; Sturm's count at the top of the last bracket sees them all."""
     with pytest.raises(TransmuteError, match=r"^10 roots found below omega = 94\.6, "
                                              r"Sturm count 94: roots were missed"):
-        dirichlet_eigenvalues(harmonic_setups[1], 10, beta=beta_harmonic[1], h_scan=2.2)
+        dirichlet_eigenvalues(harmonic_setups[1], 10, series=series_harmonic, h_scan=2.2)
 
 
-def test_harmonic_200_match_brentq_reference(harmonic_setups, beta_harmonic):
-    rep = dirichlet_eigenvalues(harmonic_setups[1], 200, beta=beta_harmonic[1])
-    series = make_kernel_series(beta_harmonic[1], rep.N_used)
+def test_harmonic_200_match_brentq_reference(harmonic_setups, series_harmonic):
+    series = series_harmonic
+    rep = dirichlet_eigenvalues(harmonic_setups[1], 200, series=series)
     ref = np.array([
         brentq(lambda w: u_N(series, w, np.pi), lo, hi, xtol=1e-12, maxiter=200)
         for lo, hi in rep.brackets
@@ -255,7 +311,7 @@ def test_harmonic_200_match_brentq_reference(harmonic_setups, beta_harmonic):
     assert np.max(np.abs(rep.eigenvalues - ref)) <= 1e-12
 
 
-def test_spectrum_evaluates_u_N_over_arrays(harmonic_setups, beta_harmonic,
+def test_spectrum_evaluates_u_N_over_arrays(harmonic_setups, series_harmonic,
                                             monkeypatch):
     calls = []
 
@@ -264,7 +320,7 @@ def test_spectrum_evaluates_u_N_over_arrays(harmonic_setups, beta_harmonic,
         return u_N(series, omega, x)
 
     monkeypatch.setattr(spectral, "u_N", counting)
-    rep = dirichlet_eigenvalues(harmonic_setups[1], 200, beta=beta_harmonic[1])
+    rep = dirichlet_eigenvalues(harmonic_setups[1], 200, series=series_harmonic)
     assert rep.eigenvalues.size == 200
     assert len(calls) < 100
 
@@ -318,7 +374,7 @@ def test_cli_reports_non_finite_characteristic_function(monkeypatch, tmp_path, c
     monkeypatch.setattr(spectral, "u_N",
                         lambda series, omega, x: np.full(np.shape(omega), np.nan))
     rc = main(["spectrum", "--l", "1", "--potential", "poly:0,0,1", "--count", "3",
-               "--M", "8", "--out", str(tmp_path)])
+               "--N", "8", "--out", str(tmp_path)])
     assert rc == 2
     assert "nan at omega" in capsys.readouterr().err
 
@@ -427,16 +483,28 @@ def test_oracle_eigenvalues_refines_requested_ordinals(harmonic_setups):
 # argument validation
 
 
-def test_dirichlet_argument_validation(harmonic_setups, beta_harmonic, setup_half):
+def test_dirichlet_argument_validation(harmonic_setups, series_harmonic, setup_half,
+                                      beta_harmonic):
     with pytest.raises(DomainError):
         dirichlet_eigenvalues(harmonic_setups[1], 0)
     with pytest.raises(DomainError):
         dirichlet_eigenvalues(setup_half, 3)  # integer l only
     with pytest.raises(DomainError):
         dirichlet_eigenvalues(
-            harmonic_setups[1], 3, beta=beta_harmonic[1], M=30
-        )  # beta excludes the fit controls
+            harmonic_setups[1], 3, N=12, series=series_harmonic
+        )  # a series excludes the fit's length
     with pytest.raises(DomainError):
         dirichlet_eigenvalues(
-            harmonic_setups[0], 3, beta=beta_harmonic[1]
-        )  # table fitted at a different l
+            harmonic_setups[0], 3, series=series_harmonic
+        )  # series fitted at a different l
+    with pytest.raises(DomainError):
+        dirichlet_eigenvalues(
+            replace(harmonic_setups[1], b=2.0), 3, series=series_harmonic
+        )  # and at a different x
+    with pytest.raises(DomainError):
+        dirichlet_eigenvalues(
+            harmonic_setups[1], 3, series=make_kernel_series(beta_harmonic[1], mode="real-l")
+        )  # not an integer-l series
+    for N in (-1, 2.5):
+        with pytest.raises(DomainError):
+            dirichlet_eigenvalues(harmonic_setups[1], 3, N=N)
