@@ -15,10 +15,11 @@ Configuration comes from an optional JSON file (``--config``) overridden
 by individual flags; every run writes the resolved configuration back
 into a JSON summary next to the CSV so results are reproducible.  Output
 is deterministic: the same configuration and seed produce byte-identical
-CSV files.  compute_beta sizes its frequency sweep and make_kernel_series
-picks the default truncation; ``--M`` and ``--N`` override fit and series.
-``spectrum`` fits the series d_0..d_N itself, so it takes ``--N`` (default
-20) and rejects ``--M``.
+CSV files.  Both fits (compute_beta's beta_0..beta_M, the spectrum's
+d_0..d_N) solve sample_count(n) = 3(n+1) frequencies, the summaries'
+``freq_count_used``; make_kernel_series picks the default truncation, and
+``--M``/``--N`` override fit and series.  ``spectrum`` fits d_0..d_N
+itself, so it takes ``--N`` (default 20) and rejects ``--M``.
 
 Exit codes: 0 success, 1 a ``validate`` check failed, 2 malformed input
 or a numerical failure (such as spectrum ordinals Sturm's count rejects).
@@ -46,7 +47,6 @@ from .spectral import (
     HARMONIC_L1_EIGENVALUES,
     default_fit_size,
     dirichlet_eigenvalues,
-    fit_sample_count,
 )
 from .validation import run_validation
 
@@ -379,7 +379,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         "version": __version__,
         "count": cfg.count,
         "N_used": report.N_used,
-        "freq_count_used": fit_sample_count(report.N_used),
+        "freq_count_used": sample_count(report.N_used),
         "worst_reference_error": worst,
         "tolerances": {"refine_xtol": 1e-12},
         "outputs": [str(csv_path)],

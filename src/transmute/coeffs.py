@@ -31,11 +31,10 @@ __all__ = ["BetaTable", "unperturbed_term", "compute_beta", "sample_count"]
 
 _RCOND = 1e-13      # relative singular-value cutoff in the least-squares solve
 _FREQ_LO = 0.5      # smallest omega*x sample in the collocation sweep
-_FREQ_HI = 3.0      # window reaches _FREQ_HI * (2M+3); the highest Legendre
-                    # mode needs s past ~2(2M) or its column is evanescent and
+_FREQ_HI = 3.0      # window reaches _FREQ_HI * (2n+3); the highest Legendre
+                    # mode needs s past ~2(2n) or its column is evanescent and
                     # the fit ill-conditioned (cond 4e10 at M=100 with a 2x
                     # window vs 5e6 with 3x)
-_FREQ_PER_COEFF = 6  # collocation frequencies per fitted coefficient
 
 
 @dataclass(frozen=True)
@@ -75,6 +74,8 @@ def unperturbed_term(l: float, omega: float, x):
     if not np.all(np.asarray(omega) > 0):
         raise DomainError(f"omega must be > 0, got {omega}")
     xa = np.asarray(x, dtype=float)
+    if specialfn.is_integer_l(l):   # as the Bessel factor and the oracle take it
+        l = float(round(l))
     # float_power is libm's pow, as for a Python float; the SIMD power
     # ufunc differs from it in the last bit
     amp = (math.exp(math.lgamma(l + 1.5)) * 2.0 ** (l + 0.5)
@@ -83,16 +84,24 @@ def unperturbed_term(l: float, omega: float, x):
     return float(res) if np.ndim(res) == 0 else res
 
 
-def sample_count(M: int) -> int:
-    """Number of collocation frequencies in a fit of size M, 6(M+1)."""
-    return _FREQ_PER_COEFF * (M + 1)
+def sample_count(n: int) -> int:
+    """Collocation frequencies of a fit of n+1 coefficients, 3(n+1): data and
+    columns are entire of exponential type x in omega, so samples pi/x apart
+    (~2 per coefficient) carry them, but at that spacing the spectrum's fit
+    of q == 50, l = 0 is off by 1.5e-2; 3 per coefficient fit as well as 6."""
+    return 3 * (n + 1)
+
+
+def _sweep(n: int) -> np.ndarray:
+    """omega*x of a fit of n+1 coefficients; callers divide by x."""
+    return np.linspace(_FREQ_LO, _FREQ_HI * (2 * n + 3), sample_count(n))
 
 
 def compute_beta(setup: ProblemSetup, x: float, M: int) -> BetaTable:
     """Fit beta_0..beta_M at x by frequency collocation against the ODE solver.
 
     The design matrix is A[j, k] = (-1)^k j_{2k}(omega_j x) with the
-    sample_count(M) = 6(M+1) values omega_j x uniformly spaced on
+    sample_count(M) = 3(M+1) values omega_j x uniformly spaced on
     [0.5, 3(2M+3)] (well past the turning point of the highest column,
     which keeps the fit conditioned), and the data is
     r_j = u(omega_j, x) - y(omega_j, x), with u from one regular_solutions
@@ -122,7 +131,7 @@ def compute_beta(setup: ProblemSetup, x: float, M: int) -> BetaTable:
     if not 0.0 < x <= setup.b * (1.0 + 1e-12):
         raise DomainError(f"x={x} outside (0, b] with b={setup.b}")
 
-    s = np.linspace(_FREQ_LO, _FREQ_HI * (2 * M + 3), sample_count(M))
+    s = _sweep(M)
     omegas = s / x
     u, _ = regular_solutions(setup, omegas, [x])
     r = u[:, 0] - unperturbed_term(setup.l, omegas, x)

@@ -30,6 +30,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .coeffs import _sweep
 from .errors import DomainError, IllConditionedFit, TransmuteError
 from .kernel import KernelSeries
 from .oracle import ProblemSetup, regular_solutions, zero_count
@@ -40,19 +41,12 @@ __all__ = [
     "SpectrumReport",
     "default_fit_size",
     "dirichlet_eigenvalues",
-    "fit_sample_count",
     "oracle_eigenvalues",
     "HARMONIC_L1_EIGENVALUES",
 ]
 
 _EPS = np.finfo(float).eps
 _SERIES_N = 20      # series length S of the fit, d_0..d_S
-# Fit frequencies per coefficient.  u(omega, b) and every column are
-# entire of exponential type b in omega, so samples pi/b apart, about 2 per
-# coefficient on the fit's window, carry them; at that Nyquist spacing
-# q == 50, l = 0 is off by 1.5e-2, while 3 (1.5x the density) fits within
-# 2x of what 6 fits on every probed case, at half the oracle work.
-_ROWS_PER_COEFF = 3
 
 #: Dirichlet eigenvalues of -u'' + (2/x^2 + x^2) u = omega^2 u on (0, pi]
 #: (l = 1, q(x) = x^2) for selected indices n; digits verified against an
@@ -239,20 +233,15 @@ def _scan(setup: ProblemSetup, F: Callable, count: int, h_scan: Optional[float])
 # eigenvalue solvers
 
 
-def fit_sample_count(S: int) -> int:
-    """Number of oracle frequencies in the spectrum's fit of d_0..d_S."""
-    return _ROWS_PER_COEFF * (S + 1)
-
-
 def _fit_series(setup: ProblemSetup, S: int) -> KernelSeries:
     """The integer-l series d_0..d_S at x = b, fitted to the oracle's u
-    (in u_N's normalization, less the free term y) on omega b uniform in
-    [0.5, 3(2S+3)], past the turning point of the last column.  |u| spans
-    many decades at large l, so each row is weighted by 1/max(|u|, |y|);
-    the columns are scaled to unit norm.  IllConditionedFit below full rank.
+    (in u_N's normalization, less the free term y) on compute_beta's sweep
+    of sample_count(S) values omega b.  |u| spans many decades at large l,
+    so each row is weighted by 1/max(|u|, |y|); the columns are scaled to
+    unit norm.  IllConditionedFit below full rank.
     """
     b, l = setup.b, int(round(setup.l))
-    om = np.linspace(0.5, 3.0 * (2 * S + 3), fit_sample_count(S)) / b
+    om = _sweep(S) / b
     u = regular_solutions(setup, om, [b])[0][:, 0]
     # u ~ x^(l+1) at the origin; u_N ~ (omega x)^(l+1) / (2^(l+1/2) Gamma(l+3/2))
     u = u * np.exp((l + 1) * np.log(om) - (l + 0.5) * math.log(2.0) - math.lgamma(l + 1.5))

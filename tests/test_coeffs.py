@@ -8,7 +8,7 @@ from scipy.special import roots_legendre
 import transmute.coeffs as coeffs
 from transmute.coeffs import BetaTable, compute_beta, unperturbed_term
 from transmute.errors import DomainError, IllConditionedFit
-from transmute.oracle import ProblemSetup, regular_solution_ode
+from transmute.oracle import ProblemSetup, regular_solution_ode, regular_solutions
 from transmute import specialfn as sf
 
 
@@ -100,13 +100,63 @@ def test_eval_R_cosine_transform_round_trip(beta_harmonic):
         assert abs(quad_val - series) < 1e-10 * max(1.0, np.max(np.abs(bt.beta)))
 
 
-def test_fit_stable_under_freq_count_doubling(harmonic_setups, beta_harmonic,
-                                             monkeypatch):
-    bt = beta_harmonic[1]
-    monkeypatch.setattr(coeffs, "_FREQ_PER_COEFF", 2 * coeffs._FREQ_PER_COEFF)
-    assert coeffs.sample_count(25) == 2 * 6 * 26
-    bt2 = compute_beta(harmonic_setups[1], np.pi, 25)
-    assert np.max(np.abs(bt.beta - bt2.beta)) < 1e-8 * np.max(np.abs(bt.beta))
+def test_fit_is_one_sweep_of_sample_count_rows(harmonic_setups, monkeypatch):
+    # one regular_solutions call of 3(M+1) rows, omega x within [0.5, 3(2M+3)]
+    sweeps = []
+
+    def counting(setup, omegas, x_eval):
+        sweeps.append(np.asarray(omegas) * x_eval[0])
+        return regular_solutions(setup, omegas, x_eval)
+
+    monkeypatch.setattr(coeffs, "regular_solutions", counting)
+    M, x = 25, 0.7 * np.pi
+    compute_beta(harmonic_setups[1], x, M)
+    assert len(sweeps) == 1
+    s = sweeps[0]
+    assert s.size == coeffs.sample_count(M) == 3 * (M + 1)
+    assert 0.5 * (1 - 1e-12) <= s.min() and s.max() <= 3 * (2 * M + 3) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("l", [-1e-10, 5e-10, 1 - 5e-10, 1 + 1e-10])
+def test_near_integer_l_fits_as_the_integer(harmonic_setups, beta_harmonic, l):
+    # the oracle and the free term's Bessel factor round such an l, so the
+    # free term's amplitude must too, or the fit sees data off by ~1e-10 |y|
+    setup = ProblemSetup(l=l, b=np.pi, q=harmonic_setups[1].q)
+    bt = compute_beta(setup, np.pi, 25)
+    assert np.array_equal(bt.beta, beta_harmonic[round(l)].beta)
+
+
+def _harmonic(x):
+    return np.asarray(x, dtype=float) ** 2
+
+
+def _const_20(x):
+    return np.full_like(np.asarray(x, dtype=float), 20.0)
+
+
+@pytest.mark.parametrize("l, q, M, lead, tol", [
+    pytest.param(1.0, _harmonic, 25, 26, 1e-12, id="l1-x^2-M25"),    # moves 1.7e-14
+    pytest.param(0.0, _const_20, 22, 23, 1e-12, id="l0-20-M22"),     # 1.1e-13
+    # real l: the trailing third of the table absorbs the unmodeled tail;
+    # the leading 2M/3 move 1.5e-10
+    pytest.param(0.5, _harmonic, 60, 40, 1e-8, id="l0.5-x^2-M60"),
+])
+def test_fit_stable_under_freq_count_doubling(monkeypatch, l, q, M, lead, tol):
+    setup = ProblemSetup(l=l, b=np.pi, q=q)
+    bt = compute_beta(setup, np.pi, M)
+    rows = []
+
+    def counting(setup, omegas, x_eval):
+        rows.append(np.size(omegas))
+        return regular_solutions(setup, omegas, x_eval)
+
+    count = coeffs.sample_count
+    monkeypatch.setattr(coeffs, "sample_count", lambda n: 2 * count(n))
+    monkeypatch.setattr(coeffs, "regular_solutions", counting)
+    bt2 = compute_beta(setup, np.pi, M)
+    assert rows == [2 * count(M)]
+    scale = np.max(np.abs(bt.beta[:lead]))
+    assert np.max(np.abs(bt.beta[:lead] - bt2.beta[:lead])) < tol * scale
 
 
 def test_slow_decay_rate_for_half_integer_l(beta_half_dense):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transmute import oracle
-from transmute.coeffs import compute_beta, unperturbed_term
+from transmute.coeffs import compute_beta, sample_count, unperturbed_term
 from transmute.errors import AccuracyWarning, DomainError, IntegrationFailure
 from transmute.oracle import (
     ProblemSetup,
@@ -291,15 +291,15 @@ def test_no_step_past_last_point_and_step_budget(monkeypatch):
 
 
 def test_fit_sweep_is_solved_in_blocks(monkeypatch):
-    """An M = 25 fit's 156 frequencies all lie below omega ~ 52, where the
+    """An M = 25 fit's 78 frequencies all lie below omega ~ 52, where the
     step rule on b = pi is the cap alone, so they form one block on one
     grid: one _build_grid call, where blocks of 18 frequencies built 18.
     At l = 1 the grid has 1284 nodes, 88 of them in the log layer (1748
     nodes when the centrifugal term was graded in x down to x0), so the
-    layer's first two levels run in two tiles of 78 frequencies x 3
-    pieces and the rest in tiles of at most 26 and 13 rows: 2 + 6 + 12
-    _step_maps calls, none larger than the block bound.  One solve per
-    frequency took 312 calls."""
+    layer's first two levels run in one tile of 78 frequencies x 3 pieces
+    and the rest in tiles of 26 and 13 rows: 1 + 3 + 6 _step_maps calls
+    (2 + 6 + 12 for the 156 frequencies of six per coefficient), none
+    larger than the block bound.  One solve per frequency takes 156."""
     calls = _spy_step_maps(monkeypatch)
     builds = _spy_grids(monkeypatch)
     compute_beta(ProblemSetup(l=1.0, b=np.pi, q=_harmonic), np.pi, 25)
@@ -312,9 +312,9 @@ def test_fit_sweep_is_solved_in_blocks(monkeypatch):
 def test_fit_memory_stays_within_the_workspace():
     """An M = 25 fit's passes share one workspace of six tile-sized
     arrays, the grid terms and the chain products' stash: its traced peak
-    reads 2.01e6 bytes (1.92e6 before the stash's 80 KB, which let each
-    range run one tail where it ran one per tile), where allocating each
-    pass's arrays anew peaked at 2.07e6."""
+    reads 1.95e6 bytes over 78 frequencies (2.01e6 over 156; 1.92e6 before
+    the stash's 80 KB, which let each range run one tail where it ran one
+    per tile), where allocating each pass's arrays anew peaked at 2.07e6."""
     setup = ProblemSetup(l=1.0, b=np.pi, q=_harmonic)
     compute_beta(setup, np.pi, 25)   # first-call allocations are not the fit's
     tracemalloc.start()
@@ -331,7 +331,7 @@ def test_fit_sweep_matches_one_frequency_solves():
     M = 25 sweep solved whole, in calls of 16 frequencies and one
     frequency at a time gives the same values."""
     const_20 = lambda x: np.full_like(np.asarray(x, dtype=float), 20.0)
-    omegas = np.linspace(0.5, 3.0 * 53, 156) / np.pi
+    omegas = np.linspace(0.5, 3.0 * 53, sample_count(25)) / np.pi
     for l, q in ((1.0, _harmonic), (0.0, const_20), (3.0, const_20)):
         setup = ProblemSetup(l=l, b=np.pi, q=q)
         whole = np.stack(regular_solutions(setup, omegas, [np.pi]))[..., 0]

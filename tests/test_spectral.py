@@ -179,29 +179,33 @@ def test_constant_potential_spectrum_at_growing_l(l, Q):
 
 
 def test_spectrum_fits_from_one_short_sweep(monkeypatch):
-    # one regular_solutions call over 3(S+1) frequencies, omega b within
-    # [0.5, 3(2S+3)], and none of the cosine fit's path
+    # one regular_solutions call over 3(S+1) frequencies, the very sweep
+    # compute_beta solves for M = S at x = b, and none of the cosine fit's
+    # path
     sweeps = []
 
     def counting(setup, omegas, x_eval):
-        sweeps.append((np.size(omegas), float(np.max(omegas)) * setup.b))
+        sweeps.append(np.array(omegas))
         return regular_solutions(setup, omegas, x_eval)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the spectrum must not call the cosine fit's path")
 
+    fit = coeffs.compute_beta
     monkeypatch.setattr(spectral, "regular_solutions", counting)
+    monkeypatch.setattr(coeffs, "regular_solutions", counting)
     for module, name in ((coeffs, "compute_beta"), (kernel, "make_kernel_series"),
                          (kernel, "choose_N")):
         monkeypatch.setattr(module, name, forbidden)
         monkeypatch.setattr(spectral, name, forbidden, raising=False)
-    S = 20
-    rep = dirichlet_eigenvalues(_constant_setup(1, 20.0), 30)
+    S, setup = 20, _constant_setup(1, 20.0)
+    rep = dirichlet_eigenvalues(setup, 30)
     assert rep.N_used == S
     assert len(sweeps) == 1
-    rows, top = sweeps[0]
-    assert rows == 3 * (S + 1) == spectral.fit_sample_count(S)
-    assert top <= 3 * (2 * S + 3) * (1 + 1e-12)
+    assert sweeps[0].size == 3 * (S + 1) == coeffs.sample_count(S)
+    assert np.max(sweeps[0]) * setup.b <= 3 * (2 * S + 3) * (1 + 1e-12)
+    fit(setup, setup.b, S)
+    assert len(sweeps) == 2 and np.array_equal(sweeps[0], sweeps[1])
 
 
 # (l, q = Q + c2 x^2, roots asked, Sturm count at the top of the last
