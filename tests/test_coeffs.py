@@ -100,8 +100,8 @@ def test_eval_R_cosine_transform_round_trip(beta_harmonic):
         assert abs(quad_val - series) < 1e-10 * max(1.0, np.max(np.abs(bt.beta)))
 
 
-def test_fit_is_one_sweep_of_sample_count_rows(harmonic_setups, monkeypatch):
-    # one regular_solutions call of 3(M+1) rows, omega x within [0.5, 3(2M+3)]
+def _spy_sweeps(monkeypatch):
+    """Record omega * x of every regular_solutions call compute_beta makes."""
     sweeps = []
 
     def counting(setup, omegas, x_eval):
@@ -109,6 +109,12 @@ def test_fit_is_one_sweep_of_sample_count_rows(harmonic_setups, monkeypatch):
         return regular_solutions(setup, omegas, x_eval)
 
     monkeypatch.setattr(coeffs, "regular_solutions", counting)
+    return sweeps
+
+
+def test_fit_is_one_sweep_of_sample_count_rows(harmonic_setups, monkeypatch):
+    # one regular_solutions call of 3(M+1) rows, omega x within [0.5, 3(2M+3)]
+    sweeps = _spy_sweeps(monkeypatch)
     M, x = 25, 0.7 * np.pi
     compute_beta(harmonic_setups[1], x, M)
     assert len(sweeps) == 1
@@ -144,17 +150,11 @@ def _const_20(x):
 def test_fit_stable_under_freq_count_doubling(monkeypatch, l, q, M, lead, tol):
     setup = ProblemSetup(l=l, b=np.pi, q=q)
     bt = compute_beta(setup, np.pi, M)
-    rows = []
-
-    def counting(setup, omegas, x_eval):
-        rows.append(np.size(omegas))
-        return regular_solutions(setup, omegas, x_eval)
-
     count = coeffs.sample_count
     monkeypatch.setattr(coeffs, "sample_count", lambda n: 2 * count(n))
-    monkeypatch.setattr(coeffs, "regular_solutions", counting)
+    sweeps = _spy_sweeps(monkeypatch)
     bt2 = compute_beta(setup, np.pi, M)
-    assert rows == [2 * count(M)]
+    assert [s.size for s in sweeps] == [2 * count(M)]
     scale = np.max(np.abs(bt.beta[:lead]))
     assert np.max(np.abs(bt.beta[:lead] - bt2.beta[:lead])) < tol * scale
 
