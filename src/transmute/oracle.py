@@ -135,6 +135,11 @@ _PAD = 8
 _BITREV = np.array([0, 4, 2, 6, 1, 5, 3, 7])
 # partial products per row that a tile of a range leaves for the range's tail
 _STASH = 16
+# floats per 64-byte cache line.  numpy starts a large array 16 or 48 bytes
+# past a line, and a ufunc whose output starts off a line ran 2.3x slower
+# (0.80 against 0.34 ns a float for a 3-operand add on 32,768, AVX-512), so
+# the workspace, and every row that _halve writes, starts on one
+_LINE = 8
 
 
 @dataclass(frozen=True)
@@ -426,7 +431,7 @@ def _grid_terms(xs: np.ndarray, l: float, q, buf=None, log: bool = False,
     count = 6 if log else 5
     size = count * _PAD * pieces * g
     if buf is None or buf.size < size:
-        buf = np.empty(size)
+        buf = _aligned(size)
     terms = buf[:size].reshape(count, _PAD, 1, pieces, g)
     if log:
         h, h2, a, e, d0, d1 = rows = terms.reshape(count, -1)
@@ -545,26 +550,44 @@ def _step_maps(terms, om: np.ndarray, bufs, log: bool = False):
     return bufs[:4]
 
 
+def _aligned(size: int) -> np.ndarray:
+    """An uninitialized float array of that size that starts on a cache line."""
+    buf = np.empty(size + _LINE - 1)
+    skip = -buf.__array_interface__["data"][0] % (8 * _LINE) // 8
+    return buf[skip : skip + size]
+
+
+def _lines(n: int) -> int:
+    """n floats rounded up to whole cache lines."""
+    return -(-n // _LINE) * _LINE
+
+
 class _Workspace:
     """A call's grid terms, stash and tile arrays, in one buffer sized for
     its top block's refined pass: glibc trims the heap past twice the
     largest block freed, so smaller buffers make each call trim and regrow
     it.  The stash holds the partial products that a range's tiles leave
-    for its tail, _STASH per frequency, and at most _BLOCK floats."""
+    for its tail, _STASH per frequency, and at most _BLOCK floats.  The
+    buffer starts on a cache line, and so does each of its three parts."""
 
     def __init__(self, nodes: int, count: int):
         steps = min(_BLOCK, 2 * -(-(nodes - 1) // _PAD) * _PAD)
         cut = 5 * steps + min(4 * _STASH * count, _BLOCK)
-        flat = np.empty(cut + 6 * min(_BLOCK, count * steps))
+        flat = _aligned(cut + 6 * min(_BLOCK, count * steps) + 2 * _LINE)
         self.terms, self.stash, self.tiles = flat[: 5 * steps], flat[5 * steps : cut], flat[cut:]
+
+    def area(self, size: int) -> np.ndarray:
+        """ws.tiles, regrown on a cache line if it holds fewer than size floats."""
+        if self.tiles.size < size:
+            self.tiles = _aligned(size)
+        return self.tiles
 
     def maps(self, shape):
         """The five arrays of that shape that _step_maps works in, grown if
-        need be; _products reduces the first four within six."""
+        need be; _products reduces the first four within six, the first
+        level's rows padded to whole lines (two more lines at most)."""
         size = math.prod(shape)
-        if self.tiles.size < 6 * size:
-            self.tiles = np.empty(6 * size)
-        return self.tiles[: 5 * size].reshape(5, *shape)
+        return self.area(6 * size + 2 * _LINE)[: 5 * size].reshape(5, *shape)
 
 
 def _refine(xs: np.ndarray, log: bool = False) -> np.ndarray:
@@ -607,10 +630,12 @@ def _pair(even, odd, out):
 def _halve(src, levels, regions, halves=False):
     """The maps src (4 x n) after that many pairing levels, each into the
     two regions by turns: the pairs are the two halves of src, or with
-    halves False neighbours, in stride-2 views."""
+    halves False neighbours, in stride-2 views.  A level of n pairs writes
+    four rows, each starting on a cache line, in the first 4 _lines(n)
+    floats of its region."""
     for _ in range(levels):
         n = src.shape[1] // 2
-        dst = regions[0][: 4 * n].reshape(4, n)
+        dst = regions[0][: 4 * _lines(n)].reshape(4, -1)[:, :n]
         _pair(*((src[:, :n], src[:, n:]) if halves else (src[:, ::2], src[:, 1::2])), dst)
         src, regions = dst, regions[::-1]
     return src
@@ -647,7 +672,7 @@ def _products(terms, om, rows: int, ws, log: bool = False):
             tile = part[r : r + rows]
             maps = _step_maps(terms, tile, ws.maps((_PAD, tile.size, pieces, g)), log)
             size, area, m = maps[0].size, ws.tiles, tile.size * pieces
-            src = _halve(maps.reshape(4, -1), 3, (area[4 * size :], area[:size]), halves=True)
+            src = _halve(maps.reshape(4, -1), 3, (area[4 * size :], area[: 4 * size]), halves=True)
             block = stash[:, r * pieces * keep : (r * pieces + m) * keep]
             if width > g:
                 pad = block if width == keep else area[2 * size :][: 4 * m * width]
@@ -656,10 +681,12 @@ def _products(terms, om, rows: int, ws, log: bool = False):
                 pad[::3, :, g:] = 1.0   # the identity's a and d
                 src = pad.reshape(4, -1)
             levels = (width // keep).bit_length() - 1
-            block[...] = _halve(src, levels, (area[:size], area[2 * size : 3 * size]))
-        if n > 4:   # the tail takes 3/4 of the stash's size, and ws.tiles is larger
+            block[...] = _halve(src, levels, (area[: 2 * size], area[2 * size :]))
+        if n > 4:   # the tail's second region starts past its first level's padded rows
+            first = 4 * _lines(n * keep // 2)
+            area = ws.area(first + 4 * _lines(n * keep // 4))
             yield slice(g0, g0 + group), _halve(stash, keep.bit_length() - 1,
-                                                (ws.tiles, ws.tiles[2 * n * keep :]))
+                                                (area, area[first:]))
             continue
         # up to 4 rows the same operations cost less in Python floats: about
         # 0.6 us a map, where a numpy level costs about 10 us (keep 2 to 16)
@@ -1050,7 +1077,8 @@ def zero_count(setup: ProblemSetup, omega: float) -> int:
 
     def steps(xs, w, wp, log=False):
         terms = _grid_terms(xs, setup.l, setup.q, log=log)
-        maps = _step_maps(terms, np.array([om]), np.empty((5,) + terms.shape[1:]), log)
+        maps = _step_maps(terms, np.array([om]), _aligned(5 * terms[0].size).reshape(
+            (5,) + terms.shape[1:]), log)
         # the steps in order, out of the planes (plane 4a + 2b + c holds steps 8i + 4c + 2b + a)
         seq = maps.reshape(4, 2, 2, 2, -1).transpose(0, 4, 3, 2, 1).reshape(4, -1)
         for m11, m12, m21, m22 in zip(*seq[:, : xs.size - 1].tolist()):

@@ -27,8 +27,8 @@ def _read_csv(path):
 
 
 def test_import_does_not_load_optimize_or_interpolate(tmp_path):
-    # each costs 0.1-0.3 s at start-up: only a table potential needs a
-    # spline, and only non-integer l, validate and kernel need scipy.special
+    # scipy costs 0.1-0.3 s of start-up and 25-30 MiB of peak RSS: only a
+    # table potential needs it (a spline), and non-integer l (jv)
     slow = ("scipy.optimize", "scipy.interpolate", "scipy.special")
     # the child imports the same transmute as this process, installed or not
     env = dict(os.environ, PYTHONPATH=str(Path(transmute.__file__).parents[1]))
@@ -42,14 +42,20 @@ def test_import_does_not_load_optimize_or_interpolate(tmp_path):
         return f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
 
     assert fresh("import transmute; " + loaded(slow)) == "[]"
-    # integer-l runs do not need scipy.linalg either (3.7 MiB of peak RSS)
+    # integer-l runs with a polynomial potential load no scipy module at
+    # all, the validation suite's quadrature references and the kernel's
+    # real-l weights (built at l = 1 by the reduction check) included
     for argv in (["spectrum", "--l", "1", "--count", "5"],
                  ["spectrum", "--l", "1", "--potential", "poly:0,0,1", "--count", "5"],
-                 ["beta", "--l", "1"]):
+                 ["beta", "--l", "1"],
+                 ["kernel", "--l", "1", "--nx", "4"],
+                 ["validate", "--l", "1"],
+                 ["validate", "--l", "0", "--potential", "poly:20"]):
         run = (f"from transmute.cli import main; "
                f"assert main({argv + ['--out', str(tmp_path)]!r}) == 0; ")
-        assert fresh(run + loaded(slow + ("scipy.linalg",))) == "[]", argv
-    # positive control: a non-integer order does load scipy.special
+        assert fresh(run + loaded(("scipy",))) == "[]", argv
+    # positive controls: a non-integer order loads scipy.special, a table
+    # potential scipy.interpolate
     assert fresh(
         "import numpy as np; from transmute.specialfn import bessel_j_half; "
         "z = np.linspace(0.1, 30.0, 7); got = bessel_j_half(0.5, z); "
@@ -57,6 +63,12 @@ def test_import_does_not_load_optimize_or_interpolate(tmp_path):
         "from scipy.special import jv; "
         "print(was_loaded, np.array_equal(got, jv(1, z)))"
     ) == "True True"
+    assert fresh(
+        "from transmute.oracle import make_potential; "
+        "q = make_potential({'type': 'table', 'x': [0, 1, 2, 3.5], "
+        "'q': [0, 1, 4, 12.25]}, 3.5)[0]; "
+        "print('scipy.interpolate' in sys.modules, float(q(2.0)))"
+    ) == "True 4.0"
 
 
 # ---------------------------------------------------------------------------

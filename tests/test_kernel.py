@@ -447,3 +447,90 @@ def test_moment_requires_integer_mode(beta_half_dense):
     series = make_kernel_series(beta_half_dense, N=40, t_max_fraction=0.9)
     with pytest.raises(DomainError):
         kernel_moment(series, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the numpy Gauss-Legendre rule and the real-l weights
+
+
+@pytest.mark.parametrize("n", [16, 24, 120, 200])
+def test_gl_nodes_integrate_polynomials_and_match_scipy(n):
+    """The rule integrates x^j exactly to 1e-14 for every j <= 2n - 1; its
+    nodes agree with roots_legendre to 2 ulp of 1, the interval's scale
+    (scipy's nodes near 0 are off by about 3e-17, tens of their own ulps,
+    where mpmath's Newton solve agrees with these to 1e-18); the arrays
+    are read-only, as every caller shares them."""
+    x, w = kernel._gl_nodes(n)
+    j = np.arange(2 * n)
+    exact = np.where(j % 2 == 0, 2.0 / (j + 1.0), 0.0)
+    moments = (w[None, :] * x[None, :] ** j[:, None]).sum(axis=1)
+    assert np.max(np.abs(moments - exact)) <= 1e-14
+    xr, _ = roots_legendre(n)
+    assert np.max(np.abs(x - xr)) <= 2.0 * np.spacing(1.0)
+    for a in (x, w):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_gl_end_weights_against_mpmath():
+    # scipy's own end weight at n = 200 is off by 8e-15 to 4e-11 across
+    # versions, so the reference is mpmath's root of P_200
+    n = 200
+    x, w = kernel._gl_nodes(n)
+    with mpmath.workdps(40):
+        for i in (0, 1, n - 2, n - 1):
+            r = mpmath.mpf(float(x[i]))
+            for _ in range(4):   # Newton, from a node already good to 1e-16
+                dp = n * (r * mpmath.legendre(n, r) - mpmath.legendre(n - 1, r)) / (r * r - 1)
+                r -= mpmath.legendre(n, r) / dp
+            dp = n * (r * mpmath.legendre(n, r) - mpmath.legendre(n - 1, r)) / (r * r - 1)
+            want = 2 / ((1 - r * r) * dp * dp)
+            assert abs(w[i] - float(want)) <= 1e-13, i
+
+
+def _gammaln_weights(table, N):
+    """The real-l weights as scipy's gammaln and gammasgn assemble them."""
+    from scipy.special import gammaln, gammasgn
+
+    l, k = table.l, np.arange(N + 1)
+    arg = k - l
+    pole = (arg <= 0.0) & (np.abs(arg - np.round(arg)) < 1e-12)
+    lpref = 0.5 * math.log(math.pi) - math.lgamma(l + 1.5) - math.log(table.x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = (-1.0) ** k * gammasgn(arg) * np.exp(
+            lpref + gammaln(k + 1.0) - gammaln(arg)) * table.beta[: N + 1]
+    return np.where(pole, 0.0, terms)
+
+
+@pytest.mark.parametrize("l", [0.25, 0.5, 1.5, 2.7, 1.0])
+def test_real_l_weights_match_the_gammaln_formula(l):
+    """math.lgamma with the sign of Gamma gives the gammaln/gammasgn
+    weights to 1e-14 of each; at l = 1 the poles k = 0, 1 give zero.  The
+    table is short: both log forms round |lgamma| ~ 20 here, and at k ~ 60
+    each is 4e-14 off the exact ratio (the mpmath test below)."""
+    M = 12
+    rng = np.random.default_rng(int(10 * l))
+    table = BetaTable(l=l, x=2.0, M=M, beta=rng.uniform(-1.0, 1.0, M + 1),
+                      fit_residual=0.0, sum_beta=0.0)
+    got = make_kernel_series(table, M, mode="real-l").weights
+    want = _gammaln_weights(table, M)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), np.max(
+        np.abs(got - want) / np.maximum(np.abs(want), 1e-300))
+    if l == 1.0:
+        assert got[0] == 0.0 and got[1] == 0.0 and np.all(got[2:] != 0.0)
+
+
+@pytest.mark.parametrize("l", [0.5, 2.7])
+def test_real_l_weights_as_accurate_as_gammaln(l):
+    # against the exact k!/Gamma(k - l) at M = 60, no worse than scipy's form
+    M = 60
+    table = BetaTable(l=l, x=1.0, M=M, beta=np.ones(M + 1), fit_residual=0.0, sum_beta=0.0)
+    got = make_kernel_series(table, M, mode="real-l").weights
+    with mpmath.workdps(40):
+        pref = mpmath.sqrt(mpmath.pi) / mpmath.gamma(mpmath.mpf(l) + 1.5)
+        exact = np.array([float((-1) ** k * pref * mpmath.factorial(k)
+                                * mpmath.rgamma(k - mpmath.mpf(l))) for k in range(M + 1)])
+    ours = np.max(np.abs(got - exact) / np.abs(exact))
+    theirs = np.max(np.abs(_gammaln_weights(table, M) - exact) / np.abs(exact))
+    assert ours <= max(2.0 * theirs, 1e-14), (ours, theirs)

@@ -853,3 +853,65 @@ def test_solution_sample_is_write_protected():
     sol = regular_solution_ode(setup, 2.0, np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         sol.u_values[0] = 99.0
+
+
+# ---------------------------------------------------------------------------
+# workspace alignment: the same bits on and off cache lines
+
+_PIN_X = [0.01, 0.3, 1.0, 2.0, math.pi]
+# one tile, one row; one tile, four rows, the tail in Python floats; one
+# tile, seven rows, the numpy tail; 200 rows in blocks of up to three tiles
+_PIN_SWEEPS = [[3.0], [0.5, 2.0, 4.0, 30.0], list(np.linspace(0.2, 60.0, 7)),
+               list(np.linspace(0.1, 300.0, 200))]
+
+
+def _pin_setup(l=0.0):
+    return ProblemSetup(l=l, b=math.pi, q=make_potential(
+        {"type": "polynomial", "coefficients": [1, 0, 1]}, math.pi)[0])
+
+
+@pytest.mark.parametrize("omegas, digest", zip(_PIN_SWEEPS, [
+    "754bcd0088bfaf67", "c64284a4f841daf5", "b4e1eadeda17c41f", "a5a7127579f7147a"]))
+def test_regular_solutions_bits_are_pinned(omegas, digest):
+    """u and u' at l = 0, q = 1 + x^2, bit for bit as the chain product
+    gave them with its rows wherever numpy put them: sha256 of their
+    bytes.  At l = 0 there is no log layer, and every value comes from
+    +, -, *, / and sqrt, which IEEE 754 rounds the same everywhere."""
+    import hashlib
+
+    u, up = regular_solutions(_pin_setup(), omegas, _PIN_X)
+    assert hashlib.sha256(u.tobytes() + up.tobytes()).hexdigest()[:16] == digest
+
+
+def test_zero_count_is_pinned():
+    assert [oracle.zero_count(_pin_setup(), om) for om in (0.7, 3.3, 12.0, 47.0, 150.0)] \
+        == [0, 2, 11, 46, 149]
+
+
+def test_sweeps_with_tiles_off_cache_lines_give_the_same_bits(monkeypatch):
+    """Every array _aligned hands out, moved 16 bytes past a cache line,
+    gives the same u, u' and zero counts, with and without the log layer,
+    for sweeps of 1, 4, 7 and 200 rows, the last in up to three tiles a
+    chain product."""
+    tiles, products = [], oracle._products
+
+    def spy(terms, om, rows, ws, log=False):
+        tiles.append(-(-om.size // rows))
+        return products(terms, om, rows, ws, log)
+
+    def solve():
+        out = []
+        for l in (0.0, 0.5, 1.0):
+            setup = _pin_setup(l)
+            out += [a for om in _PIN_SWEEPS for a in regular_solutions(setup, om, _PIN_X)]
+            out.append(np.array([oracle.zero_count(setup, om) for om in (3.3, 47.0)]))
+        return out
+
+    monkeypatch.setattr(oracle, "_products", spy)
+    aligned = solve()
+    assert max(tiles) == 3
+    on_line = oracle._aligned
+    monkeypatch.setattr(oracle, "_aligned", lambda size: on_line(size + 2)[2:])
+    assert oracle._aligned(8).__array_interface__["data"][0] % 64 == 16
+    off_line = solve()
+    assert all(np.array_equal(a, b) for a, b in zip(aligned, off_line))

@@ -169,3 +169,16 @@ def test_check_result_coerces_numpy_scalars():
     )
     assert isinstance(r.passed, bool)
     assert isinstance(r.value, float)
+
+
+@pytest.mark.parametrize("li", [0, 1, 5, 10, 20, 30, 45, 60, 90])
+def test_spherical_j_reference_matches_spherical_jn(li):
+    """The integral-row check's j_li, on both sides of its switch at
+    li + 1 and below 1e-6, within 1e-13 of max|j| of scipy's."""
+    from scipy.special import spherical_jn
+
+    z = np.sort(np.r_[np.logspace(-9, -6, 50), np.linspace(1e-6, 100.0, 5001),
+                      li + 1.0 + np.array([-1e-9, 0.0, 1e-9])])
+    want = spherical_jn(li, z)
+    got = validation._spherical_j(li, z)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
