@@ -407,9 +407,9 @@ def cmd_validate(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     results = run_validation(
         setup,
-        M=cfg.M if cfg.M is not None else 22,
         seed=cfg.seed,
         beta_perturbation=cfg.perturb_beta,
+        **({} if cfg.M is None else {"M": cfg.M}),
     )
     for r in results:
         status = "PASS" if r.passed else "FAIL"

@@ -97,6 +97,19 @@ def _sweep(n: int) -> np.ndarray:
     return np.linspace(_FREQ_LO, _FREQ_HI * (2 * n + 3), sample_count(n))
 
 
+def _lstsq(A: np.ndarray, r: np.ndarray, message: str) -> np.ndarray:
+    """Least-squares solution of A c = r, A's columns scaled to unit norm
+    before the rank-revealing solve at the relative singular-value cutoff
+    _RCOND; IllConditionedFit below full rank, with message formatted with
+    the rank and the column count (rank, cols).  Both fits solve here."""
+    colnorm = np.linalg.norm(A, axis=0)
+    colnorm[colnorm == 0.0] = 1.0
+    coef, _, rank, _ = np.linalg.lstsq(A / colnorm, r, rcond=_RCOND)
+    if rank < A.shape[1]:
+        raise IllConditionedFit(message.format(rank=rank, cols=A.shape[1]))
+    return coef / colnorm
+
+
 def compute_beta(setup: ProblemSetup, x: float, M: int) -> BetaTable:
     """Fit beta_0..beta_M at x by frequency collocation against the ODE solver.
 
@@ -140,15 +153,7 @@ def compute_beta(setup: ProblemSetup, x: float, M: int) -> BetaTable:
     signs = (-1.0) ** np.arange(M + 1)
     A = (signs[:, None] * table[0::2]).T
 
-    colnorm = np.linalg.norm(A, axis=0)
-    colnorm[colnorm == 0.0] = 1.0
-    coef, _, rank, _ = np.linalg.lstsq(A / colnorm, r, rcond=_RCOND)
-    if rank < M + 1:
-        raise IllConditionedFit(
-            f"collocation matrix has rank {rank} < {M + 1}; "
-            "reduce M"
-        )
-    beta = coef / colnorm
+    beta = _lstsq(A, r, "collocation matrix has rank {rank} < {cols}; reduce M")
     misfit = np.linalg.norm(A @ beta - r)
     fit_residual = misfit / max(np.linalg.norm(r), 1e-300)
     return BetaTable(

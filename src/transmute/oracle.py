@@ -46,7 +46,9 @@ sees it.
 
 A sweep of frequencies is solved in blocks (regular_solutions).  The log
 layer is one for the whole sweep, its first two grid levels one pass for
-every frequency, and the blocks' grids start at its end.  A block shares
+every frequency, and the blocks' grids start at its end; one routine,
+_propagate, runs the layer's passes and the blocks' x grids alike, a
+layer's pass converting the state to and from t = ln x.  A block shares
 one grid, sized for its lowest and highest |omega|, which bounds the
 phase of every frequency in between, so no frequency gets a coarser step
 rule than it would alone; the frequencies whose step rule is the cap
@@ -56,8 +58,9 @@ points, its steps interleaved in eight planes; the step maps are frequency
 x step arrays, in tiles of equal rows and at most _BLOCK frequencies x
 nodes.  A tile's chain product pairs contiguous halves of its planes and
 leaves at most _STASH partial products per frequency in a stash of at
-most _BLOCK floats, whose tail and state update then run once per range
-for every frequency it holds (all of a sweep below a few thousand).  One
+most _BLOCK floats, whose tail (the same numpy levels, for one row as for
+thousands) and state update then run once per range for every frequency
+it holds (all of a sweep below a few thousand).  One
 workspace per call holds it all, which bounds the memory of any sweep.
 The self-check runs per frequency.
 """
@@ -66,7 +69,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -107,8 +110,8 @@ _SING_FRAC = 0.02
 # where choose_N truncates: 200 eigenvalues from the l = 1, q = x^2 table
 # were off by 6.3e-12 (N = 11), and by at most 5.7e-12 with _DT_END 0.045
 # or 0.055 or _DT_GROWTH 1/4 or 1/3.  With level 1 of the layer as one
-# chain product instead of the two pieces of _propagate_layer that table
-# kept all its coefficients (N = 23) and they were off by 2.1e-11
+# chain product instead of the two pieces of its _propagate pass that
+# table kept all its coefficients (N = 23) and they were off by 2.1e-11
 _LAYER_FRAC = 0.25
 _NU_MIN = 1.0
 _DT_END = 0.05
@@ -149,7 +152,8 @@ class ProblemSetup:
     Parameters
     ----------
     l : float
-        Singular index, >= -1/2.
+        Singular index, >= -1/2.  An l that is_integer_l takes for an
+        integer is stored, and so solved, as that integer.
     b : float
         Right endpoint of the interval (0, b].
     q : callable
@@ -165,6 +169,8 @@ class ProblemSetup:
     def __post_init__(self):
         if not (math.isfinite(self.l) and self.l >= -0.5):
             raise DomainError(f"l must be finite and >= -1/2, got {self.l}")
+        if is_integer_l(self.l):
+            object.__setattr__(self, "l", float(round(self.l)))
         if not (math.isfinite(self.b) and self.b > 0):
             raise DomainError(f"b must be finite and > 0, got {self.b}")
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -653,11 +659,11 @@ def _products(terms, om, rows: int, ws, log: bool = False):
     in ws.  A tile's first three levels pair the two halves of its planes
     and leave g partial products per row, in order; identity maps pad each
     row to a power of two, and levels of neighbours halve it to at most
-    _STASH in ws.stash.  A tail then halves the stash for every row of a
-    group, as many tiles as the stash holds (all unless a sweep has
-    thousands of frequencies).  An identity paired with a map gives that
-    map exactly, so every level pairs as if it carried an odd last map up
-    alone.  Rounding differs from a sequential product at the 1e-15
+    _STASH in ws.stash.  One tail then halves the stash for every row of
+    a group, as many tiles as the stash holds (all unless a sweep has
+    thousands of frequencies), in the same numpy levels however few the
+    rows.  An identity paired with a map gives that map exactly, so every
+    level pairs as if it carried an odd last map up alone.  Rounding differs from a sequential product at the 1e-15
     level, far below the error budget.
     """
     pieces, g = terms.shape[3:]
@@ -682,75 +688,41 @@ def _products(terms, om, rows: int, ws, log: bool = False):
                 src = pad.reshape(4, -1)
             levels = (width // keep).bit_length() - 1
             block[...] = _halve(src, levels, (area[: 2 * size], area[2 * size :]))
-        if n > 4:   # the tail's second region starts past its first level's padded rows
-            first = 4 * _lines(n * keep // 2)
-            area = ws.area(first + 4 * _lines(n * keep // 4))
-            yield slice(g0, g0 + group), _halve(stash, keep.bit_length() - 1,
-                                                (area, area[first:]))
-            continue
-        # up to 4 rows the same operations cost less in Python floats: about
-        # 0.6 us a map, where a numpy level costs about 10 us (keep 2 to 16)
-        out = []
-        for r in range(0, n * keep, keep):
-            mats = list(zip(*stash[:, r : r + keep].tolist()))
-            while len(mats) > 1:
-                mats = [(oa * ea + ob * ec, oa * eb + ob * ed, oc * ea + od * ec,
-                         oc * eb + od * ed)
-                        for (ea, eb, ec, ed), (oa, ob, oc, od) in zip(mats[0::2], mats[1::2])]
-            out += mats
-        yield slice(g0, g0 + group), np.array(out).T
+        # the tail's second region starts past its first level's padded rows
+        first = 4 * _lines(n * keep // 2)
+        area = ws.area(first + 4 * _lines(n * keep // 4))
+        yield slice(g0, g0 + group), _halve(stash, keep.bit_length() - 1,
+                                            (area, area[first:]))
 
 
-def _propagate(grid, l, om, q, w0, wp0, x_eval, ws):
-    """States (w, w') at x_eval, one row per frequency, from (w0, wp0) at
-    grid[0], in the workspace ws: steps in ranges ending at the requested
-    points, each range's grid terms formed once, its rows in groups of
-    equal size, as few tiles of at most _BLOCK rows x padded steps as there
-    can be, and its chain products' tail and state update run once per
-    group of _products."""
-    idx = np.searchsorted(grid, x_eval)
-    most = max(1, _BLOCK // (-(-(grid.size - 1) // _PAD) * _PAD + 1))
-    rows = -(-om.size // -(-om.size // most))
-    cuts = sorted({*idx.tolist(), *range(0, grid.size - 1, _BLOCK // most - 1)})
-    w, wp = np.array(w0, dtype=float), np.array(wp0, dtype=float)
-    out_w, out_wp = np.empty((2, om.size, idx.size))
-    j = 0
-    for c0, c1 in zip(cuts[:-1], cuts[1:]):
-        terms = _grid_terms(grid[c0 : c1 + 1], l, q, ws.terms)
-        for part, (a, b, c, d) in _products(terms, om, rows, ws):
-            w[part], wp[part] = a * w[part] + b * wp[part], c * w[part] + d * wp[part]
-        if c1 == idx[j]:
-            out_w[:, j], out_wp[:, j] = w, wp
-            j += 1
-    return out_w, out_wp
-
-
-def _propagate_layer(grids, l, om, q, w0, wp0, ends, ws):
+def _propagate(grids, l, om, q, w0, wp0, ends, ws, log=False):
     """States (w, w') at ends, levels x rows x ends arrays, from (w0, wp0)
-    at the start of the log layer's grids, grids[i + 1] the refinement of
-    grids[i].  The levels run as one pass: over a range of k steps of
+    at the start of the grids, grids[i + 1] the refinement of grids[i],
+    in the workspace ws; with log the grids are the log layer's, whose
+    steps are in t = ln x and whose state is (v, v_t).  Steps run in
+    ranges ending at the requested points, each range's grid terms formed
+    once.  The levels run as one pass: over a range of k steps of
     grids[0], level i takes 2^i pieces of k steps each, and the pieces of
-    every level are rows of the same tiles (at most _BLOCK pieces x padded
-    steps), so one _step_maps call per tile and one _products group serve
-    them all; a level's state then goes through its pieces' products in
-    order."""
+    every level are rows of the same tiles (as few as there can be, of at
+    most _BLOCK pieces x padded steps), so one _step_maps call per tile
+    and one _products group serve them all; a level's state then goes
+    through its pieces' products in order, once per group."""
     base = grids[0]
     idx = np.searchsorted(base, ends)
     pieces = 2 ** len(grids) - 1
     most = max(1, _BLOCK // (pieces * (-(-(base.size - 1) // _PAD) * _PAD + 1)))
     rows = -(-om.size // -(-om.size // most))
     cuts = sorted({*idx.tolist(), *range(0, base.size - 1, _BLOCK // (pieces * most) - 1)})
-    v0, vt0 = _to_log(base[0], np.asarray(w0, dtype=float), np.asarray(wp0, dtype=float))
-    v, vt = np.tile(v0, (len(grids), 1)), np.tile(vt0, (len(grids), 1))
+    v, vt = np.empty((2, len(grids), om.size))
+    v[:], vt[:] = _to_log(base[0], w0, wp0) if log else (w0, wp0)
     out_w, out_wp = np.empty((2, len(grids), om.size, idx.size))
     j = 0
     for c0, c1 in zip(cuts[:-1], cuts[1:]):
-        terms = np.empty((6, _PAD, 1, pieces, -(-(c1 - c0) // _PAD)))
-        for i, grid in enumerate(grids):
-            n = 2 ** i
-            terms[..., n - 1 : 2 * n - 1, :] = _grid_terms(grid[c0 * n : c1 * n + 1], l, q,
-                                                         ws.terms, log=True, pieces=n)
-        for part, prod in _products(terms, om, rows, ws, log=True):
+        # level i's terms are its 2^i pieces; only level 0's live in ws
+        terms = [_grid_terms(grid[c0 << i : (c1 << i) + 1], l, q, None if i else ws.terms, log,
+                             1 << i) for i, grid in enumerate(grids)]
+        terms = np.concatenate(terms, axis=3) if pieces > 1 else terms[0]
+        for part, prod in _products(terms, om, rows, ws, log):
             prod = prod.reshape(4, -1, pieces)
             for i in range(len(grids)):
                 a, b, c, d = prod[..., 2 ** i - 1]
@@ -761,7 +733,8 @@ def _propagate_layer(grids, l, om, q, w0, wp0, ends, ws):
                 vi, vti = v[i, part], vt[i, part]
                 v[i, part], vt[i, part] = a * vi + b * vti, c * vi + d * vti
         if c1 == idx[j]:
-            out_w[..., j], out_wp[..., j] = _from_log(base[c1], base[0], v, vt)
+            out_w[..., j], out_wp[..., j] = (_from_log(base[c1], base[0], v, vt) if log
+                                             else (v, vt))
             j += 1
     return out_w, out_wp
 
@@ -892,16 +865,10 @@ def _solve_block(om, x_eval, run):
     return rich_w, rich_wp
 
 
-def _integer_l(setup):
-    """setup with an l that is_integer_l takes for an integer set to it."""
-    if is_integer_l(setup.l) and setup.l != round(setup.l):
-        return replace(setup, l=float(round(setup.l)))
-    return setup
-
-
 def regular_solutions(setup: ProblemSetup, omegas, x_eval: Sequence[float]):
     """Regular solutions u(omega, .) with u ~ x^(l+1) at the origin, for a
-    whole sweep of frequencies at once.
+    whole sweep of frequencies at once, at setup's l (which ProblemSetup
+    has rounded if is_integer_l takes it for an integer).
 
     Returns (u, u_prime), arrays of shape (len(omegas), len(x_eval)).
 
@@ -912,13 +879,13 @@ def regular_solutions(setup: ProblemSetup, omegas, x_eval: Sequence[float]):
     every frequency in it, no coarser than the step rule that frequency
     would get alone; the frequencies whose step rule is the cap alone (up
     to |omega| ~ 52 on b = pi) share one grid, and in a call that has no
-    other frequency, the layer and grid each would get alone.  Every pass
-    runs in tiles of equal rows and at most _BLOCK frequencies x padded
+    other frequency, the layer and grid each would get alone.  Every pass,
+    of the layer or of a block's x grid, is one _propagate call and runs
+    in tiles of equal rows and at most _BLOCK frequencies x padded
     steps, in one workspace.  The accuracy contract is that of
     regular_solution_ode, and the self-verification runs row by row: a row
     that fails the two-grid test is refined further on its own.  One
     AccuracyWarning is emitted per call if any |omega| b exceeds 2000 pi.
-    An l that is_integer_l takes for an integer is solved as that integer.
 
     Raises
     ------
@@ -945,7 +912,6 @@ def regular_solutions(setup: ProblemSetup, omegas, x_eval: Sequence[float]):
     if np.any(bad):
         raise DomainError(f"omega must be finite, got {omegas[bad][0]}")
     om = np.abs(omegas)  # the equation depends on omega^2 only
-    setup = _integer_l(setup)
     top = float(np.max(om))
     if top * setup.b > _PHASE_LIMIT:
         warnings.warn(
@@ -982,12 +948,12 @@ def regular_solutions(setup: ProblemSetup, omegas, x_eval: Sequence[float]):
         while len(layer_grids) <= max(level, 1):
             layer_grids.append(_refine(layer_grids[-1], log=True))
         if level > 1:
-            w, wp = _propagate_layer(layer_grids[level : level + 1], setup.l, om_sorted[rows],
-                                     setup.q, w0[rows], wp0[rows], ends, ws)
+            w, wp = _propagate(layer_grids[level : level + 1], setup.l, om_sorted[rows],
+                               setup.q, w0[rows], wp0[rows], ends, ws, log=True)
             return w[0], wp[0]
         if not passes:
-            passes.extend(_propagate_layer(layer_grids[:2], setup.l, om_sorted, setup.q, w0, wp0,
-                                           ends, ws))
+            passes.extend(_propagate(layer_grids[:2], setup.l, om_sorted, setup.q, w0, wp0,
+                                     ends, ws, log=True))
         return passes[0][level][rows], passes[1][level][rows]
 
     ws = None
@@ -1010,10 +976,10 @@ def regular_solutions(setup: ProblemSetup, omegas, x_eval: Sequence[float]):
                 return lw, lwp
             while len(x_grids) <= level:
                 x_grids.append(_refine(x_grids[-1]))
-            xw, xwp = _propagate(x_grids[level], setup.l, om_sorted[rows], setup.q, lw[:, -1],
-                                 lwp[:, -1], x_eval[k:], ws)
-            return (np.concatenate([lw[:, :k], xw], axis=1),
-                    np.concatenate([lwp[:, :k], xwp], axis=1))
+            xw, xwp = _propagate(x_grids[level : level + 1], setup.l, om_sorted[rows], setup.q,
+                                 lw[:, -1], lwp[:, -1], x_eval[k:], ws)
+            return (np.concatenate([lw[:, :k], xw[0]], axis=1),
+                    np.concatenate([lwp[:, :k], xwp[0]], axis=1))
 
         rows = order[start:stop]
         w[rows], wp[rows] = _solve_block(om_sorted[start:stop], x_eval, run)
@@ -1065,7 +1031,7 @@ def zero_count(setup: ProblemSetup, omega: float) -> int:
     below 2e-8 of it) is a zero at b, whichever way its sign tips.  Raises
     as regular_solutions does.
     """
-    setup, om = _integer_l(setup), abs(float(omega))
+    om = abs(float(omega))
     if not math.isfinite(om):
         raise DomainError(f"omega must be finite, got {omega}")
     x0 = _x0(setup.l, setup.b)

@@ -30,8 +30,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .coeffs import _sweep
-from .errors import DomainError, IllConditionedFit, TransmuteError
+from .coeffs import _lstsq, _sweep
+from .errors import DomainError, TransmuteError
 from .kernel import KernelSeries
 from .oracle import ProblemSetup, regular_solutions, zero_count
 from .solution import series_terms, u_N
@@ -233,12 +233,24 @@ def _scan(setup: ProblemSetup, F: Callable, count: int, h_scan: Optional[float])
 # eigenvalue solvers
 
 
+def _whole(name: str, value, least: int) -> int:
+    """value as an int; DomainError unless it is an integer (an integral
+    float too) >= least."""
+    try:
+        ok = float(value).is_integer() and value >= least   # NaN fails too
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def _fit_series(setup: ProblemSetup, S: int) -> KernelSeries:
     """The integer-l series d_0..d_S at x = b, fitted to the oracle's u
     (in u_N's normalization, less the free term y) on compute_beta's sweep
     of sample_count(S) values omega b.  |u| spans many decades at large l,
-    so each row is weighted by 1/max(|u|, |y|); the columns are scaled to
-    unit norm.  IllConditionedFit below full rank.
+    so each row is weighted by 1/max(|u|, |y|), and solved as compute_beta
+    solves (coeffs._lstsq).  IllConditionedFit below full rank.
     """
     b, l = setup.b, int(round(setup.l))
     om = _sweep(S) / b
@@ -247,12 +259,9 @@ def _fit_series(setup: ProblemSetup, S: int) -> KernelSeries:
     u = u * np.exp((l + 1) * np.log(om) - (l + 0.5) * math.log(2.0) - math.lgamma(l + 1.5))
     y, A = series_terms(l, S, om, b)
     w = 1.0 / np.maximum(np.abs(u), np.abs(y))
-    A = A * w[:, None]
-    colnorm = np.linalg.norm(A, axis=0)
-    d, _, rank, _ = np.linalg.lstsq(A / colnorm, (u - y) * w, rcond=1e-13)
-    if rank < S + 1:
-        raise IllConditionedFit(f"weighted fit of d_0..d_{S} has rank {rank} < {S + 1}")
-    return KernelSeries(x=b, l=setup.l, mode="integer-l", N=S, weights=d / colnorm)
+    d = _lstsq(A * w[:, None], (u - y) * w,
+               f"weighted fit of d_0..d_{S} has rank {{rank}} < {{cols}}")
+    return KernelSeries(x=b, l=setup.l, mode="integer-l", N=S, weights=d)
 
 
 def dirichlet_eigenvalues(
@@ -281,7 +290,8 @@ def dirichlet_eigenvalues(
     count : int
         Number of eigenvalues, >= 1.
     N : int, optional
-        Series length of the fit, >= 0; default 20.
+        Series length of the fit, >= 0; default 20.  count and N may be
+        integral floats; any other value raises DomainError.
     series : KernelSeries, optional
         An integer-l series at x = setup.b to use instead of the fit
         (mutually exclusive with N).
@@ -292,18 +302,14 @@ def dirichlet_eigenvalues(
     -------
     SpectrumReport
     """
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
+    count = _whole("count", count, 1)
     if not is_integer_l(setup.l):
         raise DomainError(
             f"Dirichlet solver needs a nonnegative integer l, got {setup.l}; "
             "the truncated series representation exists for integer l only"
         )
     if series is None:
-        N = _SERIES_N if N is None else N
-        if not (float(N).is_integer() and N >= 0):
-            raise DomainError(f"N must be an integer >= 0, got {N}")
-        series = _fit_series(setup, int(N))
+        series = _fit_series(setup, _whole("N", _SERIES_N if N is None else N, 0))
     elif N is not None:
         raise DomainError("pass either a series or its length N, not both")
     elif (series.mode != "integer-l" or abs(series.x - setup.b) > 1e-9 * setup.b
@@ -341,17 +347,19 @@ def oracle_eigenvalues(
     counts the sign changes up to the largest one, and Sturm's count
     certifies those ordinals as dirichlet_eigenvalues does).
 
-    Returns {n: omega_n} for the requested ordinals.
+    Returns {n: omega_n} for the requested ordinals.  count and the
+    ordinals take integers or integral floats, as dirichlet_eigenvalues
+    does; anything else raises DomainError.
     """
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
+    count = _whole("count", count, 1)
     b = setup.b
 
     def F(omega: np.ndarray) -> np.ndarray:
         return regular_solutions(setup, omega, [b])[0][:, 0]
 
-    wanted = sorted({int(n) for n in which} if which is not None else range(1, count + 1))
-    if not wanted or wanted[0] < 1 or wanted[-1] > count:
+    wanted = sorted({_whole("ordinal", n, 1) for n in which} if which is not None
+                    else range(1, count + 1))
+    if not wanted or wanted[-1] > count:
         raise DomainError("requested ordinals must lie in [1, count]")
     brackets = _scan(setup, F, wanted[-1], h_scan)
     picked = [brackets[n - 1] for n in wanted]

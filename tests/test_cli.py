@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import transmute
+from transmute import cli
 from transmute.cli import RunConfig, main, parse_potential
 from transmute.coeffs import compute_beta
 from transmute.errors import DomainError
@@ -375,6 +376,16 @@ def test_validate_fault_injection_fails(tmp_path, capsys):
     report = json.loads((tmp_path / "validate_report.json").read_text())
     assert report["all_passed"] is False
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_validate_leaves_the_default_M_to_the_suite(tmp_path, monkeypatch):
+    """validate passes M to run_validation only when --M is given, so the
+    suite's default has one owner."""
+    seen = []
+    monkeypatch.setattr(cli, "run_validation", lambda setup, **kw: seen.append(kw) or [])
+    for extra in ([], ["--M", "16"]):
+        main(["validate", "--l", "0", "--potential", "poly:20", "--out", str(tmp_path), *extra])
+    assert "M" not in seen[0] and seen[1]["M"] == 16
 
 
 def test_validate_long_half_integer_fit_keeps_the_diagonal(tmp_path):

@@ -176,6 +176,20 @@ def test_ill_conditioned_fit_reported(zero_setups, monkeypatch):
         compute_beta(zero_setups[0], np.pi, 10)
 
 
+def test_both_fits_solve_at_one_cutoff(zero_setups, monkeypatch):
+    """compute_beta and the spectrum's fit of u_N share one solve and its
+    cutoff coeffs._RCOND: raised to 0.5 it leaves both rank deficient,
+    each with its own message."""
+    from transmute import spectral
+
+    monkeypatch.setattr(coeffs, "_RCOND", 0.5)
+    with pytest.raises(IllConditionedFit,
+                       match=r"^collocation matrix has rank \d+ < 11; reduce M$"):
+        compute_beta(zero_setups[0], np.pi, 10)
+    with pytest.raises(IllConditionedFit, match=r"^weighted fit of d_0..d_10 has rank \d+ < 11$"):
+        spectral._fit_series(zero_setups[0], 10)
+
+
 def test_beta_table_validation():
     with pytest.raises(ValueError):
         BetaTable(l=0.0, x=1.0, M=3, beta=np.zeros(3),  # needs M+1 entries

@@ -505,10 +505,10 @@ def _gammaln_weights(table, N):
 
 @pytest.mark.parametrize("l", [0.25, 0.5, 1.5, 2.7, 1.0])
 def test_real_l_weights_match_the_gammaln_formula(l):
-    """math.lgamma with the sign of Gamma gives the gammaln/gammasgn
-    weights to 1e-14 of each; at l = 1 the poles k = 0, 1 give zero.  The
-    table is short: both log forms round |lgamma| ~ 20 here, and at k ~ 60
-    each is 4e-14 off the exact ratio (the mpmath test below)."""
+    """The product recurrence gives the gammaln/gammasgn weights to 1e-14
+    of each; at l = 1 the poles k = 0, 1 give zero.  The table is short:
+    the log form rounds |lgamma| ~ 20 here, and at k ~ 60 it is 4e-14 off
+    the exact ratio (the mpmath tests below)."""
     M = 12
     rng = np.random.default_rng(int(10 * l))
     table = BetaTable(l=l, x=2.0, M=M, beta=rng.uniform(-1.0, 1.0, M + 1),
@@ -534,3 +534,49 @@ def test_real_l_weights_as_accurate_as_gammaln(l):
     ours = np.max(np.abs(got - exact) / np.abs(exact))
     theirs = np.max(np.abs(_gammaln_weights(table, M) - exact) / np.abs(exact))
     assert ours <= max(2.0 * theirs, 1e-14), (ours, theirs)
+
+
+def _exact_weights(l, M, x=1.0):
+    """(-1)^k sqrt(pi) k! / (Gamma(l + 3/2) Gamma(k - l) x), k <= M, by mpmath."""
+    with mpmath.workdps(40):
+        pref = mpmath.sqrt(mpmath.pi) / (mpmath.gamma(mpmath.mpf(l) + 1.5) * x)
+        return np.array([float((-1) ** k * pref * mpmath.factorial(k)
+                               * mpmath.rgamma(k - mpmath.mpf(l))) for k in range(M + 1)])
+
+
+@pytest.mark.parametrize("M", [60, 100])
+@pytest.mark.parametrize("l", [0.25, 0.5, 1.0, 1.5, 2.7, 10.3])
+def test_real_l_weights_within_2e14_of_mpmath(l, M):
+    """The product recurrence r_{k+1} = -r_k (k + 1)/(k - l) keeps every
+    weight within 2e-14 of the exact one (4.4e-15 measured); the log form
+    exp(lpref + lgamma(k + 1) - lgamma(k - l)) rounded |lgamma| in the
+    hundreds and was 4.4e-14 to 1.5e-13 off.  At l = 1 it starts past the
+    poles k = 0, 1 of Gamma(k - l), whose weights are zero."""
+    table = BetaTable(l=l, x=1.3, M=M, beta=np.ones(M + 1), fit_residual=0.0, sum_beta=0.0)
+    got = make_kernel_series(table, M, mode="real-l").weights
+    exact = _exact_weights(l, M, 1.3)
+    pole = exact == 0.0
+    assert np.count_nonzero(pole) == (2 if l == 1.0 else 0)
+    assert np.all(got[pole] == 0.0)
+    assert np.max(np.abs(got[~pole] - exact[~pole]) / np.abs(exact[~pole])) <= 2e-14
+
+
+def test_real_l_weights_stay_finite_at_large_l():
+    """Gamma(l + 3/2) alone overflows past l ~ 170, so the prefactor is
+    folded into the first weight: at l = 200.5 every weight is finite and
+    within 1e-13 of mpmath (2.3e-14 measured)."""
+    M = 100
+    table = BetaTable(l=200.5, x=1.0, M=M, beta=np.ones(M + 1), fit_residual=0.0, sum_beta=0.0)
+    got = make_kernel_series(table, M, mode="real-l").weights
+    assert np.all(np.isfinite(got))
+    exact = _exact_weights(200.5, M)
+    assert np.max(np.abs(got - exact) / np.abs(exact)) <= 1e-13
+
+
+def test_real_l_weights_past_the_float_range_raise_domain_error():
+    """A first weight past the float range is inf, and the series rejects
+    it as any non-finite weight: DomainError, not math.exp's
+    OverflowError."""
+    table = BetaTable(l=0.5, x=1e-310, M=4, beta=np.ones(5), fit_residual=0.0, sum_beta=0.0)
+    with pytest.raises(DomainError, match="weights must be finite"):
+        make_kernel_series(table, mode="real-l")

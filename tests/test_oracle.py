@@ -252,6 +252,21 @@ def test_step_maps_are_the_exact_exponential(omegas):
         assert np.array_equal(pad, [[1.0], [0.0], [0.0], [1.0]] * np.ones(pad.shape[1]))
 
 
+def test_setup_stores_a_near_integer_l_as_the_integer():
+    """ProblemSetup rounds an l that is_integer_l takes for an integer, so
+    every consumer reads the integer; dataclasses.replace goes through the
+    same check.  Other l stay as given."""
+    from dataclasses import replace
+
+    assert ProblemSetup(l=1 - 5e-10, b=np.pi, q=_harmonic).l == 1.0
+    near_zero = ProblemSetup(l=-1e-10, b=np.pi, q=_harmonic).l
+    assert near_zero == 0.0 and math.copysign(1.0, near_zero) == 1.0
+    setup = ProblemSetup(l=0.5, b=np.pi, q=_harmonic)
+    assert setup.l == 0.5
+    assert replace(setup, l=2 + 1e-10).l == 2.0
+    assert ProblemSetup(l=1 + 1e-6, b=np.pi, q=_harmonic).l == 1 + 1e-6
+
+
 def test_near_integer_l_is_solved_as_integer_l():
     """l within INTEGER_L_TOL of an integer counts as that integer, so
     l = -1e-10 gets the ungraded l = 0 grid and the same values."""
@@ -448,9 +463,9 @@ def test_product_matches_pairwise_python(monkeypatch, rows, steps, pad):
 @pytest.mark.parametrize("rows, steps, tile_rows, count, pieces, groups", [
     (7, 40, 3, 7, 1, 1),     # three tiles, one tail for all rows, in numpy
     (5, 160, 2, 5, 1, 1),    # 20 per row after the contiguous levels, padded to 32
-    (2, 296, 2, 2, 1, 1),    # 37 per row, an odd count, halved to 16 per row, Python tail
-    (1, 300, 1, 1, 1, 1),    # one row, its tail in Python floats
-    (3, 120, 1, 1, 3, 1),    # one frequency's layer stack: 3 pieces x 4 in Python floats
+    (2, 296, 2, 2, 1, 1),    # 37 per row, an odd count, halved to 16 per row, two-row tail
+    (1, 300, 1, 1, 1, 1),    # one row, its tail in numpy as any other
+    (3, 120, 1, 1, 3, 1),    # one frequency's layer stack: 3 pieces x 4
     (6, 120, 1, 2, 3, 1),    # two frequencies' layer stack: 6 rows x 4, the numpy tail
     (12, 120, 4, 4, 1, 1),   # a stash for 4 x 16 holds 12 x 4, the numpy tail
     (40, 64, 8, 2, 1, 2),    # a stash for 2 x 16 holds 32 x 1, then 8 x 4: two groups
@@ -495,8 +510,8 @@ def test_product_reads_no_iterator_buffers(monkeypatch):
 @pytest.mark.parametrize("omegas", [[7.0], [2.0, 3.0, 7.0, 11.0, 13.0]])
 def test_overflowing_row_ends_in_integration_failure(monkeypatch, omegas):
     """A row whose step maps overflow gives non-finite products, in the
-    numpy tail of five rows and in the Python one of a single row alike,
-    and the solve names its frequency."""
+    tail of five rows and in that of a single row alike, and the solve
+    names its frequency."""
     step_maps = oracle._step_maps
 
     def overflowing(terms, om, bufs, log=False):
@@ -859,8 +874,9 @@ def test_solution_sample_is_write_protected():
 # workspace alignment: the same bits on and off cache lines
 
 _PIN_X = [0.01, 0.3, 1.0, 2.0, math.pi]
-# one tile, one row; one tile, four rows, the tail in Python floats; one
-# tile, seven rows, the numpy tail; 200 rows in blocks of up to three tiles
+# one tile, one row; one tile, four rows (both once had a Python-float
+# tail, so these pins show the numpy tail gives its bits); one tile, seven
+# rows; 200 rows in blocks of up to three tiles
 _PIN_SWEEPS = [[3.0], [0.5, 2.0, 4.0, 30.0], list(np.linspace(0.2, 60.0, 7)),
                list(np.linspace(0.1, 300.0, 200))]
 

@@ -487,6 +487,34 @@ def test_oracle_eigenvalues_refines_requested_ordinals(harmonic_setups):
 # argument validation
 
 
+def test_counts_and_ordinals_must_be_integers(monkeypatch):
+    """count, N and the ordinals take integers and integral floats, and
+    anything else raises DomainError before the oracle is called: a count
+    of 2.5 was scanned for and ended in a Sturm message, ordinal 1.5 was
+    polished as 1, and oracle_eigenvalues with a count of 3.0 raised
+    TypeError."""
+    setup = _constant_setup(0, 20.0)
+    assert oracle_eigenvalues(setup, 3.0) == oracle_eigenvalues(setup, 3)
+    assert np.array_equal(dirichlet_eigenvalues(setup, 3.0, N=20.0).eigenvalues,
+                          dirichlet_eigenvalues(setup, 3).eigenvalues)
+    calls = []
+    monkeypatch.setattr(spectral, "regular_solutions", lambda *args: calls.append(args))
+    for bad in (2.5, 0, 0.0, math.nan, math.inf, "3", None):
+        with pytest.raises(DomainError, match="^count must be an integer >= 1, got "):
+            dirichlet_eigenvalues(setup, bad)
+        with pytest.raises(DomainError, match="^count must be an integer >= 1, got "):
+            oracle_eigenvalues(setup, bad)
+    for bad in (2.5, -1, math.nan, "20"):
+        with pytest.raises(DomainError, match="^N must be an integer >= 0, got "):
+            dirichlet_eigenvalues(setup, 3, N=bad)
+    for which in ([1.5], [2, 0.5], [0], [math.inf]):
+        with pytest.raises(DomainError, match="^ordinal must be an integer >= 1, got "):
+            oracle_eigenvalues(setup, 2, which=which)
+    with pytest.raises(DomainError, match="ordinals must lie in"):
+        oracle_eigenvalues(setup, 2, which=[3.0])
+    assert not calls
+
+
 def test_dirichlet_argument_validation(harmonic_setups, series_harmonic, setup_half,
                                       beta_harmonic):
     with pytest.raises(DomainError):
