@@ -18,8 +18,9 @@ is deterministic: the same configuration and seed produce byte-identical
 CSV files.  Both fits (compute_beta's beta_0..beta_M, the spectrum's
 d_0..d_N) solve sample_count(n) = 3(n+1) frequencies, the summaries'
 ``freq_count_used``; make_kernel_series picks the default truncation, and
-``--M``/``--N`` override fit and series.  ``spectrum`` fits d_0..d_N
-itself, so it takes ``--N`` (default 20) and rejects ``--M``.
+``--M``/``--N`` override fit and series; a subcommand exits 2 on a flag
+it does not read.  ``spectrum`` fits d_0..d_N itself, so it takes ``--N``
+(default 20) and rejects a config's ``fit.M``.
 
 Exit codes: 0 success, 1 a ``validate`` check failed, 2 malformed input
 or a numerical failure (such as spectrum ordinals Sturm's count rejects).
@@ -293,8 +294,8 @@ def cmd_beta(cfg: RunConfig) -> int:
 
 
 def _kernel_column(setup, cfg, x):
-    """The series mode, the truncation level N and the rows of the kernel
-    table at one x."""
+    """The series, for its mode, truncation level N and cutoff, and the
+    rows of the kernel table at one x."""
     M = cfg.M if cfg.M is not None else default_fit_size(cfg.l)
     table = compute_beta(setup, x, M)
     series = make_kernel_series(
@@ -306,7 +307,7 @@ def _kernel_column(setup, cfg, x):
     rows = [[_fmt(x), _fmt(t), _fmt(k), "ok"]
             for t, k in zip(ts[inside], kernel_K(series, ts[inside]))]
     rows += [[_fmt(x), _fmt(t), "", "near-diagonal"] for t in ts[~inside]]
-    return series.mode, series.N, rows
+    return series, rows
 
 
 def cmd_kernel(cfg: RunConfig) -> int:
@@ -318,21 +319,22 @@ def cmd_kernel(cfg: RunConfig) -> int:
 
     csv_path = out / "kernel.csv"
     _write_csv(csv_path, "x,t,K,flag",
-               (row for _, _, rows in columns for row in rows))
+               (row for _, rows in columns for row in rows))
     summary = {
         "command": "kernel",
         "config": cfg.to_dict(),
         "version": __version__,
-        "mode": columns[-1][0],
+        "mode": columns[-1][0].mode,
         "M": cfg.M if cfg.M is not None else default_fit_size(cfg.l),
         "grid": {"nx": cfg.nx, "nt": cfg.nt},
-        "columns": [{"x": x, "N": N} for x, (_, N, _) in zip(xs, columns)],
-        "t_max_fraction": cfg.t_max_fraction,
+        # the cutoff each series used: 1 for integer l, whatever was asked
+        "columns": [{"x": x, "N": series.N, "t_max_fraction": series.t_max_fraction}
+                    for x, (series, _) in zip(xs, columns)],
         "outputs": [str(csv_path)],
         "runtime_seconds": time.perf_counter() - t0,
     }
     _write_summary(out / "kernel_summary.json", summary)
-    print(f"wrote {csv_path} ({cfg.nx} x-columns, mode {columns[-1][0]})")
+    print(f"wrote {csv_path} ({cfg.nx} x-columns, mode {columns[-1][0].mode})")
     return 0
 
 
@@ -440,11 +442,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--b", type=float, help="right endpoint of (0, b]")
     common.add_argument("--potential", metavar="SPEC",
                         help="zero | poly:c0,c1,... | table:PATH")
-    common.add_argument("--M", type=int, help="coefficient fit size (not for spectrum)")
-    common.add_argument("--N", type=int, help="series length (spectrum: default 20; "
-                                              "elsewhere a truncation override)")
-    common.add_argument("--seed", type=int, help="seed for randomized checks")
     common.add_argument("--out", metavar="DIR", help="output directory")
+    fit = argparse.ArgumentParser(add_help=False)
+    fit.add_argument("--M", type=int, help="coefficient fit size")
+    series = argparse.ArgumentParser(add_help=False)
+    series.add_argument("--N", type=int, help="series length (spectrum: default 20; "
+                                              "kernel: a truncation override)")
 
     parser = argparse.ArgumentParser(
         prog="transmute",
@@ -454,22 +457,23 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("beta", parents=[common],
+    sub.add_parser("beta", parents=[common, fit],
                    help="fit the coefficient table at x = b")
 
-    p_kernel = sub.add_parser("kernel", parents=[common],
+    p_kernel = sub.add_parser("kernel", parents=[common, fit, series],
                               help="tabulate the integral kernel on a grid")
     p_kernel.add_argument("--nx", type=int, help="number of x columns")
     p_kernel.add_argument("--nt", type=int, help="t samples per column")
     p_kernel.add_argument("--t-max-fraction", dest="t_max_fraction", type=float,
                           help="near-diagonal cutoff for non-integer l")
 
-    p_spec = sub.add_parser("spectrum", parents=[common],
+    p_spec = sub.add_parser("spectrum", parents=[common, series],
                             help="solve the Dirichlet eigenvalue problem")
     p_spec.add_argument("--count", type=int, help="number of eigenvalues")
 
-    p_val = sub.add_parser("validate", parents=[common],
+    p_val = sub.add_parser("validate", parents=[common, fit],
                            help="run the invariant suite")
+    p_val.add_argument("--seed", type=int, help="seed for randomized checks")
     p_val.add_argument("--perturb-beta", dest="perturb_beta", type=float,
                        help="fault injection: corrupt one coefficient by this "
                             "fraction of max|beta|")

@@ -45,24 +45,27 @@ error does change with its grid, which halves in t, so the self-check
 sees it.
 
 A sweep of frequencies is solved in blocks (regular_solutions).  The log
-layer is one for the whole sweep, its first two grid levels one pass for
-every frequency, and the blocks' grids start at its end; one routine,
-_propagate, runs the layer's passes and the blocks' x grids alike, a
-layer's pass converting the state to and from t = ln x.  A block shares
-one grid, sized for its lowest and highest |omega|, which bounds the
-phase of every frequency in between, so no frequency gets a coarser step
-rule than it would alone; the frequencies whose step rule is the cap
-alone share the cap's grid.  The omega-free part of every step, q at its
-Gauss nodes included, is formed once per range of steps between requested
-points, its steps interleaved in eight planes; the step maps are frequency
-x step arrays, in tiles of equal rows and at most _BLOCK frequencies x
-nodes.  A tile's chain product pairs contiguous halves of its planes and
-leaves at most _STASH partial products per frequency in a stash of at
-most _BLOCK floats, whose tail (the same numpy levels, for one row as for
-thousands) and state update then run once per range for every frequency
-it holds (all of a sweep below a few thousand).  One
-workspace per call holds it all, which bounds the memory of any sweep.
-The self-check runs per frequency.
+layer is one for the whole sweep, each of its first two grid levels one
+pass for every frequency, and the blocks' grids start at its end; one
+routine, _propagate, runs every pass, of one grid level each, for the
+layer and the blocks' x grids alike, a layer's pass converting the state
+to and from t = ln x.  A block shares one grid, sized for its lowest and
+highest |omega|, which bounds the phase of every frequency in between,
+so no frequency gets a coarser step rule than it would alone; the
+frequencies whose step rule is the cap alone share the cap's grid.  The
+omega-free part of every step, q at its Gauss nodes included, is formed
+once per range of steps between requested points, its steps interleaved
+in eight planes; the step maps are frequency x step arrays, in tiles of
+equal rows and at most _BLOCK frequencies x nodes.  A tile's chain
+product pairs contiguous halves of its planes and leaves at most _STASH
+partial products per frequency in a stash of at most _BLOCK floats,
+whose tail (the same numpy levels, for one row as for thousands) and
+state update then run once per range for every frequency it holds (all
+of a sweep below a few thousand).  One workspace per call holds it all,
+which bounds the memory of any sweep.  The self-check runs per
+frequency.  Sturm's count (zero_count) reads the sign of w at every node
+of one frequency's grid from the prefix products of its step maps, a
+scan in log2(steps) numpy levels.
 """
 from __future__ import annotations
 
@@ -106,12 +109,9 @@ _SING_FRAC = 0.02
 # growing like e^(_DT_GROWTH (t_L - t)) below it.  The error of a step there
 # goes like dt^7 |q - omega^2| x^2 after extrapolation, and |q - omega^2| x^2
 # like e^(2t), so that growth equidistributes it.  The pair also moves the
-# oracle's rounding, which an M = 25 fit reads as its noise floor, and so
-# where choose_N truncates: 200 eigenvalues from the l = 1, q = x^2 table
-# were off by 6.3e-12 (N = 11), and by at most 5.7e-12 with _DT_END 0.045
-# or 0.055 or _DT_GROWTH 1/4 or 1/3.  With level 1 of the layer as one
-# chain product instead of the two pieces of its _propagate pass that
-# table kept all its coefficients (N = 23) and they were off by 2.1e-11
+# oracle's rounding, which a fit reads as its noise floor, and so where
+# choose_N truncates: _DT_END from 0.03 to 0.07 gave the l = 1, q = x^2,
+# M = 25 table at x = pi anything from N = 11 to 23 (N = 11 at 0.05)
 _LAYER_FRAC = 0.25
 _NU_MIN = 1.0
 _DT_END = 0.05
@@ -419,29 +419,27 @@ def _layer_nodes(x0: float, x_log: float, l: float) -> np.ndarray:
     return xs
 
 
-def _grid_terms(xs: np.ndarray, l: float, q, buf=None, log: bool = False,
-                pieces: int = 1) -> np.ndarray:
-    """The omega-free terms of the step maps on the grid xs, cut into
-    pieces of equal steps: h, h^2, pbar = (p1 + p2)/2, d = (sqrt(3)/12)
-    h^2 (p1 - p2), d^2, with p = l(l+1)/x^2 + q at the Gauss nodes, terms x
-    _PAD x 1 x pieces x g in the float array buf if it is large enough.
-    Each piece's steps, padded to _PAD g with steps of length 0 (identity
-    maps), lie in _PAD planes of g, plane p holding steps _PAD i + _BITREV[p].
+def _grid_terms(xs: np.ndarray, l: float, q, buf=None, log: bool = False) -> np.ndarray:
+    """The omega-free terms of the step maps on the grid xs: h, h^2, pbar
+    = (p1 + p2)/2, d = (sqrt(3)/12) h^2 (p1 - p2), d^2, with p = l(l+1)/x^2
+    + q at the Gauss nodes, terms x _PAD x 1 x g in the float array buf if
+    it is large enough.  The steps, padded to _PAD g with steps of length 0
+    (identity maps), lie in _PAD planes of g, plane p holding steps _PAD i
+    + _BITREV[p].
 
     With log, the steps are in t = ln x, where v = x^(-1/2) u solves v_tt =
     V v with V = (l + 1/2)^2 + (q - omega^2) x^2: the six terms are h, h^2,
     a and e of the mean vbar = a - omega^2 e of V at the Gauss nodes, and
     d0 and d1 of d = d0 - omega^2 d1."""
-    k = (xs.size - 1) // pieces
-    g = -(-k // _PAD)
+    g = -(-(xs.size - 1) // _PAD)
     count = 6 if log else 5
-    size = count * _PAD * pieces * g
+    size = count * _PAD * g
     if buf is None or buf.size < size:
         buf = _aligned(size)
-    terms = buf[:size].reshape(count, _PAD, 1, pieces, g)
+    terms = buf[:size].reshape(count, _PAD, 1, g)
     if log:
         h, h2, a, e, d0, d1 = rows = terms.reshape(count, -1)
-        t_lo, t_hi = _ends(np.log(xs), k, pieces, g, rows)
+        t_lo, t_hi = _ends(np.log(xs), g, rows)
         np.subtract(t_hi, t_lo, out=h)
         mid = 0.5 * (t_lo + t_hi)
         x1, x2 = np.exp(mid - _GAUSS_OFF * h), np.exp(mid + _GAUSS_OFF * h)
@@ -458,7 +456,7 @@ def _grid_terms(xs: np.ndarray, l: float, q, buf=None, log: bool = False,
         e *= 0.5
         return terms
     h, h2, pbar, d, d2 = rows = terms.reshape(count, -1)
-    x_lo, x_hi = _ends(xs, k, pieces, g, rows)
+    x_lo, x_hi = _ends(xs, g, rows)
     np.subtract(x_hi, x_lo, out=h)
     np.add(x_lo, x_hi, out=d2)
     d2 *= 0.5
@@ -482,24 +480,23 @@ def _grid_terms(xs: np.ndarray, l: float, q, buf=None, log: bool = False,
     return terms
 
 
-def _ends(v, k, pieces, g, rows):
+def _ends(v, g, rows):
     """v at the start and at the end of every step of _grid_terms, in its
     planes, formed in its rows 0-3: the nodes in rows 0-1, then the ends
     in rows 2-3, which _grid_terms writes only once it has read them.  A
-    padding step starts and ends at its piece's last node."""
-    nodes = rows[:2].reshape(-1)[: pieces * (_PAD * g + 1)].reshape(pieces, -1)
-    nodes[:, :k] = v[:-1].reshape(pieces, k)
-    nodes[:, k:] = v[k::k, None]
-    ends = rows[2:4].reshape(2, 2, 2, 2, pieces, g)
+    padding step starts and ends at the last node."""
+    nodes = rows[:2].reshape(-1)[: _PAD * g + 1]
+    nodes[: v.size], nodes[v.size :] = v, v[-1]
+    ends = rows[2:4].reshape(2, 2, 2, 2, g)
     for s in (0, 1):   # plane 4c + 2b + a holds steps 8i + 4a + 2b + c
-        ends[s] = nodes[:, s : s + _PAD * g].reshape(pieces, g, 2, 2, 2).transpose(4, 3, 2, 0, 1)
+        ends[s] = nodes[s : s + _PAD * g].reshape(g, 2, 2, 2).transpose(3, 2, 1, 0)
     return ends.reshape(2, -1)
 
 
 def _step_maps(terms, om: np.ndarray, bufs, log: bool = False):
     """Per-interval 2x2 transfer matrices (m11, m12, m21, m22) of the Magnus
     propagator, one row per frequency in om, from the grid's _grid_terms
-    (formed with the same log), in its planes: _PAD x rows x pieces x g.
+    (formed with the same log), in its planes: _PAD x rows x g.
 
     omega enters only through vbar = pbar - omega^2 (in the log layer
     through vbar = a - omega^2 e and d = d0 - omega^2 d1).  A step's
@@ -509,13 +506,12 @@ def _step_maps(terms, om: np.ndarray, bufs, log: bool = False):
     cosh and sinh(theta)/theta at s = theta^2).  Their Taylor sums reach
     rounding at |s| <= 1/16 (the grids keep |s| <= 0.027); a larger |s|
     is scaled by 4^-k and doubled back k times with S <- S C and
-    C - 1 <- 2 (C - 1)(C + 1); on an x-grid s falls with omega^2, so the
-    largest |s| is on the rows of the least and the greatest omega.  The
+    C - 1 <- 2 (C - 1)(C + 1), k set by the largest |s| of the tile.  The
     work runs in the five arrays bufs of that shape, the maps in the first
     four; every value is formed by the same operations, in the same order,
     as for a single frequency.
     """
-    om2 = (om * om)[:, None, None]
+    om2 = (om * om)[:, None]
     m11, m12, m21, m22, s = bufs
     if log:
         h, h2, a, e, d0, d1 = terms
@@ -523,13 +519,12 @@ def _step_maps(terms, om: np.ndarray, bufs, log: bool = False):
         d = np.subtract(d0, np.multiply(d1, om2, out=m11), out=m11)
         np.multiply(h2, vbar, out=s)
         s += np.multiply(d, d, out=m22)
-        top = max(s.max(), -s.min())
     else:
         h, h2, pbar, d, d2 = terms
         vbar = np.subtract(pbar, om2, out=m21)
         np.multiply(h2, vbar, out=s)
         s += d2
-        top = max(s[:, np.argmin(om2)].max(), -s[:, np.argmax(om2)].min())
+    top = max(s.max(), -s.min())
     k = (math.frexp(16.0 * top)[1] + 1) // 2 if top > 0.0625 else 0
     if k:
         s *= 0.25 ** k
@@ -649,9 +644,9 @@ def _halve(src, levels, regions, halves=False):
 
 def _products(terms, om, rows: int, ws, log: bool = False):
     """Entries (a, b, c, d) of the ordered products M_{n-1} @ ... @ M_0 of
-    the step maps of the grid terms, one per frequency in om and piece,
-    in groups, each with the slice of om it serves and held in ws until
-    the next group's is formed.
+    the step maps of the grid terms, one per frequency in om, in groups,
+    each with the slice of om it serves and held in ws until the next
+    group's is formed.
 
     The product is associative, so it is collapsed by pairwise reduction:
     O(n) arithmetic in O(log n) vectorized passes instead of a Python loop
@@ -663,23 +658,24 @@ def _products(terms, om, rows: int, ws, log: bool = False):
     a group, as many tiles as the stash holds (all unless a sweep has
     thousands of frequencies), in the same numpy levels however few the
     rows.  An identity paired with a map gives that map exactly, so every
-    level pairs as if it carried an odd last map up alone.  Rounding differs from a sequential product at the 1e-15
-    level, far below the error budget.
+    level pairs as if it carried an odd last map up alone.  Rounding
+    differs from a sequential product at the 1e-15 level, far below the
+    error budget.
     """
-    pieces, g = terms.shape[3:]
+    g = terms.shape[-1]
     width = 1 << (g - 1).bit_length()
-    group = rows * max(1, ws.stash.size // (4 * rows * pieces))
+    group = rows * max(1, ws.stash.size // (4 * rows))
     for g0 in range(0, om.size, group):
         part = om[g0 : g0 + group]
-        n = part.size * pieces
+        n = part.size
         keep = min(width, _STASH, 1 << (ws.stash.size // (4 * n)).bit_length() - 1)
         stash = ws.stash[: 4 * n * keep].reshape(4, -1)
-        for r in range(0, part.size, rows):
+        for r in range(0, n, rows):
             tile = part[r : r + rows]
-            maps = _step_maps(terms, tile, ws.maps((_PAD, tile.size, pieces, g)), log)
-            size, area, m = maps[0].size, ws.tiles, tile.size * pieces
+            maps = _step_maps(terms, tile, ws.maps((_PAD, tile.size, g)), log)
+            size, area, m = maps[0].size, ws.tiles, tile.size
             src = _halve(maps.reshape(4, -1), 3, (area[4 * size :], area[: 4 * size]), halves=True)
-            block = stash[:, r * pieces * keep : (r * pieces + m) * keep]
+            block = stash[:, r * keep : (r + m) * keep]
             if width > g:
                 pad = block if width == keep else area[2 * size :][: 4 * m * width]
                 pad = pad.reshape(4, m, width)
@@ -695,46 +691,40 @@ def _products(terms, om, rows: int, ws, log: bool = False):
                                             (area, area[first:]))
 
 
-def _propagate(grids, l, om, q, w0, wp0, ends, ws, log=False):
-    """States (w, w') at ends, levels x rows x ends arrays, from (w0, wp0)
-    at the start of the grids, grids[i + 1] the refinement of grids[i],
-    in the workspace ws; with log the grids are the log layer's, whose
-    steps are in t = ln x and whose state is (v, v_t).  Steps run in
-    ranges ending at the requested points, each range's grid terms formed
-    once.  The levels run as one pass: over a range of k steps of
-    grids[0], level i takes 2^i pieces of k steps each, and the pieces of
-    every level are rows of the same tiles (as few as there can be, of at
-    most _BLOCK pieces x padded steps), so one _step_maps call per tile
-    and one _products group serve them all; a level's state then goes
-    through its pieces' products in order, once per group."""
-    base = grids[0]
-    idx = np.searchsorted(base, ends)
-    pieces = 2 ** len(grids) - 1
-    most = max(1, _BLOCK // (pieces * (-(-(base.size - 1) // _PAD) * _PAD + 1)))
+def _prefix(maps, spare):
+    """Prefix products M_j @ ... @ M_0 of the maps (4 x n, in order) by a
+    Hillis-Steele scan: level k multiplies each product by the one 2^k
+    places before it, in log2(n) levels of _pair, in maps and spare by turns."""
+    d = 1
+    while d < maps.shape[1]:
+        spare[:, :d] = maps[:, :d]
+        _pair(maps[:, :-d], maps[:, d:], spare[:, d:])
+        maps, spare, d = spare, maps, 2 * d
+    return maps
+
+
+def _propagate(grid, l, om, q, w0, wp0, ends, ws, log=False):
+    """States (w, w') at ends, rows x ends arrays, from (w0, wp0) at the
+    start of the grid, in the workspace ws; with log the grid is the log
+    layer's, whose steps are in t = ln x and whose state is (v, v_t).
+    Steps run in ranges ending at the requested points, each range's grid
+    terms formed once and its maps in tiles of equal rows (as few as
+    there can be, of at most _BLOCK frequencies x padded steps); the state
+    goes through each group's products once per range."""
+    idx = np.searchsorted(grid, ends)
+    most = max(1, _BLOCK // (-(-(grid.size - 1) // _PAD) * _PAD + 1))
     rows = -(-om.size // -(-om.size // most))
-    cuts = sorted({*idx.tolist(), *range(0, base.size - 1, _BLOCK // (pieces * most) - 1)})
-    v, vt = np.empty((2, len(grids), om.size))
-    v[:], vt[:] = _to_log(base[0], w0, wp0) if log else (w0, wp0)
-    out_w, out_wp = np.empty((2, len(grids), om.size, idx.size))
+    cuts = sorted({*idx.tolist(), *range(0, grid.size - 1, _BLOCK // most - 1)})
+    v, vt = np.array(_to_log(grid[0], w0, wp0) if log else (w0, wp0))   # a copy
+    out_w, out_wp = np.empty((2, om.size, idx.size))
     j = 0
     for c0, c1 in zip(cuts[:-1], cuts[1:]):
-        # level i's terms are its 2^i pieces; only level 0's live in ws
-        terms = [_grid_terms(grid[c0 << i : (c1 << i) + 1], l, q, None if i else ws.terms, log,
-                             1 << i) for i, grid in enumerate(grids)]
-        terms = np.concatenate(terms, axis=3) if pieces > 1 else terms[0]
-        for part, prod in _products(terms, om, rows, ws, log):
-            prod = prod.reshape(4, -1, pieces)
-            for i in range(len(grids)):
-                a, b, c, d = prod[..., 2 ** i - 1]
-                for p in range(2 ** i, 2 ** (i + 1) - 1):
-                    a2, b2, c2, d2 = prod[..., p]
-                    a, b, c, d = (a2 * a + b2 * c, a2 * b + b2 * d,
-                                  c2 * a + d2 * c, c2 * b + d2 * d)
-                vi, vti = v[i, part], vt[i, part]
-                v[i, part], vt[i, part] = a * vi + b * vti, c * vi + d * vti
+        terms = _grid_terms(grid[c0 : c1 + 1], l, q, ws.terms, log)
+        for part, (a, b, c, d) in _products(terms, om, rows, ws, log):
+            vi, vti = v[part], vt[part]
+            v[part], vt[part] = a * vi + b * vti, c * vi + d * vti
         if c1 == idx[j]:
-            out_w[..., j], out_wp[..., j] = (_from_log(base[c1], base[0], v, vt) if log
-                                             else (v, vt))
+            out_w[:, j], out_wp[:, j] = _from_log(grid[c1], grid[0], v, vt) if log else (v, vt)
             j += 1
     return out_w, out_wp
 
@@ -880,12 +870,14 @@ def regular_solutions(setup: ProblemSetup, omegas, x_eval: Sequence[float]):
     would get alone; the frequencies whose step rule is the cap alone (up
     to |omega| ~ 52 on b = pi) share one grid, and in a call that has no
     other frequency, the layer and grid each would get alone.  Every pass,
-    of the layer or of a block's x grid, is one _propagate call and runs
-    in tiles of equal rows and at most _BLOCK frequencies x padded
-    steps, in one workspace.  The accuracy contract is that of
-    regular_solution_ode, and the self-verification runs row by row: a row
-    that fails the two-grid test is refined further on its own.  One
-    AccuracyWarning is emitted per call if any |omega| b exceeds 2000 pi.
+    of one grid level of the layer or of a block's x grid, is one
+    _propagate call and runs in tiles of equal rows and at most _BLOCK
+    frequencies x padded steps, in one workspace; the layer's levels 0
+    and 1 run once, for every frequency of the call.  The accuracy
+    contract is that of regular_solution_ode, and the self-verification
+    runs row by row: a row that fails the two-grid test is refined further
+    on its own.  One AccuracyWarning is emitted per call if any |omega| b
+    exceeds 2000 pi.
 
     Raises
     ------
@@ -937,24 +929,23 @@ def regular_solutions(setup: ProblemSetup, omegas, x_eval: Sequence[float]):
     if x_log > x0:
         nodes = _layer_nodes(x0, x_log, setup.l)
         layer_grids.append(np.union1d(nodes, x_eval[:k]) if k else nodes)
-    passes = []
+    passes = {}
 
     def layer_states(level, rows):
         """States at the requested points in the layer and, last, at x_log,
-        or at x0 without a layer; levels 0 and 1 run in one pass for every
-        row."""
+        or at x0 without a layer; levels 0 and 1 run once for every row."""
         if not layer_grids:
             return w0[rows, None], wp0[rows, None]
-        while len(layer_grids) <= max(level, 1):
+        while len(layer_grids) <= level:
             layer_grids.append(_refine(layer_grids[-1], log=True))
         if level > 1:
-            w, wp = _propagate(layer_grids[level : level + 1], setup.l, om_sorted[rows],
-                               setup.q, w0[rows], wp0[rows], ends, ws, log=True)
-            return w[0], wp[0]
-        if not passes:
-            passes.extend(_propagate(layer_grids[:2], setup.l, om_sorted, setup.q, w0, wp0,
-                                     ends, ws, log=True))
-        return passes[0][level][rows], passes[1][level][rows]
+            return _propagate(layer_grids[level], setup.l, om_sorted[rows], setup.q,
+                              w0[rows], wp0[rows], ends, ws, log=True)
+        if level not in passes:
+            passes[level] = _propagate(layer_grids[level], setup.l, om_sorted, setup.q,
+                                       w0, wp0, ends, ws, log=True)
+        w, wp = passes[level]
+        return w[rows], wp[rows]
 
     ws = None
     w, wp = np.empty((2, om.size, x_eval.size))
@@ -976,10 +967,10 @@ def regular_solutions(setup: ProblemSetup, omegas, x_eval: Sequence[float]):
                 return lw, lwp
             while len(x_grids) <= level:
                 x_grids.append(_refine(x_grids[-1]))
-            xw, xwp = _propagate(x_grids[level : level + 1], setup.l, om_sorted[rows], setup.q,
+            xw, xwp = _propagate(x_grids[level], setup.l, om_sorted[rows], setup.q,
                                  lw[:, -1], lwp[:, -1], x_eval[k:], ws)
-            return (np.concatenate([lw[:, :k], xw[0]], axis=1),
-                    np.concatenate([lwp[:, :k], xwp[0]], axis=1))
+            return (np.concatenate([lw[:, :k], xw], axis=1),
+                    np.concatenate([lwp[:, :k], xwp], axis=1))
 
         rows = order[start:stop]
         w[rows], wp[rows] = _solve_block(om_sorted[start:stop], x_eval, run)
@@ -1025,11 +1016,12 @@ def zero_count(setup: ProblemSetup, omega: float) -> int:
     """Sturm's count: the zeros of u(omega, .) in (0, b], which number the
     Dirichlet eigenvalues lambda <= omega^2 (Pryce, Numerical Solution of
     Sturm-Liouville Problems, OUP 1993).  The sign of w is read at every
-    node of regular_solutions' grid for omega alone, from the same start;
-    a step carries at most _PHASE_FRAC rad of phase, so none hides two
-    zeros.  |w(b)| within 1e-6 of the envelope there (the grid's error is
-    below 2e-8 of it) is a zero at b, whichever way its sign tips.  Raises
-    as regular_solutions does.
+    node of regular_solutions' grid for omega alone (its level 0), from
+    the same start, through the prefix products of the layer's and then
+    the x grid's step maps (_prefix); a step carries at most _PHASE_FRAC
+    rad of phase, so none hides two zeros.  |w(b)| within 1e-6 of the
+    envelope there (the grid's error is below 2e-8 of it) is a zero at b,
+    whichever way its sign tips.  Raises as regular_solutions does.
     """
     om = abs(float(omega))
     if not math.isfinite(om):
@@ -1039,27 +1031,27 @@ def zero_count(setup: ProblemSetup, omega: float) -> int:
     x_log = _layer_end(probe, setup.l, om, om)
     grid = _build_grid(probe, om, om, x_log)
     w, wp = _start(setup, om, x0)
-    ws = [w]
 
-    def steps(xs, w, wp, log=False):
+    def states(xs, w, wp, log=False):
+        """The states at xs[1:] from (w, w') at xs[0], (v, v_t) with log."""
         terms = _grid_terms(xs, setup.l, setup.q, log=log)
         maps = _step_maps(terms, np.array([om]), _aligned(5 * terms[0].size).reshape(
             (5,) + terms.shape[1:]), log)
         # the steps in order, out of the planes (plane 4a + 2b + c holds steps 8i + 4c + 2b + a)
         seq = maps.reshape(4, 2, 2, 2, -1).transpose(0, 4, 3, 2, 1).reshape(4, -1)
-        for m11, m12, m21, m22 in zip(*seq[:, : xs.size - 1].tolist()):
-            w, wp = m11 * w + m12 * wp, m21 * w + m22 * wp
-            ws.append(w)   # v has the sign of w
-        return w, wp
+        a, b, c, d = _prefix(seq[:, : xs.size - 1], np.empty((4, xs.size - 1)))
+        return a * w + b * wp, c * w + d * wp
 
-    nodes = grid
+    ws, nodes = [[w]], grid
     if x_log > x0:
         layer = _layer_nodes(x0, x_log, setup.l)
-        w, wp = _from_log(x_log, x0, *steps(layer, *_to_log(x0, w, wp), log=True))
-        ws[-1] = w
+        v, vt = states(layer, *_to_log(x0, w, wp), log=True)
+        w, wp = _from_log(x_log, x0, v[-1], vt[-1])
+        ws.append(v)   # v has the sign of w
         nodes = np.concatenate([layer[:-1], grid])
-    w, wp = steps(grid, w, wp)
-    ws = np.array(ws)
+    xw, xwp = states(grid, w, wp)
+    ws = np.concatenate([*ws, xw])
+    w, wp = xw[-1], xwp[-1]
     finite = np.isfinite(ws)
     finite[-1] &= math.isfinite(wp)
     _check_finite([omega], nodes, finite[None])

@@ -252,19 +252,37 @@ def test_spectrum_rank_deficient_fit_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("how", ["flag", "config"])
 def test_spectrum_rejects_fit_size(tmp_path, capsys, how):
-    # the spectrum fits its own series; its length is --N
+    # the spectrum fits its own series; its length is --N.  It has no --M
+    # flag, so the parser exits 2; a config's fit.M is refused by name
     argv = ["spectrum", "--l", "1", "--potential", "poly:0,0,1", "--count", "3",
             "--out", str(tmp_path)]
     if how == "flag":
-        argv += ["--M", "25"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--M", "25"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --M 25" in capsys.readouterr().err
     else:
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"fit": {"M": 25}}))
-        argv += ["--config", str(cfg_path)]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: spectrum takes no fit size M") and "--N" in err
+        assert main(argv + ["--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: spectrum takes no fit size M") and "--N" in err
     assert not (tmp_path / "spectrum.csv").exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("beta", "--N"), ("beta", "--seed"), ("kernel", "--seed"),
+    ("spectrum", "--M"), ("spectrum", "--seed"), ("validate", "--N"),
+])
+def test_flag_a_command_ignores_exits_2(tmp_path, capsys, command, flag):
+    # beta wrote N = 3 and seed = 7 into its summary without using either
+    argv = [command, "--l", "1", "--potential", "poly:0,0,1", flag, "3",
+            "--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_spectrum_summary_records_the_fit(tmp_path):
@@ -329,6 +347,21 @@ def test_kernel_summary_records_each_truncation(tmp_path):
     assert [c["x"] for c in summary["columns"]] == xs
     want = [make_kernel_series(compute_beta(setup, x, summary["M"])).N for x in xs]
     assert [c["N"] for c in summary["columns"]] == want
+
+
+@pytest.mark.parametrize("l, cutoff", [("1", 1.0), ("0.5", 0.5)])
+def test_kernel_summary_records_the_cutoff_used(tmp_path, l, cutoff):
+    # --t-max-fraction cuts the real-l series only: the integer-l table
+    # runs to the diagonal, and the summary names each column's cutoff
+    rc = main(["kernel", "--l", l, "--potential", "poly:0,0,1", "--M", "30",
+               "--nx", "2", "--nt", "5", "--t-max-fraction", "0.5", "--out", str(tmp_path)])
+    assert rc == 0
+    summary = json.loads((tmp_path / "kernel_summary.json").read_text())
+    assert [c["t_max_fraction"] for c in summary["columns"]] == [cutoff, cutoff]
+    rows = _read_csv(tmp_path / "kernel.csv")[1:]
+    assert [r[3] for r in rows] == ["ok" if float(r[1]) <= cutoff * float(r[0]) * (1 + 1e-12)
+                                    else "near-diagonal" for r in rows]
+    assert rows[-1][0] == rows[-1][1] and (rows[-1][3] == "ok") == (cutoff == 1.0)
 
 
 def test_kernel_real_l_rejects_cutoff_at_diagonal(tmp_path, capsys):

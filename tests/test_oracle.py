@@ -30,8 +30,7 @@ def _harmonic(x):
 
 def _spy_step_maps(monkeypatch):
     """Record (nodes, tile) of every _step_maps call: the nodes of the last
-    grid terms formed, and the tile's rows x padded steps, the rows of
-    every level a layer pass stacks included."""
+    grid terms formed, and the tile's rows x padded steps."""
     calls, nodes = [], []
     grid_terms, step_maps = oracle._grid_terms, oracle._step_maps
 
@@ -311,10 +310,11 @@ def test_fit_sweep_is_solved_in_blocks(monkeypatch):
     grid: one _build_grid call, where blocks of 18 frequencies built 18.
     At l = 1 the grid has 1284 nodes, 88 of them in the log layer (1748
     nodes when the centrifugal term was graded in x down to x0), so the
-    layer's first two levels run in one tile of 78 frequencies x 3 pieces
-    and the rest in tiles of 26 and 13 rows: 1 + 3 + 6 _step_maps calls
-    (2 + 6 + 12 for the 156 frequencies of six per coefficient), none
-    larger than the block bound.  One solve per frequency takes 156."""
+    layer's first two levels run as two passes of one tile of all 78
+    frequencies and the rest in tiles of 26 and 13 rows: 2 + 3 + 6
+    _step_maps calls (2 + 6 + 12 for the 156 frequencies of six per
+    coefficient), none larger than the block bound.  One solve per
+    frequency takes 156."""
     calls = _spy_step_maps(monkeypatch)
     builds = _spy_grids(monkeypatch)
     compute_beta(ProblemSetup(l=1.0, b=np.pi, q=_harmonic), np.pi, 25)
@@ -358,22 +358,23 @@ def test_fit_sweep_matches_one_frequency_solves():
         assert np.array_equal(whole[1], [s.u_prime_values[0] for s in single]), l
 
 
-@pytest.mark.parametrize("log, pieces", [(False, 1), (True, 1), (True, 2)])
-def test_grid_terms_are_those_of_each_step(log, pieces):
+@pytest.mark.parametrize("log, spans", [(False, 1), (True, 1), (True, 2)])
+def test_grid_terms_are_those_of_each_step(log, spans):
     """Every step's terms, read back out of the planes in order, are those
     of its own two nodes, and each padding step has length 0.  The steps'
     ends are formed in the rows that end up holding pbar and d (a and e in
     the log layer), so a write to those rows before the ends are read
     would show here."""
-    xs = np.geomspace(0.01, np.pi, 37 * pieces + 1)   # 37 steps a piece, padded to 40
+    k = 37 * spans   # 37 or 74 steps, padded to 40 or 80
+    xs = np.geomspace(0.01, np.pi, k + 1)
     l, q = 1.0, lambda x: 3.0 + np.asarray(x, dtype=float) ** 2
-    terms = oracle._grid_terms(xs, l, q, log=log, pieces=pieces)
+    terms = oracle._grid_terms(xs, l, q, log=log)
     count, g = terms.shape[0], terms.shape[-1]
-    got = terms[:, oracle._BITREV].reshape(count, oracle._PAD, pieces, g)
-    got = got.transpose(0, 2, 3, 1).reshape(count, pieces, -1)
+    got = terms[:, oracle._BITREV].reshape(count, oracle._PAD, g)
+    got = got.transpose(0, 2, 1).reshape(count, -1)
     zero = [0, 1, 4, 5] if log else [0, 1, 3, 4]   # h, h^2 and d: identity maps
-    assert not got[zero, :, 37:].any()
-    got = got[:, :, :37].reshape(count, -1)
+    assert not got[zero, k:].any()
+    got = got[:, :k]
     v = np.log(xs) if log else xs
     h, mid = np.diff(v), 0.5 * (v[:-1] + v[1:])
     x1, x2 = mid - oracle._GAUSS_OFF * h, mid + oracle._GAUSS_OFF * h
@@ -392,36 +393,38 @@ def test_grid_terms_are_those_of_each_step(log, pieces):
 
 def _in_order(planes):
     """Step maps (4 x rows x steps, steps in order) from the planes of
-    _grid_terms (4 x _PAD x rows x 1 x g), plane p holding steps
+    _grid_terms (4 x _PAD x rows x g), plane p holding steps
     _PAD i + _BITREV[p]."""
     rows, g = planes.shape[2], planes.shape[-1]
     ordered = planes[:, oracle._BITREV].reshape(4, oracle._PAD, rows, g)
     return ordered.transpose(0, 2, 3, 1).reshape(4, rows, -1)
 
 
-def _chain_product(monkeypatch, m, tile_rows, count, pieces=1, groups=1):
+def _chain_product(monkeypatch, m, tile_rows, count, passes=1, groups=1):
     """oracle._products of the maps m (4 x rows x steps, steps in order
-    and a multiple of _PAD), laid out in the planes of _grid_terms as
-    frequencies x pieces, in tiles of tile_rows frequencies, in a
-    workspace made for count frequencies; that many groups."""
+    and a multiple of _PAD), laid out in the planes of _grid_terms, in
+    tiles of tile_rows frequencies, in a workspace made for count
+    frequencies: the rows in that many passes of equal rows through the
+    one workspace, each pass in that many groups."""
     rows, steps = m.shape[1:]
     g = steps // oracle._PAD
-    planes = m.reshape(4, rows // pieces, pieces, g, oracle._PAD)[..., oracle._BITREV]
-    planes = planes.transpose(0, 4, 1, 2, 3)
+    planes = m.reshape(4, rows, g, oracle._PAD)[..., oracle._BITREV].transpose(0, 3, 1, 2)
 
     def step_maps(terms, om, bufs, log=False):   # om holds the frequencies' indices
         bufs[:4] = planes[:, :, int(om[0]) : int(om[-1]) + 1]
         return bufs[:4]
 
     monkeypatch.setattr(oracle, "_step_maps", step_maps)
-    terms = np.empty((5, oracle._PAD, 1, pieces, g))
+    terms = np.empty((5, oracle._PAD, 1, g))
     ws = oracle._Workspace(steps + 1, count)
-    om = np.arange(rows // pieces, dtype=float)
-    # a group's product lives in the workspace until the next is formed
-    got = [(part, prod.copy()) for part, prod in oracle._products(terms, om, tile_rows, ws)]
-    assert len(got) == groups
-    assert [part.start for part, _ in got] == [0] + [part.stop for part, _ in got[:-1]]
-    return np.concatenate([prod for _, prod in got], axis=1)
+    out = []
+    for om in np.arange(rows, dtype=float).reshape(passes, -1):
+        # a group's product lives in the workspace until the next is formed
+        got = [(part, prod.copy()) for part, prod in oracle._products(terms, om, tile_rows, ws)]
+        assert len(got) == groups
+        assert [part.start for part, _ in got] == [0] + [part.stop for part, _ in got[:-1]]
+        out += [prod for _, prod in got]
+    return np.concatenate(out, axis=1)
 
 
 def _identity_padded(rng, rows, steps, pad):
@@ -460,28 +463,46 @@ def test_product_matches_pairwise_python(monkeypatch, rows, steps, pad):
     assert np.array_equal(got, np.array(want).reshape(rows, 4).T)
 
 
-@pytest.mark.parametrize("rows, steps, tile_rows, count, pieces, groups", [
+@pytest.mark.parametrize("rows, steps, tile_rows, count, passes, groups", [
     (7, 40, 3, 7, 1, 1),     # three tiles, one tail for all rows, in numpy
     (5, 160, 2, 5, 1, 1),    # 20 per row after the contiguous levels, padded to 32
     (2, 296, 2, 2, 1, 1),    # 37 per row, an odd count, halved to 16 per row, two-row tail
     (1, 300, 1, 1, 1, 1),    # one row, its tail in numpy as any other
-    (3, 120, 1, 1, 3, 1),    # one frequency's layer stack: 3 pieces x 4
-    (6, 120, 1, 2, 3, 1),    # two frequencies' layer stack: 6 rows x 4, the numpy tail
+    (3, 120, 1, 1, 3, 1),    # three passes of one row through one workspace
+    (6, 120, 1, 2, 3, 1),    # three passes of two one-row tiles, the numpy tail
     (12, 120, 4, 4, 1, 1),   # a stash for 4 x 16 holds 12 x 4, the numpy tail
     (40, 64, 8, 2, 1, 2),    # a stash for 2 x 16 holds 32 x 1, then 8 x 4: two groups
 ])
 def test_product_of_row_tiles_matches_pairwise_python(monkeypatch, rows, steps, tile_rows,
-                                                      count, pieces, groups):
+                                                      count, passes, groups):
     """Tiles of rows reduced into one stash, and one tail per group of as
     many tiles as the stash holds, give the plain pairwise product bit for
-    bit: an identity paired with a map gives the map, so padding each row
-    to a power of two pairs as carrying an odd last map up alone does."""
+    bit, in each of the passes that share a workspace (as a log layer's
+    levels and the x grid's do): an identity paired with a map gives the
+    map, so padding each row to a power of two pairs as carrying an odd
+    last map up alone does."""
     rng = np.random.default_rng(rows + steps)
     m = _identity_padded(rng, rows, steps, 0)
     want = [_pairwise([[[a, b], [c, d]] for a, b, c, d in zip(*m[:, r].tolist())])
             for r in range(rows)]
-    got = _chain_product(monkeypatch, m, tile_rows, count, pieces, groups)
+    got = _chain_product(monkeypatch, m, tile_rows, count, passes, groups)
     assert np.array_equal(got, np.array(want).reshape(rows, 4).T)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 7, 8, 9, 100, 255, 256, 257, 300])
+def test_prefix_matches_sequential_python(steps):
+    """Every prefix product of the scan, M_j @ ... @ M_0, matches the same
+    product taken step by step in Python floats to 1e-13 of its largest
+    entry."""
+    m = np.random.default_rng(steps).uniform(-2.0, 2.0, (4, steps))
+    want, p = [], [[1.0, 0.0], [0.0, 1.0]]
+    for a, b, c, d in zip(*m.tolist()):
+        p = [[a * p[0][0] + b * p[1][0], a * p[0][1] + b * p[1][1]],
+             [c * p[0][0] + d * p[1][0], c * p[0][1] + d * p[1][1]]]
+        want.append([p[0][0], p[0][1], p[1][0], p[1][1]])
+    want = np.array(want).T
+    got = oracle._prefix(m.copy(), np.empty_like(m))
+    assert np.all(np.abs(got - want) <= 1e-13 * np.max(np.abs(want), axis=0))
 
 
 def test_product_reads_no_iterator_buffers(monkeypatch):
@@ -491,8 +512,8 @@ def test_product_reads_no_iterator_buffers(monkeypatch):
     With 2-D broadcast levels and 4-D views for the odd ones it traced a
     peak of 96,432 bytes."""
     rng = np.random.default_rng(18)
-    planes = rng.uniform(-1.0, 1.0, (4, oracle._PAD, 18, 1, 219))
-    terms, om = np.empty((5, oracle._PAD, 1, 1, 219)), np.zeros(18)
+    planes = rng.uniform(-1.0, 1.0, (4, oracle._PAD, 18, 219))
+    terms, om = np.empty((5, oracle._PAD, 1, 219)), np.zeros(18)
     ws = oracle._Workspace(1753, 18)
     monkeypatch.setattr(oracle, "_step_maps", lambda terms, om, bufs, log=False: bufs[:4])
     for _ in range(2):   # the second call is traced
@@ -530,22 +551,24 @@ def test_sweep_past_the_stash_runs_in_groups(monkeypatch):
     """A sweep with more frequencies than the stash holds runs each range's
     tail and state update once per group of tiles, and every row keeps the
     value it gets alone: here _BLOCK = 128 leaves a stash of 128 floats,
-    so the x passes run 40 frequencies as 32 + 8 and the layer's three
-    pieces in groups of 10."""
+    so every pass, the log layer's levels and the x grids' alike, runs the
+    40 frequencies as 32 + 8."""
     monkeypatch.setattr(oracle, "_BLOCK", 128)
-    rows = []
+    calls = []
     products = oracle._products
 
-    def spy(terms, om, *args, **kwargs):
-        for part, prod in products(terms, om, *args, **kwargs):
-            rows.append(prod.shape[1])
+    def spy(terms, om, rows, ws, log=False):
+        calls.append((log, []))
+        for part, prod in products(terms, om, rows, ws, log):
+            calls[-1][1].append(prod.shape[1])
             yield part, prod
 
     monkeypatch.setattr(oracle, "_products", spy)
     setup = ProblemSetup(l=1.0, b=np.pi, q=_harmonic)
     omegas = np.linspace(0.5, 40.0, 40)
     u, up = regular_solutions(setup, omegas, [1.0, np.pi])
-    assert max(rows) == 32 and 30 in rows
+    assert {log for log, _ in calls} == {False, True}
+    assert all(groups == [32, 8] for _, groups in calls)
     for i, om in enumerate(omegas[::13]):
         single = regular_solution_ode(setup, om, [1.0, np.pi])
         assert np.array_equal(u[13 * i], single.u_values)
@@ -743,6 +766,20 @@ def test_zero_count_grid_at_l30(monkeypatch):
     # one layer and one grid per count, sharing the node x_L
     sizes = [size for _, size in builds]
     assert max(a + b - 1 for a, b in zip(sizes[0::2], sizes[1::2])) <= 21074 / 5
+
+
+@pytest.mark.parametrize("l", [0.0, 0.5, 1.0, 30.0])
+def test_zero_count_just_below_and_above_each_eigenvalue(l):
+    """q == 20: omega_n = sqrt((j_{l+1/2,n} / pi)^2 + 20).  1e-6 below
+    omega_n the count is n - 1, 1e-6 above it n: the ordinals of the
+    Bessel zeros below omega, as the sign of w at every node of the scan
+    gives them."""
+    setup = ProblemSetup(l=l, b=np.pi, q=lambda x: np.full_like(np.asarray(x, float), 20.0))
+    for n in range(1, 7):
+        omega = math.sqrt((float(mpmath.besseljzero(mpmath.mpf(l) + 0.5, n)) / math.pi) ** 2
+                          + 20.0)
+        assert oracle.zero_count(setup, omega - 1e-6) == n - 1, (n, omega)
+        assert oracle.zero_count(setup, omega + 1e-6) == n, (n, omega)
 
 
 def test_zero_count_sees_negative_eigenvalues():
