@@ -292,18 +292,34 @@ def _connection(l: int, m_max: int) -> np.ndarray:
 
 
 def _check_t(series: KernelSeries, t):
-    ta = np.atleast_1d(np.asarray(t, dtype=float))
+    """t as a 1-D array clipped to [0, t_max_fraction * x]; DomainError
+    past either end by more than the slack.  A scalar is checked in Python
+    floats (a pointwise kernel_K call would spend more on numpy's checks
+    than on its series); its clip gives np.clip's value."""
     hi = series.x * series.t_max_fraction
+    if isinstance(t, (int, float)):
+        tf = float(t)
+        if tf < -_T_SLACK * series.x:
+            raise DomainError("t must be >= 0")
+        if tf > hi * (1.0 + _T_SLACK):
+            _beyond(series)
+        return np.array([min(max(tf, 0.0), hi)])
+    ta = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(ta < -_T_SLACK * series.x):
         raise DomainError("t must be >= 0")
     if np.any(ta > hi * (1.0 + _T_SLACK)):
-        if series.t_max_fraction < 1.0:
-            raise DomainError(
-                f"t beyond {series.t_max_fraction} * x: the (x^2-t^2)^(l+1) "
-                "division amplifies truncation error near the diagonal"
-            )
-        raise DomainError("t must lie in [0, x]")
+        _beyond(series)
     return np.clip(ta, 0.0, hi)
+
+
+def _beyond(series: KernelSeries):
+    """The DomainError for a t past the series' cutoff."""
+    if series.t_max_fraction < 1.0:
+        raise DomainError(
+            f"t beyond {series.t_max_fraction} * x: the (x^2-t^2)^(l+1) "
+            "division amplifies truncation error near the diagonal"
+        )
+    raise DomainError("t must lie in [0, x]")
 
 
 def kernel_K(series: KernelSeries, t):

@@ -221,9 +221,9 @@ def _table_potential(xs: np.ndarray, qs: np.ndarray, b: float):
             f"potential table must span [0, {b:.6g}]; it covers "
             f"[{xs[0]:.6g}, {xs[-1]:.6g}]"
         )
-    from scipy.interpolate import CubicSpline   # loads slowly; only tables need it
+    from .spline import not_a_knot   # compiled only where a table needs it
 
-    return CubicSpline(xs, qs)
+    return not_a_knot(xs, qs)
 
 
 def make_potential(descriptor, b: float):

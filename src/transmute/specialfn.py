@@ -1,10 +1,12 @@
-"""Special-function kernel: the Jacobi recurrence, half-integer Bessel,
-spherical Bessel tables, the integer-l gamma ratio, the column-wise
-compensated sum the series evaluators share, and the rule that decides
-when l counts as an integer.
+"""Special-function kernel: the Jacobi recurrence, Bessel functions of
+order l + 1/2 (spherical Bessel tables for integer l; module bessel for
+the rest), the integer-l gamma ratio, the column-wise compensated sum the
+series evaluators share, and the rule that decides when l counts as an
+integer.  numpy and math are the only dependencies.
 
-All routines are pure functions of their arguments (no caches, no globals)
-and accept numpy arrays where it is natural to vectorize.  "Machine
+All routines are pure functions of their arguments and accept numpy arrays
+where it is natural to vectorize; the only state is lru_caches of
+coefficient tables that depend on degrees and orders alone.  "Machine
 precision" throughout means relative error <= 1e-12 in 64-bit floats.
 
 jacobi_all and compensated_sum take inputs of at most _NARROW points or
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,6 +79,25 @@ def _check_z(z):
     return z
 
 
+@lru_cache(maxsize=64)
+def _jacobi_recurrence(degree: int, a: float, b: float):
+    """A_n, B_n, C_n of P_n = (A_n z + B_n) P_{n-1} - C_n P_{n-2} for
+    n = 2..degree, as tuples: formed once per (degree, alpha, beta), since a
+    pointwise kernel_K call needs them every time, and all at once, so the
+    recurrence's loop body is one expression per degree."""
+    n = np.arange(2, degree + 1, dtype=float)
+    c = 2.0 * n + a + b
+    c1 = 2.0 * n * (n + a + b) * (c - 2.0)
+    bad = np.flatnonzero(np.abs(c1) < 1e-300)
+    if bad.size:
+        raise DomainError(
+            f"Jacobi recurrence degenerate at n={int(n[bad[0]])} for alpha+beta={a + b}"
+        )
+    return (tuple(((c - 1.0) * c * (c - 2.0) / c1).tolist()),
+            tuple(((c - 1.0) * (a * a - b * b) / c1).tolist()),
+            tuple((2.0 * (n + a - 1.0) * (n + b - 1.0) * c / c1).tolist()))
+
+
 def jacobi_all(degree: int, alpha: float, beta: float, z):
     """Values of P_n^(alpha,beta)(z) for all n = 0..degree.
 
@@ -92,19 +114,7 @@ def jacobi_all(degree: int, alpha: float, beta: float, z):
     degree = _size("degree", degree)
     z = _check_z(z)
     a, b = float(alpha), float(beta)
-    # P_n = (A_n z + B_n) P_{n-1} - C_n P_{n-2}; the coefficients for all n
-    # at once, so the loop body is one expression per degree
-    n = np.arange(2, degree + 1, dtype=float)
-    c = 2.0 * n + a + b
-    c1 = 2.0 * n * (n + a + b) * (c - 2.0)
-    bad = np.flatnonzero(np.abs(c1) < 1e-300)
-    if bad.size:
-        raise DomainError(
-            f"Jacobi recurrence degenerate at n={int(n[bad[0]])} for alpha+beta={a + b}"
-        )
-    A = ((c - 1.0) * c * (c - 2.0) / c1).tolist()
-    B = ((c - 1.0) * (a * a - b * b) / c1).tolist()
-    C = (2.0 * (n + a - 1.0) * (n + b - 1.0) * c / c1).tolist()
+    A, B, C = _jacobi_recurrence(degree, a, b)
     if z.size <= _NARROW:
         cols = []
         for x in z.ravel().tolist():
@@ -247,27 +257,32 @@ def spherical_j_table(nmax: int, z) -> np.ndarray:
 
 
 def bessel_j_half(l: float, z):
-    """Bessel function of order l + 1/2.
+    """Bessel function of order nu = l + 1/2, l >= -1/2, at finite z >= 0.
 
     Integer l goes through the spherical Bessel identity
-    J_{n+1/2}(z) = sqrt(2z/pi) j_n(z); other orders use the library
-    series/asymptotic evaluator, which meets the 1e-12 contract for
-    z <= 1e3.
+    J_{n+1/2}(z) = sqrt(2z/pi) j_n(z).  Other orders go through
+    bessel.bessel_j, numpy code imported on first use (integer-l runs never
+    compile it): Miller's backward recurrence normalized by Neumann's sum
+    below z = max(20, 2 nu), Hankel's expansion and the forward recurrence
+    from there on, the leading power term below 1e-100.  Against mpmath at
+    nu in [0, 40.3] and 0 <= z <= 1e3 its error stays below 1e-14 of the
+    envelope sqrt(2 / (pi max(z, nu))) (7.4e-15 at worst where measured;
+    the tests' bound is 1e-13), and a point has the same bits whatever
+    the call it comes in.
     """
-    if l < -0.5:
+    if not l >= -0.5:   # NaN fails too
         raise DomainError(f"order parameter must be >= -1/2, got l={l}")
+    if not is_integer_l(l):
+        from .bessel import bessel_j
+
+        return bessel_j(l + 0.5, z)
     z = np.asarray(z, dtype=float)
     if not np.all((z >= 0.0) & (z < math.inf)):
         raise DomainError("argument must be finite and >= 0")
-    if is_integer_l(l):
-        n = int(round(l))
-        zz = np.atleast_1d(z)
-        res = np.sqrt(2.0 * zz / np.pi) * spherical_j_table(n, zz)[n]
-        return float(res[0]) if z.ndim == 0 else res
-    from scipy.special import jv   # loads slowly; only non-integer l needs it
-
-    res = jv(l + 0.5, z)
-    return float(res) if z.ndim == 0 else res
+    n = int(round(l))
+    zz = np.atleast_1d(z)
+    res = np.sqrt(2.0 * zz / np.pi) * spherical_j_table(n, zz)[n]
+    return float(res[0]) if z.ndim == 0 else res
 
 
 # ---------------------------------------------------------------------------

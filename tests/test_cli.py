@@ -28,9 +28,9 @@ def _read_csv(path):
 
 
 def test_import_does_not_load_optimize_or_interpolate(tmp_path):
-    # scipy costs 0.1-0.3 s of start-up and 25-30 MiB of peak RSS: only a
-    # table potential needs it (a spline), and non-integer l (jv)
-    slow = ("scipy.optimize", "scipy.interpolate", "scipy.special")
+    # scipy costs 0.1-0.3 s of start-up and 25-30 MiB of peak RSS, and the
+    # package needs none of it: numpy Bessel functions of real order and a
+    # numpy spline for table potentials
     # the child imports the same transmute as this process, installed or not
     env = dict(os.environ, PYTHONPATH=str(Path(transmute.__file__).parents[1]))
 
@@ -39,37 +39,31 @@ def test_import_does_not_load_optimize_or_interpolate(tmp_path):
                               capture_output=True, text=True, check=True,
                               env=env).stdout.splitlines()[-1]
 
-    def loaded(prefixes):
-        return f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
+    loaded = "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
 
-    assert fresh("import transmute; " + loaded(slow)) == "[]"
-    # integer-l runs with a polynomial potential load no scipy module at
-    # all, the validation suite's quadrature references and the kernel's
-    # real-l weights (built at l = 1 by the reduction check) included
-    for argv in (["spectrum", "--l", "1", "--count", "5"],
-                 ["spectrum", "--l", "1", "--potential", "poly:0,0,1", "--count", "5"],
-                 ["beta", "--l", "1"],
-                 ["kernel", "--l", "1", "--nx", "4"],
-                 ["validate", "--l", "1"],
-                 ["validate", "--l", "0", "--potential", "poly:20"]):
+    assert fresh("import transmute; " + loaded) == "[]"
+    table = tmp_path / "q.csv"
+    table.write_text("".join(f"{x},{x * x}\n" for x in np.linspace(0.0, np.pi, 9)))
+    # every command, integer l or not, with a polynomial or a table potential
+    # loads no scipy module at all, the validation suite's quadrature
+    # references and the kernel's real-l weights included
+    runs = (["spectrum", "--l", "1", "--count", "5"],
+            ["spectrum", "--l", "1", "--potential", "poly:0,0,1", "--count", "5"],
+            ["beta", "--l", "1"],
+            ["kernel", "--l", "1", "--nx", "4"],
+            ["validate", "--l", "1"],
+            ["validate", "--l", "0", "--potential", "poly:20"],
+            ["kernel", "--l", "0.5", "--nx", "4"],
+            ["validate", "--l", "0.5"],
+            ["beta", "--l", "1", "--M", "10", "--potential", f"table:{table}"])
+    for argv in runs:
         run = (f"from transmute.cli import main; "
                f"assert main({argv + ['--out', str(tmp_path)]!r}) == 0; ")
-        assert fresh(run + loaded(("scipy",))) == "[]", argv
-    # positive controls: a non-integer order loads scipy.special, a table
-    # potential scipy.interpolate
-    assert fresh(
-        "import numpy as np; from transmute.specialfn import bessel_j_half; "
-        "z = np.linspace(0.1, 30.0, 7); got = bessel_j_half(0.5, z); "
-        "was_loaded = 'scipy.special' in sys.modules; "
-        "from scipy.special import jv; "
-        "print(was_loaded, np.array_equal(got, jv(1, z)))"
-    ) == "True True"
-    assert fresh(
-        "from transmute.oracle import make_potential; "
-        "q = make_potential({'type': 'table', 'x': [0, 1, 2, 3.5], "
-        "'q': [0, 1, 4, 12.25]}, 3.5)[0]; "
-        "print('scipy.interpolate' in sys.modules, float(q(2.0)))"
-    ) == "True 4.0"
+        assert fresh(run + loaded) == "[]", argv
+    # and they run where scipy cannot be imported at all
+    blocked = ("sys.modules['scipy'] = None; from transmute.cli import main; "
+               f"print([main(a + ['--out', {str(tmp_path)!r}]) for a in {list(runs[-3:])!r}])")
+    assert fresh(blocked) == "[0, 0, 0]"
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,22 @@ def test_pointwise_kernel_K_has_the_bits_of_a_wide_call(l, mode):
         assert kernel_K(series, float(t)) == wide[i]
 
 
+@pytest.mark.parametrize("l, mode", [(1, "integer-l"), (0.5, "real-l")])
+def test_pointwise_kernel_K_checks_t_as_a_wide_call(l, mode):
+    """A scalar t is checked in Python floats: it raises what a one-point
+    array raises, NaN included, and takes the same clip at both ends."""
+    series = make_kernel_series(_zero_table(l), mode=mode)
+    hi = series.x * series.t_max_fraction
+    for t in (-1e-3, hi * (1.0 + 1e-9), np.pi + 1.0, math.nan):
+        with pytest.raises(DomainError) as wide:
+            kernel_K(series, np.array([t]))
+        with pytest.raises(DomainError) as point:
+            kernel_K(series, t)
+        assert str(point.value) == str(wide.value)
+    for t in (-1e-14, 0.0, 1, hi, hi * (1.0 + 1e-13), np.float64(0.7)):
+        assert kernel_K(series, t) == kernel_K(series, np.array([float(t)]))[0]
+
+
 # ---------------------------------------------------------------------------
 # zero potential
 

@@ -833,6 +833,30 @@ def test_table_potential_round_trip(tmp_path):
     assert np.max(np.abs(q2(dense) - dense ** 2)) < 1e-8
 
 
+@pytest.mark.parametrize("n", [4, 5, 9, 60, 401])
+@pytest.mark.parametrize("spacing", ["uniform", "random"])
+def test_table_potential_is_scipys_not_a_knot_spline(n, spacing):
+    """The table's numpy spline is scipy's CubicSpline with its default
+    (not-a-knot) conditions, to rounding, on the span and for 0.3 past
+    either end, where both continue their end pieces."""
+    from scipy.interpolate import CubicSpline
+
+    rng = np.random.default_rng(n)
+    xs = (np.linspace(0.0, np.pi, n) if spacing == "uniform"
+          else np.r_[0.0, np.sort(rng.uniform(0.1, np.pi - 0.1, n - 2)), np.pi])
+    qs = 20.0 * np.sin(3.0 * xs) + xs ** 2 + rng.standard_normal(n)
+    q, _ = make_potential({"type": "table", "x": xs, "q": qs}, np.pi)
+    ref = CubicSpline(xs, qs)
+    inside = np.r_[xs, np.linspace(0.0, np.pi, 1001)]
+    scale = np.max(np.abs(ref(inside)))
+    assert np.max(np.abs(q(inside) - ref(inside))) <= 1e-13 * scale
+    outside = np.r_[np.linspace(-0.3, 0.0, 31), np.linspace(np.pi, np.pi + 0.3, 31)]
+    assert np.max(np.abs(q(outside) - ref(outside))) <= 1e-11 * np.max(np.abs(ref(outside)))
+    assert q(1.25).shape == ()
+    assert np.array_equal(q(inside[:1000].reshape(2, -1)), q(inside[:1000]).reshape(2, -1))
+    assert np.isnan(q(np.nan))
+
+
 def test_table_potential_malformed_row(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("0.0,0.0\n0.5,0.25\n1.0,nope\n")
@@ -844,7 +868,7 @@ def test_table_potential_malformed_row(tmp_path):
 @pytest.mark.parametrize("bad_x, bad_q", [(2.0, math.nan), (math.inf, 4.0), (2.0, -math.inf)])
 def test_table_potential_rejects_non_finite_values(bad_x, bad_q):
     """A non-finite x or q is refused with the row named, before the
-    spline sees it (scipy raised a bare ValueError for a NaN q)."""
+    spline sees it (scipy's spline raised a bare ValueError for a NaN q)."""
     xs, qs = [0.0, 1.0, bad_x, np.pi], [0.0, 1.0, bad_q, 9.9]
     with pytest.raises(DomainError, match="row 3 is not finite"):
         make_potential({"type": "table", "x": xs, "q": qs}, np.pi)

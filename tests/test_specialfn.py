@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import eval_jacobi, eval_legendre, jv, spherical_jn
 
+from transmute import bessel
 from transmute import specialfn as sf
 from transmute.errors import DomainError
 
@@ -329,9 +330,111 @@ def test_bessel_j_half_integer_and_real_orders():
 
 @pytest.mark.parametrize("l", [1.0, 0.5])
 def test_bessel_j_half_rejects_nan(l):
-    # integer l through the spherical table, real l through scipy's jv
-    with pytest.raises(DomainError, match="finite"):
-        sf.bessel_j_half(l, np.nan)
+    # integer l through the spherical table, real l through the numpy
+    # evaluator, a scalar there through its Python-float path
+    for z in (np.nan, np.inf, -1e-300, [1.0, np.nan], [-1.0, 2.0]):
+        with pytest.raises(DomainError, match="finite"):
+            sf.bessel_j_half(l, z)
+
+
+@pytest.mark.parametrize("nu", [-0.1, np.nan, np.inf])
+def test_bessel_j_rejects_bad_orders(nu):
+    with pytest.raises(DomainError, match="order"):
+        bessel.bessel_j(nu, 1.0)
+
+
+def _envelope(nu, z):
+    return math.sqrt(2.0 / (math.pi * max(z, nu))) if max(z, nu) > 0 else 1.0
+
+
+REAL_ORDERS = [0.0, 0.25, 0.75, 1.0, 3.2, 10.8, 40.3]
+
+
+def _bessel_arguments(nu):
+    """z = 0, tiny and small arguments, a band around the turning point
+    z = nu, both sides of the switch from Miller's recurrence to Hankel's
+    expansion at max(20, 2 nu), and up to 1e3."""
+    switch = max(bessel._HANKEL_Z, 2.0 * nu)
+    return np.unique(np.r_[
+        0.0, 1e-300, 1e-120, 1e-100, 1e-8, 1e-3, 0.1, 0.5, 1.0, 2.5,
+        nu * np.linspace(0.8, 1.2, 9), nu + 1e-9,
+        np.nextafter(switch, 0.0), switch, np.nextafter(switch, np.inf),
+        switch * np.linspace(0.9, 1.1, 9), bessel._HANKEL_AT,
+        np.linspace(2.0, 120.0, 60), np.geomspace(120.0, 1e3, 25),
+    ])
+
+
+@pytest.mark.parametrize("nu", REAL_ORDERS)
+def test_bessel_j_half_real_order_against_mpmath(nu):
+    """Within 1e-13 of the envelope sqrt(2 / (pi max(z, nu))) of mpmath's
+    J_nu from z = 0 to 1e3; no warning at z = 0 or elsewhere."""
+    z = _bessel_arguments(nu)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sf.bessel_j_half(nu - 0.5, z)
+        at_zero = sf.bessel_j_half(nu - 0.5, 0.0)
+    assert at_zero == (1.0 if nu == 0.0 else 0.0) == got[0]
+    with mpmath.workdps(30):
+        err = [abs(g - float(mpmath.besselj(nu, zi))) / _envelope(nu, zi)
+               for zi, g in zip(z.tolist(), got.tolist())]
+    assert max(err) <= 1e-13, (nu, z[int(np.argmax(err))], max(err))
+
+
+@pytest.mark.parametrize("nu", REAL_ORDERS)
+def test_bessel_j_half_paths_agree_bitwise(nu):
+    """A method's share of at most _NARROW points runs in Python floats,
+    more in numpy; each value of a wide call is that of the call at the
+    point alone, whatever else the call holds, in any shape."""
+    rng = np.random.default_rng(int(10 * nu))
+    switch = max(bessel._HANKEL_Z, 2.0 * nu)
+    z = np.r_[0.0, 1e-120, rng.uniform(0.0, switch, 3 * sf._NARROW),
+              switch, rng.uniform(switch, 1e3, 3 * sf._NARROW)]
+    l = nu - 0.5
+    wide = sf.bessel_j_half(l, z)
+    for zi, w in zip(z.tolist(), wide.tolist()):
+        assert sf.bessel_j_half(l, zi) == w
+    assert np.array_equal(sf.bessel_j_half(l, z[::-1]), wide[::-1])
+    assert np.array_equal(sf.bessel_j_half(l, z[: sf._NARROW]), wide[: sf._NARROW])
+    assert np.array_equal(sf.bessel_j_half(l, z[:6].reshape(2, 3)), wide[:6].reshape(2, 3))
+    assert sf.bessel_j_half(l, np.float64(z[5])) == wide[5]
+    assert sf.bessel_j_half(l, np.array(z[5])) == wide[5]
+    assert sf.bessel_j_half(l, np.empty(0)).shape == (0,)
+
+
+@pytest.mark.parametrize("nu", [0.0, 1.0])
+def test_bessel_j_exact_zero_of_the_chain_divisor(monkeypatch, nu):
+    """At z = 11.064709488501185, j_{4,1} in double precision, the chain's
+    divisor at k = 3 is exactly 0: the numpy path meets inf and nan without
+    a warning and redoes that point in Python floats, where the divisor
+    is replaced by a tiny number."""
+    z0 = 11.064709488501185
+    redone = []
+    point = bessel._bessel_point
+    monkeypatch.setattr(bessel, "_bessel_point",
+                        lambda nu, z: redone.append(z) or point(nu, z))
+    z = np.r_[np.linspace(1.0, 15.0, 2 * sf._NARROW), z0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        wide = sf.bessel_j_half(nu - 0.5, z)
+    assert redone == [z0]
+    assert wide[-1] == point(nu, z0)
+    assert abs(wide[-1] - float(mpmath.besselj(nu, z0))) < 1e-15
+
+
+def test_bessel_j_half_below_the_leading_term_bound():
+    """Below 1e-100 the leading term (z/2)^nu / Gamma(nu + 1) is J_nu to
+    rounding, subnormal z included; values past the smallest double
+    underflow to 0 without a warning."""
+    for nu in (0.0, 0.25, 0.75, 1.0, 3.2, 40.3):
+        for z in (9.99e-101, 1e-200, 1e-310, 5e-324):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = sf.bessel_j_half(nu - 0.5, z)
+            want = float(mpmath.besselj(nu, z))
+            if want >= 1e-300:
+                assert abs(got - want) <= 1e-14 * want, (nu, z)
+            else:
+                assert 0.0 <= got <= 1e-300
 
 
 def test_legendre_bessel_cosine_identity():
