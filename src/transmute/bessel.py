@@ -231,15 +231,15 @@ def _bessel_miller(nu: float, z: np.ndarray) -> np.ndarray:
             if first[k] != i:
                 i = first[k]
                 rv, hv, av = rho[i:], h[i:], a[:, i:]
-            np.subtract(av[k], rv, out=rv)
-            np.reciprocal(rv, out=rv)
-            np.add(hv, weights[k], out=hv)
-            np.multiply(hv, rv, out=hv)
+            np.subtract(av[k], rv, rv)
+            np.reciprocal(rv, rv)
+            np.add(hv, weights[k], hv)
+            np.multiply(hv, rv, hv)
             if k <= jn:
                 if p is None:
                     p = rho.copy()
                 else:
-                    np.multiply(p, rho, out=p)
+                    np.multiply(p, rho, p)
             elif k == jn + 1 and n & 1:
                 p = rho * (c[jn] / c[jn + 1])
                 p += 1.0
@@ -279,8 +279,8 @@ def _bessel_hankel(nu: float, z: np.ndarray) -> np.ndarray:
         if active[j] != size:
             size = active[j]
             av, wv = acc[:size], w[:size]
-        np.multiply(av, wv, out=av)
-        np.add(av, coef[j, :size], out=av)
+        np.multiply(av, wv, av)
+        np.add(av, coef[j, :size], av)
     c, s = np.cos(z), np.sin(z)
     cp, sp = _hankel_phase(nu0)
     cx = c * cp + s * sp

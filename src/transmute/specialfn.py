@@ -256,6 +256,15 @@ def spherical_j_table(nmax: int, z) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _real_order_bessel():
+    """bessel.bessel_j, imported on first use (a cached call costs a
+    twentieth of an import statement, and pointwise calls are many)."""
+    from .bessel import bessel_j
+
+    return bessel_j
+
+
 def bessel_j_half(l: float, z):
     """Bessel function of order nu = l + 1/2, l >= -1/2, at finite z >= 0.
 
@@ -273,9 +282,7 @@ def bessel_j_half(l: float, z):
     if not l >= -0.5:   # NaN fails too
         raise DomainError(f"order parameter must be >= -1/2, got l={l}")
     if not is_integer_l(l):
-        from .bessel import bessel_j
-
-        return bessel_j(l + 0.5, z)
+        return _real_order_bessel()(l + 0.5, z)
     z = np.asarray(z, dtype=float)
     if not np.all((z >= 0.0) & (z < math.inf)):
         raise DomainError("argument must be finite and >= 0")
