@@ -43,6 +43,7 @@ _LN2 = math.log(2.0)
 _HANKEL_Z = 20.0
 _HANKEL_TOL = 2.0 ** -53   # truncation bound of each Hankel series
 _D_FLOOR = 1e-150          # stands in for an exact zero of the chain's divisor
+_CHUNK = 4096              # points per numpy pass: tables of at most ~2 MB
 
 
 def _hankel_thresholds() -> list:
@@ -309,7 +310,10 @@ def _bessel_j(nu: float, z: np.ndarray) -> np.ndarray:
     bounds = [0, *np.searchsorted(zs, (_Z_TINY, max(_HANKEL_Z, 2.0 * nu))).tolist(), zs.size]
     for lo, hi, wide in zip(bounds, bounds[1:], (None, _bessel_miller, _bessel_hankel)):
         if wide is not None and hi - lo > _NARROW:
-            res[lo:hi] = wide(nu, zs[lo:hi])
+            # in slices of _CHUNK points, which bounds the per-call tables
+            for start in range(lo, hi, _CHUNK):
+                stop = min(start + _CHUNK, hi)
+                res[start:stop] = wide(nu, zs[start:stop])
         elif hi > lo:
             res[lo:hi] = [_bessel_point(nu, zi) for zi in zs[lo:hi].tolist()]
     out = np.empty_like(res)

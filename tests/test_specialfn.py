@@ -399,6 +399,9 @@ def test_bessel_j_half_paths_agree_bitwise(nu):
     assert sf.bessel_j_half(l, np.float64(z[5])) == wide[5]
     assert sf.bessel_j_half(l, np.array(z[5])) == wide[5]
     assert sf.bessel_j_half(l, np.empty(0)).shape == (0,)
+    # a method's points run in slices of _CHUNK
+    copies = -(-2 * bessel._CHUNK // z.size) + 1
+    assert np.array_equal(sf.bessel_j_half(l, np.tile(z, copies)), np.tile(wide, copies))
 
 
 @pytest.mark.parametrize("nu", [0.0, 1.0])
