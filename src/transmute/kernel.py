@@ -293,20 +293,21 @@ def _connection(l: int, m_max: int) -> np.ndarray:
 
 def _check_t(series: KernelSeries, t):
     """t as a 1-D array clipped to [0, t_max_fraction * x]; DomainError
-    past either end by more than the slack.  A scalar is checked in Python
-    floats (a pointwise kernel_K call would spend more on numpy's checks
-    than on its series); its clip gives np.clip's value."""
+    past either end by more than the slack, or for a NaN t.  A scalar is
+    checked in Python floats (a pointwise kernel_K call would spend more
+    on numpy's checks than on its series); its clip gives np.clip's value."""
     hi = series.x * series.t_max_fraction
     if isinstance(t, (int, float)):
         tf = float(t)
-        if tf < -_T_SLACK * series.x:
-            raise DomainError("t must be >= 0")
+        if not tf >= -_T_SLACK * series.x:   # NaN fails too
+            raise DomainError(f"t must be >= 0, got {tf:g}")
         if tf > hi * (1.0 + _T_SLACK):
             _beyond(series)
         return np.array([min(max(tf, 0.0), hi)])
     ta = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(ta < -_T_SLACK * series.x):
-        raise DomainError("t must be >= 0")
+    low = ta >= -_T_SLACK * series.x
+    if not np.all(low):   # NaN fails too
+        raise DomainError(f"t must be >= 0, got {ta[np.argmin(low)]:g}")
     if np.any(ta > hi * (1.0 + _T_SLACK)):
         _beyond(series)
     return np.clip(ta, 0.0, hi)

@@ -12,12 +12,15 @@ A fourth-order Magnus propagator on the first-order system for (u, u'):
 each step exponentiates the averaged coefficient matrix sampled at the
 two-point Gauss nodes.  The omega^2 shift enters the exponent exactly, so
 the step need not resolve each wavelength finely: one step-length rule
-allows 0.16 rad of phase per step (h sqrt|q - omega^2| <= 0.16), no step
+allows 0.3 rad of phase per step (h sqrt|q - omega^2| <= 0.3), no step
 longer than b/1024, and a fixed fraction of x near the origin, which
-resolves the centrifugal term l(l+1)/x^2.  Where l(l+1) != 0 the grid
-starts instead with a layer in t = ln x, the standard treatment of a
-regular-singular endpoint (Pryce, Numerical Solution of Sturm-Liouville
-Problems, OUP 1993): there v = x^(-1/2) u solves
+resolves the centrifugal term l(l+1)/x^2.  Magnus steps lose no accuracy
+as the frequency grows (Iserles, BIT 42, 2002), so the phase allowance
+is set by the steps where that grading hands over to it, and fewer steps
+gather less rounding.  Where l(l+1) != 0 the grid starts instead with a
+layer in t = ln x, the standard treatment of a regular-singular endpoint
+(Pryce, Numerical Solution of Sturm-Liouville Problems, OUP 1993): there
+v = x^(-1/2) u solves
 
     v_tt = ((l + 1/2)^2 + (q - omega^2) x^2) v,
 
@@ -25,12 +28,13 @@ whose centrifugal part is a constant that the step exponentiates exactly.
 The same Magnus step in t propagates (v, v_t) up to x_L, where |q -
 omega^2| x^2 reaches (max(l + 1/2, 1)/4)^2, about a quarter of the
 turning point; its t-steps bound the phase and shrink toward x_L, where
-the varying part is largest.  The state turns into (w, w') at x_L and at
-any requested point inside the layer; past x_L the x rule holds.  x_L is
-taken at the highest frequency solved, and at least at the cap frequency
-(omega ~ 52 on b = pi), so the frequencies below the cap share one grid.
-The step count, and so the cost of a solve, still grows linearly with
-omega.
+the varying part is largest, with at most 0.16 rad of phase per t-step.
+The state turns into (w, w') at x_L and at any requested point inside the
+layer; past x_L the x rule holds.  x_L is taken at the highest frequency
+solved, and at least at a floor frequency (omega ~ 52 on b = pi, where
+the x rule is still the cap alone), so the frequencies below the floor
+share one grid.  The step count, and so the cost of a solve, still grows
+linearly with omega.
 The integration starts at x0 = 1e-6*b from a three-term Frobenius
 expansion (the centrifugal term forbids starting at zero), stops at the
 last requested point, propagates the rescaled variable w = u / x0^(l+1)
@@ -92,17 +96,21 @@ __all__ = [
 _GAUSS_OFF = math.sqrt(3.0) / 6.0   # two-point Gauss offset from midpoint
 
 # grid-construction factors.  Worst relative error against the exact
-# constant-q solutions (q = 0, 50, -3; l = -1/2..10; |omega| <= 1400; x in
-# [0.3, pi]): 8.6e-13 at l = 0 and 4.4e-13 where the log layer serves (9.2e-13
-# at l = -1/2 with the centrifugal term graded in x down to x0); against the
-# exact q = x^2 ones (l = 0, 1/2, 1, 2; omega <= 235; x = pi/8, pi/2, pi):
-# 2.7e-13 (3.3e-13 at x = pi/64).  A step cap of b/200 instead of b/1024
-# moved the l = 1/2, M = 100 fit at x = pi 3x further from its exact-data
-# fit and out of the coefficient-sum check's tolerance.  _SING_FRAC grades
+# constant-q solutions (q = 0, 50, -3; l = -1/2..10; omega = 40..1999; x in
+# [0.3, pi]): 1.2e-12, against 4.8e-12 with x-steps of 0.16 rad, whose
+# extra steps gathered more rounding; against the exact q = x^2 ones (l =
+# 0, 1/2, 1, 2; omega <= 600; x = pi/64, pi/8, pi/2, pi; one sweep):
+# 1.4e-12 (4.7e-13).  0.35 / 0.4 / 0.5 rad read 3.3e-12 / 7.1e-12 /
+# 1.5e-11 there: the error of the x-steps where the centrifugal grading
+# hands over to the phase rule, not of the oscillation.  0.3 rad took an
+# l = 1/2, M = 60 fit at x = pi from 909,186 to 705,861 rows x steps
+# (688,446 at 0.4).  A step cap of b/200 instead of b/1024 moved the
+# l = 1/2, M = 100 fit at x = pi 3x further from its exact-data fit and
+# out of the coefficient-sum check's tolerance.  _SING_FRAC grades
 # the x-steps from the log layer's end until they reach the cap (x ~ 0.2
 # at l = 1 on b = pi, all of (x_L, b] from l ~ 22 on); where l(l+1) = 0
 # there is neither grading nor layer
-_PHASE_FRAC = 0.16
+_X_PHASE = 0.3
 _SING_FRAC = 0.02
 # the log layer: it ends where |q - omega^2| x^2 = (_LAYER_FRAC nu)^2, nu =
 # max(l + 1/2, _NU_MIN), and its t-steps are at most _DT_END at its end,
@@ -111,7 +119,10 @@ _SING_FRAC = 0.02
 # like e^(2t), so that growth equidistributes it.  The pair also moves the
 # oracle's rounding, which a fit reads as its noise floor, and so where
 # choose_N truncates: _DT_END from 0.03 to 0.07 gave the l = 1, q = x^2,
-# M = 25 table at x = pi anything from N = 11 to 23 (N = 11 at 0.05)
+# M = 25 table at x = pi anything from N = 11 to 23 (N = 11 at 0.05).
+# _LAYER_PHASE bounds the phase of a t-step, and sets the floor of x_L's
+# frequency
+_LAYER_PHASE = 0.16
 _LAYER_FRAC = 0.25
 _NU_MIN = 1.0
 _DT_END = 0.05
@@ -120,7 +131,8 @@ _REL_TOL = 1e-10
 # the start's own error budget, relative to w: the accuracy contract
 _START_TOL = 1e-10
 # |omega| * b validated against the exact constant-q family (5000 pi
-# measures 6.1e-12, but the limit stays until such a range is validated)
+# measures 2.6e-12, 9.2e-12 with x-steps of 0.16 rad, but the limit stays
+# until such a range is validated)
 _PHASE_LIMIT = 2000.0 * math.pi
 # frequencies x nodes of a block's grid (its capped frequencies aside),
 # and of one tile of the step maps and chain product (padding included); a
@@ -128,7 +140,7 @@ _PHASE_LIMIT = 2000.0 * math.pi
 # Larger tiles cost memory and, once the arrays leave the cache, time:
 # with 2^16 the l = 1/2, M = 60 fits ran about 20 % slower than with 2^15
 _BLOCK = 1 << 15
-# steps of one grid: 100 times what |omega| b = 2000 pi needs (~4e4); a
+# steps of one grid: 200 times what |omega| b = 2000 pi needs (~2.1e4); a
 # sweep near omega = 0 on b = 1e300 would ask for 1e150
 _MAX_STEPS = 1 << 22
 # steps of a range, padded with identity maps, are a multiple of this and
@@ -330,43 +342,44 @@ def _layer_rule(l: float):
     """(reach, dt) of the log layer at l, (0, 0) where l(l+1) = 0 and there
     is none.  The layer ends where |q - omega^2| x^2 reaches reach =
     (_LAYER_FRAC nu)^2, nu = max(l + 1/2, _NU_MIN); below it V = (l + 1/2)^2
-    + (q - omega^2) x^2, so t-steps of at most dt = _PHASE_FRAC /
-    sqrt((l + 1/2)^2 + reach) carry at most _PHASE_FRAC rad of phase."""
+    + (q - omega^2) x^2, so t-steps of at most dt = _LAYER_PHASE /
+    sqrt((l + 1/2)^2 + reach) carry at most _LAYER_PHASE rad of phase."""
     if not l * (l + 1.0):
         return 0.0, 0.0
     reach = (_LAYER_FRAC * max(l + 0.5, _NU_MIN)) ** 2
-    return reach, _PHASE_FRAC / math.sqrt((l + 0.5) ** 2 + reach)
+    return reach, _LAYER_PHASE / math.sqrt((l + 0.5) ** 2 + reach)
 
 
 def _step_rule(probe: _Probe, om_lo: float, om_hi: float):
     """Probe cells and the longest step h[i] on cell [edges[i], edges[i+1]]
-    at every frequency in [om_lo, om_hi], at most _PHASE_FRAC rad of phase:
+    at every frequency in [om_lo, om_hi], at most _X_PHASE rad of phase:
     |q - omega^2| at the probed points is convex in omega^2, so its maximum
     at om_lo and om_hi bounds it in between."""
     edges, cap, q_lo, q_hi = probe
     # in Python floats omega^2 past ~1.3e154 is inf without numpy's overflow warning
     om_lo, om_hi = float(om_lo), float(om_hi)
     cell_v = np.maximum(q_hi - om_lo * om_lo, om_hi * om_hi - q_lo)
-    return edges, np.minimum(cap, _PHASE_FRAC / np.sqrt(np.maximum(cell_v, 1e-300)))
+    return edges, np.minimum(cap, _X_PHASE / np.sqrt(np.maximum(cell_v, 1e-300)))
 
 
 def _layer_end(probe: _Probe, l: float, om_lo: float, om_hi: float) -> float:
     """End x_L of the log layer for every frequency in [om_lo, om_hi]: the
     largest x where the bound of _step_rule on |q - omega^2|, times x^2,
     stays within the reach of _layer_rule(l) on every cell below x.  The
-    bound is taken at least at the cap frequency, whose phase rule is the
-    cap, so every capped frequency gets the same layer.  x0 without a
-    layer, b if the bound never passes reach."""
+    bound is taken at least at the floor frequency _LAYER_PHASE 1024 / (b -
+    x0) (~52 on b = pi), below which the x rule is the cap alone, so every
+    frequency below the floor gets the same layer.  x0 without a layer, b
+    if the bound never passes reach."""
     edges, _, q_lo, q_hi = probe
     reach = _layer_rule(l)[0]
     if not reach:
         return edges[0]
     om_lo, om_hi = float(om_lo), float(om_hi)   # as in _step_rule
-    # the floor keeps x_L within the first cells, up to sqrt(reach) / om_cap
-    om_cap = _PHASE_FRAC * 1024.0 / (edges[-1] - edges[0])
-    head = int(np.searchsorted(edges[:-1], math.sqrt(reach) / om_cap, side="right"))
+    # the floor keeps x_L within the first cells, up to sqrt(reach) / om_floor
+    om_floor = _LAYER_PHASE * 1024.0 / (edges[-1] - edges[0])
+    head = int(np.searchsorted(edges[:-1], math.sqrt(reach) / om_floor, side="right"))
     cell_v = np.maximum(q_hi[:head] - om_lo * om_lo, om_hi * om_hi - q_lo[:head])
-    v = np.maximum.accumulate(np.maximum(cell_v, om_cap * om_cap))
+    v = np.maximum.accumulate(np.maximum(cell_v, om_floor * om_floor))
     j = int(np.searchsorted(v * edges[1 : head + 1] ** 2, reach, side="right"))
     return edges[j] if j == head else max(edges[j], math.sqrt(reach / v[j]))
 
@@ -504,9 +517,11 @@ def _step_maps(terms, om: np.ndarray, bufs, log: bool = False):
     its exponential is C(s) I + S(s) times it, with C(s) = sum s^k/(2k)!
     and S(s) = sum s^k/(2k+1)! (cos and sin(theta)/theta at s = -theta^2,
     cosh and sinh(theta)/theta at s = theta^2).  Their Taylor sums reach
-    rounding at |s| <= 1/16 (the grids keep |s| <= 0.027); a larger |s|
-    is scaled by 4^-k and doubled back k times with S <- S C and
-    C - 1 <- 2 (C - 1)(C + 1), k set by the largest |s| of the tile.  The
+    rounding at |s| <= 1/16 (the log layer keeps |s| <= 0.027, and so do
+    the x grids below omega ~ 52 on b = pi; above it they reach |s| ~
+    _X_PHASE^2 = 0.09); a larger |s| is scaled by 4^-k and doubled back k
+    times with S <- S C and C - 1 <- 2 (C - 1)(C + 1), k set by the
+    largest |s| of the tile (k = 1 up to |s| = 1/4).  The
     work runs in the five arrays bufs of that shape, the maps in the first
     four; every value is formed by the same operations, in the same order,
     as for a single frequency.
@@ -868,7 +883,7 @@ def regular_solutions(setup: ProblemSetup, omegas, x_eval: Sequence[float]):
     shares one grid, sized for its lowest and highest |omega| and so, at
     every frequency in it, no coarser than the step rule that frequency
     would get alone; the frequencies whose step rule is the cap alone (up
-    to |omega| ~ 52 on b = pi) share one grid, and in a call that has no
+    to |omega| ~ 98 on b = pi) share one grid, and in a call that has no
     other frequency, the layer and grid each would get alone.  Every pass,
     of one grid level of the layer or of a block's x grid, is one
     _propagate call and runs in tiles of equal rows and at most _BLOCK
@@ -993,9 +1008,10 @@ def regular_solution_ode(
     sqrt(u^2 + (u'/omega)^2) over the requested points, so a requested
     point on a node does not deflate the scale) is 1e-10 or better on
     [b/100, b] for smooth potentials and |omega| b <= 2000 pi (measured
-    against the exact constant-q solutions, l >= -1/2: 8.6e-13 up to
-    omega = 1400 on b = pi, 4.9e-12 at omega*b = 2000 pi; against the
-    exact q = x^2 ones 2.7e-13 up to omega = 235); the self-verification
+    against the exact constant-q solutions, l >= -1/2: 9.5e-13 up to
+    omega = 1400 on b = pi, 1.1e-12 at omega*b = 2000 pi; against the
+    exact q = x^2 ones 1.3e-12 up to omega = 600, 4.2e-12 with one more
+    requested point anywhere in [0.005, 0.5]); the self-verification
     enforces the agreement between grid levels.  Past that range the
     accuracy is not validated, so an AccuracyWarning is emitted.  In a
     sweep (regular_solutions) a frequency shares the sweep's log layer and
@@ -1018,10 +1034,11 @@ def zero_count(setup: ProblemSetup, omega: float) -> int:
     Sturm-Liouville Problems, OUP 1993).  The sign of w is read at every
     node of regular_solutions' grid for omega alone (its level 0), from
     the same start, through the prefix products of the layer's and then
-    the x grid's step maps (_prefix); a step carries at most _PHASE_FRAC
-    rad of phase, so none hides two zeros.  |w(b)| within 1e-6 of the
-    envelope there (the grid's error is below 2e-8 of it) is a zero at b,
-    whichever way its sign tips.  Raises as regular_solutions does.
+    the x grid's step maps (_prefix); a step carries at most _X_PHASE
+    rad of phase at the probed points (the layer's _LAYER_PHASE), far
+    below the pi between two zeros, so none hides two zeros.  |w(b)|
+    within 1e-6 of the envelope there (the grid's error is below 2e-8 of
+    it) is a zero at b, whichever way its sign tips.  Raises as regular_solutions does.
     """
     om = abs(float(omega))
     if not math.isfinite(om):

@@ -104,7 +104,8 @@ def test_pointwise_kernel_K_has_the_bits_of_a_wide_call(l, mode):
 @pytest.mark.parametrize("l, mode", [(1, "integer-l"), (0.5, "real-l")])
 def test_pointwise_kernel_K_checks_t_as_a_wide_call(l, mode):
     """A scalar t is checked in Python floats: it raises what a one-point
-    array raises, NaN included, and takes the same clip at both ends."""
+    array raises, and takes the same clip at both ends.  A NaN t is named
+    as such, on both paths, in place of the Jacobi argument it becomes."""
     series = make_kernel_series(_zero_table(l), mode=mode)
     hi = series.x * series.t_max_fraction
     for t in (-1e-3, hi * (1.0 + 1e-9), np.pi + 1.0, math.nan):
@@ -113,6 +114,10 @@ def test_pointwise_kernel_K_checks_t_as_a_wide_call(l, mode):
         with pytest.raises(DomainError) as point:
             kernel_K(series, t)
         assert str(point.value) == str(wide.value)
+    with pytest.raises(DomainError, match=r"^t must be >= 0, got nan$"):
+        kernel_K(series, math.nan)
+    with pytest.raises(DomainError, match=r"^t must be >= 0, got nan$"):
+        kernel_K(series, np.array([0.5, math.nan]))
     for t in (-1e-14, 0.0, 1, hi, hi * (1.0 + 1e-13), np.float64(0.7)):
         assert kernel_K(series, t) == kernel_K(series, np.array([float(t)]))[0]
 
