@@ -17,15 +17,14 @@ Against mpmath at nu in [0, 40.3] and z in [0, 1e3] the error stays below
 1e-14 of the envelope sqrt(2 / (pi max(z, nu))): 7.4e-15 at worst over
 about 1,400 points at each of 14 orders.
 
-The points of a method run in Python floats when there are at most
-specialfn._NARROW of them, else in numpy; both paths make the same IEEE
-operations in the same order, and each point keeps its own start order or
-number of Hankel terms, so a value does not depend on the call that
-computed it.
+Every point, a scalar one included, goes through the same numpy code and
+keeps its own start order or number of Hankel terms, so a point's bits do
+not depend on the call it comes in.  At one numpy call per operation and
+order, a call costs tens to hundreds of microseconds whatever its width:
+pass arrays.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from functools import lru_cache
 from typing import NamedTuple
@@ -33,7 +32,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .specialfn import _NARROW
 
 __all__ = ["bessel_j"]
 
@@ -72,9 +70,9 @@ _HANKEL_TERMS = len(_HANKEL_AT)
 
 
 @lru_cache(maxsize=16)
-def _hankel_coeffs(nu0: float):
+def _hankel_coeffs(nu0: float) -> np.ndarray:
     """Row j: the coefficients of (1/z^2)^j in P(nu0), z Q(nu0), P(nu0+1)
-    and z Q(nu0+1), as tuples and as a read-only array."""
+    and z Q(nu0+1), as a read-only array."""
     cols = []
     for mu in (nu0, nu0 + 1.0):
         a = [1.0]
@@ -82,10 +80,9 @@ def _hankel_coeffs(nu0: float):
             a.append(a[-1] * (4.0 * mu * mu - (2 * k - 1) ** 2) / (8.0 * k))
         cols.append([(-1) ** j * a[2 * j] for j in range(_HANKEL_TERMS)])
         cols.append([(-1) ** j * a[2 * j + 1] for j in range(_HANKEL_TERMS)])
-    rows = tuple(zip(*cols))
-    table = np.array(rows)
+    table = np.array(cols).T
     table.setflags(write=False)
-    return rows, table
+    return table
 
 
 def _hankel_phase(nu0: float):
@@ -109,14 +106,11 @@ class _Chain(NamedTuple):
     (2 sqrt(m) - 3)^2, that is at an order of at least z + 6 sqrt(z) + 9,
     which leaves under 1e-17 of the envelope.
     """
-    alpha: list
-    beta: list
-    alpha_col: np.ndarray     # alpha and beta as numpy columns
-    beta_col: np.ndarray
+    alpha: np.ndarray         # alpha and beta as columns
+    beta: np.ndarray
     weights: list             # the Neumann weights w_k / c_k
     c: list
-    bounds: list
-    bounds_array: np.ndarray
+    bounds: np.ndarray
 
 
 @lru_cache(maxsize=32)
@@ -135,8 +129,8 @@ def _chain(nu0: float, size: int) -> _Chain:
             w.append(w[-1] * ((nu0 + 2 * k) * (nu0 + k - 1)) / ((nu0 + 2 * k - 2) * k))
     bounds = [(2.0 * math.sqrt(m) - 3.0) * (2.0 * math.sqrt(m) - 3.0)
               for m in range(3, size // 2 + 1)]
-    return _Chain(alpha, beta, np.array(alpha)[:, None], np.array(beta)[:, None],
-                  [wk / ck for wk, ck in zip(w, c)], c, bounds, np.array(bounds))
+    return _Chain(np.array(alpha)[:, None], np.array(beta)[:, None],
+                  [wk / ck for wk, ck in zip(w, c)], c, np.array(bounds))
 
 
 def _chain_start(nu: float, z: float):
@@ -146,70 +140,20 @@ def _chain_start(nu: float, z: float):
     # 2 m <= t^2 / 2 + 4, and the tables reach k = 32 ceil(that / 32) >= 2 m
     size = 32 * -(-max(low, int(0.5 * t * t) + 4) // 32)
     chain = _chain(nu - math.floor(nu), size)
-    return max(low, 2 * (3 + bisect.bisect_left(chain.bounds, z))), chain
+    return max(low, 2 * (3 + int(np.searchsorted(chain.bounds, z)))), chain
 
 
-def _bessel_point(nu: float, z: float) -> float:
-    """J_nu(z) in Python floats, by the method (nu, z) selects."""
-    n = math.floor(nu)
-    nu0 = nu - n
-    if z < _Z_TINY:
-        if z == 0.0:
-            return 1.0 if nu == 0.0 else 0.0
-        return math.pow(z, nu) * math.exp(-nu * _LN2 - math.lgamma(nu + 1.0))
-    tz = 2.0 / z
-    if z >= max(_HANKEL_Z, 2.0 * nu):
-        coef = _hankel_coeffs(nu0)[0]
-        w = 1.0 / (z * z)
-        p0 = q0 = p1 = q1 = 0.0
-        for j in range(_HANKEL_TERMS - bisect.bisect_right(_HANKEL_AT, z), -1, -1):
-            c0, c1, c2, c3 = coef[j]
-            if n != 1:
-                p0 = p0 * w + c0
-                q0 = q0 * w + c1
-            if n:
-                p1 = p1 * w + c2
-                q1 = q1 * w + c3
-        c, s = math.cos(z), math.sin(z)
-        cp, sp = _hankel_phase(nu0)
-        cx = c * cp + s * sp
-        sx = s * cp - c * sp
-        amp = math.sqrt(_TWO_OVER_PI / z)
-        j0 = amp * (p0 * cx - q0 / z * sx)
-        j1 = amp * (p1 * sx + q1 / z * cx)
-        if n == 0:
-            return j0
-        for k in range(1, n):
-            j0, j1 = j1, (nu0 + k) * tz * j1 - j0
-        return j1
-    top, chain = _chain_start(nu, z)
-    alpha, beta, weights, c = chain.alpha, chain.beta, chain.weights, chain.c
-    tz2 = tz * tz
-    jn = n >> 1
-    rho = h = 0.0
-    p = 1.0
-    for k in range(top, 0, -1):
-        d = alpha[k] * tz2 - beta[k] - rho
-        rho = 1.0 / (d if d != 0.0 else _D_FLOOR)
-        h = (h + weights[k]) * rho
-        if k <= jn:
-            p = p * rho
-        elif k == jn + 1 and n & 1:
-            p = rho * (c[jn] / c[jn + 1]) + 1.0
-    # h + 1 = sum_k w_k e_k / e_0; J_nu / J_nu0 is e_jn / e_0 for even n and
-    # (e_jn + e_jn+1) / (e_0 (2/z)(nu0 + n)) for odd n
-    neumann = 1.0 if nu0 == 0.0 else (0.5 * z) ** nu0 / math.gamma(nu0 + 1.0)
-    out = neumann / (h + 1.0)
-    if n:
-        out = out * (p / c[jn])
-        if n & 1:
-            out = out / ((nu0 + n) * tz)
-    return out
+def _bessel_tiny(nu: float, z: np.ndarray) -> np.ndarray:
+    """The leading term (z/2)^nu / Gamma(nu + 1): 1 at z = 0 for nu = 0,
+    else 0 there; float_power is libm's pow."""
+    return np.float_power(z, nu) * math.exp(-nu * _LN2 - math.lgamma(nu + 1.0))
 
 
-def _bessel_miller(nu: float, z: np.ndarray) -> np.ndarray:
-    """_bessel_point's chain on an ascending array: one numpy call per
-    operation and order, each point entering at its own start."""
+def _bessel_miller(nu: float, z: np.ndarray, floor: bool = False) -> np.ndarray:
+    """Miller's chain on an ascending array: one numpy call per operation
+    and order, each point entering at its own start.  An exact zero of the
+    divisor gives inf or nan; such points are redone with floor set, which
+    puts _D_FLOOR in place of the zero."""
     n = math.floor(nu)
     nu0 = nu - n
     jn = n >> 1
@@ -218,21 +162,22 @@ def _bessel_miller(nu: float, z: np.ndarray) -> np.ndarray:
     weights, c = chain.weights, chain.c
     # the points from first[k] on are in the chain at k: with k <= low
     # or 2 m >= k, where m > 3 once z passes bounds[m - 4]
-    past = np.searchsorted(z, chain.bounds_array[: top // 2 - 3], side="right").tolist()
+    past = np.searchsorted(z, chain.bounds[: top // 2 - 3], side="right").tolist()
     first = [0 if k <= low or k <= 6 else past[(k + 1) // 2 - 4] for k in range(top + 1)]
     tz = 2.0 / z
-    a = np.multiply(chain.alpha_col[: top + 1], tz * tz)
-    a -= chain.beta_col[: top + 1]
+    a = np.multiply(chain.alpha[: top + 1], tz * tz)
+    a -= chain.beta[: top + 1]
     rho, h = np.zeros((2, z.size))
     p = None
     i = -1
-    # an exact zero of d gives inf and nan here: such points are redone below
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(top, 0, -1):
             if first[k] != i:
                 i = first[k]
                 rv, hv, av = rho[i:], h[i:], a[:, i:]
             np.subtract(av[k], rv, rv)
+            if floor:
+                rv[rv == 0.0] = _D_FLOOR
             np.reciprocal(rv, rv)
             np.add(hv, weights[k], hv)
             np.multiply(hv, rv, hv)
@@ -244,6 +189,8 @@ def _bessel_miller(nu: float, z: np.ndarray) -> np.ndarray:
             elif k == jn + 1 and n & 1:
                 p = rho * (c[jn] / c[jn + 1])
                 p += 1.0
+        # h + 1 = sum_k w_k e_k / e_0; J_nu / J_nu0 is e_jn / e_0 for even n
+        # and (e_jn + e_jn+1) / (e_0 (2/z)(nu0 + n)) for odd n
         h += 1.0
         if nu0 == 0.0:
             out = np.reciprocal(h, out=h)
@@ -253,15 +200,15 @@ def _bessel_miller(nu: float, z: np.ndarray) -> np.ndarray:
             out *= p / c[jn]
             if n & 1:
                 out /= (nu0 + n) * tz
-    if not np.isfinite(out).all():
-        for i in np.flatnonzero(~np.isfinite(out)).tolist():
-            out[i] = _bessel_point(nu, float(z[i]))
+    bad = ~np.isfinite(out)
+    if not floor and bad.any():
+        out[bad] = _bessel_miller(nu, z[bad], floor=True)
     return out
 
 
 def _bessel_hankel(nu: float, z: np.ndarray) -> np.ndarray:
-    """_bessel_point's Hankel branch on an ascending array: the series of
-    all points side by side in one flat array, each point taking its own
+    """Hankel's expansion on an ascending array: the series of all points
+    side by side in one flat array, each point taking its own
     number of terms."""
     n = math.floor(nu)
     nu0 = nu - n
@@ -272,7 +219,7 @@ def _bessel_hankel(nu: float, z: np.ndarray) -> np.ndarray:
     # width times the points with more than j terms: a prefix, as terms
     # falls with z
     active = (width * np.searchsorted(-terms, -np.arange(most))).tolist()
-    coef = np.tile(_hankel_coeffs(nu0)[1][:most, cols], z.size)
+    coef = np.tile(_hankel_coeffs(nu0)[:most, cols], z.size)
     w = np.repeat(1.0 / (z * z), width)
     acc = np.zeros(width * z.size)
     size = -1
@@ -308,14 +255,11 @@ def _bessel_j(nu: float, z: np.ndarray) -> np.ndarray:
         raise DomainError("argument must be finite and >= 0")
     res = np.empty_like(zs)
     bounds = [0, *np.searchsorted(zs, (_Z_TINY, max(_HANKEL_Z, 2.0 * nu))).tolist(), zs.size]
-    for lo, hi, wide in zip(bounds, bounds[1:], (None, _bessel_miller, _bessel_hankel)):
-        if wide is not None and hi - lo > _NARROW:
-            # in slices of _CHUNK points, which bounds the per-call tables
-            for start in range(lo, hi, _CHUNK):
-                stop = min(start + _CHUNK, hi)
-                res[start:stop] = wide(nu, zs[start:stop])
-        elif hi > lo:
-            res[lo:hi] = [_bessel_point(nu, zi) for zi in zs[lo:hi].tolist()]
+    for lo, hi, method in zip(bounds, bounds[1:], (_bessel_tiny, _bessel_miller, _bessel_hankel)):
+        # in slices of _CHUNK points, which bounds the per-call tables
+        for start in range(lo, hi, _CHUNK):
+            stop = min(start + _CHUNK, hi)
+            res[start:stop] = method(nu, zs[start:stop])
     out = np.empty_like(res)
     out[order] = res
     return out
@@ -323,15 +267,11 @@ def _bessel_j(nu: float, z: np.ndarray) -> np.ndarray:
 
 def bessel_j(nu: float, z):
     """J_nu(z) for real nu >= 0 at finite z >= 0: a float for a scalar z,
-    else an array of z's shape.  A scalar runs in Python floats, with the
-    bits the numpy path gives it."""
+    else an array of z's shape.  Every point runs on the one numpy path, and
+    its bits do not depend on the call it comes in; a call costs tens to
+    hundreds of microseconds at any width, so pass arrays, not scalars."""
     if not 0.0 <= nu < math.inf:   # NaN fails too
         raise DomainError(f"order must be finite and >= 0, got {nu}")
-    if isinstance(z, float):
-        if not 0.0 <= z < math.inf:
-            raise DomainError("argument must be finite and >= 0")
-        return _bessel_point(nu, z)
     z = np.asarray(z, dtype=float)
-    if z.ndim == 0:
-        return bessel_j(nu, float(z))
-    return _bessel_j(nu, z.ravel()).reshape(z.shape)
+    out = _bessel_j(nu, z.ravel()).reshape(z.shape)
+    return float(out) if z.ndim == 0 else out

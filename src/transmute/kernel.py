@@ -59,6 +59,9 @@ __all__ = [
 _T_SLACK = 1e-12
 _STALL_RATIO = 0.9   # |beta_{k+1}|/|beta_k| at or above this counts as "not decaying"
 _STALL_RUN = 3       # consecutive non-decaying ratios that define a stall
+# most panels apply_transmutation lays: |omega_hint| x = 2000 pi, the
+# oracle's validated range, takes 2000
+_MAX_PANELS = 4096
 
 
 @dataclass(frozen=True)
@@ -92,6 +95,10 @@ class KernelSeries:
     def __post_init__(self):
         if self.mode not in ("integer-l", "real-l"):
             raise DomainError(f"unknown mode {self.mode!r}")
+        if not 0.0 < self.x < math.inf:   # NaN fails too
+            raise DomainError(f"x must be finite and > 0, got {self.x}")
+        if self.goursat_diag is not None and not math.isfinite(self.goursat_diag):
+            raise DomainError(f"goursat_diag must be finite, got {self.goursat_diag}")
         if self.mode == "integer-l" and not specialfn.is_integer_l(self.l):
             raise DomainError(
                 f"integer-l mode requires l in 0,1,2,..., got {self.l}"
@@ -481,13 +488,16 @@ def apply_transmutation(
 ) -> float:
     """y(x) + int_0^x K_N(x,t) y(t) dt by Gauss quadrature.
 
-    y must be vectorized: it is called once on the array of quadrature
-    nodes and must return an array of the same shape.  The node array is
-    read-only; a y that writes into its argument raises.
+    y must be vectorized: it is called once, on the array of quadrature
+    nodes with x appended, and must return an array of the same shape.
+    The array is read-only; a y that writes into its argument raises.
 
     omega_hint, when given, is the dominant oscillation frequency of y;
     past omega x = 50 the integral switches from a single 200-node rule to
-    composite panels no longer than pi/omega.  The single rule and the
+    composite panels no longer than pi/omega, at most _MAX_PANELS of
+    them.  DomainError, before any node is laid, for an x that is NaN or
+    not the series', a NaN or infinite omega_hint, or one that asks for
+    more panels than that.  The single rule and the
     kernel values on it are evaluated once per series
     (KernelSeries.quadrature) and reused by every later call; the panels
     depend on omega and are evaluated on each call.
@@ -498,12 +508,17 @@ def apply_transmutation(
     goursat_diag, and extrapolated from inside the cutoff otherwise (the
     anchored form is the reliable one).
     """
-    if abs(x - series.x) > 1e-9 * max(1.0, series.x):
+    if not abs(x - series.x) <= 1e-9 * max(1.0, series.x):   # NaN fails too
         raise DomainError(f"series was built at x={series.x}, got x={x}")
+    if omega_hint is not None and not math.isfinite(omega_hint):
+        raise DomainError(f"omega_hint must be finite, got {omega_hint}")
 
     if omega_hint is not None and abs(omega_hint) * x > 50.0:
         hi = series.t_max_fraction * x
         length = math.pi / abs(omega_hint)
+        if hi / length > _MAX_PANELS:
+            raise DomainError(f"omega_hint={omega_hint} needs more than "
+                              f"{_MAX_PANELS} panels of pi/omega_hint on [0, {hi:g}]")
         panels = int(math.ceil(hi / length))
         z24, w24 = _gl_nodes(24)
         edges = np.linspace(0.0, hi, panels + 1)
@@ -515,13 +530,15 @@ def apply_transmutation(
     else:
         tg, wg, kg = series.quadrature
 
-    yg = np.asarray(y(tg), dtype=float)
-    if yg.shape != tg.shape:
+    nodes = np.append(tg, x)
+    nodes.setflags(write=False)
+    yg = np.asarray(y(nodes), dtype=float)
+    if yg.shape != nodes.shape:
         raise DomainError(
-            f"y must map the node array of shape {tg.shape} to values of "
+            f"y must map the node array of shape {nodes.shape} to values of "
             f"the same shape, got {yg.shape}"
         )
-    return float(y(x)) + float(np.sum(wg * kg * yg))
+    return float(yg[-1]) + float(np.sum(wg * kg * yg[:-1]))
 
 
 def _with_kernel(series: KernelSeries, hi: float, tg, wg):

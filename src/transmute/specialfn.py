@@ -256,15 +256,6 @@ def spherical_j_table(nmax: int, z) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _real_order_bessel():
-    """bessel.bessel_j, imported on first use (a cached call costs a
-    twentieth of an import statement, and pointwise calls are many)."""
-    from .bessel import bessel_j
-
-    return bessel_j
-
-
 def bessel_j_half(l: float, z):
     """Bessel function of order nu = l + 1/2, l >= -1/2, at finite z >= 0.
 
@@ -276,13 +267,16 @@ def bessel_j_half(l: float, z):
     from there on, the leading power term below 1e-100.  Against mpmath at
     nu in [0, 40.3] and 0 <= z <= 1e3 its error stays below 1e-14 of the
     envelope sqrt(2 / (pi max(z, nu))) (7.4e-15 at worst where measured;
-    the tests' bound is 1e-13), and a point has the same bits whatever
-    the call it comes in.
+    the tests' bound is 1e-13).  Every point, a scalar one too, runs on
+    one numpy path and has the same bits whatever the call it comes in; a
+    call costs tens to hundreds of microseconds at any width: pass arrays.
     """
     if not l >= -0.5:   # NaN fails too
         raise DomainError(f"order parameter must be >= -1/2, got l={l}")
     if not is_integer_l(l):
-        return _real_order_bessel()(l + 0.5, z)
+        from .bessel import bessel_j
+
+        return bessel_j(l + 0.5, z)
     z = np.asarray(z, dtype=float)
     if not np.all((z >= 0.0) & (z < math.inf)):
         raise DomainError("argument must be finite and >= 0")

@@ -151,6 +151,56 @@ def test_apply_transmutation_needs_vectorized_y(l):
         apply_transmutation(series, lambda t: np.ones(3), np.pi)
 
 
+@pytest.mark.parametrize("l", [1, 0.5])
+@pytest.mark.parametrize("omega", [None, 30.0])
+def test_apply_transmutation_calls_y_once_with_x_last(l, omega):
+    # y(x) comes from the same call as the integrand: the nodes with x
+    # appended, read-only.  omega x = 30 pi > 50 lays 24-node panels of
+    # pi/omega, 30 on [0, pi] and 29 on [0, 0.95 pi]; real l adds the
+    # 32-node tail
+    series = make_kernel_series(_zero_table(l), goursat_diag=0.0)
+    size = {(1, None): 200, (1, 30.0): 24 * 30,
+            (0.5, None): 200 + 32, (0.5, 30.0): 24 * 29 + 32}[l, omega]
+    calls = []
+
+    def y(t):
+        calls.append(t)
+        return np.cos(t)
+
+    assert apply_transmutation(series, y, np.pi, omega_hint=omega) == -1.0
+    [t] = calls
+    assert t.shape == (size + 1,) and t[-1] == np.pi and not t.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        apply_transmutation(series, lambda t: np.multiply(t, 2.0, out=t), np.pi,
+                            omega_hint=omega)
+    for wrong in (lambda t: t[:-1], lambda t: np.ones(3)):
+        with pytest.raises(DomainError, match="same shape"):
+            apply_transmutation(series, wrong, np.pi, omega_hint=omega)
+
+
+@pytest.mark.parametrize("x, omega, match", [
+    (np.nan, None, "x=nan"),
+    (np.pi, np.inf, "omega_hint must be finite, got inf"),
+    (np.pi, -np.inf, "omega_hint must be finite, got -inf"),
+    (np.pi, np.nan, "omega_hint must be finite, got nan"),
+    (np.pi, 1e6, "omega_hint=1000000.0 needs more than 4096 panels"),
+])
+def test_apply_transmutation_checks_its_input_first(monkeypatch, x, omega, match):
+    # a NaN x, a non-finite omega_hint and one past the panel bound raise
+    # before any node is laid or y is called
+    series = make_kernel_series(_zero_table(0.5))
+    monkeypatch.setattr(kernel, "_gl_nodes", lambda n: pytest.fail("nodes laid"))
+    with pytest.raises(DomainError, match=match):
+        apply_transmutation(series, lambda t: pytest.fail("y called"), x, omega_hint=omega)
+
+
+def test_apply_transmutation_panel_bound_covers_the_oracle_range():
+    # |omega_hint| x = 2000 pi, the oracle's validated range, takes 2000
+    # panels at l = 1, under the bound
+    series = make_kernel_series(_zero_table(1))
+    assert apply_transmutation(series, np.cos, np.pi, omega_hint=2000.0) == -1.0
+
+
 # ---------------------------------------------------------------------------
 # moments
 
@@ -452,6 +502,23 @@ def test_series_construction_validation(beta_harmonic, beta_half_dense):
     with pytest.raises(DomainError):
         KernelSeries(x=1.0, l=0.5, mode="real-l", N=1, weights=np.zeros(2))
     assert make_kernel_series(beta_harmonic[1], t_max_fraction=1.0).t_max_fraction == 1.0
+
+
+@pytest.mark.parametrize("x, goursat, match", [
+    (np.nan, None, "x must be finite and > 0, got nan"),
+    (0.0, None, "x must be finite and > 0, got 0.0"),
+    (-1.0, None, "x must be finite and > 0, got -1.0"),
+    (np.inf, None, "x must be finite and > 0, got inf"),
+    (1.0, np.nan, "goursat_diag must be finite, got nan"),
+    (1.0, -np.inf, "goursat_diag must be finite, got -inf"),
+])
+def test_series_needs_a_finite_positive_x_and_a_finite_diagonal(x, goursat, match):
+    # a NaN goursat_diag would anchor the real-l tail at NaN and make
+    # apply_transmutation return NaN without a word
+    for l, mode, frac in ((1.0, "integer-l", 1.0), (0.5, "real-l", 0.95)):
+        with pytest.raises(DomainError, match=match):
+            KernelSeries(x=x, l=l, mode=mode, N=1, weights=np.zeros(2),
+                         t_max_fraction=frac, goursat_diag=goursat)
 
 
 def test_kernel_eval_outside_range(beta_harmonic):

@@ -4,6 +4,7 @@ gamma ratios, terminating hypergeometric sums, the integer-l rule.
 Reference values come from scipy.special (independent implementations),
 mpmath, and closed forms.
 """
+import hashlib
 import math
 import warnings
 
@@ -331,7 +332,7 @@ def test_bessel_j_half_integer_and_real_orders():
 @pytest.mark.parametrize("l", [1.0, 0.5])
 def test_bessel_j_half_rejects_nan(l):
     # integer l through the spherical table, real l through the numpy
-    # evaluator, a scalar there through its Python-float path
+    # evaluator, a scalar as a 0-d array
     for z in (np.nan, np.inf, -1e-300, [1.0, np.nan], [-1.0, 2.0]):
         with pytest.raises(DomainError, match="finite"):
             sf.bessel_j_half(l, z)
@@ -380,11 +381,31 @@ def test_bessel_j_half_real_order_against_mpmath(nu):
     assert max(err) <= 1e-13, (nu, z[int(np.argmax(err))], max(err))
 
 
+# sha256, first 16 hex digits, of bessel_j_half(nu - 1/2, .) over
+# _bessel_arguments(nu): one scalar call per point, then one wide call, as
+# float64 bytes (x86-64, glibc's libm)
+BESSEL_DIGESTS = {
+    0.0: "a37a47378c92d41a", 0.25: "7c5f7aded504a4a8", 0.75: "1da60c959fdc33c1",
+    1.0: "8b0930218a5af5d5", 3.2: "5f6418c578c28de8", 10.8: "9eb925f61f54ecfc",
+    40.3: "f7858fe36d3ff35e",
+}
+
+
+@pytest.mark.parametrize("nu", REAL_ORDERS)
+def test_bessel_j_half_bits_are_pinned(nu):
+    """The real-order values keep their bits: a change of method, order of
+    operations or call path that moves any of them shows here."""
+    z = _bessel_arguments(nu)
+    scalar = np.array([sf.bessel_j_half(nu - 0.5, zi) for zi in z.tolist()])
+    wide = sf.bessel_j_half(nu - 0.5, z)
+    digest = hashlib.sha256(scalar.tobytes() + wide.tobytes()).hexdigest()[:16]
+    assert digest == BESSEL_DIGESTS[nu]
+
+
 @pytest.mark.parametrize("nu", REAL_ORDERS)
 def test_bessel_j_half_paths_agree_bitwise(nu):
-    """A method's share of at most _NARROW points runs in Python floats,
-    more in numpy; each value of a wide call is that of the call at the
-    point alone, whatever else the call holds, in any shape."""
+    """Each value of a wide call is that of the call at the point alone,
+    whatever else the call holds, in any shape or width."""
     rng = np.random.default_rng(int(10 * nu))
     switch = max(bessel._HANKEL_Z, 2.0 * nu)
     z = np.r_[0.0, 1e-120, rng.uniform(0.0, switch, 3 * sf._NARROW),
@@ -407,20 +428,26 @@ def test_bessel_j_half_paths_agree_bitwise(nu):
 @pytest.mark.parametrize("nu", [0.0, 1.0])
 def test_bessel_j_exact_zero_of_the_chain_divisor(monkeypatch, nu):
     """At z = 11.064709488501185, j_{4,1} in double precision, the chain's
-    divisor at k = 3 is exactly 0: the numpy path meets inf and nan without
-    a warning and redoes that point in Python floats, where the divisor
-    is replaced by a tiny number."""
+    divisor at k = 3 is exactly 0: the chain meets inf and nan without a
+    warning and redoes that point alone in the same numpy chain, with a
+    tiny number in place of the zero."""
     z0 = 11.064709488501185
     redone = []
-    point = bessel._bessel_point
-    monkeypatch.setattr(bessel, "_bessel_point",
-                        lambda nu, z: redone.append(z) or point(nu, z))
+    miller = bessel._bessel_miller
+
+    def spy(nu, z, floor=False):
+        if floor:
+            redone.append(z.tolist())
+        return miller(nu, z, floor)
+
+    monkeypatch.setattr(bessel, "_bessel_miller", spy)
     z = np.r_[np.linspace(1.0, 15.0, 2 * sf._NARROW), z0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         wide = sf.bessel_j_half(nu - 0.5, z)
-    assert redone == [z0]
-    assert wide[-1] == point(nu, z0)
+        alone = sf.bessel_j_half(nu - 0.5, z0)
+    assert redone == [[z0], [z0]]
+    assert wide[-1] == alone == {0.0: -0.15943449969200085, 1.0: -0.1864203917433028}[nu]
     assert abs(wide[-1] - float(mpmath.besselj(nu, z0))) < 1e-15
 
 
