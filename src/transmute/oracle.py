@@ -13,8 +13,11 @@ each step exponentiates the averaged coefficient matrix sampled at the
 two-point Gauss nodes.  The omega^2 shift enters the exponent exactly, so
 the step need not resolve each wavelength finely: one step-length rule
 allows 0.3 rad of phase per step (h sqrt|q - omega^2| <= 0.3), no step
-longer than b/1024, and a fixed fraction of x near the origin, which
-resolves the centrifugal term l(l+1)/x^2.  Magnus steps lose no accuracy
+longer than a cap that the step's own error sets, from b/1024 where q
+varies at least as fast as x^2 does to 4b/1024 where it is flat (constant
+q at l = 0, where the two-node Gauss Magnus step is exact), and a fixed
+fraction of x near the origin, which resolves the centrifugal term
+l(l+1)/x^2.  Magnus steps lose no accuracy
 as the frequency grows (Iserles, BIT 42, 2002), so the phase allowance
 is set by the steps where that grading hands over to it, and fewer steps
 gather less rounding.  Where l(l+1) != 0 the grid starts instead with a
@@ -31,8 +34,8 @@ turning point; its t-steps bound the phase and shrink toward x_L, where
 the varying part is largest, with at most 0.16 rad of phase per t-step.
 The state turns into (w, w') at x_L and at any requested point inside the
 layer; past x_L the x rule holds.  x_L is taken at the highest frequency
-solved, and at least at a floor frequency (omega ~ 52 on b = pi, where
-the x rule is still the cap alone), so the frequencies below the floor
+solved, and at least at a floor frequency (_LAYER_PHASE over b/1024,
+the least cap: omega ~ 52 on b = pi), so the frequencies below the floor
 share one grid.  The step count, and so the cost of a solve, still grows
 linearly with omega.
 The integration starts at x0 = 1e-6*b from a three-term Frobenius
@@ -73,7 +76,6 @@ scan in log2(steps) numpy levels.
 """
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -112,6 +114,20 @@ _GAUSS_OFF = math.sqrt(3.0) / 6.0   # two-point Gauss offset from midpoint
 # there is neither grading nor layer
 _X_PHASE = 0.3
 _SING_FRAC = 0.02
+# the step cap (_probe): trial steps of _TRIAL probe cells, and the error
+# _CAP_TOL of a step at its cap.  On b = pi a trial step's error reads at
+# least 1.54e-10 for q = x^2 and 1 + x^2 (the first window, where q' ~ 0,
+# at omega ~ 98), 5.0e-10 for x^2 at l = 1/2 and 1, 1.3e-8 to 2.5e-7 for
+# 20 + s x (s = 1..20: the slope counts as well as the curvature), and at
+# most 1.1e-15 for constant q at l = 0 (b = 0.2..10, q = -50..50), where
+# the Magnus step is exact.  _CAP_TOL = 1e-13 leaves w to every cell where
+# the error passes _CAP_TOL 4^5 = 1.02e-10, so every grid of x^2 and 1 +
+# x^2 keeps its bits, and takes constant q to 4w.  Forced on every cell,
+# 4w read 1.4e-11 against the Airy closed form on 20 + 20x (4.1e-13 at
+# w); on q = 20 longer caps took a verify-const pass from 0.462 M oracle
+# rows x steps (probes included) to no less than 0.458 M
+_TRIAL = 4
+_CAP_TOL = 1e-13
 # the log layer: it ends where |q - omega^2| x^2 = (_LAYER_FRAC nu)^2, nu =
 # max(l + 1/2, _NU_MIN), and its t-steps are at most _DT_END at its end,
 # growing like e^(_DT_GROWTH (t_L - t)) below it.  The error of a step there
@@ -212,32 +228,6 @@ class SolutionSample:
 # potential descriptors
 
 
-def _table_potential(xs: np.ndarray, qs: np.ndarray, b: float):
-    if xs.ndim != 1 or xs.shape != qs.shape or xs.size < 4:
-        raise DomainError("potential table needs >= 4 (x, q) rows")
-    bad = np.flatnonzero(~(np.isfinite(xs) & np.isfinite(qs)))
-    if bad.size:
-        raise DomainError(
-            f"potential table row {bad[0] + 1} is not finite: "
-            f"x={xs[bad[0]]:.6g}, q={qs[bad[0]]:.6g}"
-        )
-    diffs = np.diff(xs)
-    bad = np.nonzero(diffs <= 0)[0]
-    if bad.size:
-        raise DomainError(
-            f"potential table x values must increase strictly: row {bad[0] + 2} "
-            f"(x={xs[bad[0] + 1]:.6g}) does not exceed row {bad[0] + 1}"
-        )
-    if xs[0] > 1e-9 * b or xs[-1] < b * (1.0 - 1e-9):
-        raise DomainError(
-            f"potential table must span [0, {b:.6g}]; it covers "
-            f"[{xs[0]:.6g}, {xs[-1]:.6g}]"
-        )
-    from .spline import not_a_knot   # compiled only where a table needs it
-
-    return not_a_knot(xs, qs)
-
-
 def make_potential(descriptor, b: float):
     """Build a vectorized potential evaluator from a descriptor.
 
@@ -270,29 +260,9 @@ def make_potential(descriptor, b: float):
 
         return q_poly, "C-inf"
     if kind == "table":
-        if "path" in descriptor:
-            rows = []
-            with open(descriptor["path"], newline="") as fh:
-                for i, row in enumerate(csv.reader(fh), start=1):
-                    if not row or row[0].lstrip().startswith("#"):
-                        continue
-                    try:
-                        rows.append((float(row[0]), float(row[1])))
-                    except (ValueError, IndexError):
-                        if i == 1:
-                            continue  # header
-                        raise DomainError(
-                            f"potential table {descriptor['path']}: "
-                            f"cannot parse row {i}: {row!r}"
-                        ) from None
-            data = np.asarray(rows, dtype=float)
-            if data.size == 0:
-                raise DomainError(f"potential table {descriptor['path']} is empty")
-            xs, qs = data[:, 0], data[:, 1]
-        else:
-            xs = np.asarray(descriptor["x"], dtype=float)
-            qs = np.asarray(descriptor["q"], dtype=float)
-        return _table_potential(xs, qs, b), "C2"
+        from .spline import table_potential   # compiled only where a table needs it
+
+        return table_potential(descriptor, b), "C2"
     raise DomainError(f"unknown potential type {kind!r}")
 
 
@@ -312,22 +282,62 @@ class _Probe(NamedTuple):
 def _probe(l: float, b: float, q, x0: float) -> _Probe:
     """Probe cells for the step rule on [x0, b]: the 1024 uniform ones of
     width w split at x0 (1 + ratio)^k below ratio x = w, each cell's
-    longest step, w and (for the centrifugal term) ratio = _SING_FRAC /
-    max(1, sqrt|l(l+1)|) times its left end, and the least and greatest q
-    at its ends and midpoint.  Where l(l+1) != 0 the grid starts with the
-    log layer of _layer_rule and uses the cells past its end only.  Raises
-    DomainError if q is not finite at the probed points."""
-    edges = np.linspace(x0, b, 1025)
+    longest step, and the least and greatest q at its ends and midpoint.
+
+    A cell's longest step, its cap, is set by the step's own error, on
+    windows of _TRIAL cells that start every _TRIAL / 2 cells: one Magnus
+    step H against two of H/2, at omega = 0 and at _X_PHASE / w, where the
+    phase rule takes over from w.  Their larger difference e in (u, u' /
+    max(omega, 1)) is the error of a step of H to leading order and goes
+    like H^5, so H (_CAP_TOL / e)^(1/5) meets _CAP_TOL; it is bounded to
+    [w, H] (a non-finite e reads as inf), and a cell takes the least of
+    the two windows over it.  Every point but the first and last 0.43 w
+    lies between the Gauss nodes of some window's step H or H/2, so a jump
+    in q is seen, and its cell and the next one on either side keep w: a
+    longer step from a flat cell, entering a cell of cap w by at most w,
+    ends short of the jump's.  Where l(l+1) != 0 the cap is at
+    most ratio = _SING_FRAC / max(1, sqrt|l(l+1)|) times the cell's left
+    end, for the centrifugal term; below ratio x = w that is the cap, and
+    the windows start past it.  The grid then starts with the log layer of
+    _layer_rule and uses the cells past its end only.  Raises DomainError
+    if q is not finite at the probed points."""
+    edges = uniform = np.linspace(x0, b, 1025)
     w = edges[1] - x0
-    cap = w
     ll1 = abs(l * (l + 1.0))
+    ratio = _SING_FRAC / max(1.0, math.sqrt(ll1))
+    cross = min(w / ratio, b) if ll1 else x0
+    cap = np.full(1024, w)
+    k = _TRIAL // 2
+    j = -(-int(np.searchsorted(edges, cross)) // _TRIAL) * _TRIAL
+    if j < 1024:
+        n = (1024 - j) // _TRIAL
+        om = np.array([0.0, _X_PHASE / w])
+        with np.errstate(all="ignore"):
+            # one grid: the trial steps that start k cells past a multiple
+            # of _TRIAL, taken backwards, then the half steps up to b and the
+            # other trial steps, backwards (the step b -> b is the identity).
+            # A step taken backwards is its forward map's inverse, whose
+            # adjugate gives that map exactly
+            m = _maps(np.concatenate([edges[j + k :: _TRIAL][::-1], edges[j::k],
+                                      edges[j::_TRIAL][::-1]]), l, q, om)
+            d = np.empty((4, 2, 2 * n - 1))
+            d[..., ::2] = m[..., : 3 * n : -1]
+            d[..., 1::2] = m[..., : n - 1][..., ::-1]
+            half = m[..., n : 3 * n]
+            _pair(half[..., :-1], half[..., 1:].copy(), prod := np.empty_like(d))
+            d[::3] = d[::-3] - prod[::3]
+            d[1:3] += prod[1:3]
+            d[1, 1] *= max(om[1], 1.0)
+            d[2, 1] /= max(om[1], 1.0)
+            c = np.fmax(w, _TRIAL * w * np.minimum(1.0, (_CAP_TOL / abs(d).max((0, 1))) ** 0.2))
+        p = np.concatenate([c[:1], c, c[-1:]])
+        cap[j:] = np.repeat(np.minimum(p[:-1], p[1:]), k)
     if ll1:
-        ratio = _SING_FRAC / max(1.0, math.sqrt(ll1))
-        cross = min(w / ratio, b)
         count = int(math.ceil(math.log(cross / x0) / math.log1p(ratio)))
         geo = x0 * (1.0 + ratio) ** np.arange(1, count + 1)
         edges = np.union1d(edges, geo[geo < cross])
-        cap = np.minimum(w, ratio * edges[:-1])
+        cap = np.minimum(cap[np.searchsorted(uniform, edges[:-1], side="right") - 1],
+                         ratio * edges[:-1])
     n = edges.size - 1
     probes = np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])])
     qp = np.asarray(q(probes), dtype=float)
@@ -352,9 +362,12 @@ def _layer_rule(l: float):
 
 def _step_rule(probe: _Probe, om_lo: float, om_hi: float):
     """Probe cells and the longest step h[i] on cell [edges[i], edges[i+1]]
-    at every frequency in [om_lo, om_hi], at most _X_PHASE rad of phase:
-    |q - omega^2| at the probed points is convex in omega^2, so its maximum
-    at om_lo and om_hi bounds it in between."""
+    at every frequency in [om_lo, om_hi]: the cell's cap from _probe, set
+    by the step's error and frequency-free, and at most _X_PHASE rad of
+    phase: |q - omega^2| at the probed points is convex in omega^2, so its
+    maximum at om_lo and om_hi bounds it in between.  The phase rule takes
+    over from a cap c at omega ~ _X_PHASE / c: ~98 on b = pi where c is
+    b/1024, ~24 where it is 4b/1024."""
     edges, cap, q_lo, q_hi = probe
     # in Python floats omega^2 past ~1.3e154 is inf without numpy's overflow warning
     om_lo, om_hi = float(om_lo), float(om_hi)
@@ -367,7 +380,7 @@ def _layer_end(probe: _Probe, l: float, om_lo: float, om_hi: float) -> float:
     largest x where the bound of _step_rule on |q - omega^2|, times x^2,
     stays within the reach of _layer_rule(l) on every cell below x.  The
     bound is taken at least at the floor frequency _LAYER_PHASE 1024 / (b -
-    x0) (~52 on b = pi), below which the x rule is the cap alone, so every
+    x0) (~52 on b = pi), _LAYER_PHASE over the least cap, so every
     frequency below the floor gets the same layer.  x0 without a layer, b
     if the bound never passes reach."""
     edges, _, q_lo, q_hi = probe
@@ -518,8 +531,8 @@ def _step_maps(terms, om: np.ndarray, bufs, log: bool = False):
     and S(s) = sum s^k/(2k+1)! (cos and sin(theta)/theta at s = -theta^2,
     cosh and sinh(theta)/theta at s = theta^2).  Their Taylor sums reach
     rounding at |s| <= 1/16 (the log layer keeps |s| <= 0.027, and so do
-    the x grids below omega ~ 52 on b = pi; above it they reach |s| ~
-    _X_PHASE^2 = 0.09); a larger |s| is scaled by 4^-k and doubled back k
+    x-steps of b/1024 below omega ~ 52 on b = pi; other x-steps reach |s|
+    ~ _X_PHASE^2 = 0.09); a larger |s| is scaled by 4^-k and doubled back k
     times with S <- S C and C - 1 <- 2 (C - 1)(C + 1), k set by the
     largest |s| of the tile (k = 1 up to |s| = 1/4).  The
     work runs in the five arrays bufs of that shape, the maps in the first
@@ -706,6 +719,15 @@ def _products(terms, om, rows: int, ws, log: bool = False):
                                             (area, area[first:]))
 
 
+def _maps(xs, l, q, om, log=False):
+    """The step maps of the grid xs at the frequencies om, in order: 4 x
+    rows x steps, out of _step_maps' planes (_BITREV is its own inverse)."""
+    terms = _grid_terms(xs, l, q, log=log)
+    maps = _step_maps(terms, om, _aligned(5 * om.size * terms[0].size).reshape(
+        5, _PAD, om.size, -1), log)
+    return maps[:, _BITREV].transpose(0, 2, 3, 1).reshape(4, om.size, -1)[..., : xs.size - 1]
+
+
 def _prefix(maps, spare):
     """Prefix products M_j @ ... @ M_0 of the maps (4 x n, in order) by a
     Hillis-Steele scan: level k multiplies each product by the one 2^k
@@ -756,8 +778,8 @@ def _block(probe, om, stop, x_eval, x_from):
     """Start of the frequency block that ends just below om[stop] (om
     ascending), and the block's grid from x_from, from the call's
     step-rule probe: as many frequencies as keep rows x nodes within
-    _BLOCK, at least one, and if its step rule is the cap alone, every
-    capped frequency below."""
+    _BLOCK, at least one, and if its step rule is the cap alone on every
+    cell, every such frequency below."""
 
     def rule(start):
         return _step_rule(probe, om[start], om[stop - 1])[1]
@@ -882,9 +904,11 @@ def regular_solutions(setup: ProblemSetup, omegas, x_eval: Sequence[float]):
     highest of them, and past it they are split into blocks.  A block
     shares one grid, sized for its lowest and highest |omega| and so, at
     every frequency in it, no coarser than the step rule that frequency
-    would get alone; the frequencies whose step rule is the cap alone (up
-    to |omega| ~ 98 on b = pi) share one grid, and in a call that has no
-    other frequency, the layer and grid each would get alone.  Every pass,
+    would get alone; the frequencies whose step rule is the cap alone
+    share one grid (on b = pi up to |omega| ~ 98 where the caps are all
+    b/1024, as for q = x^2, and ~24 where they are 4b/1024, as for
+    constant q at l = 0), and in a call that has no other frequency, the
+    layer and grid each would get alone.  Every pass,
     of one grid level of the layer or of a block's x grid, is one
     _propagate call and runs in tiles of equal rows and at most _BLOCK
     frequencies x padded steps, in one workspace; the layer's levels 0
@@ -1051,12 +1075,8 @@ def zero_count(setup: ProblemSetup, omega: float) -> int:
 
     def states(xs, w, wp, log=False):
         """The states at xs[1:] from (w, w') at xs[0], (v, v_t) with log."""
-        terms = _grid_terms(xs, setup.l, setup.q, log=log)
-        maps = _step_maps(terms, np.array([om]), _aligned(5 * terms[0].size).reshape(
-            (5,) + terms.shape[1:]), log)
-        # the steps in order, out of the planes (plane 4a + 2b + c holds steps 8i + 4c + 2b + a)
-        seq = maps.reshape(4, 2, 2, 2, -1).transpose(0, 4, 3, 2, 1).reshape(4, -1)
-        a, b, c, d = _prefix(seq[:, : xs.size - 1], np.empty((4, xs.size - 1)))
+        a, b, c, d = _prefix(_maps(xs, setup.l, setup.q, np.array([om]), log)[:, 0],
+                             np.empty((4, xs.size - 1)))
         return a * w + b * wp, c * w + d * wp
 
     ws, nodes = [[w]], grid

@@ -1,11 +1,66 @@
-"""The cubic spline of table potentials, on numpy alone: imported by
+"""Table potentials and their cubic spline, on numpy alone: imported by
 oracle.make_potential on first use, so runs with other potentials never
 compile it."""
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
-__all__ = ["not_a_knot"]
+from .errors import DomainError
+
+__all__ = ["not_a_knot", "table_potential"]
+
+
+def table_potential(descriptor: dict, b: float):
+    """The not-a-knot spline of a {"type": "table"} descriptor: rows "x,q"
+    from descriptor["path"] (a CSV file; a first row that does not parse
+    is a header, rows starting with # are comments) or the arrays
+    descriptor["x"] and descriptor["q"], at least four, finite, with x
+    increasing strictly over [0, b].  DomainError otherwise."""
+    if "path" in descriptor:
+        rows = []
+        with open(descriptor["path"], newline="") as fh:
+            for i, row in enumerate(csv.reader(fh), start=1):
+                if not row or row[0].lstrip().startswith("#"):
+                    continue
+                try:
+                    rows.append((float(row[0]), float(row[1])))
+                except (ValueError, IndexError):
+                    if i == 1:
+                        continue  # header
+                    raise DomainError(
+                        f"potential table {descriptor['path']}: "
+                        f"cannot parse row {i}: {row!r}"
+                    ) from None
+        data = np.asarray(rows, dtype=float)
+        if data.size == 0:
+            raise DomainError(f"potential table {descriptor['path']} is empty")
+        xs, qs = data[:, 0], data[:, 1]
+    else:
+        xs = np.asarray(descriptor["x"], dtype=float)
+        qs = np.asarray(descriptor["q"], dtype=float)
+    if xs.ndim != 1 or xs.shape != qs.shape or xs.size < 4:
+        raise DomainError("potential table needs >= 4 (x, q) rows")
+    bad = np.flatnonzero(~(np.isfinite(xs) & np.isfinite(qs)))
+    if bad.size:
+        raise DomainError(
+            f"potential table row {bad[0] + 1} is not finite: "
+            f"x={xs[bad[0]]:.6g}, q={qs[bad[0]]:.6g}"
+        )
+    diffs = np.diff(xs)
+    bad = np.nonzero(diffs <= 0)[0]
+    if bad.size:
+        raise DomainError(
+            f"potential table x values must increase strictly: row {bad[0] + 2} "
+            f"(x={xs[bad[0] + 1]:.6g}) does not exceed row {bad[0] + 1}"
+        )
+    if xs[0] > 1e-9 * b or xs[-1] < b * (1.0 - 1e-9):
+        raise DomainError(
+            f"potential table must span [0, {b:.6g}]; it covers "
+            f"[{xs[0]:.6g}, {xs[-1]:.6g}]"
+        )
+    return not_a_knot(xs, qs)
 
 
 def not_a_knot(xs: np.ndarray, ys: np.ndarray):

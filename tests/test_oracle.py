@@ -6,10 +6,10 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from transmute import oracle
+from transmute import oracle, spectral
 from transmute.coeffs import compute_beta, sample_count, unperturbed_term
 from transmute.errors import AccuracyWarning, DomainError, IntegrationFailure
 from transmute.oracle import (
@@ -28,22 +28,35 @@ def _harmonic(x):
     return np.asarray(x, dtype=float) ** 2
 
 
-def _spy_step_maps(monkeypatch):
-    """Record (nodes, tile) of every _step_maps call: the nodes of the last
-    grid terms formed, and the tile's rows x padded steps."""
-    calls, nodes = [], []
-    grid_terms, step_maps = oracle._grid_terms, oracle._step_maps
+def _spy_step_maps(monkeypatch, probes=None):
+    """Record (nodes, tile) of every _step_maps call of a pass: the nodes of
+    the last grid terms formed, and the tile's rows x padded steps.  The
+    step-rule probe's trial steps, a fixed amount of work per call, go to
+    the list probes if one is given, and are not recorded otherwise."""
+    calls, nodes, probing = [], [], []
+    grid_terms, step_maps, probe = oracle._grid_terms, oracle._step_maps, oracle._probe
 
     def terms_spy(xs, *args, **kwargs):
         nodes.append(xs)
         return grid_terms(xs, *args, **kwargs)
 
     def maps_spy(terms, om, bufs, *args, **kwargs):
-        calls.append((nodes[-1], bufs[0].size))
+        if not probing:
+            calls.append((nodes[-1], bufs[0].size))
+        elif probes is not None:
+            probes.append((nodes[-1], bufs[0].size))
         return step_maps(terms, om, bufs, *args, **kwargs)
+
+    def probe_spy(*args):
+        probing.append(True)
+        try:
+            return probe(*args)
+        finally:
+            probing.pop()
 
     monkeypatch.setattr(oracle, "_grid_terms", terms_spy)
     monkeypatch.setattr(oracle, "_step_maps", maps_spy)
+    monkeypatch.setattr(oracle, "_probe", probe_spy)
     return calls
 
 
@@ -140,6 +153,41 @@ def test_harmonic_potential_matches_mpmath(l):
         assert np.max(np.abs(row_p - ref[:, 1])) < 1e-11 * max(om, 1.0) * scale, om
 
 
+def _airy_exact(s, omega, x):
+    """u and u' for l = 0, q = 20 + s x: u'' = s (x - x_t) u, so u is a
+    combination of Ai and Bi at z = s^(1/3) (x - x_t), with u(0) = 0 and
+    u'(0) = 1 (their Wronskian is 1/pi)."""
+    with mpmath.workdps(40):
+        s, x = mpmath.mpf(s), mpmath.mpf(x)
+        c = mpmath.cbrt(s)
+        z0 = (20 - mpmath.mpf(omega) ** 2) / (c * c)
+        a0, b0 = mpmath.airyai(z0), mpmath.airybi(z0)
+        u = mpmath.pi / c * (a0 * mpmath.airybi(z0 + c * x) - b0 * mpmath.airyai(z0 + c * x))
+        up = mpmath.pi * (a0 * mpmath.airybi(z0 + c * x, 1) - b0 * mpmath.airyai(z0 + c * x, 1))
+        return float(u), float(up)
+
+
+@pytest.mark.parametrize("s", [1.0, 5.0, 20.0])
+def test_linear_potential_matches_airy(s):
+    """q = 20 + s x has no curvature, so a step rule that read q'' alone
+    would take it for flat; its slope must keep the step cap where the
+    error is.  One-frequency calls and one sweep match the Airy closed
+    form, from below the turning point at sqrt(20) to omega ~ 98, where
+    the phase rule takes over from the least cap, to 1e-11 of the envelope
+    (4.1e-13 at worst where measured, at s = 20)."""
+    setup = ProblemSetup(l=0.0, b=np.pi, q=lambda x: 20.0 + s * np.asarray(x, dtype=float))
+    omegas = [0.5, 3.0, 10.0, 30.0, 98.0]
+    xs = np.pi / np.array([64.0, 8.0, 2.0, 1.0])
+    sweep = zip(*regular_solutions(setup, omegas, xs))
+    for om, (row, row_p) in zip(omegas, sweep):
+        ref = np.array([_airy_exact(s, om, x) for x in xs])
+        sol = regular_solution_ode(setup, om, xs)
+        for u, u_prime in ((row, row_p), (sol.u_values, sol.u_prime_values)):
+            scale = _envelope(u, u_prime, om)
+            assert np.max(np.abs(u - ref[:, 0])) < 1e-11 * scale, om
+            assert np.max(np.abs(u_prime - ref[:, 1])) < 1e-11 * max(om, 1.0) * scale, om
+
+
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(
     l=st.sampled_from([-0.5, -0.25, 0.0]) | st.floats(0.1, 20.0),
@@ -149,6 +197,9 @@ def test_harmonic_potential_matches_mpmath(l):
     q0=st.floats(-50.0, 50.0),
     q2=st.sampled_from([0.0, 100.0]) | st.floats(0.0, 2000.0),
 )
+@example(l=0.0, b=np.pi, om_lo=0.0, om_span=30.0, q0=20.0, q2=0.0)
+@example(l=0.0, b=10.0, om_lo=0.0, om_span=100.0, q0=50.0, q2=0.0)
+@example(l=0.0, b=0.2, om_lo=150.0, om_span=100.0, q0=-50.0, q2=0.0)
 def test_grid_follows_step_rule(l, b, om_lo, om_span, q0, q2):
     """The log layer's nodes run from x0 to its end x_L, and the grid's
     from x_L to b, strictly increasing.  In the layer no t-step is longer
@@ -156,10 +207,13 @@ def test_grid_follows_step_rule(l, b, om_lo, om_span, q0, q2):
     left end t, refinement halves each t-step, and dt carries at most
     _LAYER_PHASE rad of phase of V = (l + 1/2)^2 + (q - omega^2) x^2 at the
     probed points.  Past x_L no step is longer than the largest h the rule
-    allows on the probe cells it spans, which carries at most _X_PHASE rad
-    of phase, and there are at most ceil(int dx/h) + 1 nodes.  q = q0 +
-    q2 x^2 crosses omega^2 inside the interval for many draws, where
-    |q - omega^2| vanishes."""
+    allows on the probe cells it spans, nor than the largest cap there,
+    which carries at most _X_PHASE rad of phase, and there are at most
+    ceil(int dx/h) + 1 nodes.  No cap is below w = (b - x0)/1024 but where
+    the centrifugal ratio sets it, none passes the trial step _TRIAL w, and
+    constant q at l = 0, whose Magnus step is exact, takes that everywhere.
+    q = q0 + q2 x^2 crosses omega^2 inside the interval for many draws,
+    where |q - omega^2| vanishes."""
     q = lambda x: q0 + q2 * np.asarray(x, dtype=float) ** 2
     om_hi = om_lo + om_span
     x0 = 1e-6 * b
@@ -206,10 +260,24 @@ def test_grid_follows_step_rule(l, b, om_lo, om_span, q0, q2):
     spans = np.stack([first, last + 1], axis=1).ravel()
     allowed = np.maximum.reduceat(np.append(h, 0.0), spans)[0::2]
     assert np.all(np.diff(rest) <= allowed * (1 + 1e-12))
+    capped = np.maximum.reduceat(np.append(probe.cap, 0.0), spans)[0::2]
+    assert np.all(np.diff(rest) <= capped * (1 + 1e-12))
 
-    # the x-rule: a probe cell at most, the phase bound at the probed
-    # points of each cell, and the centrifugal ratio at its left end
-    assert np.all(h <= (b - x0) / 1024 * (1 + 1e-12))
+    # the cap: at least w, less only where the centrifugal ratio sets it,
+    # at most the trial step, and the trial step for constant q at l = 0
+    w = (b - x0) / 1024
+    assert np.all(probe.cap <= oracle._TRIAL * w * (1 + 1e-12))
+    if l * (l + 1) == 0:
+        assert np.all(probe.cap >= w * (1 - 1e-12))
+        if q2 == 0:
+            assert np.allclose(probe.cap, oracle._TRIAL * w, rtol=1e-12, atol=0.0)
+    else:
+        ratio = oracle._SING_FRAC / max(1.0, math.sqrt(abs(l * (l + 1))))
+        assert np.all(probe.cap >= np.minimum(w, ratio * edges[:-1]) * (1 - 1e-12))
+
+    # the x-rule: the cap at most, the phase bound at the probed points of
+    # each cell, and the centrifugal ratio at its left end
+    assert np.all(h <= probe.cap)
     mids = 0.5 * (edges[:-1] + edges[1:])
     for om in (om_lo, om_hi):
         for pts in (edges[:-1], edges[1:], mids):
@@ -218,6 +286,28 @@ def test_grid_follows_step_rule(l, b, om_lo, om_span, q0, q2):
     if l * (l + 1):
         ratio = oracle._SING_FRAC / max(1.0, math.sqrt(abs(l * (l + 1))))
         assert np.all(h <= ratio * edges[:-1] * (1 + 1e-12))
+
+
+@pytest.mark.parametrize("where", [0.0, 0.2, 0.43, 0.5, 1.0, 2.0, 3.7])
+def test_long_steps_keep_off_a_jump(where):
+    """q = 20 below a jump and 0 past it, at l = 0: the flat cells take
+    caps past w = (b - x0)/1024, and the jump's cell and the next one on
+    either side keep w, so no step longer than w touches the jump's cell
+    at any frequency.  The jump sits where x w past the start of a trial
+    window, from its edge to inside it, and at pi/2, 1e-6 pi / 2 short of
+    the edge x0 + 512 w."""
+    b, x0 = np.pi, 1e-6 * np.pi
+    w = (b - x0) / 1024
+    for jump in (x0 + (508.0 + where) * w, x0 + (320.0 + where) * w, np.pi / 2):
+        q = lambda x, jump=jump: np.where(np.asarray(x, dtype=float) < jump, 20.0, 0.0)
+        probe = oracle._probe(0.0, b, q, x0)
+        edges = probe.edges
+        cell = int(np.searchsorted(edges, jump, side="right")) - 1
+        assert probe.cap.max() > w and np.all(probe.cap[cell - 1 : cell + 2] <= w * (1 + 1e-12))
+        for om in np.linspace(0.0, 100.0, 51):
+            grid = oracle._build_grid(probe, om, om, x0)
+            touch = (grid[1:] > edges[cell]) & (grid[:-1] < edges[cell + 1])
+            assert np.all(np.diff(grid)[touch] <= w * (1 + 1e-12)), (jump, om)
 
 
 @pytest.mark.parametrize("omegas", [
@@ -313,8 +403,13 @@ def test_fit_work_stays_within_the_measured_budget(monkeypatch):
     M = 60 fit, the oracle's share of a kernel column: 563,091 at x = pi/2
     and 705,861 at x = pi with x-steps of up to 0.3 rad of phase (845,769
     and 909,186 at 0.16).  A frequency whose x-step is the cap keeps its
-    grid: the level-0 x grid at omega = 40 has 1150 nodes, as at 0.16."""
-    calls = _spy_step_maps(monkeypatch)
+    grid: the level-0 x grid at omega = 40 has 1150 nodes, as at 0.16.
+    Rows x padded steps of the spectrum's N = 20 fit at q == 20, l = 0,
+    whose caps are 4w: 81,144 (193,536 with every cap w).  The step-rule
+    probe's trial steps are one tile of two rows and at most 1032 padded
+    steps per call, not counted in these budgets."""
+    probes = []
+    calls = _spy_step_maps(monkeypatch, probes)
     setup = ProblemSetup(l=0.5, b=np.pi, q=_harmonic)
     for x, budget in ((np.pi / 2, 563_091), (np.pi, 705_861)):
         calls.clear()
@@ -322,6 +417,12 @@ def test_fit_work_stays_within_the_measured_budget(monkeypatch):
         steps = [nodes.size - 1 for nodes, _ in calls]
         rows = [tile // (-(-n // oracle._PAD) * oracle._PAD) for n, (_, tile) in zip(steps, calls)]
         assert sum(r * n for r, n in zip(rows, steps)) <= budget, x
+
+    calls.clear()
+    const_20 = lambda x: np.full_like(np.asarray(x, dtype=float), 20.0)
+    spectral._fit_series(ProblemSetup(l=0.0, b=np.pi, q=const_20), 20)
+    assert sum(tile for _, tile in calls) <= 81_144
+    assert probes and max(tile for _, tile in probes) <= 2 * 1032
 
     builds = _spy_grids(monkeypatch)
     regular_solution_ode(setup, 40.0, [np.pi])
@@ -366,20 +467,33 @@ def test_fit_memory_stays_within_the_workspace():
 
 
 def test_fit_sweep_matches_one_frequency_solves():
-    """Below omega ~ 52 on b = pi every frequency gets the same grid, so an
-    M = 25 sweep solved whole, in calls of 16 frequencies and one
-    frequency at a time gives the same values."""
+    """Below omega ~ 52 on b = pi every frequency of q = x^2 gets the same
+    grid, its caps all w = (b - x0)/1024, so an M = 25 sweep at l = 1
+    solved whole, in calls of 16 frequencies and one frequency at a time
+    gives the same values.  q == 20 takes caps of its own, 4w at l = 0,
+    where the phase rule takes over from omega ~ 24 and each call's blocks
+    get grids of their own; there, and at l = 3, the three meet the
+    Bessel closed form to 1e-11 of the envelope."""
     const_20 = lambda x: np.full_like(np.asarray(x, dtype=float), 20.0)
     omegas = np.linspace(0.5, 3.0 * 53, sample_count(25)) / np.pi
-    for l, q in ((1.0, _harmonic), (0.0, const_20), (3.0, const_20)):
-        setup = ProblemSetup(l=l, b=np.pi, q=q)
+
+    def solves(setup):
         whole = np.stack(regular_solutions(setup, omegas, [np.pi]))[..., 0]
         parts = [np.stack(regular_solutions(setup, omegas[i : i + 16], [np.pi]))[..., 0]
                  for i in range(0, omegas.size, 16)]
         single = [regular_solution_ode(setup, om, [np.pi]) for om in omegas]
-        assert np.array_equal(whole, np.concatenate(parts, axis=1)), l
-        assert np.array_equal(whole[0], [s.u_values[0] for s in single]), l
-        assert np.array_equal(whole[1], [s.u_prime_values[0] for s in single]), l
+        single = np.array([[s.u_values[0] for s in single], [s.u_prime_values[0] for s in single]])
+        return whole, np.concatenate(parts, axis=1), single
+
+    whole, parts, single = solves(ProblemSetup(l=1.0, b=np.pi, q=_harmonic))
+    assert np.array_equal(whole, parts)
+    assert np.array_equal(whole, single)
+    for l in (0.0, 3.0):
+        ref = np.array([_constant_q_exact(l, 20.0, om, np.pi) for om in omegas]).T
+        scale = np.hypot(ref[0], ref[1] / np.maximum(omegas, 1.0))
+        for got in solves(ProblemSetup(l=l, b=np.pi, q=const_20)):
+            assert np.all(np.abs(got[0] - ref[0]) <= 1e-11 * scale), l
+            assert np.all(np.abs(got[1] - ref[1]) <= 1e-11 * np.maximum(omegas, 1.0) * scale), l
 
 
 @pytest.mark.parametrize("log, spans", [(False, 1), (True, 1), (True, 2)])
