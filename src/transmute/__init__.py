@@ -22,7 +22,6 @@ from .errors import (
 from .kernel import (
     KernelSeries,
     apply_transmutation,
-    choose_N,
     epsilon_N,
     goursat_diagonal,
     kernel_K,
@@ -69,7 +68,6 @@ __all__ = [
     "unperturbed_term",
     # kernel
     "KernelSeries",
-    "choose_N",
     "goursat_diagonal",
     "make_kernel_series",
     "kernel_K",

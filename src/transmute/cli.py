@@ -15,12 +15,11 @@ Configuration comes from an optional JSON file (``--config``) overridden
 by individual flags; every run writes the resolved configuration back
 into a JSON summary next to the CSV so results are reproducible.  Output
 is deterministic: the same configuration and seed produce byte-identical
-CSV files.  Both fits (compute_beta's beta_0..beta_M, the spectrum's
-d_0..d_N) solve sample_count(n) = 3(n+1) frequencies, the summaries'
-``freq_count_used``; make_kernel_series picks the default truncation, and
-``--M``/``--N`` override fit and series; a subcommand exits 2 on a flag
-it does not read.  ``spectrum`` fits d_0..d_N itself, so it takes ``--N``
-(default 20) and rejects a config's ``fit.M``.
+CSV files.  Both fits (compute_beta's beta_0..beta_M, the weighted fit of
+d_0..d_N) solve sample_count(n) = 3(n+1) frequencies.  ``spectrum``, and
+``kernel`` at integer l, fit d_0..d_N at each x: they take ``--N``
+(default 20) and exit 2 on a fit size M; ``validate`` fits d at S = M from
+its beta table's sweep.  A subcommand exits 2 on a flag it does not read.
 
 Exit codes: 0 success, 1 a ``validate`` check failed, 2 malformed input
 or a numerical failure (such as spectrum ordinals Sturm's count rejects).
@@ -44,8 +43,11 @@ from .coeffs import compute_beta, sample_count
 from .errors import DomainError, TransmuteError
 from .kernel import goursat_diagonal, kernel_K, make_kernel_series
 from .oracle import ProblemSetup, make_potential
+from .specialfn import is_integer_l
 from .spectral import (
+    _SERIES_N,
     HARMONIC_L1_EIGENVALUES,
+    _fit_series,
     default_fit_size,
     dirichlet_eigenvalues,
 )
@@ -293,43 +295,53 @@ def cmd_beta(cfg: RunConfig) -> int:
     return 0
 
 
-def _kernel_column(setup, cfg, x):
-    """The series, for its mode, truncation level N and cutoff, and the
-    rows of the kernel table at one x."""
-    M = cfg.M if cfg.M is not None else default_fit_size(cfg.l)
-    table = compute_beta(setup, x, M)
-    series = make_kernel_series(
-        table, N=cfg.N, t_max_fraction=cfg.t_max_fraction,
-        goursat_diag=goursat_diagonal(setup.q, x),
-    )
+def _kernel_column(setup, cfg, M, x):
+    """The series at one x (integer l, M None: the weighted fit of d_0..d_N;
+    real l: a size-M beta table), the kernel table's rows there and
+    |K_N(x, x) - G(x)|/|G(x)|, None at real l and where G(x) = 0."""
+    goursat = goursat_diagonal(setup.q, x)
+    if M is None:
+        series = _fit_series(setup, _SERIES_N if cfg.N is None else cfg.N, x)
+    else:
+        table = compute_beta(setup, x, M)
+        series = make_kernel_series(table, N=cfg.N, t_max_fraction=cfg.t_max_fraction,
+                                    goursat_diag=goursat)
     ts = np.linspace(0.0, x, cfg.nt)
     inside = ts <= series.t_max_fraction * x * (1 + 1e-12)
     rows = [[_fmt(x), _fmt(t), _fmt(k), "ok"]
             for t, k in zip(ts[inside], kernel_K(series, ts[inside]))]
     rows += [[_fmt(x), _fmt(t), "", "near-diagonal"] for t in ts[~inside]]
-    return series, rows
+    residual = None
+    if series.mode == "integer-l" and goursat != 0.0:
+        residual = abs(kernel_K(series, x) - goursat) / abs(goursat)
+    return series, rows, residual
 
 
 def cmd_kernel(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
+    if is_integer_l(cfg.l) and cfg.M is not None:
+        raise DomainError(f"kernel takes no fit size M at integer l (got {cfg.M}); "
+                          "its fit length is the series length, --N")
+    M = None if is_integer_l(cfg.l) else cfg.M or default_fit_size(cfg.l)
     setup = _setup_from_config(cfg)
     out = _out_dir(cfg)
     xs = [cfg.b * i / cfg.nx for i in range(1, cfg.nx + 1)]
-    columns = [_kernel_column(setup, cfg, x) for x in xs]
+    columns = [_kernel_column(setup, cfg, M, x) for x in xs]
 
     csv_path = out / "kernel.csv"
     _write_csv(csv_path, "x,t,K,flag",
-               (row for _, rows in columns for row in rows))
+               (row for _, rows, _ in columns for row in rows))
     summary = {
         "command": "kernel",
         "config": cfg.to_dict(),
         "version": __version__,
         "mode": columns[-1][0].mode,
-        "M": cfg.M if cfg.M is not None else default_fit_size(cfg.l),
+        "M": M,
         "grid": {"nx": cfg.nx, "nt": cfg.nt},
         # the cutoff each series used: 1 for integer l, whatever was asked
-        "columns": [{"x": x, "N": series.N, "t_max_fraction": series.t_max_fraction}
-                    for x, (series, _) in zip(xs, columns)],
+        "columns": [{"x": x, "N": series.N, "t_max_fraction": series.t_max_fraction,
+                     "goursat_residual": residual}
+                    for x, (series, _, residual) in zip(xs, columns)],
         "outputs": [str(csv_path)],
         "runtime_seconds": time.perf_counter() - t0,
     }
@@ -446,8 +458,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fit = argparse.ArgumentParser(add_help=False)
     fit.add_argument("--M", type=int, help="coefficient fit size")
     series = argparse.ArgumentParser(add_help=False)
-    series.add_argument("--N", type=int, help="series length (spectrum: default 20; "
-                                              "kernel: a truncation override)")
+    series.add_argument("--N", type=int, help="series length (default 20; kernel at "
+                                              "real l: a truncation override)")
 
     parser = argparse.ArgumentParser(
         prog="transmute",

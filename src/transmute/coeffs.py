@@ -138,16 +138,26 @@ def compute_beta(setup: ProblemSetup, x: float, M: int) -> BetaTable:
         If the equilibrated design matrix is rank deficient at the 1e-13
         relative singular-value threshold.
     """
-    if M < 0:
-        raise DomainError(f"M must be >= 0, got {M}")
+    return _beta_fit(setup.l, float(x), M, _sweep_solutions(setup, x, M))
+
+
+def _sweep_solutions(setup: ProblemSetup, x: float, n: int) -> np.ndarray:
+    """The oracle's u(omega, x) over the sweep _sweep(n)/x of a fit of n+1
+    coefficients, from one regular_solutions call; DomainError for n < 0
+    or an x outside (0, b].  Both fits read it, and validation hands one
+    sweep to both."""
+    if n < 0:
+        raise DomainError(f"M must be >= 0, got {n}")
     x = float(x)
     if not 0.0 < x <= setup.b * (1.0 + 1e-12):
         raise DomainError(f"x={x} outside (0, b] with b={setup.b}")
+    return regular_solutions(setup, _sweep(n) / x, [x])[0][:, 0]
 
+
+def _beta_fit(l: float, x: float, M: int, u: np.ndarray) -> BetaTable:
+    """compute_beta's table from the oracle's u on the sweep _sweep(M)/x."""
     s = _sweep(M)
-    omegas = s / x
-    u, _ = regular_solutions(setup, omegas, [x])
-    r = u[:, 0] - unperturbed_term(setup.l, omegas, x)
+    r = u - unperturbed_term(l, s / x, x)
 
     table = specialfn.spherical_j_table(2 * M, s)
     signs = (-1.0) ** np.arange(M + 1)
@@ -157,7 +167,7 @@ def compute_beta(setup: ProblemSetup, x: float, M: int) -> BetaTable:
     misfit = np.linalg.norm(A @ beta - r)
     fit_residual = misfit / max(np.linalg.norm(r), 1e-300)
     return BetaTable(
-        l=setup.l,
+        l=l,
         x=x,
         M=M,
         beta=beta,

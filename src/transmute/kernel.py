@@ -28,9 +28,12 @@ of half-integers; the real-l weights are assembled in log-magnitude +
 sign form.  Both series are summed from the highest index down with
 compensation, because the weights span many orders of magnitude.
 
-make_kernel_series owns the truncation: unless N is given, the integer-l
-series stops where the fitted coefficients stop decaying (choose_N), as
-its weights grow with m; the real-l series keeps the whole table.
+make_kernel_series maps a BetaTable into either form.  Its integer-l
+series needs an explicit length N, as its weights grow with m and a whole
+table's trailing noise would swamp the kernel; the real-l series keeps the
+whole table unless N is given.  The integer-l series the kernel and
+validate commands read is not this one but the weighted fit of d itself
+(spectral._fit_series).
 """
 from __future__ import annotations
 
@@ -47,7 +50,6 @@ from .errors import DomainError, QuadratureError
 
 __all__ = [
     "KernelSeries",
-    "choose_N",
     "goursat_diagonal",
     "make_kernel_series",
     "kernel_K",
@@ -57,8 +59,6 @@ __all__ = [
 ]
 
 _T_SLACK = 1e-12
-_STALL_RATIO = 0.9   # |beta_{k+1}|/|beta_k| at or above this counts as "not decaying"
-_STALL_RUN = 3       # consecutive non-decaying ratios that define a stall
 # most panels apply_transmutation lays: |omega_hint| x = 2000 pi, the
 # oracle's validated range, takes 2000
 _MAX_PANELS = 4096
@@ -134,50 +134,6 @@ class KernelSeries:
         return rule
 
 
-def choose_N(beta: BetaTable) -> int:
-    """Truncation level read off the decay profile of the coefficients.
-
-    |beta_k| decays geometrically until the sequence reaches the noise
-    floor of the fit, after which the ratios hover around one.  The
-    series gains nothing past that point.  Raw consecutive ratios are a
-    poor stall detector -- on a noise plateau they scatter on both sides
-    of one -- so the test runs on the 3-wide running maximum
-    W_k = max(|beta_k|, ..., |beta_{k+2}|): while the sequence decays,
-    W_{k+1}/W_k equals the raw decay ratio, and on a plateau the
-    overlapping windows pin the ratio near one.  The stall index k0 is
-    the start of the first run of ``_STALL_RUN`` consecutive window
-    ratios >= ``_STALL_RATIO``, and the returned level N = k0 - l - 1
-    makes the evaluator consume coefficients up to index k0 and no
-    further.  If the decay never stalls, all available coefficients are
-    used (N = M - l - 1).
-
-    Requires ``beta.M >= 5``; a shorter table has no profile to read.
-    """
-    if beta.M < 5:
-        raise DomainError(f"need M >= 5 to read a decay profile, got M={beta.M}")
-    shift = int(round(beta.l)) + 1
-    a = np.abs(beta.beta)
-    win = np.array([a[k:k + 3].max() for k in range(beta.M - 1)])
-    k0 = beta.M
-    run = 0
-    for k in range(int(np.argmax(a)), win.size - 1):
-        num, den = win[k + 1], win[k]
-        if num == 0.0 and den == 0.0:
-            ratio = 1.0
-        elif den == 0.0:
-            ratio = math.inf
-        else:
-            ratio = num / den
-        if ratio >= _STALL_RATIO:
-            run += 1
-            if run == _STALL_RUN:
-                k0 = k - (_STALL_RUN - 1)
-                break
-        else:
-            run = 0
-    return int(max(0, min(k0 - shift, beta.M - shift)))
-
-
 def goursat_diagonal(q: Callable, x: float) -> float:
     """The Goursat value K(x, x) = (1/2) int_0^x q(t) dt, by 120-node
     Gauss-Legendre: plenty for smooth q, even a table-interpolated one."""
@@ -198,11 +154,11 @@ def make_kernel_series(
     Parameters
     ----------
     beta : BetaTable
-    N : int, optional
+    N : int
         Truncation index, at most M - l - 1 in integer-l mode (the series
-        consumes beta_{m+l+1}) and M in real-l mode.  Defaults to
-        choose_N(beta) in integer-l mode (needs M >= 5): the weights grow
-        with m, so entries past the fit's noise floor would swamp the
+        consumes beta_{m+l+1}) and M in real-l mode.  Required in
+        integer-l mode, where a missing N raises DomainError: the weights
+        grow with m, so entries past the fit's noise floor would swamp the
         kernel.  Defaults to the whole table, N = M, in real-l mode.
     mode : {"auto", "integer-l", "real-l"}
         "auto" picks integer-l whenever specialfn.is_integer_l(l) holds,
@@ -241,7 +197,10 @@ def make_kernel_series(
             raise DomainError(
                 f"table with M={beta.M} too short for integer-l kernel at l={li}"
             )
-        N = choose_N(beta) if N is None else int(N)
+        if N is None:
+            raise DomainError(f"an integer-l series needs its length N, "
+                              f"at most {n_max} for M={beta.M}")
+        N = int(N)
         if not 0 <= N <= n_max:
             raise DomainError(f"N={N} outside [0, {n_max}] for M={beta.M}")
         lpref = 0.5 * math.log(math.pi) - (2 * li + 3) * math.log(x) \
@@ -414,10 +373,8 @@ def epsilon_N(series_N: KernelSeries, series_ref: KernelSeries) -> float:
     """L1[0, x] distance between two truncations of the same kernel.
 
     series_ref (larger N) stands in for the exact kernel; the two must
-    share mode, l and x; an integer-l reference longer than choose_N
-    needs an explicit N (M - l - 1 for the whole table).  Both share the
-    t prefactor, so K_ref - K_N is one series whose weights are the
-    difference of theirs.  Its modulus
+    share mode, l and x.  Both share the t prefactor, so K_ref - K_N is
+    one series whose weights are the difference of theirs.  Its modulus
     has a kink at every sign change, where composite Gauss rules
     converge slowly, so [0, x] is split at those zeros: they are
     bracketed on 4(N+1) points uniform in theta, z = cos(theta), where

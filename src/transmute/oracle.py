@@ -133,9 +133,9 @@ _CAP_TOL = 1e-13
 # growing like e^(_DT_GROWTH (t_L - t)) below it.  The error of a step there
 # goes like dt^7 |q - omega^2| x^2 after extrapolation, and |q - omega^2| x^2
 # like e^(2t), so that growth equidistributes it.  The pair also moves the
-# oracle's rounding, which a fit reads as its noise floor, and so where
-# choose_N truncates: _DT_END from 0.03 to 0.07 gave the l = 1, q = x^2,
-# M = 25 table at x = pi anything from N = 11 to 23 (N = 11 at 0.05).
+# oracle's rounding, which a fit reads as its noise floor: _DT_END from
+# 0.03 to 0.07 moved the index where the l = 1, q = x^2, M = 25 beta table
+# at x = pi stops decaying anywhere from 13 to 25 (13 at 0.05).
 # _LAYER_PHASE bounds the phase of a t-step, and sets the floor of x_L's
 # frequency
 _LAYER_PHASE = 0.16

@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .coeffs import _lstsq, _sweep
+from .coeffs import _lstsq, _sweep, _sweep_solutions
 from .errors import DomainError, TransmuteError
 from .kernel import KernelSeries
 from .oracle import ProblemSetup, regular_solutions, zero_count
@@ -65,12 +65,13 @@ HARMONIC_L1_EIGENVALUES = {
 
 
 def default_fit_size(l: float) -> int:
-    """Fit size M that comfortably reaches the decay stall.
+    """Default size M of compute_beta's table (the beta command, and the
+    kernel command at non-integer l).
 
     For integer l the coefficients hit the noise floor around index
-    l + 15, so max(25, 2l + 16) leaves the stall detector a margin on
-    both sides.  Non-integer l decays only like k^-(2l+3); 60 keeps the
-    truncated tail small without making the fit expensive.
+    l + 15, so max(25, 2l + 16) fits past it with a margin.  Non-integer
+    l decays only like k^-(2l+3); 60 keeps the truncated tail small
+    without making the fit expensive.
     """
     if is_integer_l(l):
         return max(25, 2 * int(round(l)) + 16)
@@ -245,23 +246,29 @@ def _whole(name: str, value, least: int) -> int:
     return int(value)
 
 
-def _fit_series(setup: ProblemSetup, S: int) -> KernelSeries:
-    """The integer-l series d_0..d_S at x = b, fitted to the oracle's u
-    (in u_N's normalization, less the free term y) on compute_beta's sweep
-    of sample_count(S) values omega b.  |u| spans many decades at large l,
-    so each row is weighted by 1/max(|u|, |y|), and solved as compute_beta
-    solves (coeffs._lstsq).  IllConditionedFit below full rank.
-    """
-    b, l = setup.b, int(round(setup.l))
-    om = _sweep(S) / b
-    u = regular_solutions(setup, om, [b])[0][:, 0]
+def _fit_series(setup: ProblemSetup, S: int, x: Optional[float] = None) -> KernelSeries:
+    """The integer-l series d_0..d_S at x in (0, b], by default b, fitted
+    to the oracle's u on compute_beta's sweep of sample_count(S) values
+    omega x (_d_fit).  IllConditionedFit below full rank."""
+    x = setup.b if x is None else float(x)
+    return _d_fit(setup.l, x, S, _sweep_solutions(setup, x, S))
+
+
+def _d_fit(l: float, x: float, S: int, u: np.ndarray) -> KernelSeries:
+    """d_0..d_S from the oracle's u on the sweep _sweep(S)/x, taken to
+    u_N's normalization, less the free term y.  |u| spans many decades at
+    large l, so each row is weighted by 1/max(|u|, |y|), and solved as
+    compute_beta solves (coeffs._lstsq); these are the NSBF coefficients
+    of Kravchenko, Navarro and Torba (Appl. Math. Comput. 314, 2017)."""
+    l = int(round(l))
+    om = _sweep(S) / x
     # u ~ x^(l+1) at the origin; u_N ~ (omega x)^(l+1) / (2^(l+1/2) Gamma(l+3/2))
     u = u * np.exp((l + 1) * np.log(om) - (l + 0.5) * math.log(2.0) - math.lgamma(l + 1.5))
-    y, A = series_terms(l, S, om, b)
+    y, A = series_terms(l, S, om, x)
     w = 1.0 / np.maximum(np.abs(u), np.abs(y))
     d = _lstsq(A * w[:, None], (u - y) * w,
                f"weighted fit of d_0..d_{S} has rank {{rank}} < {{cols}}")
-    return KernelSeries(x=b, l=setup.l, mode="integer-l", N=S, weights=d)
+    return KernelSeries(x=x, l=float(l), mode="integer-l", N=S, weights=d)
 
 
 def dirichlet_eigenvalues(

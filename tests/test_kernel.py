@@ -17,7 +17,6 @@ from transmute.errors import DomainError, QuadratureError
 from transmute.kernel import (
     KernelSeries,
     apply_transmutation,
-    choose_N,
     epsilon_N,
     kernel_K,
     kernel_moment,
@@ -26,11 +25,20 @@ from transmute.kernel import (
 from transmute.oracle import regular_solution_ode
 
 HALF_INT_Q = math.pi ** 3 / 6.0  # (1/2) int_0^pi t^2 dt
+# truncations of the M = 25 tables of q = x^2 at x = pi, where their
+# coefficients stop decaying, for l = 0, 1, 2
+N_HARMONIC = {0: 13, 1: 11, 2: 11}
 
 
 def _zero_table(l, x=np.pi, M=8):
     return BetaTable(l=float(l), x=float(x), M=M, beta=np.zeros(M + 1),
                      fit_residual=0.0, sum_beta=0.0)
+
+
+def _zero_series(l, **kwargs):
+    """The series of a zero table: N = 0 at integer l, the whole table
+    at real l."""
+    return make_kernel_series(_zero_table(l), N=0 if l == int(l) else None, **kwargs)
 
 
 def test_integer_l_weight_ratio_against_mpmath():
@@ -52,23 +60,26 @@ def test_integer_l_weight_ratio_against_mpmath():
 
 
 def test_goursat_value_harmonic(beta_harmonic):
-    # with the default, stall-detected truncation the diagonal limit is
+    # truncated where the coefficients stop decaying the diagonal limit is
     # clean; the full table drags in amplified trailing noise at higher l
     for l in (0, 1, 2):
-        series = make_kernel_series(beta_harmonic[l])
+        series = make_kernel_series(beta_harmonic[l], N=N_HARMONIC[l])
         got = kernel_K(series, series.x)
         assert abs(got - HALF_INT_Q) < 1e-6 * HALF_INT_Q, l
 
 
 def test_default_truncation(beta_harmonic, beta_half_dense):
-    # integer l stops where the coefficients stop decaying, real l keeps
-    # the whole table
+    # an integer-l series needs its length: the whole table would drag in
+    # its amplified noise.  Real l keeps the whole table
     for bt in beta_harmonic.values():
-        assert make_kernel_series(bt).N == choose_N(bt) < bt.M - int(bt.l) - 1
+        with pytest.raises(DomainError, match=rf"needs its length N, at most "
+                                              rf"{bt.M - int(bt.l) - 1} for M=25$"):
+            make_kernel_series(bt)
+        with pytest.raises(DomainError, match="needs its length N"):
+            make_kernel_series(bt, mode="integer-l")
     assert make_kernel_series(beta_half_dense).N == beta_half_dense.M
-    # a table too short for a decay profile needs an explicit N
     short = _zero_table(1, M=4)
-    with pytest.raises(DomainError, match="M >= 5"):
+    with pytest.raises(DomainError, match="needs its length N"):
         make_kernel_series(short)
     assert make_kernel_series(short, N=2).N == 2
     assert make_kernel_series(_zero_table(0.5, M=4)).N == 4
@@ -94,7 +105,9 @@ def test_pointwise_kernel_K_has_the_bits_of_a_wide_call(l, mode):
     table = BetaTable(l=float(l), x=np.pi, M=M,
                       beta=rng.standard_normal(M + 1) * 0.7 ** np.arange(M + 1),
                       fit_residual=0.0, sum_beta=0.0)
-    series = make_kernel_series(table, mode=mode)
+    # the integer-l truncations where these tables' coefficients stop decaying
+    N = {0: 22, 1: 21, 5: 17}[l] if mode == "integer-l" else None
+    series = make_kernel_series(table, N=N, mode=mode)
     ts = np.linspace(0.0, series.t_max_fraction * np.pi, sf._NARROW + 5)
     wide = kernel_K(series, ts)
     for i, t in enumerate(ts):
@@ -106,7 +119,7 @@ def test_pointwise_kernel_K_checks_t_as_a_wide_call(l, mode):
     """A scalar t is checked in Python floats: it raises what a one-point
     array raises, and takes the same clip at both ends.  A NaN t is named
     as such, on both paths, in place of the Jacobi argument it becomes."""
-    series = make_kernel_series(_zero_table(l), mode=mode)
+    series = _zero_series(l, mode=mode)
     hi = series.x * series.t_max_fraction
     for t in (-1e-3, hi * (1.0 + 1e-9), np.pi + 1.0, math.nan):
         with pytest.raises(DomainError) as wide:
@@ -128,13 +141,13 @@ def test_pointwise_kernel_K_checks_t_as_a_wide_call(l, mode):
 
 def test_zero_potential_kernel_vanishes():
     for l in (0, 2):
-        series = make_kernel_series(_zero_table(l))
+        series = _zero_series(l)
         t = np.linspace(0.0, np.pi, 40)
         assert np.max(np.abs(kernel_K(series, t))) < 1e-10
 
 
 def test_apply_transmutation_identity_for_zero_kernel():
-    series = make_kernel_series(_zero_table(1))
+    series = _zero_series(1)
     y = lambda t: np.cos(0.7 * np.asarray(t))
     got = apply_transmutation(series, y, np.pi)
     assert abs(got - math.cos(0.7 * math.pi)) < 1e-12
@@ -144,7 +157,7 @@ def test_apply_transmutation_identity_for_zero_kernel():
 def test_apply_transmutation_needs_vectorized_y(l):
     # y is called once on the node array; a y that cannot map it is an
     # error, not a reason to fall back to one call per node
-    series = make_kernel_series(_zero_table(l))
+    series = _zero_series(l)
     with pytest.raises(DomainError):
         apply_transmutation(series, lambda t: 1.0, np.pi)
     with pytest.raises(DomainError):
@@ -158,7 +171,7 @@ def test_apply_transmutation_calls_y_once_with_x_last(l, omega):
     # appended, read-only.  omega x = 30 pi > 50 lays 24-node panels of
     # pi/omega, 30 on [0, pi] and 29 on [0, 0.95 pi]; real l adds the
     # 32-node tail
-    series = make_kernel_series(_zero_table(l), goursat_diag=0.0)
+    series = _zero_series(l, goursat_diag=0.0)
     size = {(1, None): 200, (1, 30.0): 24 * 30,
             (0.5, None): 200 + 32, (0.5, 30.0): 24 * 29 + 32}[l, omega]
     calls = []
@@ -197,7 +210,7 @@ def test_apply_transmutation_checks_its_input_first(monkeypatch, x, omega, match
 def test_apply_transmutation_panel_bound_covers_the_oracle_range():
     # |omega_hint| x = 2000 pi, the oracle's validated range, takes 2000
     # panels at l = 1, under the bound
-    series = make_kernel_series(_zero_table(1))
+    series = _zero_series(1)
     assert apply_transmutation(series, np.cos, np.pi, omega_hint=2000.0) == -1.0
 
 
@@ -206,7 +219,7 @@ def test_apply_transmutation_panel_bound_covers_the_oracle_range():
 
 
 def test_moment_alpha1_l0_is_beta0(beta_harmonic):
-    series = make_kernel_series(beta_harmonic[0])
+    series = make_kernel_series(beta_harmonic[0], N=N_HARMONIC[0])
     got = kernel_moment(series, 1.0)
     want = beta_harmonic[0].beta[0]
     assert abs(got - want) < 1e-8 * max(1.0, abs(want))
@@ -230,7 +243,7 @@ def test_moment_matches_quadrature(beta_harmonic, alpha):
 
 
 def test_moment_domain():
-    series = make_kernel_series(_zero_table(0))
+    series = _zero_series(0)
     for alpha in (-2.0, np.nan):   # needs alpha > -l-2
         with pytest.raises(DomainError):
             kernel_moment(series, alpha)
@@ -239,19 +252,21 @@ def test_moment_domain():
 @pytest.fixture(scope="module")
 def series_by_l():
     """Integer-l series for q = x^2 and q == 20 on (0, pi] at l = 0, 1, 2, 5,
-    10, fitted at the spectrum's default M and truncated by default
-    (choose_N)."""
+    10, fitted at the default M and truncated where their coefficients stop
+    decaying."""
     from transmute.oracle import ProblemSetup
     from transmute.spectral import default_fit_size
 
     pots = {"x^2": lambda x: np.asarray(x, dtype=float) ** 2,
             "20": lambda x: np.full(np.shape(x), 20.0)}
+    N = {("x^2", 0): 13, ("x^2", 1): 11, ("x^2", 2): 11, ("x^2", 5): 10, ("x^2", 10): 8,
+         ("20", 0): 16, ("20", 1): 15, ("20", 2): 22, ("20", 5): 15, ("20", 10): 10}
     out = {}
     for name, q in pots.items():
         for l in (0, 1, 2, 5, 10):
             bt = compute_beta(ProblemSetup(l=float(l), b=np.pi, q=q), np.pi,
                               default_fit_size(l))
-            out[name, l] = (bt, make_kernel_series(bt))
+            out[name, l] = (bt, make_kernel_series(bt, N=N[name, l]))
     return out
 
 
@@ -409,7 +424,7 @@ def test_epsilon_N_raises_when_passes_disagree(monkeypatch, beta_harmonic):
     )
     with pytest.raises(QuadratureError, match="did not converge in 7 passes"):
         epsilon_N(make_kernel_series(beta_harmonic[1], N=6),
-                  make_kernel_series(beta_harmonic[1]))
+                  make_kernel_series(beta_harmonic[1], N=N_HARMONIC[1]))
 
 
 def test_epsilon_N_mode_mismatch(beta_harmonic):
@@ -421,7 +436,7 @@ def test_epsilon_N_mode_mismatch(beta_harmonic):
     # same mode and x, but l = 0 and l = 1 weights
     with pytest.raises(DomainError, match="share l"):
         epsilon_N(make_kernel_series(beta_harmonic[0], N=8),
-                  make_kernel_series(beta_harmonic[1]))
+                  make_kernel_series(beta_harmonic[1], N=N_HARMONIC[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +445,7 @@ def test_epsilon_N_mode_mismatch(beta_harmonic):
 
 def test_apply_transmutation_matches_ode(harmonic_setups, beta_harmonic):
     setup = harmonic_setups[1]
-    series = make_kernel_series(beta_harmonic[1])
+    series = make_kernel_series(beta_harmonic[1], N=N_HARMONIC[1])
     for om in [1.0, 5.0, 10.0]:
         y = lambda t, om=om: unperturbed_term(1.0, om, t)
         got = apply_transmutation(series, y, np.pi, omega_hint=om)
@@ -450,7 +465,8 @@ def test_apply_transmutation_evaluates_the_kernel_once_per_series(
     # make one kernel_K call over the 200 nodes, plus one for the anchored
     # near-diagonal tail at real l
     table = beta_harmonic[1] if l == 1 else beta_half_dense
-    build = lambda: make_kernel_series(table, goursat_diag=HALF_INT_Q)
+    N = N_HARMONIC[1] if l == 1 else None
+    build = lambda: make_kernel_series(table, N=N, goursat_diag=HALF_INT_Q)
     y = lambda om: (lambda t: unperturbed_term(float(l), om, t))
     omegas = np.linspace(1.0, 15.0, 12)
     series = build()
@@ -501,7 +517,8 @@ def test_series_construction_validation(beta_harmonic, beta_half_dense):
         make_kernel_series(beta_half_dense, t_max_fraction=1.0)
     with pytest.raises(DomainError):
         KernelSeries(x=1.0, l=0.5, mode="real-l", N=1, weights=np.zeros(2))
-    assert make_kernel_series(beta_harmonic[1], t_max_fraction=1.0).t_max_fraction == 1.0
+    assert make_kernel_series(beta_harmonic[1], N=N_HARMONIC[1],
+                              t_max_fraction=1.0).t_max_fraction == 1.0
 
 
 @pytest.mark.parametrize("x, goursat, match", [

@@ -113,7 +113,7 @@ def test_integral_row_at_tiny_frequency():
 def test_free_solution_is_bessel():
     b = np.pi
     for l in (0, 1, 3):
-        series = make_kernel_series(_zero_table(l, b))
+        series = make_kernel_series(_zero_table(l, b), N=0)
         for om in (0.01, 0.5, 7.3, 180.0):
             got = u_N(series, om, b)
             want = math.sqrt(om * b) * jv(l + 0.5, om * b)
@@ -162,7 +162,7 @@ def test_small_x_normalization():
     # Gamma(l+3/2)) as x -> 0: fixes both the power and the constant
     om = 3.0
     for x in (0.5, 0.1, 0.02):
-        series = make_kernel_series(_zero_table(2, x))
+        series = make_kernel_series(_zero_table(2, x), N=0)
         lead = (om * x) ** 3 / (2.0 ** 2.5 * math.exp(gammaln(3.5)))
         # next Bessel-series term gives a deviation z^2/(2(2l+3)) = z^2/14
         assert abs(u_N(series, om, x) / lead - 1.0) < 0.1 * (om * x) ** 2
@@ -212,7 +212,7 @@ def test_sup_sqrt_bessel_l1():
 
 
 def test_uniform_error_bound_validation(beta_harmonic):
-    series = make_kernel_series(beta_harmonic[1])
+    series = make_kernel_series(beta_harmonic[1], N=11)
     for bad in (-1.0, np.nan):
         with pytest.raises(DomainError):
             uniform_error_bound(series, bad)
@@ -279,7 +279,7 @@ def test_u_N_makes_one_table_call_and_no_connection(monkeypatch, beta_harmonic,
 
 
 def test_array_omega_checks_every_element(beta_harmonic):
-    series = make_kernel_series(beta_harmonic[1])
+    series = make_kernel_series(beta_harmonic[1], N=11)
     for bad in ([1.0, 0.0], [2.0, -1.0, 3.0], [1.0, np.nan]):
         with pytest.raises(DomainError):
             u_N(series, np.array(bad), np.pi)
@@ -294,7 +294,7 @@ def test_u_N_series_validation(beta_half_dense, beta_harmonic):
             u_N(real_l, 1.0, np.pi)
     with pytest.raises(DomainError):
         make_kernel_series(beta_harmonic[1], N=24)  # table supports N <= 23
-    series = make_kernel_series(beta_harmonic[1])
+    series = make_kernel_series(beta_harmonic[1], N=11)
     with pytest.raises(DomainError):
         u_N(series, -1.0, np.pi)
     with pytest.raises(DomainError):

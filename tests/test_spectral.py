@@ -1,4 +1,4 @@
-"""Dirichlet eigenvalue solver and the truncation-selection heuristic."""
+"""Dirichlet eigenvalue solver and its fit of the series coefficients."""
 import math
 import warnings
 from dataclasses import replace
@@ -13,7 +13,7 @@ from scipy.special import jv
 from transmute import coeffs, kernel, spectral
 from transmute.coeffs import BetaTable
 from transmute.errors import DomainError, IllConditionedFit, TransmuteError
-from transmute.kernel import choose_N, make_kernel_series
+from transmute.kernel import make_kernel_series
 from transmute.oracle import ProblemSetup, regular_solutions
 from transmute.solution import u_N
 from transmute.spectral import (
@@ -39,10 +39,12 @@ def test_every_stage_classifies_l_alike(l, integer):
     bt = BetaTable(l=l, x=np.pi, M=M, beta=np.zeros(M + 1),
                    fit_residual=0.0, sum_beta=0.0)
     setup = ProblemSetup(l=l, b=np.pi, q=lambda x: np.zeros_like(np.asarray(x)))
-    seen = {"kernel": make_kernel_series(bt).mode == "integer-l",
+    # an integer-l series of a zero table was cut at N = 0
+    series = make_kernel_series(bt, N=0 if integer else None)
+    seen = {"kernel": series.mode == "integer-l",
             "fit size": default_fit_size(l) != 60}
     try:
-        u_N(make_kernel_series(bt), 1.0, np.pi)
+        u_N(series, 1.0, np.pi)
         seen["u_N"] = True
     except DomainError:
         seen["u_N"] = False
@@ -52,39 +54,6 @@ def test_every_stage_classifies_l_alike(l, integer):
     except DomainError:
         seen["spectrum"] = False
     assert set(seen.values()) == {integer}, seen
-
-
-# ---------------------------------------------------------------------------
-# choose_N
-
-
-def test_choose_N_pure_decay_uses_whole_table():
-    M = 20
-    bt = BetaTable(l=1.0, x=np.pi, M=M, beta=2.0 ** -np.arange(M + 1),
-                   fit_residual=0.0, sum_beta=0.0)
-    assert choose_N(bt) == M - 2  # M - l - 1: nothing stalls
-
-
-def test_choose_N_stops_at_noise_plateau():
-    rng = np.random.default_rng(7)
-    M = 20
-    vals = 2.0 ** -np.arange(M + 1)
-    vals[10:] = 1e-16 * rng.uniform(0.2, 1.0, M + 1 - 10)
-    bt = BetaTable(l=1.0, x=np.pi, M=M, beta=vals,
-                   fit_residual=0.0, sum_beta=0.0)
-    # decay ends at k = 10, so the usable truncation is about 10 - l - 1
-    assert 6 <= choose_N(bt) <= 12
-
-
-def test_choose_N_on_fitted_harmonic_table(beta_harmonic):
-    assert 10 <= choose_N(beta_harmonic[1]) <= 16
-
-
-def test_choose_N_needs_headroom():
-    bt = BetaTable(l=1.0, x=np.pi, M=4, beta=np.ones(5),
-                   fit_residual=0.0, sum_beta=0.0)
-    with pytest.raises(DomainError):
-        choose_N(bt)
 
 
 def test_default_fit_size():
@@ -178,6 +147,23 @@ def test_constant_potential_spectrum_at_growing_l(l, Q):
     assert np.max(np.abs(rep.eigenvalues - _constant_spectrum(l, Q, 40))) <= 1e-10
 
 
+def test_fit_series_takes_any_x_up_to_b(harmonic_setups):
+    # the kernel command fits d at each column's x, on the sweep
+    # _sweep(S)/x; x = b is the spectrum's fit to the bit
+    setup = harmonic_setups[1]
+    default = spectral._fit_series(setup, 20)
+    assert np.array_equal(default.weights, spectral._fit_series(setup, 20, np.pi).weights)
+    # K(x, x) = x^3/6 to 2e-10 at pi/3 and 8e-10 at pi/12, where x^3/6
+    # is 3e-3
+    for x in (np.pi / 3, np.pi / 12):
+        series = spectral._fit_series(setup, 20, x)
+        assert series.x == x and series.N == 20 and series.l == 1.0
+        assert abs(kernel.kernel_K(series, x) - x ** 3 / 6.0) <= 1e-9
+    for x in (0.0, -1.0, np.pi * (1.0 + 1e-9), np.nan):
+        with pytest.raises(DomainError, match=r"outside \(0, b\]"):
+            spectral._fit_series(setup, 20, x)
+
+
 def test_spectrum_fits_from_one_short_sweep(monkeypatch):
     # one regular_solutions call over 3(S+1) frequencies, the very sweep
     # compute_beta solves for M = S at x = b, and none of the cosine fit's
@@ -194,8 +180,7 @@ def test_spectrum_fits_from_one_short_sweep(monkeypatch):
     fit = coeffs.compute_beta
     monkeypatch.setattr(spectral, "regular_solutions", counting)
     monkeypatch.setattr(coeffs, "regular_solutions", counting)
-    for module, name in ((coeffs, "compute_beta"), (kernel, "make_kernel_series"),
-                         (kernel, "choose_N")):
+    for module, name in ((coeffs, "compute_beta"), (kernel, "make_kernel_series")):
         monkeypatch.setattr(module, name, forbidden)
         monkeypatch.setattr(spectral, name, forbidden, raising=False)
     S, setup = 20, _constant_setup(1, 20.0)
@@ -241,7 +226,7 @@ def test_series_solver_raises_on_spurious_roots():
                    fit_residual=0.0, sum_beta=0.0)
     with pytest.raises(TransmuteError, match=r"^10 roots found below omega = 10\.25, "
                                              r"Sturm count 7: some are spurious$"):
-        dirichlet_eigenvalues(_constant_setup(0, 50.0), 10, series=make_kernel_series(bt))
+        dirichlet_eigenvalues(_constant_setup(0, 50.0), 10, series=make_kernel_series(bt, N=0))
 
 
 @pytest.mark.parametrize("l, Q, c2, count, sturm", [

@@ -1,12 +1,9 @@
 """Invariant suite: green on healthy problems, red under fault injection."""
 import json
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from transmute.coeffs import compute_beta
-from transmute.errors import DomainError
 from transmute.kernel import kernel_K, make_kernel_series
 from transmute.oracle import ProblemSetup
 import transmute.validation as validation
@@ -25,8 +22,8 @@ def _by_name(results):
     return {r.name: r for r in results}
 
 
-def test_all_checks_pass_harmonic_l1(harmonic_setups, beta_harmonic):
-    results = run_validation(harmonic_setups[1], beta=beta_harmonic[1])
+def test_all_checks_pass_harmonic_l1(harmonic_setups):
+    results = run_validation(harmonic_setups[1], M=25)
     names = {r.name for r in results}
     assert names == EXPECTED_CHECKS
     for r in results:
@@ -39,37 +36,35 @@ def test_all_checks_pass_zero_potential(zero_setups):
         assert r.passed, (r.name, r.value, r.detail)
 
 
-def test_all_checks_pass_half_integer(setup_half, beta_half_dense):
+def test_all_checks_pass_half_integer(setup_half):
     # non-integer l reroutes the integer-only checks through l = 1
-    results = run_validation(setup_half, beta=beta_half_dense, M=60)
+    results = run_validation(setup_half, M=100)
     for r in results:
         assert r.passed, (r.name, r.value, r.detail)
 
 
 def test_goursat_check_holds_for_a_long_fit():
-    # the diagonal is read at choose_N's truncation: the full M = 60 table
-    # is off by 1.3e-2 relative at q = 20, choose_N's by 9.5e-7
+    # the diagonal is read off the weighted d fit at S = M: the whole
+    # M = 60 beta table was off by 1.3e-2 relative at q = 20, the d fit
+    # reads 6.4e-9
     setup = ProblemSetup(l=1.0, b=np.pi, q=lambda x: np.full_like(x, 20.0))
     check = _by_name(run_validation(setup, M=60))["goursat-diagonal"]
     assert check.passed, (check.value, check.tolerance, check.detail)
 
 
 def test_transmutation_check_holds_for_a_long_fit():
-    # the integer-l series is truncated at choose_N, as for the diagonal:
-    # the full M = 60 table read 5.6e-4 against the 1e-6 tolerance at
-    # q = 20, the truncated one 2.9e-7; a corrupted table still fails
+    # the integer-l series is the weighted d fit at S = M, as for the
+    # diagonal: the whole M = 60 beta table read 5.6e-4 against the 1e-6
+    # tolerance at q = 20; a corrupted series still fails
     setup = ProblemSetup(l=1.0, b=np.pi, q=lambda x: np.full_like(x, 20.0))
-    table = compute_beta(setup, np.pi, 60)
-    check = _by_name(run_validation(setup, beta=table))["transmutation-property"]
+    check = _by_name(run_validation(setup, M=60))["transmutation-property"]
     assert check.passed, (check.value, check.tolerance, check.detail)
-    corrupted = run_validation(setup, beta=table, beta_perturbation=1e-3)
+    corrupted = run_validation(setup, M=60, beta_perturbation=1e-3)
     assert not _by_name(corrupted)["transmutation-property"].passed
 
 
-def test_fault_injection_trips_diagonal_check(harmonic_setups, beta_harmonic):
-    results = run_validation(
-        harmonic_setups[1], beta=beta_harmonic[1], beta_perturbation=1e-3
-    )
+def test_fault_injection_trips_diagonal_check(harmonic_setups):
+    results = run_validation(harmonic_setups[1], M=25, beta_perturbation=1e-3)
     by = _by_name(results)
     assert not by["goursat-diagonal"].passed
     assert not by["coefficient-sum"].passed
@@ -140,12 +135,39 @@ def test_reduction_check_matches_scalar_loop(beta_harmonic):
     assert abs(got.value - max(diffs) / max(mags)) <= 1e-15
 
 
-def test_table_for_another_problem_is_rejected(harmonic_setups, beta_harmonic):
-    # a table fitted at l = 1 or x = pi must not be reused for l = 0 or x = 2
-    with pytest.raises(DomainError, match=r"different \(l, x\)"):
-        run_validation(harmonic_setups[0], beta=beta_harmonic[1])
-    with pytest.raises(DomainError, match=r"different \(l, x\)"):
-        run_validation(replace(harmonic_setups[1], b=2.0), beta=beta_harmonic[1])
+@pytest.mark.parametrize("l, sweeps", [(0.0, 2), (0.5, 3)])
+def test_one_oracle_sweep_per_l_feeds_both_fits(monkeypatch, l, sweeps):
+    """Each l takes one fit sweep, read by compute_beta's table and by the
+    d series, and the transmutation check one more solve: two
+    regular_solutions calls at integer l, three at real l, as when the
+    checks read the beta table alone.  The table is compute_beta's and the
+    series the spectrum's fit at S = M, to the bit."""
+    from transmute import coeffs, spectral
+
+    calls = []
+    exact = validation.regular_solutions
+
+    def counting(*args):
+        calls.append(args)
+        return exact(*args)
+
+    seen = {}
+    sum_check, goursat_check = validation._sum_beta_check, validation._goursat_check
+    monkeypatch.setattr(coeffs, "regular_solutions", counting)
+    monkeypatch.setattr(validation, "regular_solutions", counting)
+    monkeypatch.setattr(validation, "_sum_beta_check",
+                        lambda beta: seen.setdefault("beta", beta) and sum_check(beta))
+    monkeypatch.setattr(validation, "_goursat_check",
+                        lambda setup, series: seen.setdefault("series", (setup, series))
+                        and goursat_check(setup, series))
+    setup = ProblemSetup(l=l, b=np.pi, q=lambda x: np.full_like(x, 20.0))
+    assert {r.name for r in run_validation(setup, M=18)} == EXPECTED_CHECKS
+    assert len(calls) == sweeps
+    monkeypatch.undo()
+    assert np.array_equal(seen["beta"].beta, compute_beta(setup, np.pi, 18).beta)
+    setup_int, series = seen["series"]
+    assert setup_int.l == round(l + 0.25) and series.N == 18
+    assert np.array_equal(series.weights, spectral._fit_series(setup_int, 18).weights)
 
 
 def test_results_json_serializable(zero_setups):
