@@ -59,7 +59,8 @@ layer and the blocks' x grids alike, a layer's pass converting the state
 to and from t = ln x.  A block shares one grid, sized for its lowest and
 highest |omega|, which bounds the phase of every frequency in between,
 so no frequency gets a coarser step rule than it would alone; the
-frequencies whose step rule is the cap alone share the cap's grid.  The
+frequencies whose step rule is the cap alone share the cap's grid.  Every
+call on one ProblemSetup reads one probe of q for the step rule.  The
 omega-free part of every step, q at its Gauss nodes included, is formed
 once per range of steps between requested points, its steps interleaved
 in eight planes; the step maps are frequency x step arrays, in tiles of
@@ -79,6 +80,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -206,6 +208,11 @@ class ProblemSetup:
         if not math.isfinite(q0):
             raise DomainError(f"q(0) = {q0}: the potential must be finite at x=0")
         object.__setattr__(self, "q0", q0)
+
+    @cached_property
+    def _step_probe(self):
+        """The step-rule probe at _x0(l, b), built on the first oracle call."""
+        return _probe(self.l, self.b, self.q, _x0(self.l, self.b))
 
 
 @dataclass(frozen=True)
@@ -953,10 +960,10 @@ def regular_solutions(setup: ProblemSetup, omegas, x_eval: Sequence[float]):
             stacklevel=2,
         )
 
-    x0 = _x0(setup.l, setup.b)
-    if x_eval[0] < 2.0 * x0:
+    x0, probe = _x0(setup.l, setup.b), setup._step_probe
+    if x_eval[0] < 2.0 * x0:   # a point near the origin moves x0 in
         x0 = 0.5 * x_eval[0]
-    probe = _probe(setup.l, setup.b, setup.q, x0)
+        probe = _probe(setup.l, setup.b, setup.q, x0)
     order = np.argsort(om, kind="stable")
     om_sorted = om[order]
     # one log layer for the call, up to x_log: its passes run once for
@@ -1067,8 +1074,7 @@ def zero_count(setup: ProblemSetup, omega: float) -> int:
     om = abs(float(omega))
     if not math.isfinite(om):
         raise DomainError(f"omega must be finite, got {omega}")
-    x0 = _x0(setup.l, setup.b)
-    probe = _probe(setup.l, setup.b, setup.q, x0)
+    x0, probe = _x0(setup.l, setup.b), setup._step_probe
     x_log = _layer_end(probe, setup.l, om, om)
     grid = _build_grid(probe, om, om, x_log)
     w, wp = _start(setup, om, x0)

@@ -45,12 +45,14 @@ __all__ = [
 ]
 
 
-def _row(l: int, s_max: int, omega, x: float):
+def _row(l: int, s_max: int, omega, x):
     """(om, j, row): omega > 0 as a 1-D array, the spherical-Bessel table
-    j_0..j_{l+2 s_max+1}(omega x) and the integral row taken from it."""
+    j_0..j_{l+2 s_max+1}(omega x) and the integral row taken from it; x is
+    a float or an array paired element-wise with omega."""
     om = np.asarray(omega, dtype=float)
-    if om.ndim > 1:
-        raise DomainError(f"omega must be a scalar or 1-D, got shape {om.shape}")
+    if om.ndim > 1 or np.ndim(x) and np.shape(x) != om.shape:
+        raise DomainError(f"omega must be a scalar or 1-D and x a scalar or of its shape, "
+                          f"got shapes {om.shape} and {np.shape(x)}")
     om = np.atleast_1d(om)
     bad = ~(om > 0.0)
     if np.any(bad):
@@ -64,11 +66,13 @@ def _row(l: int, s_max: int, omega, x: float):
     return om, j, row
 
 
-def integral_row(l: int, s_max: int, omega, x: float) -> np.ndarray:
+def integral_row(l: int, s_max: int, omega, x) -> np.ndarray:
     """int_0^x t^(l+3/2) J_{l+1/2}(omega t) P_s^(l+1/2, 0)(1-2t^2/x^2) dt
     for s = 0..s_max: shape (s_max+1,) for a float omega, (len(omega),
-    s_max+1) for a 1-D array, every omega > 0.  l is an integer >= 0 in
-    the sense of specialfn.is_integer_l.
+    s_max+1) for a 1-D array, every omega > 0.  x > 0 is a float, or a
+    1-D array paired element-wise with omega, so that draws at many points
+    share one spherical-Bessel table.  l is an integer >= 0 in the sense
+    of specialfn.is_integer_l.
 
     The Hankel transform of a Zernike radial polynomial,
     int_0^1 r^(v+1) P_s^(v,0)(1-2r^2) J_v(k r) dr = J_{v+2s+1}(k)/k with
@@ -80,7 +84,7 @@ def integral_row(l: int, s_max: int, omega, x: float) -> np.ndarray:
     off by at most 1.1e-13 of its largest entry for l <= 10, s_max <= 40.
     """
     if not (is_integer_l(l) and float(s_max).is_integer() and s_max >= 0
-            and x > 0.0):   # NaN fails too
+            and np.all(np.asarray(x) > 0.0)):   # NaN fails too
         raise DomainError("need an integer l >= 0, an integer s_max >= 0 and x > 0")
     row = _row(int(round(l)), int(s_max), omega, x)[2]
     return row[0] if np.ndim(omega) == 0 else row

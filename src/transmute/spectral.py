@@ -14,8 +14,11 @@ sweep of 3(N+1) frequencies (_fit_series), whose columns are u_N's own
 terms.
 
 Roots are located the plain way -- sample F on a grid of a quarter of
-pi/b, the asymptotic eigenvalue gap, then polish all brackets together
-with a safeguarded regula falsi.  Sturm oscillation certifies the
+pi/b, the asymptotic eigenvalue gap, in one call where the roots are
+spaced as expected, then polish all brackets together: one call at ten
+Chebyshev-Lobatto nodes inside each, whose interpolant gives a root,
+one call either side of it, and a safeguarded regula falsi for the
+brackets still open.  Sturm oscillation certifies the
 ordinals: the oracle's count of the zeros of u(omega, .) in (0, b] at
 the top of the last bracket must equal the number of brackets; if not,
 the scan missed roots or some eigenvalues are negative, and a
@@ -47,6 +50,7 @@ __all__ = [
 
 _EPS = np.finfo(float).eps
 _SERIES_N = 20      # series length S of the fit, d_0..d_S
+_CHEB_NODES = 10    # Chebyshev-Lobatto nodes inside each bracket (_polish)
 
 #: Dirichlet eigenvalues of -u'' + (2/x^2 + x^2) u = omega^2 u on (0, pi]
 #: (l = 1, q(x) = x^2) for selected indices n; digits verified against an
@@ -119,14 +123,15 @@ class SpectrumReport:
 # scanning and refinement
 
 
-def _bracket_roots(f: Callable, count: int, h: float, gap: float, block: int = 96):
+def _bracket_roots(f: Callable, count: int, h: float, gap: float, block: int = 4096):
     """First `count` sign-change brackets of f on the grid h, 2h, 3h, ...
 
     ``f`` maps an array of frequencies to its values; each block of the
     grid takes one call.  A block has room for the roots still missing and
     one more, ``gap / h`` samples each (``gap`` is the roots' expected
-    spacing, pi/b on (0, b]), and at most ``block`` samples, so the last
-    block is sized to the missing roots and stops soon after the last.
+    spacing, pi/b on (0, b]), and at most ``block`` samples, so a scan
+    whose roots are spaced as expected takes one call and stops soon after
+    its last root.
     Bracket collection is sequential so ordinals stay correct, and a
     non-finite value raises (taking it for either sign could hide a root).
     Returns a list of (lo, hi, f_lo, f_hi).
@@ -183,19 +188,23 @@ def _secant(a, b, fa, fb, margin=0.0):
 def _polish(f: Callable, brackets, maxiter: int = 200) -> np.ndarray:
     """Roots of f in every (lo, hi, f_lo, f_hi) bracket, refined together.
 
-    Anderson-Bjorck regula falsi (BIT 13, 1973): each iteration calls f
-    once, at the secant points of all open brackets.  When the new point
-    keeps the sign of the previous one, the value used for the retained
-    end is scaled by 1 - f_new/f_prev (1/2 if that is not positive), so
-    neither end stalls.  New points stay half a stopping width inside the
-    bracket, so an iterate already that close to the root is straddled
-    next.  A bracket closes on f == 0 or width <= 1e-12 + 4 eps |omega|;
-    its root is the secant point through the true end values.
+    Round 1 calls f at ten Chebyshev-Lobatto nodes inside every bracket
+    and takes the root r of their interpolant (Boyd, SIAM J. Numer. Anal.
+    40, 2002) where its nodes' values change sign; more than one sign
+    change raises TransmuteError (the scan missed roots).  Round 2 calls f
+    at r -/+ half a stopping width, which closes most brackets.  The rest
+    go on in Anderson-Bjorck regula falsi (BIT 13, 1973) from the tightest
+    bracket found, one call per iteration for all of them.  When the new
+    point keeps the sign of the previous one, the value used for the
+    retained end is scaled by 1 - f_new/f_prev (1/2 if that is not
+    positive), so neither end stalls.  New points stay half a stopping
+    width inside the bracket, so an iterate already that close to the root
+    is straddled next.  A bracket closes on f == 0 or width <= 1e-12 +
+    4 eps |omega|; its root is the secant point through the true end values.
     """
     # b: latest iterate; a: the opposite-signed end; g: f(a) as scaled
-    a, b, fa, fb = (np.array(col, dtype=float) for col in zip(*brackets))
+    a, b, fa, fb, live = _two_rounds(f, *(np.array(col, dtype=float) for col in zip(*brackets)))
     g = fa.copy()
-    live = np.ones(a.size, dtype=bool)
     for it in range(maxiter + 1):
         tol = 1e-12 + 4.0 * _EPS * np.abs(b)
         live &= (np.abs(b - a) > tol) & (fb != 0.0)
@@ -213,6 +222,48 @@ def _polish(f: Callable, brackets, maxiter: int = 200) -> np.ndarray:
         a[i], fa[i], g[i] = (np.where(flip, b[i], a[i]), np.where(flip, fb[i], fa[i]),
                              np.where(flip, fb[i], g[i] * scale))
         b[i], fb[i] = c, fc
+
+
+def _two_rounds(f: Callable, lo, hi, f_lo, f_hi):
+    """_polish's rounds 1 and 2: per bracket (a, b, f(a), f(b), open), the
+    tightest sign change found, b a round-2 point, open False if closed.
+    Round 1's root comes from Newton's iteration on the interpolant in
+    barycentric form (Berrut & Trefethen, SIAM Rev. 46, 2004), kept inside
+    a bracket of its sign change and off the nodes."""
+    n = _CHEB_NODES + 1
+    x = 0.5 * (lo + hi)[:, None] - 0.5 * (hi - lo)[:, None] * np.cos(np.pi * np.arange(n + 1) / n)
+    x[:, 0], x[:, -1] = lo, hi   # the ends keep their values
+    v = np.column_stack([f_lo, _checked(f, x[:, 1:-1].ravel()).reshape(-1, n - 1), f_hi])
+    change = (v[:, 1:] < 0.0) != (v[:, :-1] < 0.0)
+    many = np.flatnonzero(change.sum(axis=1) != 1)
+    if many.size:
+        k = many[0]
+        raise TransmuteError(f"F changes sign {change[k].sum()} times in the bracket "
+                             f"[{float(lo[k])!r}, {float(hi[k])!r}]: the scan missed roots")
+    rows, j = np.arange(lo.size), np.argmax(change, axis=1)
+    a, b, fa, fb = x[rows, j], x[rows, j + 1], v[rows, j], v[rows, j + 1]
+    w = (-1.0) ** np.arange(n + 1)
+    w[[0, -1]] *= 0.5
+    ra, rb, r = a, b, _secant(a, b, fa, fb, 1e-3 * (b - a))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(16):
+            d = 1.0 / (r[:, None] - x)
+            c = w * d
+            p = (c * v).sum(axis=1) / c.sum(axis=1)
+            step = r - p * c.sum(axis=1) / (c * d * (p[:, None] - v)).sum(axis=1)
+            right = (p < 0.0) == (fa < 0.0)   # the root lies past r
+            ra, rb = np.where(right, r, ra), np.where(right, rb, r)
+            ok = (step >= ra) & (step <= rb) & (step > a) & (step < b)
+            r, last = np.where(ok, step, 0.5 * (ra + rb)), r
+            if np.all(np.abs(r - last) <= 4.0 * _EPS * np.abs(r)):
+                break
+    half = 0.5 * (1e-12 + 4.0 * _EPS * np.abs(r))
+    p1, p2 = np.maximum(r - half, a), np.minimum(r + half, b)
+    f1, f2 = np.split(_checked(f, np.concatenate([p1, p2])), 2)
+    closed, past = (f1 < 0.0) != (f2 < 0.0), (f2 < 0.0) == (fa < 0.0)   # past: beyond p2
+    return (np.where(closed, p1, np.where(past, b, a)), np.where(closed | past, p2, p1),
+            np.where(closed, f1, np.where(past, fb, fa)), np.where(closed | past, f2, f1),
+            ~closed)
 
 
 def _scan(setup: ProblemSetup, F: Callable, count: int, h_scan: Optional[float]):
@@ -349,7 +400,8 @@ def oracle_eigenvalues(
     solution at x = b with the adaptive integrator, so the result is
     independent of the series representation in every ingredient.  Much
     slower -- each sample is a full ODE solve, batched into one
-    regular_solutions call per scan block or polish step -- hence
+    regular_solutions call per scan block or polish step (on q == 20, four
+    ordinals up to 49 take one scan call and the polish's two rounds) -- hence
     ``which`` lets the caller refine only selected ordinals (the scan
     counts the sign changes up to the largest one, and Sturm's count
     certifies those ordinals as dirichlet_eigenvalues does).

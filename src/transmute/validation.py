@@ -193,15 +193,16 @@ def _integral_row_check(setup, li, M, rng) -> CheckResult:
     # The closed-form integral row versus direct quadrature, up to the
     # longest truncation a fit of size M allows.
     m_top = max(M - li - 1, 1)
+    draws = []
+    for _ in range(25):   # one spherical-Bessel table for all, cut to each m_max
+        m_max, x = int(rng.integers(1, m_top + 1)), float(rng.uniform(0.4, setup.b))
+        draws.append((m_max, float(rng.uniform(1.0, 100.0)) / x, x))
+    m, omega, x = (np.array(col) for col in zip(*draws))
     worst = 0.0
-    for _ in range(25):
-        m_max = int(rng.integers(1, m_top + 1))
-        x = float(rng.uniform(0.4, setup.b))
-        omega = float(rng.uniform(1.0, 100.0)) / x
-        row = integral_row(li, m_max, omega, x)
-        ref = _quadrature_row(li, m_max, omega, x)
+    for row, (m_max, om, xi) in zip(integral_row(li, int(m.max()), omega, x), draws):
+        ref = _quadrature_row(li, m_max, om, xi)
         scale = max(np.max(np.abs(ref)), 1e-300)
-        worst = max(worst, np.max(np.abs(row - ref)) / scale)
+        worst = max(worst, np.max(np.abs(row[: m_max + 1] - ref)) / scale)
     tol = 1e-9
     return CheckResult(
         "integral-row-vs-quadrature", worst <= tol, worst, tol,

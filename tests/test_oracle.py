@@ -31,8 +31,9 @@ def _harmonic(x):
 def _spy_step_maps(monkeypatch, probes=None):
     """Record (nodes, tile) of every _step_maps call of a pass: the nodes of
     the last grid terms formed, and the tile's rows x padded steps.  The
-    step-rule probe's trial steps, a fixed amount of work per call, go to
-    the list probes if one is given, and are not recorded otherwise."""
+    step-rule probe's trial steps, a fixed amount of work per setup (built
+    on its first call), go to the list probes if one is given, and are not
+    recorded otherwise."""
     calls, nodes, probing = [], [], []
     grid_terms, step_maps, probe = oracle._grid_terms, oracle._step_maps, oracle._probe
 

@@ -97,6 +97,33 @@ def test_integral_row_argument_checks():
     assert integral_row(1, 4, np.array([2.0, 3.0]), 1.0).shape == (2, 5)
 
 
+def test_integral_row_pairs_an_array_x_with_omega():
+    # one table for draws at many x: each row is the scalar call's at the
+    # same s_max bit for bit, and within 2e-14 of the row's largest entry
+    # of a call at the draw's own length (1.2e-14 measured at l = 0, s_max
+    # 21 against 1: the table's length moves where its recurrences switch)
+    rng = np.random.default_rng(5)
+    for l in (0, 1, 4):
+        m = rng.integers(1, 24, 25)
+        x = rng.uniform(0.4, np.pi, 25)
+        om = rng.uniform(1.0, 100.0, 25) / x
+        rows = integral_row(l, int(m.max()), om, x)
+        assert rows.shape == (25, int(m.max()) + 1)
+        for row, mi, wi, xi in zip(rows, m, om, x):
+            scale = np.max(np.abs(row))
+            assert np.max(np.abs(row - integral_row(l, int(m.max()), wi, xi))) <= 1e-15 * scale
+            own = integral_row(l, int(mi), wi, xi)
+            assert np.max(np.abs(row[: mi + 1] - own)) <= 2e-14 * np.max(np.abs(own))
+    for x in (np.array([1.0, 0.0]), np.array([1.0, -1.0]), np.array([1.0, np.nan])):
+        with pytest.raises(DomainError):
+            integral_row(1, 4, np.array([2.0, 3.0]), x)
+    for omega, x in ((np.array([2.0, 3.0]), np.array([1.0, 2.0, 3.0])),
+                     (2.0, np.array([1.0, 2.0])),
+                     (np.array([2.0, 3.0]), np.ones((2, 1)))):
+        with pytest.raises(DomainError):
+            integral_row(1, 4, omega, x)
+
+
 def test_integral_row_at_tiny_frequency():
     # the spherical-Bessel table gave NaN below omega x ~ 5e-58: I_0 is
     # pi^(5/2) J_{5/2}(omega pi)/omega ~ pi^5 sqrt(2/pi) omega^(3/2)/15, the

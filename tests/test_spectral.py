@@ -348,13 +348,41 @@ def test_polish_rejects_non_finite_values():
 
 def test_polish_reports_unconverged_bracket():
     # a steep step: regula falsi creeps along the flat side, so three
-    # iterations cannot close the bracket
+    # iterations cannot close the bracket.  Round 1 narrowed it to the
+    # Chebyshev nodes around the step, 0.938 and 1.143 (the interpolant's
+    # root), and the iterations crept from there
     def F(w):
         return np.where(w < 1.0, -1.0, 1e-3)
 
-    with pytest.raises(TransmuteError, match=r"3 iterations; bracket \[0.5, "):
+    with pytest.raises(TransmuteError, match=r"3 iterations; bracket "
+                                             r"\[0\.93843874024858\d*, 1\.14154\d*\] is still open"):
         spectral._polish(F, [(0.5, 2.0, -1.0, 1e-3)], maxiter=3)
     assert abs(spectral._polish(F, [(0.5, 2.0, -1.0, 1e-3)])[0] - 1.0) <= 2e-12
+
+
+def test_polish_is_loud_on_extra_sign_changes_in_a_bracket():
+    # F has roots at 0.8, 1.15 and 1.5 inside one bracket: one refined root
+    # would hide two, and shift every later ordinal
+    def F(w):
+        return (w - 0.8) * (w - 1.15) * (w - 1.5)
+
+    with pytest.raises(TransmuteError, match=r"changes sign 3 times in the bracket \[0\.5, 2\.0\]"):
+        spectral._polish(F, [(0.5, 2.0, float(F(0.5)), float(F(2.0)))])
+
+
+def test_polish_closes_a_smooth_bracket_in_two_rounds():
+    # round 1's interpolant root of cos on [1, 2] (root pi/2) lies within
+    # half a stopping width of the root, so round 2 closes the bracket and
+    # the loop makes no call
+    calls = []
+
+    def F(w):
+        calls.append(np.size(w))
+        return np.cos(w)
+
+    root = spectral._polish(F, [(1.0, 2.0, math.cos(1.0), math.cos(2.0))])
+    assert calls == [10, 2]
+    assert abs(root[0] - math.pi / 2.0) <= 1e-12
 
 
 def test_cli_reports_non_finite_characteristic_function(monkeypatch, tmp_path, capsys):
@@ -410,8 +438,9 @@ def test_oracle_eigenvalues_rejects_non_positive_scan_step(zero_setups):
 
 
 def test_oracle_eigenvalues_scans_only_to_the_largest_ordinal(monkeypatch):
-    # q == 20: omega_7 = 8.31, inside the first scan block (96 h = 24);
-    # count = 60 alone would scan to omega_60 = 60.17
+    # q == 20: omega_7 = 8.31; the scan's first block is sized to 7 roots
+    # and one more (to omega = 8), its second to the one missing and one
+    # more (to 10); count = 60 alone would scan to omega_60 = 60.17
     seen = []
 
     def spy(setup, omegas, x_eval):
@@ -420,15 +449,16 @@ def test_oracle_eigenvalues_scans_only_to_the_largest_ordinal(monkeypatch):
 
     monkeypatch.setattr(spectral, "regular_solutions", spy)
     got = oracle_eigenvalues(_constant_setup(0, 20.0), 60, which=[3, 7])
-    assert max(seen) <= 24.0
+    assert max(seen) <= 10.0
     assert got == oracle_eigenvalues(_constant_setup(0, 20.0), 7, which=[3, 7])
     assert abs(got[7] - math.sqrt(69.0)) <= 1e-10
 
 
 def test_oracle_scan_stops_near_its_last_root(monkeypatch):
-    # q == 20: omega_49 = sqrt(2421) = 49.20; two blocks of 96 samples
-    # reach omega = 48 and 47 roots, and the last block is sized to the two
-    # missing: 12 samples, where a third block of 96 made 288 in all
+    # q == 20: omega_49 = sqrt(2421) = 49.20; one block sized to the 49
+    # roots and one more, 200 samples to omega = 50, holds them all, where
+    # blocks of 96 took three calls and 204 samples (288 with a third
+    # block of 96)
     sizes = []
     bracket_roots = spectral._bracket_roots
 
@@ -440,7 +470,7 @@ def test_oracle_scan_stops_near_its_last_root(monkeypatch):
 
     monkeypatch.setattr(spectral, "_bracket_roots", spy)
     got = oracle_eigenvalues(_constant_setup(0, 20.0), 60, which=[49])
-    assert sum(sizes) <= 210
+    assert sizes == [200]
     assert abs(got[49] - math.sqrt(49.0 ** 2 + 20.0)) <= 1e-10
 
 
@@ -457,7 +487,7 @@ def test_sized_scan_blocks_bracket_as_fixed_blocks():
         got = spectral._bracket_roots(f, count, h, math.pi / 4.0)
         ends = {(a[-1], b[0]) for a, b in zip(calls[:-1], calls[1:])}
         straddled += sum((lo, hi) in ends for lo, hi, _, _ in got)
-        assert got == spectral._bracket_roots(f, count, h, 1e6)   # blocks of 96
+        assert got == spectral._bracket_roots(f, count, h, 1e6)   # blocks of 4096
     assert straddled
 
 
@@ -525,3 +555,40 @@ def test_dirichlet_argument_validation(harmonic_setups, series_harmonic, setup_h
     for N in (-1, 2.5):
         with pytest.raises(DomainError):
             dirichlet_eigenvalues(harmonic_setups[1], 3, N=N)
+
+
+# ---------------------------------------------------------------------------
+# one oracle probe, one call per scan, a two-round polish
+
+
+def test_constant_q_spectrum_calls_and_roots(monkeypatch):
+    """On q == 20, l = 0 the spectrum, the shooting check and the validation
+    suite build one step-rule probe between them (13 when every oracle call
+    built its own); the spectrum makes at most 5 u_N calls (13 with scan
+    blocks of 96 and the regula falsi alone), the shooting check at most 3
+    regular_solutions calls (8), and the 60 roots stay within 5e-12 of
+    sqrt(n^2 + 20)."""
+    from transmute import oracle, validation
+
+    counts = {"_probe": 0, "u_N": 0, "regular_solutions": 0}
+
+    def counting(module, name):
+        def spy(*args, _f=getattr(module, name), **kwargs):
+            counts[name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+
+    counting(oracle, "_probe")
+    counting(spectral, "u_N")
+    setup = _constant_setup(0, 20.0)
+    rep = dirichlet_eigenvalues(setup, 60)
+    assert counts["u_N"] <= 5
+    assert np.max(np.abs(rep.eigenvalues - np.sqrt(np.arange(1, 61) ** 2 + 20.0))) <= 5e-12
+
+    counting(spectral, "regular_solutions")
+    shot = oracle_eigenvalues(setup, 60, which=[17, 31, 37, 49])
+    assert counts["regular_solutions"] <= 3
+    assert all(abs(shot[n] - math.sqrt(n * n + 20.0)) <= 1e-10 for n in shot)
+
+    assert all(r.passed for r in validation.run_validation(setup))
+    assert counts["_probe"] == 1
