@@ -14,12 +14,15 @@ function, int_0^x P_{2k}(t/x) cos(omega t) dt = (-1)^k x j_{2k}(omega x),
 so sampling u - y over a sweep of frequencies yields an overdetermined
 linear system for the beta_k.  compute_beta performs that fit against the
 ODE solver; the resulting BetaTable feeds every kernel and eigenvalue
-routine downstream.
+routine downstream.  The system's matrix depends only on the sweep, not on
+q, l or x, so it is built once per sweep and kept read-only (_collocation);
+only the least-squares solve runs for every fit.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -118,8 +121,9 @@ def compute_beta(setup: ProblemSetup, x: float, M: int) -> BetaTable:
     [0.5, 3(2M+3)] (well past the turning point of the highest column,
     which keeps the fit conditioned), and the data is
     r_j = u(omega_j, x) - y(omega_j, x), with u from one regular_solutions
-    call over the whole sweep.  Columns are scaled to unit norm before the
-    rank-revealing least-squares solve.
+    call over the whole sweep.  A depends on the sweep alone, not on q, l
+    or x, and is built once per sweep; columns are scaled to unit norm
+    before the rank-revealing least-squares solve, which runs every call.
 
     When the exact coefficients decay slowly (non-integer l), the trailing
     ~third of the fitted range absorbs the unmodeled tail; fit with degree
@@ -154,14 +158,24 @@ def _sweep_solutions(setup: ProblemSetup, x: float, n: int) -> np.ndarray:
     return regular_solutions(setup, _sweep(n) / x, [x])[0][:, 0]
 
 
-def _beta_fit(l: float, x: float, M: int, u: np.ndarray) -> BetaTable:
-    """compute_beta's table from the oracle's u on the sweep _sweep(M)/x."""
-    s = _sweep(M)
-    r = u - unperturbed_term(l, s / x, x)
-
-    table = specialfn.spherical_j_table(2 * M, s)
+@lru_cache(maxsize=8)
+def _collocation(M: int, sweep: bytes) -> np.ndarray:
+    """The read-only matrix A[j, k] = (-1)^k j_2k(s_j) of a fit of M+1
+    coefficients on the sweep s whose float64 bytes are sweep.  Keyed on the
+    sweep's values, so a changed sample_count or _FREQ_HI builds its own."""
+    table = specialfn.spherical_j_table(2 * M, np.frombuffer(sweep))
     signs = (-1.0) ** np.arange(M + 1)
     A = (signs[:, None] * table[0::2]).T
+    A.setflags(write=False)
+    return A
+
+
+def _beta_fit(l: float, x: float, M: int, u: np.ndarray) -> BetaTable:
+    """compute_beta's table from the oracle's u on the sweep _sweep(M)/x,
+    against the sweep's one collocation matrix."""
+    s = _sweep(M)
+    r = u - unperturbed_term(l, s / x, x)
+    A = _collocation(M, s.tobytes())
 
     beta = _lstsq(A, r, "collocation matrix has rank {rank} < {cols}; reduce M")
     misfit = np.linalg.norm(A @ beta - r)

@@ -241,7 +241,8 @@ def make_potential(descriptor, b: float):
     Accepted descriptors:
       * a callable (returned as-is, tagged "C-inf"),
       * {"type": "polynomial", "coefficients": [c0, c1, ...]} -- ascending
-        degree,
+        degree, evaluated by Horner's rule bit for bit as numpy's polyval,
+        without importing numpy.polynomial,
       * {"type": "table", "x": [...], "q": [...]} or
         {"type": "table", "path": "file.csv"} -- CSV rows "x,q", strictly
         increasing x spanning [0, b], interpolated by a cubic spline.
@@ -263,7 +264,10 @@ def make_potential(descriptor, b: float):
             x = np.asarray(x, dtype=float)
             if _c.size == 0:
                 return np.zeros_like(x)
-            return np.polynomial.polynomial.polyval(x, _c)
+            q = _c[-1] + x * 0   # Horner's rule in numpy polyval's order, bit for bit
+            for c in _c[-2::-1]:
+                q = c + q * x
+            return q
 
         return q_poly, "C-inf"
     if kind == "table":
@@ -275,6 +279,16 @@ def make_potential(descriptor, b: float):
 
 # ---------------------------------------------------------------------------
 # grid construction and propagation
+
+
+def _union(a, b) -> np.ndarray:
+    """np.union1d(a, b) for finite values, the sorted distinct values of
+    both, by a sort and a mask: numpy 2's np.unique imports numpy.ma."""
+    m = np.concatenate((a, b), axis=None)
+    m.sort()
+    keep = np.ones(m.size, dtype=bool)
+    keep[1:] = m[1:] != m[:-1]
+    return m[keep]
 
 
 class _Probe(NamedTuple):
@@ -342,7 +356,7 @@ def _probe(l: float, b: float, q, x0: float) -> _Probe:
     if ll1:
         count = int(math.ceil(math.log(cross / x0) / math.log1p(ratio)))
         geo = x0 * (1.0 + ratio) ** np.arange(1, count + 1)
-        edges = np.union1d(edges, geo[geo < cross])
+        edges = _union(edges, geo[geo < cross])
         cap = np.minimum(cap[np.searchsorted(uniform, edges[:-1], side="right") - 1],
                          ratio * edges[:-1])
     n = edges.size - 1
@@ -541,10 +555,12 @@ def _step_maps(terms, om: np.ndarray, bufs, log: bool = False):
     x-steps of b/1024 below omega ~ 52 on b = pi; other x-steps reach |s|
     ~ _X_PHASE^2 = 0.09); a larger |s| is scaled by 4^-k and doubled back k
     times with S <- S C and C - 1 <- 2 (C - 1)(C + 1), k set by the
-    largest |s| of the tile (k = 1 up to |s| = 1/4).  The
-    work runs in the five arrays bufs of that shape, the maps in the first
-    four; every value is formed by the same operations, in the same order,
-    as for a single frequency.
+    largest |s| of the tile (k = 1 up to |s| = 1/4).  On x-steps s falls
+    with omega^2, so with om ascending that is read off the first and last
+    rows; the log layer's s is quadratic in omega^2 and reads every row.
+    The work runs in the five arrays bufs of that shape, the maps in the
+    first four; every value is formed by the same operations, in the same
+    order, as for a single frequency.
     """
     om2 = (om * om)[:, None]
     m11, m12, m21, m22, s = bufs
@@ -554,21 +570,23 @@ def _step_maps(terms, om: np.ndarray, bufs, log: bool = False):
         d = np.subtract(d0, np.multiply(d1, om2, out=m11), out=m11)
         np.multiply(h2, vbar, out=s)
         s += np.multiply(d, d, out=m22)
+        top = max(s.max(), -s.min())   # s is quadratic in omega^2 here
     else:
         h, h2, pbar, d, d2 = terms
         vbar = np.subtract(pbar, om2, out=m21)
         np.multiply(h2, vbar, out=s)
         s += d2
-    top = max(s.max(), -s.min())
+        # s falls with omega^2 in floats too, and the rows ascend in omega
+        top = max(s[:, 0].max(), -s[:, -1].min())
     k = (math.frexp(16.0 * top)[1] + 1) // 2 if top > 0.0625 else 0
     if k:
         s *= 0.25 ** k
     # Horner sums of C - 1 (through s^6) and S (through s^5)
-    cm1 = np.divide(s, math.factorial(12), out=m22)
+    cm1 = np.multiply(s, 1.0 / math.factorial(12), out=m22)
     for j in range(5, 0, -1):
         cm1 += 1.0 / math.factorial(2 * j)
         cm1 *= s
-    sc = np.divide(s, math.factorial(11), out=m12)
+    sc = np.multiply(s, 1.0 / math.factorial(11), out=m12)
     for j in range(4, 0, -1):
         sc += 1.0 / math.factorial(2 * j + 1)
         sc *= s
@@ -792,7 +810,7 @@ def _block(probe, om, stop, x_eval, x_from):
         return _step_rule(probe, om[start], om[stop - 1])[1]
 
     def grid_for(start):
-        grid = np.union1d(_build_grid(probe, om[start], om[stop - 1], x_from), x_eval)
+        grid = _union(_build_grid(probe, om[start], om[stop - 1], x_from), x_eval)
         # the chain never uses a step past the last requested point
         return grid[: np.searchsorted(grid, x_eval[-1]) + 1]
 
@@ -970,11 +988,11 @@ def regular_solutions(setup: ProblemSetup, omegas, x_eval: Sequence[float]):
     # every frequency, and the blocks' x grids start at its end
     x_log = min(_layer_end(probe, setup.l, om_sorted[0], om_sorted[-1]), x_eval[-1])
     k = int(np.searchsorted(x_eval, x_log, side="right"))   # points read in the layer
-    ends = np.union1d(x_eval[:k], [x_log]) if k else np.array([x_log])
+    ends = _union(x_eval[:k], [x_log])
     layer_grids = []
     if x_log > x0:
         nodes = _layer_nodes(x0, x_log, setup.l)
-        layer_grids.append(np.union1d(nodes, x_eval[:k]) if k else nodes)
+        layer_grids.append(_union(nodes, x_eval[:k]) if k else nodes)
     passes = {}
 
     def layer_states(level, rows):

@@ -170,7 +170,9 @@ def test_slow_decay_rate_for_half_integer_l(beta_half_dense):
 
 
 def test_ill_conditioned_fit_reported(zero_setups, monkeypatch):
-    # squeeze the whole frequency sweep into a sliver: columns collapse
+    # squeeze the whole frequency sweep into a sliver: columns collapse,
+    # though the matrix of the usual sweep at that M is cached
+    compute_beta(zero_setups[0], np.pi, 10)
     monkeypatch.setattr(coeffs, "_FREQ_HI", 0.018)
     with pytest.raises(IllConditionedFit):
         compute_beta(zero_setups[0], np.pi, 10)
@@ -179,15 +181,41 @@ def test_ill_conditioned_fit_reported(zero_setups, monkeypatch):
 def test_both_fits_solve_at_one_cutoff(zero_setups, monkeypatch):
     """compute_beta and the spectrum's fit of u_N share one solve and its
     cutoff coeffs._RCOND: raised to 0.5 it leaves both rank deficient,
-    each with its own message."""
+    each with its own message, with the matrix of that sweep cached."""
     from transmute import spectral
 
+    compute_beta(zero_setups[0], np.pi, 10)
     monkeypatch.setattr(coeffs, "_RCOND", 0.5)
     with pytest.raises(IllConditionedFit,
                        match=r"^collocation matrix has rank \d+ < 11; reduce M$"):
         compute_beta(zero_setups[0], np.pi, 10)
     with pytest.raises(IllConditionedFit, match=r"^weighted fit of d_0..d_10 has rank \d+ < 11$"):
         spectral._fit_series(zero_setups[0], 10)
+
+
+def test_one_collocation_matrix_per_sweep(harmonic_setups, zero_setups, monkeypatch):
+    """Fits at one M share one read-only matrix whatever the setup and x,
+    and give the same bits from a cold cache as from a warm one."""
+    M, tables, inner = 17, [], sf.spherical_j_table
+
+    def spy(nmax, z):
+        if nmax == 2 * M:
+            tables.append(z)
+        return inner(nmax, z)
+
+    monkeypatch.setattr(sf, "spherical_j_table", spy)
+    coeffs._collocation.cache_clear()
+    cold = compute_beta(harmonic_setups[1], np.pi, M)
+    other = compute_beta(zero_setups[0], 0.6 * np.pi, M)
+    assert len(tables) == 1 and tables[0].size == coeffs.sample_count(M)
+    warm = compute_beta(harmonic_setups[1], np.pi, M)
+    assert len(tables) == 1
+    assert np.array_equal(cold.beta, warm.beta) and cold.fit_residual == warm.fit_residual
+    assert np.max(np.abs(other.beta)) < 1e-10
+    A = coeffs._collocation(M, coeffs._sweep(M).tobytes())
+    assert not A.flags.writeable
+    with pytest.raises(ValueError):
+        A[0, 0] = 1.0
 
 
 def test_beta_table_validation():

@@ -1021,6 +1021,73 @@ def test_polynomial_potential_descriptor():
     assert qz(0.7) == 0.0
 
 
+@pytest.mark.parametrize("degree", range(7))
+def test_polynomial_potential_is_numpys_polyval(degree):
+    """The evaluator is Horner's rule in numpy polyval's own order, bit for
+    bit, on 0-d, 1-D and 2-D x, random and integer-valued coefficients."""
+    from numpy.polynomial.polynomial import polyval
+
+    rng = np.random.default_rng(degree)
+    xs = [np.asarray(1.7), rng.uniform(-4.0, 4.0, 33), rng.uniform(0.0, np.pi, (5, 7))]
+    for coeffs in (rng.normal(0.0, 10.0, degree + 1),
+                   rng.integers(-9, 10, degree + 1).astype(float).tolist()):
+        q, _ = make_potential({"type": "polynomial", "coefficients": coeffs}, np.pi)
+        for x in xs + [2.5, [0.0, -1.0, 3.0]]:
+            got, want = q(x), polyval(np.asarray(x, dtype=float), np.asarray(coeffs, dtype=float))
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (coeffs, x)
+    zero, _ = make_potential({"type": "polynomial", "coefficients": []}, np.pi)
+    for x in xs:
+        assert np.array_equal(zero(x), np.zeros_like(x)) and np.shape(zero(x)) == np.shape(x)
+
+
+@pytest.mark.parametrize("a, b", [
+    pytest.param(np.array([0.5, 1.0, 1.0, 2.0]), np.array([2.0, 0.25, 1.0]), id="duplicates"),
+    pytest.param(np.linspace(0.0, np.pi, 9), np.array([np.pi / 8, 1.0]), id="point-on-a-node"),
+    pytest.param(np.linspace(0.0, np.pi, 9), [np.pi], id="list"),
+    pytest.param(np.array([]), np.array([]), id="both-empty"),
+    pytest.param(np.array([]), np.array([3.0, 1.0]), id="one-empty"),
+    pytest.param(np.array([3, 1, 3]), np.array([2, 1]), id="integers"),
+])
+def test_union_is_numpys_union1d(a, b):
+    got, want = oracle._union(a, b), np.union1d(a, b)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_step_maps_scale_x_steps_by_the_whole_tile(monkeypatch):
+    """On x-steps _step_maps reads the largest |s| of a tile off its first
+    and last rows; on random ascending sweeps, one-row tiles and rows with
+    q > omega^2 among them, the scaling k it picks is that of every row,
+    whether it scales (k > 0) or not."""
+    frexp, scaled = [], set()
+
+    class Math:   # records the scaling's frexp call, if it makes one
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def frexp(self, v):
+            frexp.append(v)
+            return math.frexp(v)
+
+    monkeypatch.setattr(oracle, "math", Math())
+    for seed in range(24):
+        rng = np.random.default_rng(seed)
+        l, q0 = float(rng.choice([0.0, 0.5, 1.0, 7.0])), rng.uniform(-30.0, 60.0)
+        q = lambda x: q0 + 5.0 * np.sin(3.0 * np.asarray(x, dtype=float))
+        xs = np.sort(rng.uniform(0.05, np.pi, int(rng.choice([2, 6, 40, 2000]))))
+        om = np.sort(rng.uniform(0.0, rng.choice([2.0, 10.0, 80.0]), int(rng.integers(1, 9))))
+        terms = oracle._grid_terms(xs, l, q)
+        _, h2, pbar, _, d2 = terms
+        s = h2 * (pbar - (om * om)[:, None]) + d2
+        top = max(s.max(), -s.min())
+        frexp.clear()
+        oracle._step_maps(terms, om, np.empty((5,) + s.shape))
+        assert frexp == ([16.0 * top] if top > 0.0625 else []), seed
+        scaled.add((top > 0.0625, om.size == 1, bool(np.any(q0 - 5.0 > om * om))))
+    assert {k for k, _, _ in scaled} == {True, False}
+    assert any(one for _, one, _ in scaled) and any(grows for _, _, grows in scaled)
+
+
 def test_setup_validation():
     q = lambda x: np.zeros_like(np.asarray(x))
     with pytest.raises(DomainError):
