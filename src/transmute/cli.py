@@ -9,17 +9,18 @@ Four subcommands cover the pipeline end to end:
                   (n, omega, residual, reference, abs_error) CSV; the
                   references are ``spectrum.references``, by default the
                   stored ones of the l=1, q=x^2 problem (``{}``: none).
-* ``validate`` -- run the invariant suite and report PASS/FAIL per check.
+* ``validate`` -- check the Goursat diagonal, the coefficient sum and the
+                  transmutation property; report PASS/FAIL per check.
 
 Configuration comes from an optional JSON file (``--config``) overridden
 by individual flags; every run writes the resolved configuration back
 into a JSON summary next to the CSV so results are reproducible.  Output
-is deterministic: the same configuration and seed produce byte-identical
-CSV files.  Both fits (compute_beta's beta_0..beta_M, the weighted fit of
+is deterministic: the same configuration produces byte-identical CSV
+files.  Both fits (compute_beta's beta_0..beta_M, the weighted fit of
 d_0..d_N) solve sample_count(n) = 3(n+1) frequencies.  ``spectrum``, and
 ``kernel`` at integer l, fit d_0..d_N at each x: they take ``--N``
 (default 20) and exit 2 on a fit size M; ``validate`` fits d at S = M from
-its beta table's sweep.  A subcommand exits 2 on a flag it does not read.
+one size-M sweep.  A subcommand exits 2 on a flag it does not read.
 
 Exit codes: 0 success, 1 a ``validate`` check failed, 2 malformed input
 or a numerical failure (such as spectrum ordinals Sturm's count rejects).
@@ -82,7 +83,6 @@ class RunConfig:
     nt: int = 33
     t_max_fraction: float = 0.95
     perturb_beta: float = 0.0
-    seed: int = 0
     out: str = "."
 
     def to_dict(self) -> dict:
@@ -99,7 +99,6 @@ class RunConfig:
                 "t_max_fraction": self.t_max_fraction,
             },
             "validate": {"perturb_beta": self.perturb_beta},
-            "seed": self.seed,
             "out": self.out,
         }
 
@@ -155,8 +154,6 @@ class RunConfig:
             raise DomainError(
                 f"validate.perturb_beta must be finite, got {self.perturb_beta}"
             )
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
 _JSON_TYPE = {int: "an integer", float: "a number", str: "a string",
@@ -219,7 +216,7 @@ def _load_config(path: Optional[str]) -> RunConfig:
 def _merge_args(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     overrides = {}
     for name in ("l", "b", "potential", "M", "N", "count",
-                 "nx", "nt", "t_max_fraction", "perturb_beta", "seed", "out"):
+                 "nx", "nt", "t_max_fraction", "perturb_beta", "out"):
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
@@ -421,7 +418,6 @@ def cmd_validate(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     results = run_validation(
         setup,
-        seed=cfg.seed,
         beta_perturbation=cfg.perturb_beta,
         **({} if cfg.M is None else {"M": cfg.M}),
     )
@@ -485,7 +481,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", parents=[common, fit],
                            help="run the invariant suite")
-    p_val.add_argument("--seed", type=int, help="seed for randomized checks")
     p_val.add_argument("--perturb-beta", dest="perturb_beta", type=float,
                        help="fault injection: corrupt one coefficient by this "
                             "fraction of max|beta|")

@@ -46,8 +46,7 @@ def test_import_does_not_load_optimize_or_interpolate(tmp_path):
     table = tmp_path / "q.csv"
     table.write_text("".join(f"{x},{x * x}\n" for x in np.linspace(0.0, np.pi, 9)))
     # every command, integer l or not, with a polynomial or a table potential
-    # loads no scipy module at all, the validation suite's quadrature
-    # references and the kernel's real-l weights included
+    # loads no scipy module at all, the kernel's real-l weights included
     runs = (["spectrum", "--l", "1", "--count", "5"],
             ["spectrum", "--l", "1", "--potential", "poly:0,0,1", "--count", "5"],
             ["beta", "--l", "1"],
@@ -95,7 +94,7 @@ def test_parse_potential_bad_token():
 
 def test_config_round_trip():
     cfg = RunConfig(l=1.0, potential="poly:0,0,1", M=20, count=4,
-                    references={2: 3.0903, 1: 2.2436}, seed=5, out="/tmp/x")
+                    references={2: 3.0903, 1: 2.2436}, out="/tmp/x")
     again = RunConfig.from_dict(cfg.to_dict())
     assert again == cfg
 
@@ -105,6 +104,8 @@ def test_config_rejects_unknown_keys():
         RunConfig.from_dict({"problem": {"l": 1.0, "ell": 2.0}})
     with pytest.raises(DomainError):
         RunConfig.from_dict({"settings": {}})
+    with pytest.raises(DomainError, match="unknown config key 'seed'"):
+        RunConfig.from_dict({"seed": 0})   # no check draws random numbers
 
 
 def test_config_range_validation():
@@ -114,8 +115,8 @@ def test_config_range_validation():
         RunConfig.from_dict({"problem": {"l": float("nan")}})
     with pytest.raises(DomainError):
         RunConfig.from_dict({"kernel": {"t_max_fraction": 1.5}})
-    with pytest.raises(DomainError, match="seed"):
-        RunConfig.from_dict({"seed": -1})
+    with pytest.raises(DomainError, match="count"):
+        RunConfig.from_dict({"spectrum": {"count": -1}})
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(DomainError, match="validate.perturb_beta"):
             RunConfig.from_dict({"validate": {"perturb_beta": bad}})
@@ -125,7 +126,7 @@ def test_config_type_rules():
     # float fields take integers, Optional fields take null
     cfg = RunConfig.from_dict({"problem": {"l": 1}, "fit": {"M": None}})
     assert cfg.l == 1 and cfg.M is None
-    for bad in ({"seed": True}, {"problem": {"potential": 3}},
+    for bad in ({"spectrum": {"count": True}}, {"problem": {"potential": 3}},
                 {"fit": {"N": 4.0}}):
         with pytest.raises(DomainError):
             RunConfig.from_dict(bad)
@@ -268,6 +269,7 @@ def test_spectrum_rejects_fit_size(tmp_path, capsys, how):
 @pytest.mark.parametrize("command, flag", [
     ("beta", "--N"), ("beta", "--seed"), ("kernel", "--seed"),
     ("spectrum", "--M"), ("spectrum", "--seed"), ("validate", "--N"),
+    ("validate", "--seed"),
 ])
 def test_flag_a_command_ignores_exits_2(tmp_path, capsys, command, flag):
     # beta wrote N = 3 and seed = 7 into its summary without using either
@@ -472,7 +474,8 @@ def test_validate_healthy_problem(tmp_path, capsys):
     assert rc == 0
     report = json.loads((tmp_path / "validate_report.json").read_text())
     assert report["all_passed"] is True
-    assert len(report["checks"]) == 5
+    assert [c["name"] for c in report["checks"]] == [
+        "goursat-diagonal", "coefficient-sum", "transmutation-property"]
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
 
@@ -590,7 +593,7 @@ def test_unusable_oracle_grid_exit_2(tmp_path, capsys, argv, named):
     ({"spectrum": {"references": [1, 2]}}, "spectrum.references"),
     ({"fit": {"M": 2.5}}, "fit.M"),
     ({"kernel": {"nx": None}}, "kernel.nx"),
-    ({"seed": -1}, "seed must be >= 0"),
+    ({"spectrum": {"count": -1}}, "count must be >= 0"),
 ])
 def test_config_wrong_json_type_exit_2(tmp_path, capsys, config, key):
     cfg_path = tmp_path / "c.json"

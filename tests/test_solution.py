@@ -56,16 +56,17 @@ def _row_by_quadrature(l, m_max, omega, x):
     return sf.jacobi_all(m_max, l + 0.5, 0.0, zz) @ base
 
 
-@pytest.mark.parametrize("case", ["short", "long"])
+@pytest.mark.parametrize("case", ["short", "long", 5, 10, 20, 30])
 def test_integral_row_against_quadrature(case):
     # "long" reaches the truncations of full fits (m_max up to 40) and
-    # phases omega*x down to 1e-4, where a forward recurrence in m fails
+    # phases omega*x down to 1e-4, where a forward recurrence in m fails;
+    # an integer case takes the short draws at that l, beyond l <= 3
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(30):
-        l = int(rng.integers(0, 4))
+        l = int(rng.integers(0, 4)) if isinstance(case, str) else case
         x = float(rng.uniform(0.5, np.pi))
-        if case == "short":
+        if case != "long":
             m_max = int(rng.integers(1, 11))
             om = float(rng.uniform(1.0, 100.0)) / x
         else:

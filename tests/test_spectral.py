@@ -314,6 +314,47 @@ def test_spectrum_evaluates_u_N_over_arrays(harmonic_setups, series_harmonic,
     assert len(calls) < 100
 
 
+def _step_matching_zeros(jump, count):
+    """First zeros of u(pi, omega) for q = 20 on [0, jump), 0 past it, l = 0:
+    u = sin(k t)/k with k^2 = omega^2 - 20 (sinh below omega^2 = 20) up to
+    the jump, continued by cos and sin of omega (t - jump) past it."""
+    J = mpmath.mpf(jump)
+
+    def F(om):
+        om = mpmath.mpf(om)
+        k = mpmath.sqrt(om * om - 20)
+        rest = mpmath.pi - J
+        return mpmath.re(mpmath.sin(k * J) / k * mpmath.cos(om * rest)
+                         + mpmath.cos(k * J) * mpmath.sin(om * rest) / om)
+
+    roots, lo = [], 0.01
+    with mpmath.workdps(30):
+        f_lo = F(lo)
+        while len(roots) < count:
+            hi = lo + 0.05
+            f_hi = F(hi)
+            if f_lo * f_hi < 0:
+                roots.append(float(mpmath.findroot(F, (lo, hi), solver="anderson")))
+            lo, f_lo = hi, f_hi
+    return np.array(roots)
+
+
+@pytest.mark.parametrize("jump", [1.0, np.pi / 2, 1.0 + 1e-3])
+def test_step_potential_is_right_or_loud(jump):
+    # the series path assumes a smooth kernel; a jump in q must either
+    # raise or still give the matching-condition zeros (at jump = pi the
+    # reference reads sqrt(n^2 + 20) exactly)
+    assert np.max(np.abs(_step_matching_zeros(np.pi, 3) - np.sqrt([21.0, 24.0, 29.0]))) <= 1e-14
+    setup = ProblemSetup(l=0.0, b=np.pi,
+                         q=lambda x: np.where(np.asarray(x, dtype=float) < jump, 20.0, 0.0))
+    try:
+        report = dirichlet_eigenvalues(setup, 20)
+    except TransmuteError:
+        return
+    want = _step_matching_zeros(jump, 20)
+    assert np.max(np.abs(report.eigenvalues - want)) <= 1e-10
+
+
 # ---------------------------------------------------------------------------
 # scan and polish on synthetic characteristic functions
 
